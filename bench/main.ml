@@ -133,18 +133,17 @@ let run_all () =
 
 (* ----- pred_kernel microbenches -----
 
-   Per-cycle predicate evaluation: the compiled bitmask kernel vs the
-   reference map walk, on the two structures that re-evaluate predicates
-   every cycle (register-file versions, store-buffer entries). All
-   predicates mention only unspecified conditions so every tick stays
-   Unspec and the timed state survives arbitrarily many iterations;
-   [gated] variants pass [dirty:0] to measure the skip fast path. *)
+   Per-cycle predicate evaluation with the compiled bitmask kernel, on
+   the two structures that re-evaluate predicates every cycle
+   (register-file versions, store-buffer entries). All predicates
+   mention only unspecified conditions so every tick stays Unspec and
+   the timed state survives arbitrarily many iterations; [gated]
+   variants pass [dirty:0] to measure the skip fast path. *)
 module Pred_bench = struct
   open Psb_isa
   module Regfile = Psb_machine.Regfile
   module Store_buffer = Psb_machine.Store_buffer
   module Ccr = Psb_machine.Ccr
-  module Pred_kernel = Psb_machine.Pred_kernel
 
   let entries = 16
 
@@ -179,24 +178,20 @@ module Pred_bench = struct
   let tests () =
     let open Bechamel in
     let t name f = Test.make ~name (Staged.stage f) in
-    let rf_tick ~mode ~dirty () =
-      ignore (Regfile.tick ~mode ~dirty (Lazy.force rf) (Lazy.force ccr))
-    and sb_tick ~mode ~dirty () =
-      ignore (Store_buffer.tick ~mode ~dirty (Lazy.force sb) (Lazy.force ccr))
+    let rf_tick ~dirty () =
+      ignore (Regfile.tick ~dirty (Lazy.force rf) (Lazy.force ccr))
+    and sb_tick ~dirty () =
+      ignore (Store_buffer.tick ~dirty (Lazy.force sb) (Lazy.force ccr))
     in
     let cp = lazy (Pred.compile (pred 0)) in
     Test.make_grouped ~name:"pred_kernel"
       [
         t "eval/mask" (fun () ->
             ignore (Ccr.evalc (Lazy.force ccr) (Lazy.force cp)));
-        t "eval/map" (fun () ->
-            ignore (Ccr.eval (Lazy.force ccr) (pred 0)));
-        t "rf_tick/mask" (rf_tick ~mode:Pred_kernel.Mask ~dirty:(-1));
-        t "rf_tick/mask_gated" (rf_tick ~mode:Pred_kernel.Mask ~dirty:0);
-        t "rf_tick/map" (rf_tick ~mode:Pred_kernel.Map ~dirty:(-1));
-        t "sb_tick/mask" (sb_tick ~mode:Pred_kernel.Mask ~dirty:(-1));
-        t "sb_tick/mask_gated" (sb_tick ~mode:Pred_kernel.Mask ~dirty:0);
-        t "sb_tick/map" (sb_tick ~mode:Pred_kernel.Map ~dirty:(-1));
+        t "rf_tick/mask" (rf_tick ~dirty:(-1));
+        t "rf_tick/mask_gated" (rf_tick ~dirty:0);
+        t "sb_tick/mask" (sb_tick ~dirty:(-1));
+        t "sb_tick/mask_gated" (sb_tick ~dirty:0);
       ]
 end
 
@@ -212,7 +207,6 @@ module Events_bench = struct
   open Psb_isa
   module Regfile = Psb_machine.Regfile
   module Store_buffer = Psb_machine.Store_buffer
-  module Pred_kernel = Psb_machine.Pred_kernel
   module Events = Psb_obs.Events
 
   let ring = lazy (Events.create ~capacity:4096 ())
@@ -251,11 +245,10 @@ module Events_bench = struct
     let t name f = Test.make ~name (Staged.stage f) in
     let tick_rf rf () =
       ignore
-        (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(-1) (Lazy.force rf)
-           (Lazy.force Pred_bench.ccr))
+        (Regfile.tick ~dirty:(-1) (Lazy.force rf) (Lazy.force Pred_bench.ccr))
     and tick_sb sb () =
       ignore
-        (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:(-1) (Lazy.force sb)
+        (Store_buffer.tick ~dirty:(-1) (Lazy.force sb)
            (Lazy.force Pred_bench.ccr))
     in
     Test.make_grouped ~name:"events"
@@ -284,7 +277,7 @@ module Lowered_bench = struct
   module Model = Psb_compiler.Model
   module Machine_model = Psb_machine.Machine_model
   module Lowered = Psb_machine.Lowered
-  module Exec_kernel = Psb_machine.Exec_kernel
+  module Vliw_sim = Psb_machine.Vliw_sim
   module Suite = Psb_workloads.Suite
   module Dsl = Psb_workloads.Dsl
 
@@ -311,8 +304,8 @@ module Lowered_bench = struct
     let t name f = Test.make ~name (Staged.stage f) in
     Test.make_grouped ~name:"lowered"
       [
-        t "sim/lowered" (run Exec_kernel.Lowered);
-        t "sim/tree" (run Exec_kernel.Tree);
+        t "sim/lowered" (run Vliw_sim.Lowered);
+        t "sim/tree" (run Vliw_sim.Tree);
         t "lower" (fun () ->
             let c = Lazy.force compiled in
             match c.Driver.pcode with
@@ -354,16 +347,15 @@ module Rob_bench = struct
             ignore
               (Interp.run ~record_trace:false ~regs:w.Dsl.regs
                  ~mem:(w.Dsl.make_mem ()) w.Dsl.program));
-        t "sim/vliw" (Lowered_bench.run Psb_machine.Exec_kernel.Lowered);
+        t "sim/vliw" (Lowered_bench.run Psb_machine.Vliw_sim.Lowered);
       ]
 end
 
 (* ----- predecode microbenches -----
 
-   Whole-workload cost of the two scalar kernels on both scalar
-   backends: the predecoded flat walk ([Decoded.of_program], the
-   default) against the tree-walking reference, on the interpreter and
-   on the ROB machine, plus the one-time decode itself. The decoded
+   Whole-workload cost of the predecoded flat walk ([Decoded.of_program])
+   on both scalar backends, the interpreter's tree-walking reference
+   kernel for comparison, and the one-time decode itself. The decoded
    rows price the per-instruction array walk — the hot loop of every
    profile run and every fuzz trial — so a slow-down gates like any
    other kernel. Traces are off: these rows measure the kernel, not the
@@ -373,7 +365,6 @@ module Decoded_bench = struct
   module Machine_model = Psb_machine.Machine_model
   module Interp = Psb_isa.Interp
   module Decoded = Psb_isa.Decoded
-  module Scalar_kernel = Psb_isa.Scalar_kernel
   module Suite = Psb_workloads.Suite
   module Dsl = Psb_workloads.Dsl
 
@@ -386,22 +377,19 @@ module Decoded_bench = struct
       (Interp.run ~record_trace:false ~kernel ~decoded:(Lazy.force decoded)
          ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) w.Dsl.program)
 
-  let rob kernel () =
-    let w = Lazy.force w in
-    ignore
-      (Rob_sim.run ~kernel ~decoded:(Lazy.force decoded)
-         ~model:Machine_model.base ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
-         w.Dsl.program)
-
   let tests () =
     let open Bechamel in
     let t name f = Test.make ~name (Staged.stage f) in
     Test.make_grouped ~name:"decoded"
       [
-        t "interp/decoded" (interp Scalar_kernel.Decoded);
-        t "interp/tree" (interp Scalar_kernel.Tree);
-        t "rob/decoded" (rob Scalar_kernel.Decoded);
-        t "rob/tree" (rob Scalar_kernel.Tree);
+        t "interp/decoded" (interp Interp.Decoded);
+        t "interp/tree" (interp Interp.Tree);
+        t "rob/decoded" (fun () ->
+            let w = Lazy.force w in
+            ignore
+              (Rob_sim.run ~decoded:(Lazy.force decoded)
+                 ~model:Machine_model.base ~regs:w.Dsl.regs
+                 ~mem:(w.Dsl.make_mem ()) w.Dsl.program));
         t "decode" (fun () ->
             let w = Lazy.force w in
             ignore (Decoded.of_program w.Dsl.program));
@@ -410,12 +398,12 @@ end
 
 (* Bechamel timings. Groups: [experiments] times the full regeneration of
    each table/figure against a null formatter; [pred_kernel] times the
-   per-cycle predicate-evaluation kernels; [events] times the structured
+   per-cycle bitmask predicate evaluation; [events] times the structured
    event log against the machine hot paths; [lowered] times whole-workload
    simulation under the lowered vs tree execution kernels; [rob] times the
    rival reorder-buffer backend against the scalar and VLIW simulators;
-   [decoded] times the predecoded vs tree scalar kernels on both scalar
-   backends, plus the decode pass itself. *)
+   [decoded] times the predecoded scalar form on both scalar backends
+   (and the interpreter's tree kernel), plus the decode pass itself. *)
 let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
   [
     ( "experiments",

@@ -1370,9 +1370,9 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Fuzz the whole pipeline: random programs through every stage \
-          differential (interp/scalar/VLIW, both predicate kernels, \
-          verify-then-run, compile cache), shrinking failures to minimal \
-          counterexamples")
+          differential (interp/scalar/ROB/VLIW, the decoded-vs-tree \
+          interpreter and lowered-vs-tree VLIW kernels, verify-then-run, \
+          compile cache), shrinking failures to minimal counterexamples")
     Term.(
       const run $ trials $ seed $ jobs_arg $ corpus $ replay $ inject $ only
       $ no_shrink $ diamonds $ iters $ nesting $ alias_mask $ fault_rate

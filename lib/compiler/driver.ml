@@ -136,15 +136,15 @@ let estimate_cycles c program ~block_trace =
   (Cycles.measure ~units:c.units ~schedules:c.schedules program ~block_trace)
     .Cycles.cycles
 
-let run_vliw ?regfile_mode ?pred_kernel ?exec_kernel ?on_event ?events ?metrics
-    c ~regs ~mem =
+let run_vliw ?regfile_mode ?exec_kernel ?on_event ?events ?metrics c ~regs ~mem
+    =
   match c.pcode with
   | None ->
       invalid_arg
         (Format.asprintf "Driver.run_vliw: model %s is not executable"
            c.model.Model.name)
   | Some code ->
-      Vliw_sim.run ?regfile_mode ?pred_kernel ?exec_kernel ?lowered:c.lowered
+      Vliw_sim.run ?regfile_mode ?exec_kernel ?lowered:c.lowered
         ?on_event ?events ?metrics ~model:c.machine ~regs ~mem code
 
 let code_size c =

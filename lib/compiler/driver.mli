@@ -19,8 +19,8 @@ type compiled = {
           corresponds to [pcode] exactly — a caller substituting a different
           pcode (e.g. injecting a miscompile) must drop this field. *)
   decoded : Decoded.t;
-      (** The scalar source predecoded to the flat form the default
-          interpreter and ROB kernels walk ({!Psb_isa.Decoded}), built
+      (** The scalar source predecoded to the flat form the interpreter
+          (by default) and the ROB walk ({!Psb_isa.Decoded}), built
           once per compile. Its [source] is the exact program value this
           compile saw; on a cache hit under a structurally-equal but
           physically-distinct program, run against
@@ -58,9 +58,12 @@ val compile :
     and the compiled code agree on block labels.
 
     [metrics] collects per-pass wall-clock timings
-    ([compile_pass_seconds{pass=cfg|unit_formation|schedule|check|emit|verify|lower}]),
+    ([compile_pass_seconds{pass=cfg|unit_formation|schedule|check|emit|verify|lower|decode}]),
     the unit count, and a schedule-density histogram ([sched_density],
-    operations per bundle).
+    operations per bundle). The pass labels are load-bearing: the
+    repository benchmark reads [decode] (and the others) by name as
+    [compiler.pass.<pass>_share], so renaming or dropping one fails its
+    smoke check.
 
     [cache] short-circuits the whole pipeline on a content hit (see
     {!Compile_cache} for the key derivation); on a hit no passes run,
@@ -73,8 +76,7 @@ val estimate_cycles : compiled -> Program.t -> block_trace:Label.t list -> int
 
 val run_vliw :
   ?regfile_mode:Psb_machine.Regfile.mode ->
-  ?pred_kernel:Psb_machine.Pred_kernel.mode ->
-  ?exec_kernel:Psb_machine.Exec_kernel.mode ->
+  ?exec_kernel:Vliw_sim.exec_kernel ->
   ?on_event:(int -> Vliw_sim.event -> unit) ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
@@ -83,8 +85,7 @@ val run_vliw :
   mem:Memory.t ->
   Vliw_sim.result
 (** Execute the compiled predicated code on the machine simulator;
-    [pred_kernel], [exec_kernel], [on_event], [events] and [metrics] are
-    passed through to {!Vliw_sim.run}, along with the cached [lowered]
+    [exec_kernel], [on_event], [events] and [metrics] are passed through to {!Vliw_sim.run}, along with the cached [lowered]
     form (so a lowered-kernel run never re-lowers).
     @raise Invalid_argument if the model is not executable. *)
 

@@ -61,13 +61,12 @@ let estimated_cycles t ?machine model e =
   Driver.estimate_cycles compiled e.workload.Dsl.program
     ~block_trace:e.scalar.Interp.block_trace
 
-let measured t ?(single_shadow = true) ?regfile_mode ?pred_kernel ?events model
-    e =
+let measured t ?(single_shadow = true) ?regfile_mode ?events model e =
   let compiled = compile t ~single_shadow model e in
   let mem = e.workload.Dsl.make_mem () in
   let res =
-    Driver.run_vliw ?regfile_mode ?pred_kernel ?events compiled
-      ~regs:e.workload.Dsl.regs ~mem
+    Driver.run_vliw ?regfile_mode ?events compiled ~regs:e.workload.Dsl.regs
+      ~mem
   in
   if
     not

@@ -75,14 +75,12 @@ val estimated_cycles :
 
 val measured : t -> ?single_shadow:bool ->
   ?regfile_mode:Psb_machine.Regfile.mode ->
-  ?pred_kernel:Psb_machine.Pred_kernel.mode ->
   ?events:Psb_obs.Events.t -> Model.t -> entry ->
   Vliw_sim.result
 (** Run the compiled code on the machine simulator (executable models).
     Also asserts observable equivalence with the scalar reference.
-    [pred_kernel] selects the per-cycle predicate evaluation kernel
-    (see {!Psb_machine.Pred_kernel}); [events] records the speculation
-    lifecycle (see {!Psb_obs.Events}). *)
+    [events] records the speculation lifecycle (see
+    {!Psb_obs.Events}). *)
 
 val speedup : scalar:int -> cycles:int -> float
 

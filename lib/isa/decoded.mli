@@ -15,9 +15,9 @@
     values ([ops], for observer callbacks) and is only valid for the
     exact program value it was built from ([source] is compared
     physically, mirroring the stale-lowered-form rejection in the VLIW
-    machine). Both kernels are pinned identical — cycles, traces,
-    events, metrics, faults — by the differential test stack; the
-    kernel axis is {!Scalar_kernel} ([PSB_SCALAR_KERNEL=decoded|tree]). *)
+    machine). The interpreter's tree-walking reference kernel
+    ({!Interp.kernel}) is pinned identical to it — cycles, traces,
+    hooks, faults — by the differential test stack. *)
 
 (** {2 Opcode class tags}
 

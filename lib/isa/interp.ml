@@ -80,9 +80,10 @@ let charge env op =
 
 let default_fuel = 30_000_000
 
-let run ?(fuel = default_fuel) ?(record_trace = true)
-    ?(kernel = Scalar_kernel.default) ?decoded ?observer ?on_block ~regs ~mem
-    program =
+type kernel = Decoded | Tree
+
+let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
+    ?decoded ?observer ?on_block ~regs ~mem program =
   let nregs = max 1 (Program.max_reg program + 1) in
   let nregs =
     List.fold_left (fun m (r, _) -> max m (Reg.index r + 1)) nregs regs
@@ -261,8 +262,8 @@ let run ?(fuel = default_fuel) ?(record_trace = true)
   | None -> ());
   try
     match kernel with
-    | Scalar_kernel.Tree -> run_block program.Program.entry
-    | Scalar_kernel.Decoded ->
+    | Tree -> run_block program.Program.entry
+    | Decoded ->
         let d =
           match decoded with Some d -> d | None -> Decoded.of_program program
         in

@@ -21,10 +21,16 @@ type result = {
   faults_handled : int;
 }
 
+type kernel =
+  | Decoded  (** walk the flat {!Decoded} form — the default *)
+  | Tree
+      (** re-walk the block lists and variant trees — the ISA's
+          executable spec, selected explicitly by tests and [Diff] *)
+
 val run :
   ?fuel:int ->
   ?record_trace:bool ->
-  ?kernel:Scalar_kernel.mode ->
+  ?kernel:kernel ->
   ?decoded:Decoded.t ->
   ?observer:(Instr.op -> int option -> unit) ->
   ?on_block:(int -> Label.t -> unit) ->
@@ -40,10 +46,9 @@ val run :
     cycle count on every block entry (regardless of [record_trace]) —
     the hook behind per-block timelines. [mem] is mutated in place.
 
-    [kernel] selects the per-instruction engine ({!Scalar_kernel}):
-    [Decoded] — the default — walks the flat {!Decoded} form, [Tree]
-    re-walks the block lists and variant trees; the two are pinned
-    identical (cycles, trace, hooks, faults) by the differential tests.
+    [kernel] selects the per-instruction engine (default [Decoded]);
+    the two are pinned identical (cycles, trace, hooks, faults) by the
+    differential tests.
     [decoded] supplies a prebuilt form so repeated runs of one program
     (fuzz stages, limit regimes) decode once; it must have been built
     from exactly this program.

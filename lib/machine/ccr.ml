@@ -17,9 +17,11 @@ type t = {
   mutable specified : int;
   mutable values : int;
   wide : wide option;
+  mutable dirty : int;
+      (* word-0 bitmask of conditions written since the last [take_dirty];
+         -1 after a wholesale change or a write beyond word 0 *)
   (* evaluation accounting (exported through lib/obs by the machine) *)
   mutable evals_mask : int;
-  mutable evals_map : int;
 }
 
 let word_bits = Pred.word_bits
@@ -32,7 +34,7 @@ let create ~width =
       let nwords = (width - 1) / word_bits in
       Some { w_spec = Array.make nwords 0; w_vals = Array.make nwords 0 }
   in
-  { width; specified = 0; values = 0; wide; evals_mask = 0; evals_map = 0 }
+  { width; specified = 0; values = 0; wide; dirty = -1; evals_mask = 0 }
 
 let width t = t.width
 
@@ -61,19 +63,27 @@ let set t c v =
   if i < word_bits then begin
     let b = 1 lsl i in
     t.specified <- t.specified lor b;
-    t.values <- (if v then t.values lor b else t.values land lnot b)
+    t.values <- (if v then t.values lor b else t.values land lnot b);
+    t.dirty <- t.dirty lor b
   end
   else begin
     let w = match t.wide with Some w -> w | None -> assert false in
     let j = (i / word_bits) - 1 and b = 1 lsl (i mod word_bits) in
     w.w_spec.(j) <- w.w_spec.(j) lor b;
     w.w_vals.(j) <-
-      (if v then w.w_vals.(j) lor b else w.w_vals.(j) land lnot b)
+      (if v then w.w_vals.(j) lor b else w.w_vals.(j) land lnot b);
+    t.dirty <- -1
   end
+
+let take_dirty t =
+  let d = t.dirty in
+  t.dirty <- 0;
+  d
 
 let reset t =
   t.specified <- 0;
   t.values <- 0;
+  t.dirty <- -1;
   match t.wide with
   | None -> ()
   | Some w ->
@@ -94,6 +104,7 @@ let assign t ~from =
   if t.width <> from.width then invalid_arg "Ccr.assign: width mismatch";
   t.specified <- from.specified;
   t.values <- from.values;
+  t.dirty <- -1;
   match (t.wide, from.wide) with
   | None, None -> ()
   | Some w, Some f ->
@@ -102,10 +113,6 @@ let assign t ~from =
   | _ -> assert false (* same width implies same shape *)
 
 let lookup t c = get t c
-
-let eval t p =
-  t.evals_map <- t.evals_map + 1;
-  Pred.eval p (lookup t)
 
 (* [word t w]: packed (specified, values) of CCR word [w]; zero past the
    physical width, so an out-of-CCR condition reads as unspecified. *)
@@ -148,7 +155,6 @@ let evalc t (cp : Pred.compiled) =
       !result
 
 let evals_mask t = t.evals_mask
-let evals_map t = t.evals_map
 
 let all_specified t p =
   (* No [Cond.Set] detour: fold the literal map directly. *)

@@ -19,16 +19,25 @@ val get : t -> Cond.t -> Pred.cond_value
 (** @raise Invalid_argument if the condition is outside the CCR. *)
 
 val set : t -> Cond.t -> bool -> unit
+(** Also marks the condition in the dirty mask ({!take_dirty}); a
+    condition at index [>= Pred.word_bits] marks every bit. *)
+
 val reset : t -> unit
 val copy : t -> t
 val assign : t -> from:t -> unit
-(** Overwrite the contents of [t] with those of [from]. *)
+(** Overwrite the contents of [t] with those of [from]. {!reset} and
+    [assign] mark every bit of the dirty mask. *)
+
+val take_dirty : t -> int
+(** The word-0 bitmask of conditions written since the previous call
+    (or [-1] — everything — after {!create}, {!reset}, {!assign} or a
+    write beyond word 0), clearing it. The machine takes it once per
+    cycle and hands it to the register-file and store-buffer ticks as
+    their [~dirty] gate: an entry whose mask misses every dirty bit
+    cannot have resolved since it was last examined. *)
 
 val lookup : t -> Cond.t -> Pred.cond_value
 (** Same as {!get}; shaped for {!Pred.eval}. *)
-
-val eval : t -> Pred.t -> Pred.value
-(** Reference (map-walk) evaluation; counts into {!evals_map}. *)
 
 val evalc : t -> Pred.compiled -> Pred.value
 (** Mask evaluation against the packed words: [Unspec] if any mentioned
@@ -42,7 +51,6 @@ val all_specified_c : t -> Pred.compiled -> bool
 (** Mask form: [mask land specified = mask], per word. *)
 
 val evals_mask : t -> int
-val evals_map : t -> int
-(** Evaluation counts since {!create}, by kernel, for observability. *)
+(** {!evalc} calls since {!create}, for observability. *)
 
 val pp : Format.formatter -> t -> unit

@@ -28,7 +28,7 @@
     The lowering is purely representational: {!Vliw_sim} running the
     lowered form must be cycle- and event-identical to the tree
     reference (enforced by the differential suite and the fuzzer; see
-    {!Exec_kernel}). [op_src] keeps the originating {!Pcode.pinstr} per
+    [Vliw_sim.exec_kernel]). [op_src] keeps the originating {!Pcode.pinstr} per
     operation for event emission and diagnostics. *)
 
 open Psb_isa

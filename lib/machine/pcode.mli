@@ -14,7 +14,7 @@
     ([Pcode_text], [.ppsb]), and the machine's reference execution
     kernel walks it directly. For simulation throughput the machine
     normally executes a flat structure-of-arrays lowering of it instead
-    — see {!Lowered} and {!Exec_kernel}. *)
+    — see {!Lowered} and [Vliw_sim.exec_kernel]. *)
 
 open Psb_isa
 

@@ -155,36 +155,29 @@ let committing_exceptions t lookup =
                   | Some _ | None -> None))
     |> List.of_seq
 
-let tick ?(mode = Pred_kernel.Mask) ?(dirty = -1) t ccr =
+let tick ?(dirty = -1) t ccr =
   if t.live = 0 then []
   else begin
     let events = ref [] in
     Array.iteri
       (fun idx e ->
         if e.versions <> [] then begin
-          (* Evaluate each version exactly once.  Under the mask kernel a
-             version whose mask meets none of the conditions written since
-             the last tick ([dirty]) is still Unspec — the gating
-             invariant: every buffered version was Unspec when last
-             examined (speculative writes only buffer on Unspec), and only
-             a write to a mentioned condition can change that. *)
+          (* Evaluate each version exactly once. A version whose mask
+             meets none of the conditions written since the last tick
+             ([dirty]) is still Unspec — the gating invariant: every
+             buffered version was Unspec when last examined (speculative
+             writes only buffer on Unspec), and only a write to a
+             mentioned condition can change that. *)
           let value v =
-            match mode with
-            | Pred_kernel.Map ->
-                t.tick_examined <- t.tick_examined + 1;
-                Ccr.eval ccr (vpred v)
-            | Pred_kernel.Mask ->
-                if
-                  v.cpred.Pred.c_wide = None
-                  && v.cpred.Pred.c_mask land dirty = 0
-                then begin
-                  t.tick_skipped <- t.tick_skipped + 1;
-                  Pred.Unspec
-                end
-                else begin
-                  t.tick_examined <- t.tick_examined + 1;
-                  Ccr.evalc ccr v.cpred
-                end
+            if v.cpred.Pred.c_wide = None && v.cpred.Pred.c_mask land dirty = 0
+            then begin
+              t.tick_skipped <- t.tick_skipped + 1;
+              Pred.Unspec
+            end
+            else begin
+              t.tick_examined <- t.tick_examined + 1;
+              Ccr.evalc ccr v.cpred
+            end
           in
           match e.versions with
           | [ v ] -> (

@@ -69,9 +69,7 @@ val committing_exceptions :
     (pending condition writes, the future CCR); returns immediately when
     no version carries a fault. *)
 
-val tick :
-  ?mode:Pred_kernel.mode -> ?dirty:int ->
-  t -> Ccr.t -> (Reg.t * [ `Commit | `Squash ]) list
+val tick : ?dirty:int -> t -> Ccr.t -> (Reg.t * [ `Commit | `Squash ]) list
 (** Evaluate every valid speculative entry: true → commit (copy to
     sequential state, clear V), false → squash (clear V). Returns what
     happened, in register order, for event tracing. Entries with E must
@@ -79,12 +77,10 @@ val tick :
     entry with E set is an internal error.
 
     [dirty] is the word-0 bitmask of conditions written since the last
-    tick (default [-1]: everything dirty). Under the [Mask] kernel a
-    version whose mask does not intersect [dirty] is still [Unspec] —
-    it was Unspec when buffered or last examined and none of its
-    conditions changed — and is skipped without evaluation. Callers that
-    wrote a condition at index [>= Pred.word_bits], or replaced the CCR
-    wholesale, must pass [-1]. The [Map] kernel examines everything. *)
+    tick (default [-1]: everything dirty), as {!Ccr.take_dirty} returns
+    it. A version whose mask does not intersect [dirty] is still
+    [Unspec] — it was Unspec when buffered or last examined and none of
+    its conditions changed — and is skipped without evaluation. *)
 
 val invalidate_spec : t -> unit
 (** Clear all speculative state (on exception detection and region exit). *)

@@ -70,23 +70,19 @@ type estate = Waiting | Exec of int | Done
 (* Entries are predecoded at dispatch into the same dense class tags the
    {!Psb_isa.Decoded} form uses ([kind] is a [Decoded.k*] value, or
    [branch_class]), so the issue/complete/commit loops dispatch on ints —
-   no [Instr.op] variant walks on the per-cycle paths. The decoded
-   frontend copies the ints straight out of the flat arrays; the tree
-   reference frontend derives them from the variant at fetch time. *)
+   no [Instr.op] variant walks on the per-cycle paths. Fetch copies the
+   ints straight out of the flat arrays. *)
 type entry = {
   seq : int;  (* fetch sequence number: program order, wrong paths included *)
   visit : int;  (* dynamic block-visit id, for commit-ordered region events *)
-  label : Label.t;
-  blk : int;  (* decoded block index; -1 under the tree frontend *)
+  blk : int;  (* decoded block index *)
   idx : int;  (* position in the block body, the fault-restart point *)
   kind : int;
   dst : int;  (* register index, condition index for setc; -1 *)
   aux : int;  (* load/store offset *)
   alu : Opcode.alu;
   cmp : Opcode.cmp;
-  if_true : Label.t;  (* branch targets, tree frontend *)
-  if_false : Label.t;
-  t_true : int;  (* branch targets as block indices, decoded frontend *)
+  t_true : int;  (* branch targets as block indices *)
   t_false : int;
   predicted : bool;
   srcs : src array;
@@ -95,10 +91,6 @@ type entry = {
   mutable addr : int;  (* resolved memory address; -1 until known *)
   mutable fault : Fault.t option;  (* buffered, raised only at commit *)
 }
-
-(* Cached array form of a basic block, so the tree frontend's per-cycle
-   fetch never walks lists. *)
-type fblock = { body : Instr.op array; term : Instr.control }
 
 let op_classes =
   [| "alu"; "mov"; "load"; "store"; "cmp"; "setc"; "out"; "nop"; "branch" |]
@@ -115,19 +107,14 @@ exception Abort of Fault.t
 exception Halted_exn
 exception Fuel_exhausted
 
-let run ?(fuel = default_fuel) ?events ?metrics
-    ?(kernel = Scalar_kernel.default) ?decoded ~model ~regs ~mem program =
-  (match decoded with
-  | Some d -> Decoded.check_source d program
-  | None -> ());
-  let dform =
-    match kernel with
-    | Scalar_kernel.Tree -> None
-    | Scalar_kernel.Decoded ->
-        Some
-          (match decoded with
-          | Some d -> d
-          | None -> Decoded.of_program program)
+let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
+    program =
+  let d =
+    match decoded with
+    | Some d ->
+        Decoded.check_source d program;
+        d
+    | None -> Decoded.of_program program
   in
   let nregs = max 1 (Program.max_reg program + 1) in
   let nregs =
@@ -159,61 +146,19 @@ let run ?(fuel = default_fuel) ?events ?metrics
   (* rename map: architectural register -> slot of the youngest live
      producer, -1 when the architectural file holds the value *)
   let rmap = Array.make nregs (-1) in
-  (* fetch state; [cur_label] is kept in sync by both frontends (entry
-     labels feed the commit-ordered region events), [cur_blk] only by
-     the decoded one *)
-  let blocks : (string, fblock) Hashtbl.t = Hashtbl.create 16 in
-  let fblock label =
-    let key = Label.name label in
-    match Hashtbl.find_opt blocks key with
-    | Some fb -> fb
-    | None ->
-        let b = Program.find program label in
-        let fb =
-          { body = Array.of_list b.Program.body; term = b.Program.term }
-        in
-        Hashtbl.add blocks key fb;
-        fb
-  in
-  let cur_label = ref program.Program.entry in
-  let cur_blk =
-    ref (match dform with Some d -> d.Decoded.entry | None -> -1)
-  in
+  (* fetch state *)
+  let cur_blk = ref d.Decoded.entry in
   let cur_idx = ref 0 in
   let visit_counter = ref 0 in
   let cur_visit = ref 0 in
   let fetch_halted = ref false in
   let redirect_stall = ref 0 in
   let seq_counter = ref 0 in
-  (* 2-bit saturating counter per branch block, initially weakly taken:
-     a string-keyed table under the tree frontend, a flat int array
-     indexed by block under the decoded one (same state machine) *)
-  let pred_tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let pred_arr =
-    match dform with
-    | Some d -> Array.make (max 1 d.Decoded.nblocks) 2
-    | None -> [||]
-  in
-  let predict_label label =
-    let key = Label.name label in
-    match Hashtbl.find_opt pred_tbl key with
-    | Some c -> c >= 2
-    | None ->
-        Hashtbl.add pred_tbl key 2;
-        true
-  in
-  let predict_blk bi = pred_arr.(bi) >= 2 in
+  (* 2-bit saturating counter per branch block, initially weakly taken *)
+  let pred_arr = Array.make (max 1 d.Decoded.nblocks) 2 in
   let train (e : entry) taken =
-    if e.blk >= 0 then
-      let c = pred_arr.(e.blk) in
-      pred_arr.(e.blk) <- (if taken then min 3 (c + 1) else max 0 (c - 1))
-    else
-      let key = Label.name e.label in
-      let c =
-        match Hashtbl.find_opt pred_tbl key with Some c -> c | None -> 2
-      in
-      Hashtbl.replace pred_tbl key
-        (if taken then min 3 (c + 1) else max 0 (c - 1))
+    let c = pred_arr.(e.blk) in
+    pred_arr.(e.blk) <- (if taken then min 3 (c + 1) else max 0 (c - 1))
   in
   (* statistics *)
   let fetched = ref 0 in
@@ -266,19 +211,13 @@ let run ?(fuel = default_fuel) ?events ?metrics
       | Some _ -> Wait s
       | None -> Ready arch.(ri)
   in
-  let capture (o : Operand.t) =
-    match o with
-    | Operand.Imm i -> Ready i
-    | Operand.Reg r -> capture_reg (Reg.index r)
-  in
-  let push ~blk ~idx ~kind ~dst ~aux ~alu ~cmp ~if_true ~if_false ~t_true
-      ~t_false ~predicted ~srcs =
+  let push ~blk ~idx ~kind ~dst ~aux ~alu ~cmp ~t_true ~t_false ~predicted
+      ~srcs =
     let slot = (!head + !count) mod size in
     let e =
       {
         seq = !seq_counter;
         visit = !cur_visit;
-        label = !cur_label;
         blk;
         idx;
         kind;
@@ -286,8 +225,6 @@ let run ?(fuel = default_fuel) ?events ?metrics
         aux;
         alu;
         cmp;
-        if_true;
-        if_false;
         t_true;
         t_false;
         predicted;
@@ -304,93 +241,14 @@ let run ?(fuel = default_fuel) ?events ?metrics
     incr fetched;
     if has_reg_dst kind then rmap.(dst) <- slot
   in
-  let push_op ~blk ~idx ~kind ~dst ~aux ~alu ~cmp ~srcs =
-    push ~blk ~idx ~kind ~dst ~aux ~alu ~cmp ~if_true:!cur_label
-      ~if_false:!cur_label ~t_true:(-1) ~t_false:(-1) ~predicted:false ~srcs
-  in
-  (* the tree frontend decodes each fetched variant into the flat entry
-     fields; the decoded frontend below copies them from the arrays *)
-  let push_tree_op ~idx (op : Instr.op) =
-    match op with
-    | Instr.Alu { op = aop; dst; a; b } ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.kalu ~dst:(Reg.index dst) ~aux:0
-          ~alu:aop ~cmp:Opcode.Eq ~srcs:[| capture a; capture b |]
-    | Instr.Mov { dst; src } ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.kmov ~dst:(Reg.index dst) ~aux:0
-          ~alu:Opcode.Add ~cmp:Opcode.Eq ~srcs:[| capture src |]
-    | Instr.Load { dst; base; off } ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.kload ~dst:(Reg.index dst)
-          ~aux:off ~alu:Opcode.Add ~cmp:Opcode.Eq
-          ~srcs:[| capture_reg (Reg.index base) |]
-    | Instr.Store { src; base; off } ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.kstore ~dst:(-1) ~aux:off
-          ~alu:Opcode.Add ~cmp:Opcode.Eq
-          ~srcs:[| capture_reg (Reg.index base); capture_reg (Reg.index src) |]
-    | Instr.Cmp { op = cop; dst; a; b } ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.kcmp ~dst:(Reg.index dst) ~aux:0
-          ~alu:Opcode.Add ~cmp:cop ~srcs:[| capture a; capture b |]
-    | Instr.Setc { dst; op = cop; a; b } ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.ksetc ~dst:(Cond.index dst)
-          ~aux:0 ~alu:Opcode.Add ~cmp:cop ~srcs:[| capture a; capture b |]
-    | Instr.Out o ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.kout ~dst:(-1) ~aux:0
-          ~alu:Opcode.Add ~cmp:Opcode.Eq ~srcs:[| capture o |]
-    | Instr.Nop ->
-        push_op ~blk:(-1) ~idx ~kind:Decoded.knop ~dst:(-1) ~aux:0
-          ~alu:Opcode.Add ~cmp:Opcode.Eq ~srcs:[||]
-  in
   let next_visit () =
     incr visit_counter;
     cur_visit := !visit_counter;
     cur_idx := 0
   in
-  let fetch_tree () =
-    let budget = ref issue_width in
-    let stop = ref false in
-    let noted_full = ref false in
-    let full () =
-      if not !noted_full then begin
-        noted_full := true;
-        incr full_stalls
-      end;
-      stop := true
-    in
-    while (not !stop) && (not !fetch_halted) && !budget > 0 do
-      let fb = fblock !cur_label in
-      if !cur_idx < Array.length fb.body then
-        if !count >= size then full ()
-        else begin
-          push_tree_op ~idx:!cur_idx fb.body.(!cur_idx);
-          incr cur_idx;
-          decr budget
-        end
-      else
-        match fb.term with
-        | Instr.Halt -> fetch_halted := true
-        | Instr.Jmp l ->
-            (* free, but charged a slot so a pure-Jmp cycle cannot spin
-               forever inside one machine cycle *)
-            decr budget;
-            cur_label := l;
-            next_visit ()
-        | Instr.Br { src; if_true; if_false } ->
-            if !count >= size then full ()
-            else begin
-              let predicted = predict_label !cur_label in
-              push ~blk:(-1) ~idx:(Array.length fb.body) ~kind:branch_class
-                ~dst:(-1) ~aux:0 ~alu:Opcode.Add ~cmp:Opcode.Eq ~if_true
-                ~if_false ~t_true:(-1) ~t_false:(-1) ~predicted
-                ~srcs:[| capture_reg (Reg.index src) |];
-              decr budget;
-              cur_label := (if predicted then if_true else if_false);
-              next_visit ()
-            end
-    done
-  in
-  let fetch_decoded (d : Decoded.t) =
+  let fetch () =
     let goto t =
       cur_blk := t;
-      if t >= 0 then cur_label := d.Decoded.labels.(t);
       next_visit ()
     in
     let cap1 i =
@@ -413,7 +271,8 @@ let run ?(fuel = default_fuel) ?events ?metrics
     in
     while (not !stop) && (not !fetch_halted) && !budget > 0 do
       let bi = !cur_blk in
-      if bi < 0 then raise Not_found (* parity with the tree path's find *);
+      (* control reached a label missing from the program *)
+      if bi < 0 then raise Not_found;
       let lo = d.Decoded.op_bounds.(bi) in
       let len = d.Decoded.op_bounds.(bi + 1) - lo in
       if !cur_idx < len then
@@ -427,9 +286,10 @@ let run ?(fuel = default_fuel) ?events ?metrics
             then [| cap1 i |]
             else [| cap1 i; cap2 i |]
           in
-          push_op ~blk:bi ~idx:!cur_idx ~kind:k ~dst:d.Decoded.dst.(i)
+          push ~blk:bi ~idx:!cur_idx ~kind:k ~dst:d.Decoded.dst.(i)
             ~aux:d.Decoded.aux.(i) ~alu:d.Decoded.alu.(i)
-            ~cmp:d.Decoded.cmp.(i) ~srcs;
+            ~cmp:d.Decoded.cmp.(i) ~t_true:(-1) ~t_false:(-1)
+            ~predicted:false ~srcs;
           incr cur_idx;
           decr budget
         end
@@ -437,17 +297,17 @@ let run ?(fuel = default_fuel) ?events ?metrics
         let tk = d.Decoded.term_kind.(bi) in
         if tk = Decoded.thalt then fetch_halted := true
         else if tk = Decoded.tjmp then begin
+          (* free, but charged a slot so a pure-Jmp cycle cannot spin
+             forever inside one machine cycle *)
           decr budget;
           goto d.Decoded.term_t.(bi)
         end
         else if !count >= size then full ()
         else begin
-          let predicted = predict_blk bi in
+          let predicted = pred_arr.(bi) >= 2 in
           let tt = d.Decoded.term_t.(bi) and tf = d.Decoded.term_f.(bi) in
-          let lbl t = if t >= 0 then d.Decoded.labels.(t) else !cur_label in
           push ~blk:bi ~idx:len ~kind:branch_class ~dst:(-1) ~aux:0
-            ~alu:Opcode.Add ~cmp:Opcode.Eq ~if_true:(lbl tt)
-            ~if_false:(lbl tf) ~t_true:tt ~t_false:tf ~predicted
+            ~alu:Opcode.Add ~cmp:Opcode.Eq ~t_true:tt ~t_false:tf ~predicted
             ~srcs:[| capture_reg d.Decoded.term_src.(bi) |];
           decr budget;
           goto (if predicted then tt else tf)
@@ -456,11 +316,7 @@ let run ?(fuel = default_fuel) ?events ?metrics
     done
   in
   let fetch_cycle () =
-    if !redirect_stall > 0 then decr redirect_stall
-    else
-      match dform with
-      | None -> fetch_tree ()
-      | Some d -> fetch_decoded d
+    if !redirect_stall > 0 then decr redirect_stall else fetch ()
   in
   (* ----- completion ----- *)
   let broadcast slot v =
@@ -491,7 +347,7 @@ let run ?(fuel = default_fuel) ?events ?metrics
     in
     scan (pos - 1)
   in
-  let mispredict_flush pos ~label ~blk =
+  let mispredict_flush pos ~blk =
     incr mispredicts;
     for k = pos + 1 to !count - 1 do
       let e = entry_at k in
@@ -504,7 +360,6 @@ let run ?(fuel = default_fuel) ?events ?metrics
       let e = entry_at k in
       if has_reg_dst e.kind then rmap.(e.dst) <- slot_at k
     done;
-    cur_label := label;
     cur_blk := blk;
     next_visit ();
     fetch_halted := false;
@@ -521,9 +376,7 @@ let run ?(fuel = default_fuel) ?events ?metrics
       e.state <- Done;
       train e taken;
       if taken <> e.predicted then
-        mispredict_flush pos
-          ~label:(if taken then e.if_true else e.if_false)
-          ~blk:(if taken then e.t_true else e.t_false)
+        mispredict_flush pos ~blk:(if taken then e.t_true else e.t_false)
     end
     else begin
       (* dense dispatch on the Decoded class tags:
@@ -640,7 +493,6 @@ let run ?(fuel = default_fuel) ?events ?metrics
     count := 0;
     head := 0;
     Array.fill rmap 0 nregs (-1);
-    cur_label := e.label;
     cur_blk := e.blk;
     cur_idx := e.idx;
     cur_visit := e.visit;
@@ -687,7 +539,9 @@ let run ?(fuel = default_fuel) ?events ?metrics
             else begin
               if e.visit <> !last_committed_visit then begin
                 last_committed_visit := e.visit;
-                eev Events.Region_enter ~a:(region_id e.label) ~b:0
+                eev Events.Region_enter
+                  ~a:(region_id d.Decoded.labels.(e.blk))
+                  ~b:0
               end;
               if e.kind = branch_class then incr branches
               else if is_store then begin

@@ -105,7 +105,6 @@ val run :
   ?fuel:int ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
-  ?kernel:Scalar_kernel.mode ->
   ?decoded:Decoded.t ->
   model:Machine_model.t ->
   regs:(Reg.t * int) list ->
@@ -118,16 +117,11 @@ val run :
     the same capacities the VLIW machine runs under, so the two
     backends are compared under identical cycle accounting.
 
-    [kernel] selects the fetch frontend ({!Psb_isa.Scalar_kernel}):
-    [Decoded] — the default — dispatches straight from the flat
-    {!Psb_isa.Decoded} arrays (block-indexed branch-predictor counters,
-    no [Label] hashing on the per-cycle path), [Tree] re-walks the
-    block lists and decodes each variant at fetch. Entries carry the
-    same dense class tags either way, so the issue/complete/commit
-    machinery is shared and the two frontends are pinned
-    cycle-, event- and metric-identical by the differential tests.
-    [decoded] supplies a prebuilt form so repeated runs of one program
-    decode once; it must have been built from exactly this program.
+    Fetch dispatches straight from the flat {!Psb_isa.Decoded} arrays
+    (block-indexed branch-predictor counters, no [Label] hashing on the
+    per-cycle path). [decoded] supplies a prebuilt form so repeated
+    runs of one program decode once; when absent the program is decoded
+    on entry. It must have been built from exactly this program.
     @raise Invalid_argument if [decoded] was decoded from a different
     program value ({!Psb_isa.Decoded.check_source}).
 

@@ -10,7 +10,7 @@ open Psb_isa
 val run :
   ?fuel:int ->
   ?record_trace:bool ->
-  ?kernel:Scalar_kernel.mode ->
+  ?kernel:Interp.kernel ->
   ?decoded:Decoded.t ->
   ?observer:(Instr.op -> int option -> unit) ->
   ?events:Psb_obs.Events.t ->

@@ -101,7 +101,7 @@ let append t ~addr ~value ~cpred ~spec ~fault =
   end;
   if t.count > t.max_occupancy then t.max_occupancy <- t.count
 
-let tick ?(mode = Pred_kernel.Mask) ?(dirty = -1) t ccr =
+let tick ?(dirty = -1) t ccr =
   if t.spec_live = 0 then []
   else begin
     let events = ref [] in
@@ -109,24 +109,19 @@ let tick ?(mode = Pred_kernel.Mask) ?(dirty = -1) t ccr =
       let e = nth t i in
       if is_live_spec e then begin
         let value =
-          match mode with
-          | Pred_kernel.Map ->
-              t.tick_examined <- t.tick_examined + 1;
-              Ccr.eval ccr (Pred.source e.cpred)
-          | Pred_kernel.Mask ->
-              if
-                e.examined
-                && e.cpred.Pred.c_wide = None
-                && e.cpred.Pred.c_mask land dirty = 0
-              then begin
-                t.tick_skipped <- t.tick_skipped + 1;
-                Pred.Unspec
-              end
-              else begin
-                t.tick_examined <- t.tick_examined + 1;
-                e.examined <- true;
-                Ccr.evalc ccr e.cpred
-              end
+          if
+            e.examined
+            && e.cpred.Pred.c_wide = None
+            && e.cpred.Pred.c_mask land dirty = 0
+          then begin
+            t.tick_skipped <- t.tick_skipped + 1;
+            Pred.Unspec
+          end
+          else begin
+            t.tick_examined <- t.tick_examined + 1;
+            e.examined <- true;
+            Ccr.evalc ccr e.cpred
+          end
         in
         match value with
         | Pred.True ->
@@ -195,7 +190,7 @@ let drain_all t mem =
   if t.count > 0 then
     invalid_arg "Store_buffer.drain_all: speculative entries remain"
 
-let forward ?(mode = Pred_kernel.Mask) t ~addr ~load_pred ccr =
+let forward t ~addr ~load_pred ccr =
   (* Search youngest → oldest among valid entries with the address. *)
   let rec search i =
     if i < 0 then `Miss
@@ -208,12 +203,7 @@ let forward ?(mode = Pred_kernel.Mask) t ~addr ~load_pred ccr =
         `Hit (e.value, e.fault)
       end
       else
-        let v =
-          match mode with
-          | Pred_kernel.Mask -> Ccr.evalc ccr e.cpred
-          | Pred_kernel.Map -> Ccr.eval ccr (Pred.source e.cpred)
-        in
-        match v with
+        match Ccr.evalc ccr e.cpred with
         | Pred.True ->
             ev t Psb_obs.Events.Sb_forward e.addr e.value;
             `Hit (e.value, e.fault)

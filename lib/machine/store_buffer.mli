@@ -32,20 +32,17 @@ val append :
   t -> addr:int -> value:int -> cpred:Pred.compiled -> spec:bool ->
   fault:Fault.t option -> unit
 
-val tick :
-  ?mode:Pred_kernel.mode -> ?dirty:int ->
-  t -> Ccr.t -> (int * [ `Commit | `Squash ]) list
+val tick : ?dirty:int -> t -> Ccr.t -> (int * [ `Commit | `Squash ]) list
 (** Evaluate speculative entries' predicates; commit or squash. Returns
     the affected addresses, in buffer order, for event tracing.
 
     [dirty] is the word-0 bitmask of conditions written since the last
-    tick (default [-1]: everything dirty); under the [Mask] kernel an
-    entry already examined once whose mask does not intersect [dirty] is
-    still [Unspec] and is skipped without evaluation. A fresh entry is
-    always examined on its first tick — unlike register versions, a store
-    may be appended with an already-decided predicate. Callers that wrote
-    a condition at index [>= Pred.word_bits], or replaced the CCR
-    wholesale, must pass [-1]. The [Map] kernel examines everything. *)
+    tick (default [-1]: everything dirty), as {!Ccr.take_dirty} returns
+    it; an entry already examined once whose mask does not intersect
+    [dirty] is still [Unspec] and is skipped without evaluation. A fresh
+    entry is always examined on its first tick — unlike register
+    versions, a store may be appended with an already-decided
+    predicate. *)
 
 val committing_exceptions :
   t -> (Cond.t -> Pred.cond_value) -> Fault.t list
@@ -66,7 +63,6 @@ val drain_all : t -> Memory.t -> unit
     @raise Invalid_argument if speculative entries remain. *)
 
 val forward :
-  ?mode:Pred_kernel.mode ->
   t -> addr:int -> load_pred:Pred.t -> Ccr.t ->
   [ `Hit of int * Fault.t option | `Miss | `Commit_dependence ]
 (** Store-to-load forwarding. Searches youngest → oldest among valid

@@ -146,7 +146,9 @@ exception Fuel_exhausted
 exception Cycle_done
 (* Ends the current cycle early (recovery initiation). *)
 
-(* Which representation the issue phase walks (Exec_kernel.mode resolved
+type exec_kernel = Lowered | Tree
+
+(* Which representation the issue phase walks ([exec_kernel] resolved
    to runtime state). [Elow] carries the lowered program, the lowered
    image of the current region (kept in lock-step with [st.region]) and
    a reusable per-bundle decision scratch buffer sized to the widest
@@ -161,7 +163,6 @@ type exec_repr = Etree | Elow of low_state
 
 type state = {
   model : Machine_model.t;
-  pred_kernel : Pred_kernel.mode;
   exec : exec_repr;
   on_event : (int -> event -> unit) option;
   events : Psb_obs.Events.t option;
@@ -178,11 +179,6 @@ type state = {
   mutable now : int;
   mutable pending : pending list;
   mutable next_order : int;
-  mutable dirty : int;
-      (* word-0 bitmask of conditions written since the last commit/squash
-         tick; -1 after any wholesale CCR change (assign, reset) or a
-         write to a condition beyond word 0. Lets the tick skip buffered
-         entries whose predicates cannot have resolved. *)
   mutable output_rev : int list;
   mutable faults_handled : int;
   (* statistics *)
@@ -236,19 +232,6 @@ let fault_addr = function
   | Fault.Mem (Memory.Out_of_bounds a) | Fault.Mem (Memory.Unmapped a) -> a
   | Fault.Arith _ -> -1
 
-(* Evaluate a compiled predicate under the selected kernel. The [Map]
-   kernel re-evaluates the source condition map — the pre-bitmask
-   reference semantics, kept for differential testing. *)
-let eval_cpred st ccr cp =
-  match st.pred_kernel with
-  | Pred_kernel.Mask -> Ccr.evalc ccr cp
-  | Pred_kernel.Map -> Ccr.eval ccr (Pred.source cp)
-
-let note_cond_write st c =
-  let i = Cond.index c in
-  st.dirty <-
-    (if i >= Pred.word_bits then -1 else st.dirty lor (1 lsl i))
-
 let observing st = st.on_event <> None
 
 (* Emitted only when the occupancy changed, to keep traces small. *)
@@ -284,9 +267,7 @@ let handle_or_abort st fault =
 (* A load access: store-buffer forwarding first, then the D-cache.
    Returns the value, or the fault if the access faults. *)
 let load_access st ~addr ~load_pred =
-  match
-    Store_buffer.forward ~mode:st.pred_kernel st.sb ~addr ~load_pred st.ccr
-  with
+  match Store_buffer.forward st.sb ~addr ~load_pred st.ccr with
   | `Hit (v, None) -> Ok v
   | `Hit (v, Some f) -> Error (f, Some v)
   | `Commit_dependence ->
@@ -393,7 +374,7 @@ let issue_spec st (pi : Pcode.pinstr) =
   let future_value () =
     match st.mode with
     | Normal -> Pred.Unspec
-    | Recovery { future; _ } -> eval_cpred st future pi.cpred
+    | Recovery { future; _ } -> Ccr.evalc future pi.cpred
   in
   let resolve_fault f ~addr_info =
     (* Decide what to do with a speculative fault. Returns
@@ -562,7 +543,7 @@ let issue_spec_low st (lr : Lowered.region) i =
   let future_value () =
     match st.mode with
     | Normal -> Pred.Unspec
-    | Recovery { future; _ } -> eval_cpred st future cpred
+    | Recovery { future; _ } -> Ccr.evalc future cpred
   in
   let resolve_fault f ~addr_info =
     match future_value () with
@@ -648,7 +629,7 @@ let apply_wb st action ~cond_writes =
         `Ok
       end
       else begin
-        match eval_cpred st st.ccr cpred with
+        match Ccr.evalc st.ccr cpred with
         | Pred.False ->
             st.wb_squashes <- st.wb_squashes + 1;
             `Ok (* squashed in flight *)
@@ -716,11 +697,7 @@ let flush_pending st ~allow_cond =
       ps;
     if !cond_writes <> [] && not allow_cond then
       machine_error "Setc write pending at region exit";
-    List.iter
-      (fun (c, v) ->
-        Ccr.set st.ccr c v;
-        note_cond_write st c)
-      !cond_writes;
+    List.iter (fun (c, v) -> Ccr.set st.ccr c v) !cond_writes;
     max 0 (last_due - st.now)
   end
 
@@ -772,14 +749,13 @@ let exit_prologue st (target : Pcode.exit_target) =
   sync_now st;
   (* A final resolve pass: writebacks applied during the flush may have
      buffered state whose predicate is already decided. *)
-  ignore (Regfile.tick ~mode:st.pred_kernel ~dirty:(-1) st.rf st.ccr);
-  ignore (Store_buffer.tick ~mode:st.pred_kernel ~dirty:(-1) st.sb st.ccr);
+  ignore (Regfile.tick ~dirty:(-1) st.rf st.ccr);
+  ignore (Store_buffer.tick ~dirty:(-1) st.sb st.ccr);
   (* Whatever speculative state remains belongs to untaken paths of the
      region being left (closed-region property): squash it. *)
   Regfile.invalidate_spec st.rf;
   Store_buffer.invalidate_spec st.sb;
-  Ccr.reset st.ccr;
-  st.dirty <- -1
+  Ccr.reset st.ccr
 
 let exit_stop st =
   drain_store_buffer st;
@@ -875,7 +851,7 @@ let issue_tree st ~conflict =
           | Pcode.Exit _ -> (slot, `Exit)
           | Pcode.Op pi -> (
               ( slot,
-                match eval_cpred st st.ccr pi.cpred with
+                match Ccr.evalc st.ccr pi.cpred with
                 | Pred.False -> `Squash
                 | Pred.True -> if in_recovery then `Squash else `Nonspec
                 | Pred.Unspec -> `Spec )))
@@ -925,7 +901,7 @@ let issue_tree st ~conflict =
         (function
           | Pcode.Op _ -> None
           | Pcode.Exit { cpred; target; _ } -> (
-              match eval_cpred st st.ccr cpred with
+              match Ccr.evalc st.ccr cpred with
               | Pred.True ->
                   if in_recovery then
                     machine_error "exit fired during recovery mode";
@@ -969,7 +945,7 @@ let issue_low st ls ~conflict =
     let nexec = ref 0 and nspec = ref 0 and nsq = ref 0 in
     for i = lo to hi - 1 do
       let d =
-        match eval_cpred st st.ccr lr.Lowered.op_cpred.(i) with
+        match Ccr.evalc st.ccr lr.Lowered.op_cpred.(i) with
         | Pred.False -> 0
         | Pred.True -> if in_recovery then 0 else 1
         | Pred.Unspec -> 2
@@ -1017,7 +993,7 @@ let issue_low st ls ~conflict =
     let fired = ref (-1) in
     let j = ref xlo in
     while !fired < 0 && !j < xhi do
-      (match eval_cpred st st.ccr lr.Lowered.ex_cpred.(!j) with
+      (match Ccr.evalc st.ccr lr.Lowered.ex_cpred.(!j) with
       | Pred.True ->
           if in_recovery then machine_error "exit fired during recovery mode";
           fired := !j
@@ -1074,8 +1050,7 @@ let step st ~fuel =
         Regfile.committing_exceptions st.rf (Ccr.lookup future) <> []
         || Store_buffer.committing_exceptions st.sb (Ccr.lookup future) <> []
       then machine_error "detection while leaving recovery";
-      Ccr.assign st.ccr ~from:future;
-      st.dirty <- -1
+      Ccr.assign st.ccr ~from:future
   | None ->
       let writes = !cond_writes in
       if writes <> [] && detect st writes then begin
@@ -1094,23 +1069,23 @@ let step st ~fuel =
         List.iter
           (fun (c, v) ->
             Ccr.set st.ccr c v;
-            note_cond_write st c;
             eev st
               (if v then Psb_obs.Events.Pred_true else Psb_obs.Events.Pred_false)
               ~a:(Cond.index c) ~b:0;
             emit st (Cond_set (c, v)))
           writes);
-  (* 3. Commit/squash the buffered speculative state. *)
+  (* 3. Commit/squash the buffered speculative state, gated by the
+     conditions written since the previous tick. *)
+  let dirty = Ccr.take_dirty st.ccr in
   List.iter
     (fun (r, a) ->
       emit st (match a with `Commit -> Reg_commit r | `Squash -> Reg_squash r))
-    (Regfile.tick ~mode:st.pred_kernel ~dirty:st.dirty st.rf st.ccr);
+    (Regfile.tick ~dirty st.rf st.ccr);
   List.iter
     (fun (a, act) ->
       emit st
         (match act with `Commit -> Store_commit a | `Squash -> Store_squash a))
-    (Store_buffer.tick ~mode:st.pred_kernel ~dirty:st.dirty st.sb st.ccr);
-  st.dirty <- 0;
+    (Store_buffer.tick ~dirty st.sb st.ccr);
   (* Sample occupancy after commit/squash but before the drain — this is
      the point where buffered state held across the cycle is visible. *)
   note_sb_occupancy st;
@@ -1125,12 +1100,12 @@ let step st ~fuel =
 let default_fuel = 60_000_000
 
 let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
-    ?(pred_kernel = Pred_kernel.default) ?(exec_kernel = Exec_kernel.default)
-    ?lowered ?on_event ?events ?metrics ~model ~regs ~mem (code : Pcode.t) =
+    ?(exec_kernel = Lowered) ?lowered ?on_event ?events ?metrics ~model ~regs
+    ~mem (code : Pcode.t) =
   let exec, region0 =
     match exec_kernel with
-    | Exec_kernel.Tree -> (Etree, Pcode.find_region code code.Pcode.entry)
-    | Exec_kernel.Lowered ->
+    | Tree -> (Etree, Pcode.find_region code code.Pcode.entry)
+    | Lowered ->
         let low =
           match lowered with
           | Some (l : Lowered.t) ->
@@ -1187,7 +1162,6 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
   let st =
     {
       model;
-      pred_kernel;
       exec;
       on_event;
       events;
@@ -1204,7 +1178,6 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
       now = 0;
       pending = [];
       next_order = 0;
-      dirty = -1;
       output_rev = [];
       faults_handled = 0;
       dyn_bundles = 0;
@@ -1260,7 +1233,6 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
         g "vliw_tick_entries" ("gate", "skipped")
           (Regfile.tick_skipped st.rf + Store_buffer.tick_skipped st.sb);
         g "vliw_pred_evals" ("kind", "mask") (Ccr.evals_mask st.ccr);
-        g "vliw_pred_evals" ("kind", "map") (Ccr.evals_map st.ccr);
         List.iter
           (fun (cat, v) ->
             inc (counter m "vliw_cycles" ~labels:[ ("category", cat) ]) ~by:v)

@@ -117,11 +117,17 @@ exception Machine_error of string
     unspecified predicate, running off a region end, Setc bundled with an
     exit, ...). Indicates a compiler bug, not a program fault. *)
 
+type exec_kernel =
+  | Lowered  (** walk the flat {!Lowered} form — the default *)
+  | Tree
+      (** re-walk the {!Pcode.bundle} slot lists every cycle — the
+          readable §3 semantics, selected explicitly by tests, [Diff] and
+          the bechamel [lowered] group *)
+
 val run :
   ?fuel:int ->
   ?regfile_mode:Regfile.mode ->
-  ?pred_kernel:Pred_kernel.mode ->
-  ?exec_kernel:Exec_kernel.mode ->
+  ?exec_kernel:exec_kernel ->
   ?lowered:Lowered.t ->
   ?on_event:(int -> event -> unit) ->
   ?events:Psb_obs.Events.t ->
@@ -148,18 +154,13 @@ val run :
     [Fault_deferred]/[Fault_raised]. Absent, the per-cycle path allocates
     nothing on its behalf (enforced by a minor-words test).
 
-    [pred_kernel] selects how per-cycle predicate evaluation runs
-    (default {!Pred_kernel.default}): [Mask] uses the compiled bitmask
-    comparators with dirty-condition gating, [Map] re-evaluates the
-    source condition maps. Both produce identical results and cycle
-    counts; [Map] exists as the differential-testing reference.
+    Per-cycle predicate evaluation uses the compiled bitmask comparators
+    ({!Ccr.evalc}), with the commit/squash tick gated by the CCR's dirty
+    mask ({!Ccr.take_dirty}).
 
     [exec_kernel] selects the issue-phase representation (default
-    {!Exec_kernel.default}): [Lowered] walks the flat
-    structure-of-arrays form of {!Lowered}, [Tree] re-walks the
-    {!Pcode.bundle} slot lists every cycle. Both are cycle- and
-    event-identical; [Tree] is the differential-testing reference.
-    Under [Lowered], [lowered] supplies a pre-lowered form (e.g. from
+    [Lowered]). Both are cycle- and event-identical; [Tree] is the
+    differential-testing reference. Under [Lowered], [lowered] supplies a pre-lowered form (e.g. from
     the compile cache via [Psb_compiler.Driver]); when absent the code
     is lowered on entry. The supplied form must have been built by
     {!Lowered.compile} from this exact [Pcode.t] value and [model]
@@ -174,4 +175,4 @@ val run :
     ([vliw_cycles{category=...}]), plus predicate-kernel counters:
     [vliw_tick_entries{gate=examined|skipped}] (buffered entries
     evaluated vs skipped by dirty-mask gating) and
-    [vliw_pred_evals{kind=mask|map}] (evaluations by kernel). *)
+    [vliw_pred_evals{kind=mask}] (bitmask evaluations). *)

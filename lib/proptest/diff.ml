@@ -4,8 +4,6 @@ module Machine_model = Psb_machine.Machine_model
 module Vliw_sim = Psb_machine.Vliw_sim
 module Scalar_sim = Psb_machine.Scalar_sim
 module Rob_sim = Psb_machine.Rob_sim
-module Pred_kernel = Psb_machine.Pred_kernel
-module Exec_kernel = Psb_machine.Exec_kernel
 module Verify = Psb_verify.Verify
 
 type failure = { stage : string; detail : string }
@@ -116,8 +114,7 @@ let check_rob (g : Gen.t) ~decoded (reference : Interp.result) ref_mem =
       let bd = Rob_sim.breakdown_total r.Rob_sim.breakdown in
       if bd <> r.Rob_sim.cycles then
         fail "rob-vs-interp" "breakdown sums to %d but cycles = %d" bd
-          r.Rob_sim.cycles;
-      r)
+          r.Rob_sim.cycles)
 
 (* stage 1b: the two interpreter kernels must agree on everything the
    result carries — cycles, dynamic instructions, block trace, faults *)
@@ -125,12 +122,12 @@ let check_scalar_kernels (g : Gen.t) ~decoded =
   staged "scalar-decoded-vs-tree" (fun () ->
       let mem_d = Gen.make_mem g in
       let d =
-        Interp.run ~fuel:scalar_fuel ~kernel:Scalar_kernel.Decoded ~decoded
+        Interp.run ~fuel:scalar_fuel ~kernel:Interp.Decoded ~decoded
           ~regs:Gen.regs ~mem:mem_d g.Gen.program
       in
       let mem_t = Gen.make_mem g in
       let t =
-        Interp.run ~fuel:scalar_fuel ~kernel:Scalar_kernel.Tree ~regs:Gen.regs
+        Interp.run ~fuel:scalar_fuel ~kernel:Interp.Tree ~regs:Gen.regs
           ~mem:mem_t g.Gen.program
       in
       if not (outcomes_match d.Interp.outcome t.Interp.outcome) then
@@ -157,50 +154,14 @@ let check_scalar_kernels (g : Gen.t) ~decoded =
       if not (Memory.equal mem_d mem_t) then
         fail "scalar-decoded-vs-tree" "final memory differs")
 
-(* stage 2b: the two ROB fetch frontends must be cycle-, stat- and
-   breakdown-identical, not just architecturally equal *)
-let check_rob_kernels (g : Gen.t) (d : Rob_sim.result) =
-  staged "rob-decoded-vs-tree" (fun () ->
-      let mem = Gen.make_mem g in
-      let t =
-        Rob_sim.run ~fuel:rob_fuel ~kernel:Scalar_kernel.Tree
-          ~model:Machine_model.base ~regs:Gen.regs ~mem g.Gen.program
-      in
-      if not (outcomes_match d.Rob_sim.outcome t.Rob_sim.outcome) then
-        fail "rob-decoded-vs-tree" "decoded %a, tree %a" Interp.pp_outcome
-          d.Rob_sim.outcome Interp.pp_outcome t.Rob_sim.outcome;
-      if d.Rob_sim.output <> t.Rob_sim.output then
-        fail "rob-decoded-vs-tree" "output %s vs %s" (pp_out d.Rob_sim.output)
-          (pp_out t.Rob_sim.output);
-      if d.Rob_sim.cycles <> t.Rob_sim.cycles then
-        fail "rob-decoded-vs-tree" "cycles %d vs %d" d.Rob_sim.cycles
-          t.Rob_sim.cycles;
-      if d.Rob_sim.dyn_instrs <> t.Rob_sim.dyn_instrs then
-        fail "rob-decoded-vs-tree" "dyn_instrs %d vs %d" d.Rob_sim.dyn_instrs
-          t.Rob_sim.dyn_instrs;
-      if not (Reg.Map.equal Int.equal d.Rob_sim.regs t.Rob_sim.regs) then
-        fail "rob-decoded-vs-tree" "final registers differ";
-      if d.Rob_sim.faults_handled <> t.Rob_sim.faults_handled then
-        fail "rob-decoded-vs-tree" "faults handled %d vs %d"
-          d.Rob_sim.faults_handled t.Rob_sim.faults_handled;
-      if d.Rob_sim.stats <> t.Rob_sim.stats then
-        fail "rob-decoded-vs-tree"
-          "stats differ (decoded fetched=%d squashed=%d mispredicts=%d, tree \
-           fetched=%d squashed=%d mispredicts=%d)"
-          d.Rob_sim.stats.Rob_sim.fetched d.Rob_sim.stats.Rob_sim.squashed
-          d.Rob_sim.stats.Rob_sim.mispredicts t.Rob_sim.stats.Rob_sim.fetched
-          t.Rob_sim.stats.Rob_sim.squashed t.Rob_sim.stats.Rob_sim.mispredicts;
-      if d.Rob_sim.breakdown <> t.Rob_sim.breakdown then
-        fail "rob-decoded-vs-tree" "cycle-accounting breakdowns differ")
-
-let run_vliw ?pred_kernel ?exec_kernel (compiled : Driver.compiled) ~mem =
+let run_vliw ?exec_kernel (compiled : Driver.compiled) ~mem =
   match compiled.Driver.pcode with
   | None -> invalid_arg "Diff.run_vliw: model not executable"
   | Some pcode ->
       (* not [Driver.run_vliw]: injected miscompiles can loop forever, so
          the machine needs a much shorter leash than its 60M default *)
-      Vliw_sim.run ~fuel:vliw_fuel ?pred_kernel ?exec_kernel
-        ~model:compiled.Driver.machine ~regs:Gen.regs ~mem pcode
+      Vliw_sim.run ~fuel:vliw_fuel ?exec_kernel ~model:compiled.Driver.machine
+        ~regs:Gen.regs ~mem pcode
 
 (* stages 3-5, once per executable model *)
 let check_model ?inject (g : Gen.t) (scalar : Interp.result) scalar_mem profile
@@ -264,32 +225,12 @@ let check_model ?inject (g : Gen.t) (scalar : Interp.result) scalar_mem profile
             fail (stage "vliw-vs-scalar")
               "scalar recovered %d faults but vliw reported no recovery"
               scalar.Interp.faults_handled);
-  (* predicate-kernel identity: the bitmask kernel (what ran above) and
-     the reference map kernel must be cycle-exact *)
-  staged (stage "mask-vs-map") (fun () ->
-      let map =
-        run_vliw ~pred_kernel:Pred_kernel.Map compiled ~mem:(Gen.make_mem g)
-      in
-      let agree =
-        outcomes_match vliw.Vliw_sim.outcome map.Vliw_sim.outcome
-        && vliw.Vliw_sim.output = map.Vliw_sim.output
-        && vliw.Vliw_sim.cycles = map.Vliw_sim.cycles
-        && vliw.Vliw_sim.stats.Vliw_sim.commits = map.Vliw_sim.stats.Vliw_sim.commits
-        && vliw.Vliw_sim.stats.Vliw_sim.squashes = map.Vliw_sim.stats.Vliw_sim.squashes
-        && vliw.Vliw_sim.stats.Vliw_sim.recoveries
-           = map.Vliw_sim.stats.Vliw_sim.recoveries
-      in
-      if not agree then
-        fail (stage "mask-vs-map")
-          "mask %d cycles / %a, map %d cycles / %a" vliw.Vliw_sim.cycles
-          Interp.pp_outcome vliw.Vliw_sim.outcome map.Vliw_sim.cycles
-          Interp.pp_outcome map.Vliw_sim.outcome);
   (* execution-kernel identity: the lowered structure-of-arrays walk
      (what ran above, being the default) and the tree-walking reference
      must be cycle-exact *)
   staged (stage "lowered-vs-tree") (fun () ->
       let tree =
-        run_vliw ~exec_kernel:Exec_kernel.Tree compiled ~mem:(Gen.make_mem g)
+        run_vliw ~exec_kernel:Vliw_sim.Tree compiled ~mem:(Gen.make_mem g)
       in
       let agree =
         outcomes_match vliw.Vliw_sim.outcome tree.Vliw_sim.outcome
@@ -344,9 +285,7 @@ let check ?inject ?times (g : Gen.t) =
       timed times "scalar" (fun () ->
           check_scalar g ~decoded scalar scalar_mem;
           check_scalar_kernels g ~decoded);
-      timed times "rob" (fun () ->
-          let rob = check_rob g ~decoded scalar scalar_mem in
-          check_rob_kernels g rob);
+      timed times "rob" (fun () -> check_rob g ~decoded scalar scalar_mem);
       let profile =
         timed times "profile" (fun () ->
             staged "profile" (fun () ->

@@ -14,20 +14,15 @@
       ({!Psb_machine.Rob_sim}) — outcome (same fatal fault), output,
       final registers, final memory, handled-fault count, and the
       cycle-accounting breakdown summing exactly to the cycle count;
-    + the ROB's decoded fetch frontend against its tree frontend —
-      cycles, stats and the accounting breakdown identical, not just
-      the architectural results;
     + for every executable {!Psb_compiler.Model}: compile (optionally
       with an {!Inject}ed miscompile), statically verify
       ({!Psb_verify.Verify}), then run the predicated code on the VLIW
-      machine with the bitmask predicate kernel and compare against the
-      scalar reference (exact for halting runs; same-fatality for fatal
-      traps; recovery episodes must not be lost);
-    + the reference map predicate kernel against the bitmask kernel,
-      cycle-exact (cycles, output, commits, squashes, recoveries);
+      machine and compare against the scalar reference (exact for
+      halting runs; same-fatality for fatal traps; recovery episodes
+      must not be lost);
     + the tree-walking execution kernel against the lowered
       structure-of-arrays kernel ({!Psb_machine.Lowered}), cycle-exact
-      on the same counters;
+      (cycles, output, commits, squashes, recoveries);
     + compile-cache hit against cold compile, structurally equal
       (flagship model only — the cache key covers the rest).
 
@@ -38,9 +33,9 @@
 type failure = {
   stage : string;
       (** [decode], [interp-vs-scalar], [scalar-decoded-vs-tree],
-          [rob-vs-interp], [rob-decoded-vs-tree], [compile], [verify],
-          [vliw-vs-scalar], [mask-vs-map], [lowered-vs-tree], [cache],
-          prefixed by the model name where model-specific *)
+          [rob-vs-interp], [compile], [verify], [vliw-vs-scalar],
+          [lowered-vs-tree], [cache], prefixed by the model name where
+          model-specific *)
   detail : string;
 }
 

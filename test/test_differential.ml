@@ -233,84 +233,40 @@ let test_parallel_differential () =
     (Printf.sprintf "batch covered recovery episodes (%d cells)" recovered)
     true (recovered > 0)
 
-(* ----- predicate-kernel identity -----
-
-   The bitmask kernel (with dirty-condition gating) and the reference
-   map kernel must be indistinguishable: same outputs, same memory, and
-   the exact same cycle count — gating may only skip evaluations whose
-   outcome could not have changed, never delay a commit or squash. *)
-
-let run_both_kernels compiled ~regs ~mem_of =
-  let module K = Psb_machine.Pred_kernel in
-  let run kernel =
-    Driver.run_vliw ~pred_kernel:kernel compiled ~regs ~mem:(mem_of ())
-  in
-  (run K.Mask, run K.Map)
-
-let kernels_agree (a : Vliw_sim.result) (b : Vliw_sim.result) =
-  outcomes_match a.Vliw_sim.outcome b.Vliw_sim.outcome
-  && a.Vliw_sim.output = b.Vliw_sim.output
-  && a.Vliw_sim.cycles = b.Vliw_sim.cycles
-  && a.Vliw_sim.stats.Vliw_sim.commits = b.Vliw_sim.stats.Vliw_sim.commits
-  && a.Vliw_sim.stats.Vliw_sim.squashes = b.Vliw_sim.stats.Vliw_sim.squashes
-  && a.Vliw_sim.stats.Vliw_sim.recoveries = b.Vliw_sim.stats.Vliw_sim.recoveries
-
-let pred_kernel_identity =
-  QCheck.Test.make ~name:"mask kernel = map kernel (cycle-exact)" ~count:120
-    arb_program (fun g ->
-      let scalar = Interp.run ~fuel:500_000 ~regs ~mem:(make_mem g) g.program in
-      QCheck.assume (scalar.Interp.outcome <> Interp.Out_of_fuel);
-      let _, profile = Driver.profile_of g.program ~regs ~mem:(make_mem g) in
-      let compiled =
-        Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
-          ~profile g.program
-      in
-      let mask, map = run_both_kernels compiled ~regs ~mem_of:(fun () -> make_mem g) in
-      if not (kernels_agree mask map) then
-        QCheck.Test.fail_reportf
-          "kernels diverged: mask %d cycles / %a, map %d cycles / %a"
-          mask.Vliw_sim.cycles Interp.pp_outcome mask.Vliw_sim.outcome
-          map.Vliw_sim.cycles Interp.pp_outcome map.Vliw_sim.outcome;
-      true)
-
-let test_pred_kernel_suite_identity () =
-  let open Psb_workloads in
-  List.iter
-    (fun (w : Dsl.t) ->
-      let _, profile =
-        Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
-      in
-      List.iter
-        (fun model ->
-          let compiled =
-            Driver.compile ~model ~machine:Machine_model.base ~profile
-              w.Dsl.program
-          in
-          let mask, map =
-            run_both_kernels compiled ~regs:w.Dsl.regs ~mem_of:w.Dsl.make_mem
-          in
-          Alcotest.(check int)
-            (w.Dsl.name ^ "/" ^ model.Model.name ^ " cycles")
-            map.Vliw_sim.cycles mask.Vliw_sim.cycles;
-          Alcotest.(check (list int))
-            (w.Dsl.name ^ "/" ^ model.Model.name ^ " output")
-            map.Vliw_sim.output mask.Vliw_sim.output)
-        executable_models)
-    Suite.all
-
 (* ----- execution-kernel identity -----
 
    The lowered structure-of-arrays kernel and the tree-walking reference
    must be indistinguishable: lowering preresolves operands and compiles
    dispatch, but may never change what issues, commits or squashes in
-   any cycle. *)
+   any cycle — cycles, outputs, the whole stats record, the cycle
+   breakdown and the full speculation event stream agree. *)
 
-let run_both_exec_kernels compiled ~regs ~mem_of =
-  let module K = Psb_machine.Exec_kernel in
-  let run kernel =
-    Driver.run_vliw ~exec_kernel:kernel compiled ~regs ~mem:(mem_of ())
+module Events = Psb_obs.Events
+
+(* [capacity] must hold a whole run: a wrapped ring fails [events_agree]
+   rather than comparing a suffix *)
+let run_both_exec_kernels ?capacity compiled ~regs ~mem_of =
+  let run exec_kernel =
+    let events = Events.create ?capacity () in
+    (Driver.run_vliw ~exec_kernel ~events compiled ~regs ~mem:(mem_of ()), events)
   in
-  (run K.Lowered, run K.Tree)
+  (run Vliw_sim.Lowered, run Vliw_sim.Tree)
+
+let event_list ring =
+  let acc = ref [] in
+  Events.iter ring (fun cycle kind a b -> acc := (cycle, kind, a, b) :: !acc);
+  List.rev !acc
+
+let events_agree a b =
+  Events.dropped a = 0 && Events.dropped b = 0 && event_list a = event_list b
+
+let kernels_agree ((a : Vliw_sim.result), ea) ((b : Vliw_sim.result), eb) =
+  outcomes_match a.Vliw_sim.outcome b.Vliw_sim.outcome
+  && a.Vliw_sim.output = b.Vliw_sim.output
+  && a.Vliw_sim.cycles = b.Vliw_sim.cycles
+  && a.Vliw_sim.stats = b.Vliw_sim.stats
+  && a.Vliw_sim.breakdown = b.Vliw_sim.breakdown
+  && events_agree ea eb
 
 let exec_kernel_identity =
   QCheck.Test.make ~name:"lowered kernel = tree kernel (cycle-exact)"
@@ -322,10 +278,10 @@ let exec_kernel_identity =
         Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
           ~profile g.program
       in
-      let low, tree =
+      let ((low, _) as l), ((tree, _) as t) =
         run_both_exec_kernels compiled ~regs ~mem_of:(fun () -> make_mem g)
       in
-      if not (kernels_agree low tree) then
+      if not (kernels_agree l t) then
         QCheck.Test.fail_reportf
           "kernels diverged: lowered %d cycles / %a, tree %d cycles / %a"
           low.Vliw_sim.cycles Interp.pp_outcome low.Vliw_sim.outcome
@@ -345,30 +301,37 @@ let test_exec_kernel_suite_identity () =
             Driver.compile ~model ~machine:Machine_model.base ~profile
               w.Dsl.program
           in
-          let low, tree =
-            run_both_exec_kernels compiled ~regs:w.Dsl.regs
-              ~mem_of:w.Dsl.make_mem
+          let (low, low_ev), (tree, tree_ev) =
+            run_both_exec_kernels ~capacity:(1 lsl 19) compiled
+              ~regs:w.Dsl.regs ~mem_of:w.Dsl.make_mem
           in
-          Alcotest.(check int)
-            (w.Dsl.name ^ "/" ^ model.Model.name ^ " cycles")
-            tree.Vliw_sim.cycles low.Vliw_sim.cycles;
+          let name = w.Dsl.name ^ "/" ^ model.Model.name in
+          Alcotest.(check int) (name ^ " cycles") tree.Vliw_sim.cycles
+            low.Vliw_sim.cycles;
           Alcotest.(check (list int))
-            (w.Dsl.name ^ "/" ^ model.Model.name ^ " output")
-            tree.Vliw_sim.output low.Vliw_sim.output;
+            (name ^ " output") tree.Vliw_sim.output low.Vliw_sim.output;
+          Alcotest.(check bool)
+            (name ^ " stats") true
+            (tree.Vliw_sim.stats = low.Vliw_sim.stats);
+          Alcotest.(check bool)
+            (name ^ " breakdown") true
+            (tree.Vliw_sim.breakdown = low.Vliw_sim.breakdown);
           Alcotest.(check int)
-            (w.Dsl.name ^ "/" ^ model.Model.name ^ " commits")
-            tree.Vliw_sim.stats.Vliw_sim.commits
-            low.Vliw_sim.stats.Vliw_sim.commits)
+            (name ^ " events (ring never wrapped)")
+            0
+            (Events.dropped low_ev + Events.dropped tree_ev);
+          Alcotest.(check bool)
+            (name ^ " event stream") true
+            (event_list tree_ev = event_list low_ev))
         executable_models)
     Suite.all
 
 (* ----- scalar-kernel identity -----
 
-   The predecoded flat form ([Decoded.of_program]) and the tree-walking
-   reference must be indistinguishable on both scalar backends (the
-   interpreter and the ROB machine): decoding preresolves operands and
-   branch targets, but may never change semantics, cycle charging,
-   traces, fault handling or the pipeline accounting. *)
+   The interpreter's predecoded flat kernel ([Decoded.of_program]) and
+   its tree-walking reference must be indistinguishable: decoding
+   preresolves operands and branch targets, but may never change
+   semantics, cycle charging, traces or fault handling. *)
 
 let scalar_results_agree (a : Interp.result) (b : Interp.result) =
   outcomes_match a.Interp.outcome b.Interp.outcome
@@ -384,8 +347,8 @@ let run_both_scalar_kernels ~decoded ~regs ~mem_of program =
     Interp.run ~fuel:500_000 ~kernel ~decoded ~regs ~mem program
   in
   let dec_mem = mem_of () and tree_mem = mem_of () in
-  ( (run Scalar_kernel.Decoded dec_mem, dec_mem),
-    (run Scalar_kernel.Tree tree_mem, tree_mem) )
+  ( (run Interp.Decoded dec_mem, dec_mem),
+    (run Interp.Tree tree_mem, tree_mem) )
 
 let scalar_kernel_identity =
   QCheck.Test.make ~name:"decoded interp = tree interp (cycle-exact)"
@@ -405,40 +368,6 @@ let scalar_kernel_identity =
           tree.Interp.cycles tree.Interp.dyn_instrs;
       true)
 
-let run_both_rob_kernels ~decoded ~regs ~mem_of program =
-  let run kernel mem =
-    Rob_sim.run ~kernel ~decoded ~model:Machine_model.base ~regs ~mem program
-  in
-  let dec_mem = mem_of () and tree_mem = mem_of () in
-  ( (run Scalar_kernel.Decoded dec_mem, dec_mem),
-    (run Scalar_kernel.Tree tree_mem, tree_mem) )
-
-let rob_results_agree (a : Rob_sim.result) (b : Rob_sim.result) =
-  outcomes_match a.Rob_sim.outcome b.Rob_sim.outcome
-  && a.Rob_sim.output = b.Rob_sim.output
-  && a.Rob_sim.cycles = b.Rob_sim.cycles
-  && a.Rob_sim.dyn_instrs = b.Rob_sim.dyn_instrs
-  && Reg.Map.equal Int.equal a.Rob_sim.regs b.Rob_sim.regs
-  && a.Rob_sim.faults_handled = b.Rob_sim.faults_handled
-  && a.Rob_sim.stats = b.Rob_sim.stats
-  && a.Rob_sim.breakdown = b.Rob_sim.breakdown
-
-let rob_kernel_identity =
-  QCheck.Test.make ~name:"decoded rob = tree rob (cycle-exact)" ~count:120
-    arb_program (fun g ->
-      let decoded = Decoded.of_program g.program in
-      let (dec, dec_mem), (tree, tree_mem) =
-        run_both_rob_kernels ~decoded ~regs ~mem_of:(fun () -> make_mem g)
-          g.program
-      in
-      if not (rob_results_agree dec tree && Memory.equal dec_mem tree_mem)
-      then
-        QCheck.Test.fail_reportf
-          "rob kernels diverged: decoded %a / %d cycles, tree %a / %d cycles"
-          Interp.pp_outcome dec.Rob_sim.outcome dec.Rob_sim.cycles
-          Interp.pp_outcome tree.Rob_sim.outcome tree.Rob_sim.cycles;
-      true)
-
 let test_scalar_kernel_suite_identity () =
   let open Psb_workloads in
   List.iter
@@ -454,27 +383,6 @@ let test_scalar_kernel_suite_identity () =
         (scalar_results_agree dec tree);
       Alcotest.(check int) (w.Dsl.name ^ " cycles") tree.Interp.cycles
         dec.Interp.cycles;
-      Alcotest.(check bool)
-        (w.Dsl.name ^ " memory equal")
-        true
-        (Memory.equal dec_mem tree_mem))
-    Suite.all
-
-let test_rob_kernel_suite_identity () =
-  let open Psb_workloads in
-  List.iter
-    (fun (w : Dsl.t) ->
-      let decoded = Decoded.of_program w.Dsl.program in
-      let (dec, dec_mem), (tree, tree_mem) =
-        run_both_rob_kernels ~decoded ~regs:w.Dsl.regs ~mem_of:w.Dsl.make_mem
-          w.Dsl.program
-      in
-      Alcotest.(check bool)
-        (w.Dsl.name ^ " results agree")
-        true
-        (rob_results_agree dec tree);
-      Alcotest.(check int) (w.Dsl.name ^ " cycles") tree.Rob_sim.cycles
-        dec.Rob_sim.cycles;
       Alcotest.(check bool)
         (w.Dsl.name ^ " memory equal")
         true
@@ -501,17 +409,10 @@ let () =
             differential Model.guarded;
             estimate_never_crashes;
             infinite_shadow_agrees;
-            pred_kernel_identity;
             exec_kernel_identity;
             scalar_kernel_identity;
-            rob_kernel_identity;
             asm_roundtrip;
           ] );
-      ( "pred-kernel",
-        [
-          Alcotest.test_case "whole suite cycle-exact (all models)" `Quick
-            test_pred_kernel_suite_identity;
-        ] );
       ( "exec-kernel",
         [
           Alcotest.test_case "whole suite cycle-exact (all models)" `Quick
@@ -521,11 +422,6 @@ let () =
         [
           Alcotest.test_case "whole suite cycle-exact" `Quick
             test_scalar_kernel_suite_identity;
-        ] );
-      ( "rob-kernel",
-        [
-          Alcotest.test_case "whole suite cycle-exact" `Quick
-            test_rob_kernel_suite_identity;
         ] );
       ( "parallel",
         [

@@ -379,9 +379,9 @@ let test_interp_no_trace_no_alloc () =
   let decoded = Decoded.of_program program in
   let mem = Memory.create ~size:16 in
   let go ~record_trace n =
-    (* pin the decoded kernel: the no-allocation guarantee is specific to
-       the flat form, so this test must not inherit PSB_SCALAR_KERNEL *)
-    Interp.run ~record_trace ~kernel:Scalar_kernel.Decoded ~decoded
+    (* the no-allocation guarantee is specific to the flat form, the
+       default kernel *)
+    Interp.run ~record_trace ~decoded
       ~regs:[ (reg 1, n) ]
       ~mem program
   in

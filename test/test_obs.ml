@@ -453,14 +453,12 @@ let test_events_emit_no_alloc () =
 
 (* Attaching a ring to the per-cycle tick paths must add zero minor-heap
    allocation: measured as a delta between identical state with and
-   without [?events], under the compiled-mask kernel (the production hot
-   path — the Map reference walk allocates by design). The store-buffer
-   side is additionally absolute: its tick allocates nothing at all. *)
+   without [?events]. The store-buffer side is additionally absolute:
+   its tick allocates nothing at all. *)
 let test_tick_no_alloc_with_events () =
   let module Regfile = Psb_machine.Regfile in
   let module Store_buffer = Psb_machine.Store_buffer in
   let module Ccr = Psb_machine.Ccr in
-  let module Pred_kernel = Psb_machine.Pred_kernel in
   let entries = 16 in
   (* all predicates stay Unspec so no version ever resolves and the
      timed state survives arbitrarily many ticks *)
@@ -494,7 +492,6 @@ let test_tick_no_alloc_with_events () =
   in
   let rf_plain = make_rf None and rf_events = make_rf (Some ring) in
   let sb_plain = make_sb None and sb_events = make_sb (Some ring) in
-  let mode = Pred_kernel.Mask in
   let measure f =
     ignore (f ());
     minor_words_of (fun () ->
@@ -502,14 +499,10 @@ let test_tick_no_alloc_with_events () =
           ignore (f ())
         done)
   in
-  let rf0 = measure (fun () -> Regfile.tick ~mode ~dirty:(-1) rf_plain ccr) in
-  let rf1 = measure (fun () -> Regfile.tick ~mode ~dirty:(-1) rf_events ccr) in
-  let sb0 =
-    measure (fun () -> Store_buffer.tick ~mode ~dirty:(-1) sb_plain ccr)
-  in
-  let sb1 =
-    measure (fun () -> Store_buffer.tick ~mode ~dirty:(-1) sb_events ccr)
-  in
+  let rf0 = measure (fun () -> Regfile.tick ~dirty:(-1) rf_plain ccr) in
+  let rf1 = measure (fun () -> Regfile.tick ~dirty:(-1) rf_events ccr) in
+  let sb0 = measure (fun () -> Store_buffer.tick ~dirty:(-1) sb_plain ccr) in
+  let sb1 = measure (fun () -> Store_buffer.tick ~dirty:(-1) sb_events ccr) in
   check_bool
     (Printf.sprintf "events add nothing to rf tick (%+.0f words / 10k)"
        (rf1 -. rf0))
