@@ -163,8 +163,8 @@ let rob_rival (h : Harness.t) =
         {
           r_name = w.Dsl.name;
           r_scalar_cycles = scalar;
-          r_rob_cycles = r.Rob_sim.cycles;
-          r_speedup = Harness.speedup ~scalar ~cycles:r.Rob_sim.cycles;
+          r_rob_cycles = r.cycles;
+          r_speedup = Harness.speedup ~scalar ~cycles:r.cycles;
           r_mispredicts = r.Rob_sim.stats.Rob_sim.mispredicts;
           r_squashed = r.Rob_sim.stats.Rob_sim.squashed;
           r_identical =

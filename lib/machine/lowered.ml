@@ -185,8 +185,6 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
     ex_tgt;
   }
 
-(* Identical to the register scan [Vliw_sim.run] performs on the tree
-   form, so a register file sized from either agrees. *)
 let count_regs (code : Pcode.t) =
   List.fold_left
     (fun acc r ->

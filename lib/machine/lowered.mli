@@ -80,9 +80,7 @@ type t = {
           form may only run on this model *)
   regions : region array;  (** in [source.regions] order *)
   entry : int;  (** index of the entry region *)
-  nregs : int;
-      (** register-file size the code requires (same scan {!Vliw_sim}
-          performs on the tree form) *)
+  nregs : int;  (** [count_regs source] *)
   max_bundle_ops : int;
       (** widest bundle's operation count — sizes the per-cycle decision
           scratch buffer *)
@@ -95,6 +93,11 @@ val compile : machine:Machine_model.t -> Pcode.t -> t
     machine other than [machine] is rejected by {!Vliw_sim.run}.
     @raise Invalid_argument if an exit names an undefined region (the
     same condition {!Pcode.make} validates). *)
+
+val count_regs : Pcode.t -> int
+(** The register-file size a program's code requires: one past the
+    highest register any operation defines or uses (at least 1). Both
+    execution kernels of {!Vliw_sim} size their register file with it. *)
 
 val num_ops : t -> int
 (** Total lowered operation slots (equals the [Op] slots of [source]). *)

@@ -673,5 +673,3 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
   | Halted_exn -> finish Interp.Halted
   | Abort f -> finish (Interp.Fatal f)
   | Fuel_exhausted -> finish (Interp.Out_of_fuel)
-
-let cycles ~model ~regs ~mem program = (run ~model ~regs ~mem program).cycles

@@ -138,11 +138,3 @@ val run :
     by class ([rob_ops{class=...}]), cycle and instruction totals, the
     cycle-accounting categories ([rob_cycles{category=...}]), and
     mispredict/flush counters. *)
-
-val cycles :
-  model:Machine_model.t ->
-  regs:(Reg.t * int) list ->
-  mem:Memory.t ->
-  Program.t ->
-  int
-(** Convenience: cycle count only. *)

@@ -11,8 +11,7 @@ let class_of (op : Instr.op) =
   | Instr.Out _ -> "out"
   | Instr.Nop -> "nop"
 
-let run ?fuel ?record_trace ?kernel ?decoded ?observer ?events ?metrics ~regs
-    ~mem program =
+let run ?record_trace ?events ?metrics ~regs ~mem program =
   (* The scalar machine never speculates, so its event stream is just the
      block timeline: one [Region_enter] per block entered (block labels
      interned), stamped with the scalar cycle count. *)
@@ -24,23 +23,16 @@ let run ?fuel ?record_trace ?kernel ?decoded ?observer ?events ?metrics ~regs
       events
   in
   match metrics with
-  | None ->
-      Interp.run ?fuel ?record_trace ?kernel ?decoded ?observer ?on_block ~regs
-        ~mem program
+  | None -> Interp.run ?record_trace ?on_block ~regs ~mem program
   | Some m ->
       let open Psb_obs.Metrics in
       let count op addr =
         inc (counter m "scalar_ops" ~labels:[ ("class", class_of op) ]);
-        if addr <> None then inc (counter m "scalar_mem_accesses");
-        match observer with Some f -> f op addr | None -> ()
+        if addr <> None then inc (counter m "scalar_mem_accesses")
       in
       let r =
-        Interp.run ?fuel ?record_trace ?kernel ?decoded ~observer:count
-          ?on_block ~regs ~mem program
+        Interp.run ?record_trace ~observer:count ?on_block ~regs ~mem program
       in
       inc (counter m "scalar_cycles_total") ~by:r.Interp.cycles;
       inc (counter m "scalar_dyn_instrs") ~by:r.Interp.dyn_instrs;
       r
-
-let cycles ~regs ~mem program =
-  (run ~record_trace:false ~regs ~mem program).Interp.cycles

@@ -8,11 +8,7 @@
 open Psb_isa
 
 val run :
-  ?fuel:int ->
   ?record_trace:bool ->
-  ?kernel:Interp.kernel ->
-  ?decoded:Decoded.t ->
-  ?observer:(Instr.op -> int option -> unit) ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
   regs:(Reg.t * int) list ->
@@ -28,11 +24,6 @@ val run :
     machine never speculates, so its stream is just the block
     timeline).
 
-    [kernel]/[decoded] pass through to {!Psb_isa.Interp.run}: the
-    decoded flat-array engine is the default, and a prebuilt
-    {!Psb_isa.Decoded.t} lets repeated runs of one program decode
-    once. *)
-
-val cycles :
-  regs:(Reg.t * int) list -> mem:Memory.t -> Program.t -> int
-(** Convenience: scalar cycle count only (no trace recorded). *)
+    Everything else is {!Psb_isa.Interp.run} with its defaults, so
+    without [metrics] and [events] the result is exactly the
+    interpreter's. *)

@@ -118,11 +118,16 @@ exception Machine_error of string
     exit, ...). Indicates a compiler bug, not a program fault. *)
 
 type exec_kernel =
-  | Lowered  (** walk the flat {!Lowered} form — the default *)
+  | Lowered  (** fetch and decode the flat {!Lowered} form — the default *)
   | Tree
-      (** re-walk the {!Pcode.bundle} slot lists every cycle — the
-          readable §3 semantics, selected explicitly by tests, [Diff] and
-          the bechamel [lowered] group *)
+      (** fetch and decode the {!Pcode.bundle} slot lists every cycle —
+          selected explicitly by tests, [Diff] and the bechamel [lowered]
+          group *)
+(** How the issue phase fetches and decodes. Both kernels hand the
+    decoded operation to one shared execute stage, so the tree kernel is
+    the reference for what {!Lowered.compile} resolves ahead of time:
+    operand registers and shadow flags, latencies, bundle bounds, store
+    flags and exit targets. *)
 
 val run :
   ?fuel:int ->
@@ -158,9 +163,10 @@ val run :
     ({!Ccr.evalc}), with the commit/squash tick gated by the CCR's dirty
     mask ({!Ccr.take_dirty}).
 
-    [exec_kernel] selects the issue-phase representation (default
+    [exec_kernel] selects the issue phase's fetch and decode (default
     [Lowered]). Both are cycle- and event-identical; [Tree] is the
-    differential-testing reference. Under [Lowered], [lowered] supplies a pre-lowered form (e.g. from
+    differential-testing reference. Under [Lowered], [lowered] supplies
+    a pre-lowered form (e.g. from
     the compile cache via [Psb_compiler.Driver]); when absent the code
     is lowered on entry. The supplied form must have been built by
     {!Lowered.compile} from this exact [Pcode.t] value and [model]

@@ -2,7 +2,6 @@ open Psb_isa
 open Psb_compiler
 module Machine_model = Psb_machine.Machine_model
 module Vliw_sim = Psb_machine.Vliw_sim
-module Scalar_sim = Psb_machine.Scalar_sim
 module Rob_sim = Psb_machine.Rob_sim
 module Verify = Psb_verify.Verify
 
@@ -66,25 +65,7 @@ let compiled_equal (a : Driver.compiled) (b : Driver.compiled) =
          = Format.asprintf "%a" Psb_machine.Pcode.pp c2)
        a.Driver.pcode b.Driver.pcode
 
-(* stage 1: the two scalar oracles must agree with each other *)
-let check_scalar (g : Gen.t) ~decoded (reference : Interp.result) ref_mem =
-  staged "interp-vs-scalar" (fun () ->
-      let mem = Gen.make_mem g in
-      let s =
-        Scalar_sim.run ~fuel:scalar_fuel ~record_trace:false ~decoded
-          ~regs:Gen.regs ~mem g.Gen.program
-      in
-      if not (Interp.equivalent reference s) then
-        fail "interp-vs-scalar" "interp %a / %s, scalar %a / %s"
-          Interp.pp_outcome reference.Interp.outcome (pp_out reference.Interp.output)
-          Interp.pp_outcome s.Interp.outcome (pp_out s.Interp.output);
-      if reference.Interp.cycles <> s.Interp.cycles then
-        fail "interp-vs-scalar" "cycles %d vs %d" reference.Interp.cycles
-          s.Interp.cycles;
-      if not (Memory.equal ref_mem mem) then
-        fail "interp-vs-scalar" "final memory differs")
-
-(* stage 2: the out-of-order ROB backend must be architecturally
+(* the out-of-order ROB backend must be architecturally
    byte-identical to the interpreter — outcome (same fatal fault),
    output, final registers, final memory and the handled-fault count;
    predicated-state buffering and reorder-buffer speculation are rival
@@ -112,11 +93,11 @@ let check_rob (g : Gen.t) ~decoded (reference : Interp.result) ref_mem =
         fail "rob-vs-interp" "faults handled: interp %d, rob %d"
           reference.Interp.faults_handled r.Rob_sim.faults_handled;
       let bd = Rob_sim.breakdown_total r.Rob_sim.breakdown in
-      if bd <> r.Rob_sim.cycles then
+      if bd <> r.cycles then
         fail "rob-vs-interp" "breakdown sums to %d but cycles = %d" bd
-          r.Rob_sim.cycles)
+          r.cycles)
 
-(* stage 1b: the two interpreter kernels must agree on everything the
+(* the two interpreter kernels must agree on everything the
    result carries — cycles, dynamic instructions, block trace, faults *)
 let check_scalar_kernels (g : Gen.t) ~decoded =
   staged "scalar-decoded-vs-tree" (fun () ->
@@ -163,7 +144,7 @@ let run_vliw ?exec_kernel (compiled : Driver.compiled) ~mem =
       Vliw_sim.run ~fuel:vliw_fuel ?exec_kernel ~model:compiled.Driver.machine
         ~regs:Gen.regs ~mem pcode
 
-(* stages 3-5, once per executable model *)
+(* compile, verify, run and kernel identity, once per executable model *)
 let check_model ?inject (g : Gen.t) (scalar : Interp.result) scalar_mem profile
     (model : Model.t) =
   let m = model.Model.name in
@@ -227,29 +208,24 @@ let check_model ?inject (g : Gen.t) (scalar : Interp.result) scalar_mem profile
               scalar.Interp.faults_handled);
   (* execution-kernel identity: the lowered structure-of-arrays walk
      (what ran above, being the default) and the tree-walking reference
-     must be cycle-exact *)
+     must return the same result record, stats and cycle accounting
+     included *)
   staged (stage "lowered-vs-tree") (fun () ->
       let tree =
         run_vliw ~exec_kernel:Vliw_sim.Tree compiled ~mem:(Gen.make_mem g)
       in
-      let agree =
-        outcomes_match vliw.Vliw_sim.outcome tree.Vliw_sim.outcome
-        && vliw.Vliw_sim.output = tree.Vliw_sim.output
-        && vliw.Vliw_sim.cycles = tree.Vliw_sim.cycles
-        && vliw.Vliw_sim.stats.Vliw_sim.commits
-           = tree.Vliw_sim.stats.Vliw_sim.commits
-        && vliw.Vliw_sim.stats.Vliw_sim.squashes
-           = tree.Vliw_sim.stats.Vliw_sim.squashes
-        && vliw.Vliw_sim.stats.Vliw_sim.recoveries
-           = tree.Vliw_sim.stats.Vliw_sim.recoveries
-      in
-      if not agree then
+      (* register maps compare by content, everything else structurally *)
+      if
+        not
+          ({ vliw with Vliw_sim.regs = tree.Vliw_sim.regs } = tree
+          && Reg.Map.equal Int.equal vliw.Vliw_sim.regs tree.Vliw_sim.regs)
+      then
         fail (stage "lowered-vs-tree")
           "lowered %d cycles / %a, tree %d cycles / %a" vliw.Vliw_sim.cycles
           Interp.pp_outcome vliw.Vliw_sim.outcome tree.Vliw_sim.cycles
           Interp.pp_outcome tree.Vliw_sim.outcome)
 
-(* stage 6: cache hit = cold compile, on the flagship model (the cache
+(* cache hit = cold compile, on the flagship model (the cache
    key covers model/machine/options, so one model suffices per program) *)
 let check_cache (g : Gen.t) profile =
   staged "cache" (fun () ->
@@ -282,9 +258,7 @@ let check ?inject ?times (g : Gen.t) =
     in
     if scalar.Interp.outcome = Interp.Out_of_fuel then Ok ()
     else begin
-      timed times "scalar" (fun () ->
-          check_scalar g ~decoded scalar scalar_mem;
-          check_scalar_kernels g ~decoded);
+      timed times "scalar" (fun () -> check_scalar_kernels g ~decoded);
       timed times "rob" (fun () -> check_rob g ~decoded scalar scalar_mem);
       let profile =
         timed times "profile" (fun () ->

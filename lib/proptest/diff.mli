@@ -2,11 +2,9 @@
 
     One generated program, every stage boundary checked. The program is
     predecoded once ({!Psb_isa.Decoded.of_program}) and the flat form is
-    shared by every scalar and ROB stage below:
+    shared by every scalar and ROB stage below. The reference is the
+    interpreter ({!Psb_isa.Interp}) on its default decoded kernel:
 
-    + the DSL-level reference ({!Psb_isa.Interp}) against the scalar
-      baseline front-end ({!Psb_machine.Scalar_sim}) — outcome, output,
-      cycles and final memory;
     + the decoded interpreter kernel against the tree-walking one —
       outcome, output, cycles, dynamic instructions, block trace, final
       registers, handled-fault count and final memory, all exact;
@@ -21,8 +19,9 @@
       halting runs; same-fatality for fatal traps; recovery episodes
       must not be lost);
     + the tree-walking execution kernel against the lowered
-      structure-of-arrays kernel ({!Psb_machine.Lowered}), cycle-exact
-      (cycles, output, commits, squashes, recoveries);
+      structure-of-arrays kernel ({!Psb_machine.Lowered}): the same
+      result record, final registers, stats and cycle breakdown
+      included;
     + compile-cache hit against cold compile, structurally equal
       (flagship model only — the cache key covers the rest).
 
@@ -32,8 +31,8 @@
 
 type failure = {
   stage : string;
-      (** [decode], [interp-vs-scalar], [scalar-decoded-vs-tree],
-          [rob-vs-interp], [compile], [verify], [vliw-vs-scalar],
+      (** [decode], [interp], [scalar-decoded-vs-tree],
+          [rob-vs-interp], [profile], [compile], [verify], [vliw-vs-scalar],
           [lowered-vs-tree], [cache], prefixed by the model name where
           model-specific *)
   detail : string;
@@ -51,7 +50,8 @@ val check :
     and run stages — a healthy harness must then return [Error].
 
     [times] accumulates coarse per-stage wall-clock seconds into the
-    given table (buckets: [decode], [interp], [scalar], [rob],
-    [profile], [models], [cache]) — the fuzz driver sums these across
+    given table (buckets: [decode], [interp], [scalar] (the
+    [scalar-decoded-vs-tree] stage), [rob], [profile], [models],
+    [cache]) — the fuzz driver sums these across
     trials for its throughput report. The table must not be shared
     between domains; give each trial its own and merge. *)
