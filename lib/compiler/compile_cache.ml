@@ -19,15 +19,29 @@ let add_model b (m : Model.t) =
        (match m.Model.cond_limit with None -> "inf" | Some n -> string_of_int n)
        m.Model.counter_preds m.Model.executable)
 
-let add_machine b (m : Machine_model.t) =
+(* An exhaustive pattern, so a new machine field fails to compile here
+   until it joins the key. *)
+let add_machine b
+    {
+      Machine_model.issue_width;
+      alu_units;
+      branch_units;
+      load_units;
+      store_units;
+      ccr_size;
+      load_latency;
+      int_latency;
+      max_spec_conds;
+      transition_penalty;
+      sb_capacity;
+      dcache_ports;
+      rob_size;
+    } =
   Buffer.add_string b
-    (Printf.sprintf "|machine=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
-       m.Machine_model.issue_width m.Machine_model.alu_units
-       m.Machine_model.branch_units m.Machine_model.load_units
-       m.Machine_model.store_units m.Machine_model.ccr_size
-       m.Machine_model.load_latency m.Machine_model.int_latency
-       m.Machine_model.max_spec_conds m.Machine_model.transition_penalty
-       m.Machine_model.sb_capacity m.Machine_model.dcache_ports)
+    (Printf.sprintf "|machine=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
+       issue_width alu_units branch_units load_units store_units ccr_size
+       load_latency int_latency max_spec_conds transition_penalty sb_capacity
+       dcache_ports rob_size)
 
 (* Bumped whenever the [Driver.compiled] representation changes shape
    (v2: pcode slots carry compiled predicate masks; v3: compiles carry

@@ -11,9 +11,8 @@ type row = {
   value_headroom : float;
 }
 
-(* Latencies of the oracle machine match the base machine: loads 2,
-   everything else 1. *)
-let latency = function Instr.Load _ -> 2 | _ -> 1
+(* The oracle machine's latencies are the base machine's. *)
+let latency = Psb_machine.Machine_model.(latency base)
 
 (* One dataflow-schedule accumulator. *)
 type sched_state = {

@@ -238,12 +238,65 @@ let hwcost_json (r : Hwcost.report) =
       ("rob_overhead", flt r.Hwcost.rob_overhead);
     ]
 
-let experiment_names =
+let experiments =
+  let on pp f h ppf = pp ppf (f (Lazy.force h)) in
+  let speedups title = Experiments.pp_speedups ~title in
   [
-    "table2"; "table3"; "fig6"; "fig7"; "fig8"; "related"; "shadow";
-    "validation"; "counter"; "btb"; "dup"; "size"; "unroll"; "sweep";
-    "limits"; "hwcost"; "rob";
+    ( "table2",
+      "benchmark programs (lines, scalar cycles)",
+      on Experiments.pp_table2 Experiments.table2 );
+    ( "table3",
+      "prediction accuracy of successive branches",
+      on Experiments.pp_table3 Experiments.table3 );
+    ( "fig6",
+      "restricted speculative execution models",
+      on (speedups "Figure 6: restricted models") Experiments.figure6 );
+    ( "fig7",
+      "predicating vs conventional speculative execution",
+      on (speedups "Figure 7: predicating models") Experiments.figure7 );
+    ( "fig8",
+      "full-issue machines x speculation depth",
+      on Experiments.pp_figure8 Experiments.figure8 );
+    ( "related",
+      "the 2.2 related-work mechanism spectrum",
+      on (speedups "Related-work spectrum (2.2)") Experiments.related_work );
+    ( "shadow",
+      "single vs infinite shadow registers (fn.1)",
+      on Experiments.pp_shadow Experiments.shadow_ablation );
+    ( "validation",
+      "estimated vs machine-measured cycles",
+      on Experiments.pp_validation Experiments.validation );
+    ( "counter",
+      "vector vs counter predicate representation (4.2.1)",
+      on Experiments.pp_counter Experiments.counter_ablation );
+    ( "btb",
+      "region-transition penalty (BTB optimism)",
+      on Experiments.pp_btb Experiments.btb_ablation );
+    ( "dup",
+      "join duplication vs commit dependences (4.2.2)",
+      on Experiments.pp_dup Experiments.dup_ablation );
+    ( "size",
+      "static code growth per model",
+      on Experiments.pp_size Experiments.code_growth );
+    ( "unroll",
+      "loop unrolling on the 8-issue machine (future work)",
+      on Experiments.pp_unroll Experiments.unroll_ablation );
+    ( "sweep",
+      "synthetic branch-predictability sweep",
+      on Experiments.pp_sweep (fun h ->
+          Experiments.predictability_sweep ?pool:h.Harness.pool ()) );
+    ( "limits",
+      "ILP limit study (block vs oracle vs value oracle, the paper's motivation)",
+      fun _ ppf -> Limits.pp ppf (Limits.analyze_suite ()) );
+    ( "hwcost",
+      "hardware cost model (4.2.1)",
+      fun _ ppf -> Hwcost.pp_report ppf (Hwcost.analyze Hwcost.default) );
+    ( "rob",
+      "rival out-of-order (reorder-buffer) backend vs scalar",
+      on Experiments.pp_rob Experiments.rob_rival );
   ]
+
+let experiment_names = List.map (fun (name, _, _) -> name) experiments
 
 let experiment (h : Harness.t) = function
   | "table2" -> Some (table2_json (Experiments.table2 h))

@@ -59,8 +59,15 @@
 
 module Json = Psb_obs.Json
 
+val experiments :
+  (string * string * (Harness.t Lazy.t -> Format.formatter -> unit)) list
+(** Every experiment as [(name, description, printer)], in canonical
+    order: the text report both [bench/main.exe] and [psb experiments]
+    print. A printer forces the harness only if the experiment needs it. *)
+
 val experiment_names : string list
-(** Every name {!experiment} accepts, in canonical order. *)
+(** Every name {!experiment} accepts, in canonical order (the names of
+    {!experiments}). *)
 
 val experiment : Harness.t -> string -> Json.t option
 (** Run one experiment by its bench/CLI name; [None] for unknown names. *)
