@@ -1040,6 +1040,7 @@ let experiments_cmd =
 let fuzz_cmd =
   let module F = Psb_proptest.Fuzz in
   let module G = Psb_proptest.Gen in
+  let demand_name = function `On -> "on" | `Off -> "off" | `Random -> "random" in
   let run trials seed jobs corpus replay inject only no_shrink diamonds iters
       nesting alias_mask fault_rate demand json =
     (* under --json the summary document owns stdout; progress and
@@ -1100,11 +1101,7 @@ let fuzz_cmd =
             nesting;
             alias_mask;
             fault_prob = fault_rate;
-            demand =
-              (match demand with
-              | "on" -> `On
-              | "off" -> `Off
-              | _ -> `Random);
+            demand;
           }
         in
         let cfg =
@@ -1126,11 +1123,20 @@ let fuzz_cmd =
                 Printf.sprintf "trial %d of seed %d" i seed )
           | None -> (cfg, Printf.sprintf "%d trials, seed %d" trials seed)
         in
-        say "psb fuzz: %s%s (replay: psb fuzz --seed %d -n %d%s)@." descr
+        say
+          "psb fuzz: %s%s (replay: psb fuzz --seed %d -n %d --diamonds %d \
+           --iters %d --nesting %d --alias-mask %d --fault-rate %s --demand \
+           %s%s)@."
+          descr
           (match inject with
           | Some b -> " [injected bug: " ^ Psb_proptest.Inject.name b ^ "]"
           | None -> "")
-          seed cfg.F.trials
+          seed cfg.F.trials diamonds iters nesting alias_mask
+          (* the shortest text that parses back to the same float *)
+          (let s = Printf.sprintf "%.15g" fault_rate in
+           if float_of_string s = fault_rate then s
+           else Printf.sprintf "%.17g" fault_rate)
+          (demand_name demand)
           (match inject with
           | Some b -> " --inject " ^ Psb_proptest.Inject.name b
           | None -> "");
@@ -1295,25 +1301,28 @@ let fuzz_cmd =
   let no_shrink =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report unshrunk programs.")
   in
+  (* the shape defaults are the generator's, so a campaign seed draws
+     the same programs here as in [Fuzz.default] and the benchmark *)
+  let shape = G.default_shape in
   let diamonds =
     Arg.(
-      value & opt int 3
+      value & opt int shape.G.max_diamonds
       & info [ "diamonds" ] ~docv:"N" ~doc:"Max diamonds per loop body.")
   in
   let iters =
     Arg.(
-      value & opt int 8
+      value & opt int shape.G.max_iters
       & info [ "iters" ] ~docv:"N" ~doc:"Max loop trip count.")
   in
   let nesting =
     Arg.(
-      value & opt int 2
+      value & opt int shape.G.nesting
       & info [ "nesting" ] ~docv:"D"
           ~doc:"Loop-nesting depth (2 enables an inner counted loop).")
   in
   let alias_mask =
     Arg.(
-      value & opt int 63
+      value & opt int shape.G.alias_mask
       & info [ "alias-mask" ] ~docv:"MASK"
           ~doc:
             "Address mask for generated memory ops — smaller means denser \
@@ -1321,14 +1330,15 @@ let fuzz_cmd =
   in
   let fault_rate =
     Arg.(
-      value & opt float 0.1
+      value & opt float shape.G.fault_prob
       & info [ "fault-rate" ] ~docv:"P"
           ~doc:"Relative weight of faulting division among generated ops.")
   in
   let demand =
     Arg.(
       value
-      & opt (enum [ ("on", "on"); ("off", "off"); ("random", "random") ]) "random"
+      & opt (enum (List.map (fun d -> (demand_name d, d)) [ `On; `Off; `Random ]))
+          shape.G.demand
       & info [ "demand" ] ~docv:"MODE" ~doc:"Demand-paged memory: on, off, random.")
   in
   let json =

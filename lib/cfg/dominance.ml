@@ -3,32 +3,29 @@ open Psb_isa
 type t = {
   cfg : Cfg.t;
   dom : Label.Set.t Label.Map.t; (* block -> its dominators *)
-  pdom : Label.Set.t Label.Map.t; (* block -> its post-dominators *)
 }
 
 (* Iterative set-based dataflow: dom(b) = {b} ∪ ⋂ dom(preds b). Graphs here
    are small (tens of blocks), so the simple algorithm is the right one. *)
-let solve nodes entry_nodes preds =
+let compute cfg =
+  let nodes = Cfg.rpo cfg and entry = Cfg.entry cfg in
   let all = List.fold_left (fun s l -> Label.Set.add l s) Label.Set.empty nodes in
   let init =
     List.fold_left
       (fun m l ->
-        let s =
-          if List.exists (Label.equal l) entry_nodes then Label.Set.singleton l
-          else all
-        in
-        Label.Map.add l s m)
+        Label.Map.add l
+          (if Label.equal l entry then Label.Set.singleton l else all)
+          m)
       Label.Map.empty nodes
   in
   let step m =
     List.fold_left
       (fun (m, changed) l ->
-        if List.exists (Label.equal l) entry_nodes then (m, changed)
+        if Label.equal l entry then (m, changed)
         else
-          let ps = preds l in
           let meet =
-            match ps with
-            | [] -> Label.Set.singleton l (* unreachable in this direction *)
+            match Cfg.preds cfg l with
+            | [] -> Label.Set.singleton l
             | p :: rest ->
                 List.fold_left
                   (fun acc q -> Label.Set.inter acc (Label.Map.find q m))
@@ -43,24 +40,10 @@ let solve nodes entry_nodes preds =
     let m, changed = step m in
     if changed then fixpoint m else m
   in
-  fixpoint init
-
-let compute cfg =
-  let nodes = Cfg.rpo cfg in
-  let dom = solve nodes [ Cfg.entry cfg ] (Cfg.preds cfg) in
-  let exit_nodes = Cfg.exits cfg in
-  (* Post-dominance: run the same solver on the reversed graph, with every
-     Halt block as an entry (this is the virtual-exit construction). *)
-  let pdom = solve nodes exit_nodes (Cfg.succs cfg) in
-  { cfg; dom; pdom }
+  { cfg; dom = fixpoint init }
 
 let dominates t a b =
   match Label.Map.find_opt b t.dom with
-  | Some s -> Label.Set.mem a s
-  | None -> false
-
-let postdominates t a b =
-  match Label.Map.find_opt b t.pdom with
   | Some s -> Label.Set.mem a s
   | None -> false
 
@@ -79,8 +62,6 @@ let idom t b =
               Some cand
           | _ -> acc)
         strict None
-
-let equivalent t x y = dominates t x y && postdominates t y x
 
 let dominance_frontier t b =
   List.filter

@@ -1,10 +1,12 @@
-(** Dominators, post-dominators and control equivalence.
+(** Dominators.
 
-    The paper's region former needs dominance (the header must dominate
-    every block of a region) and the equivalence test of §3.3 footnote 2:
-    block [X] is equivalent to [Y] iff [X] dominates [Y] and [Y]
-    post-dominates [X] — an equivalent join block inherits the control
-    dependence of its equivalent block and needs no duplication. *)
+    The compiler needs dominance to find back edges (an edge whose
+    target dominates its source), hence the loop heads where region
+    growth stops, and for the backward-taken branch heuristic. The
+    equivalent blocks of §3.3 footnote 2 need no post-dominance test:
+    [Psb_compiler.Runit] merges the predicates of a join's incoming
+    paths, and complementary literals cancel, so a join equivalent to an
+    earlier block gets that block's predicate and a single copy. *)
 
 open Psb_isa
 
@@ -18,13 +20,5 @@ val dominates : t -> Label.t -> Label.t -> bool
 
 val idom : t -> Label.t -> Label.t option
 (** Immediate dominator ([None] for the entry). *)
-
-val postdominates : t -> Label.t -> Label.t -> bool
-(** [postdominates t a b]: every path from [b] to program exit passes
-    through [a]. Computed against a virtual exit joining all [Halt]
-    blocks. *)
-
-val equivalent : t -> Label.t -> Label.t -> bool
-(** [equivalent t x y]: [x] dominates [y] and [y] post-dominates [x]. *)
 
 val dominance_frontier : t -> Label.t -> Label.t list

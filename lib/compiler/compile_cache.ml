@@ -46,10 +46,10 @@ let add_machine b
 (* Bumped whenever the [Driver.compiled] representation changes shape
    (v2: pcode slots carry compiled predicate masks; v3: compiles carry
    the lowered structure-of-arrays region form; v4: compiles carry the
-   predecoded scalar form for the interpreter and ROB kernels), so a
-   process mixing library versions through a shared cache can never
-   alias keys. *)
-let format_version = 4
+   predecoded scalar form for the interpreter and ROB kernels; v5: they
+   no longer do, it moved to [Driver.analysis]), so a process mixing
+   library versions through a shared cache can never alias keys. *)
+let format_version = 5
 
 let key ~model ~machine ~single_shadow ~avoid_commit_deps ~verify ~profile
     program =

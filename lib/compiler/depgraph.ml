@@ -42,17 +42,8 @@ let may_alias a b =
    unconditional enough to be unambiguous: a write under a non-always
    predicate makes the register Top for later readers on other paths.
    (Conservative: Top may-aliases everything.) *)
-let compute_syms (u : Runit.t) =
+let compute_syms (u : Runit.t) ~defs ~nregs =
   let tbl : (int, sym array) Hashtbl.t = Hashtbl.create 64 in
-  let nregs =
-    Array.fold_left
-      (fun acc (i : Runit.uinstr) ->
-        List.fold_left
-          (fun acc r -> max acc (Reg.index r + 1))
-          acc
-          (Instr.defs i.op @ Instr.uses i.op))
-      1 u.Runit.instrs
-  in
   let cur = Array.init nregs (fun i -> Addr (Init (Reg.make i), 0)) in
   Array.iter
     (fun (i : Runit.uinstr) ->
@@ -85,7 +76,7 @@ let compute_syms (u : Runit.t) =
         (fun r ->
           cur.(Reg.index r) <-
             (if Pred.is_always i.pred then new_value else Top))
-        (Instr.defs i.op))
+        defs.(i.uid))
     u.Runit.instrs;
   fun uid r ->
     match Hashtbl.find_opt tbl uid with
@@ -122,22 +113,53 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
   in
   let setc_node c = Runit.setc_uid u c in
   let cond_edges_to dst_node pred lat =
-    Cond.Set.iter (fun c -> add_edge (setc_node c) dst_node lat) (Pred.conds pred)
+    Pred.iter_conds (fun c _ -> add_edge (setc_node c) dst_node lat) pred
+  in
+  (* Instructions are indexed by uid. Each one's registers are listed
+     once, and [compatible] (not on mutually exclusive paths) is decided
+     at most once per pair. *)
+  let defs = Array.map (fun (i : Runit.uinstr) -> Instr.defs i.op) instrs in
+  let uses = Array.map (fun (i : Runit.uinstr) -> Instr.uses i.op) instrs in
+  let nregs =
+    let top = List.fold_left (fun acc r -> max acc (Reg.index r + 1)) in
+    Array.fold_left top (Array.fold_left top 1 defs) uses
+  in
+  (* per register, in uid order: the instructions that write it, and
+     those that read or write it *)
+  let writers = Array.make nregs [] and touchers = Array.make nregs [] in
+  let push tbl i r =
+    match tbl.(Reg.index r) with
+    | i' :: _ when i' == i -> () (* the same instruction names [r] twice *)
+    | l -> tbl.(Reg.index r) <- i :: l
+  in
+  for k = ni - 1 downto 0 do
+    List.iter (push writers instrs.(k)) defs.(k);
+    List.iter (push touchers instrs.(k)) defs.(k);
+    List.iter (push touchers instrs.(k)) uses.(k)
+  done;
+  let memo = Bytes.make (ni * ni) '?' in
+  let compatible (i : Runit.uinstr) (j : Runit.uinstr) =
+    let k = (i.uid * ni) + j.uid in
+    match Bytes.get memo k with
+    | 'y' -> true
+    | 'n' -> false
+    | _ ->
+        let c = not (Pred.disjoint i.dep_pred j.dep_pred) in
+        Bytes.set memo k (if c then 'y' else 'n');
+        c
   in
   (* --- register dependences --- *)
   (* For each consumer and each used register, classify all compatible
      earlier producers. *)
   Array.iter
     (fun (j : Runit.uinstr) ->
-      let uses = List.sort_uniq Reg.compare (Instr.uses j.op) in
+      let uses = List.sort_uniq Reg.compare uses.(j.uid) in
       List.iter
         (fun r ->
           let producers =
-            Array.to_list instrs
-            |> List.filter (fun (i : Runit.uinstr) ->
-                   i.seq < j.seq
-                   && List.exists (Reg.equal r) (Instr.defs i.op)
-                   && not (Pred.disjoint i.dep_pred j.dep_pred))
+            List.filter
+              (fun (i : Runit.uinstr) -> i.seq < j.seq && compatible i j)
+              writers.(Reg.index r)
           in
           if producers <> [] then begin
             let mixed =
@@ -175,17 +197,16 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
   (* WAR / WAW / shadow serialization *)
   Array.iter
     (fun (j : Runit.uinstr) ->
-      let defs = Instr.defs j.op in
       List.iter
         (fun r ->
-          Array.iter
+          List.iter
             (fun (i : Runit.uinstr) ->
               if i.seq < j.seq then begin
-                let compatible = not (Pred.disjoint i.dep_pred j.dep_pred) in
                 (* WAR *)
-                if compatible && List.exists (Reg.equal r) (Instr.uses i.op) then
+                if List.exists (Reg.equal r) uses.(i.uid) && compatible i j then
                   add_edge i.uid j.uid 0;
-                if List.exists (Reg.equal r) (Instr.defs i.op) then begin
+                if List.exists (Reg.equal r) defs.(i.uid) then begin
+                  let compatible = compatible i j in
                   (* WAW *)
                   if compatible then add_edge i.uid j.uid 1;
                   if
@@ -211,20 +232,23 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
                       cond_edges_to j.uid i.pred (1 - lat_of j)
                 end
               end)
-            instrs)
-        defs)
+            touchers.(Reg.index r))
+        defs.(j.uid))
     instrs;
   (* --- memory and output ordering --- *)
-  let syms = compute_syms u in
+  let syms = compute_syms u ~defs ~nregs in
   let mem_ops =
-    Array.to_list instrs |> List.filter (fun i -> Instr.is_memory i.Runit.op)
+    Array.to_list instrs
+    |> List.filter_map (fun i ->
+           if Instr.is_memory i.Runit.op then Some (i, addr_sym syms i)
+           else None)
   in
   List.iter
-    (fun (j : Runit.uinstr) ->
+    (fun ((j : Runit.uinstr), sj) ->
       List.iter
-        (fun (i : Runit.uinstr) ->
-          if i.seq < j.seq && not (Pred.disjoint i.dep_pred j.dep_pred) then begin
-            let alias = may_alias (addr_sym syms i) (addr_sym syms j) in
+        (fun ((i : Runit.uinstr), si) ->
+          if i.seq < j.seq && compatible i j then begin
+            let alias = may_alias si sj in
             if alias then
               match (Instr.is_store i.op, Instr.is_store j.op) with
               | false, false -> () (* load-load *)

@@ -14,8 +14,48 @@ type compiled = {
   schedules : Sched.t Label.Map.t;
   pcode : Pcode.t option;
   lowered : Psb_machine.Lowered.t option;
+}
+
+let code_size c =
+  match c.pcode with
+  | Some code -> Pcode.num_slots code
+  | None ->
+      Label.Map.fold
+        (fun _ (u : Runit.t) acc ->
+          acc + Array.length u.Runit.instrs + Array.length u.Runit.exits)
+        c.units 0
+
+(* [=] on pcode compares representations (predicate maps are balanced
+   trees), which is exact here: compiling is deterministic, so equal
+   compiles build their maps by the same insertions. *)
+let compiled_equal a b =
+  code_size a = code_size b
+  && Label.Map.equal
+       (fun (s1 : Sched.t) (s2 : Sched.t) -> s1.Sched.issue = s2.Sched.issue)
+       a.schedules b.schedules
+  && a.pcode = b.pcode
+
+type analysis = {
+  program : Program.t;
+  cfg : Cfg.t;
+  loop_heads : Label.t list;
   decoded : Decoded.t;
 }
+
+let timed metrics pass f =
+  match metrics with
+  | None -> f ()
+  | Some m ->
+      Psb_obs.Metrics.time m "compile_pass_seconds" ~labels:[ ("pass", pass) ] f
+
+let analyze ?metrics program =
+  let cfg, loop_heads =
+    timed metrics "cfg" (fun () ->
+        let cfg = Cfg.of_program program in
+        (cfg, Loops.loop_heads cfg (Dominance.compute cfg)))
+  in
+  let decoded = timed metrics "decode" (fun () -> Decoded.of_program program) in
+  { program; cfg; loop_heads; decoded }
 
 let profile_of program ~regs ~mem =
   let result = Interp.run ~regs ~mem program in
@@ -24,20 +64,8 @@ let profile_of program ~regs ~mem =
   (result, Branch_predict.of_trace cfg trace)
 
 let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
-    ~model ~machine ~profile program =
-  let timed pass f =
-    match metrics with
-    | None -> f ()
-    | Some m ->
-        Psb_obs.Metrics.time m "compile_pass_seconds"
-          ~labels:[ ("pass", pass) ]
-          f
-  in
-  let cfg, dom = timed "cfg" (fun () ->
-      let cfg = Cfg.of_program program in
-      (cfg, Dominance.compute cfg))
-  in
-  let loop_heads = Loops.loop_heads cfg dom in
+    ~model ~machine ~profile { program; cfg; loop_heads; _ } =
+  let timed pass f = timed metrics pass f in
   let params =
     Runit.default_params ~scope:model.Model.scope
       ~max_conds:machine.Machine_model.ccr_size
@@ -96,9 +124,6 @@ let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
         timed "lower" (fun () -> Psb_machine.Lowered.compile ~machine code))
       pcode
   in
-  (* Predecode the scalar source for the baseline interpreter and the ROB
-     rival, for the same reason: every cache hit skips the decode. *)
-  let decoded = timed "decode" (fun () -> Decoded.of_program program) in
   (match metrics with
   | None -> ()
   | Some m ->
@@ -115,13 +140,21 @@ let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
               (float_of_int (Array.length s.Sched.issue)
               /. float_of_int s.Sched.length))
         schedules);
-  { model; machine; units; schedules; pcode; lowered; decoded }
+  { model; machine; units; schedules; pcode; lowered }
 
-let compile ?metrics ?cache ?(single_shadow = true) ?(avoid_commit_deps = false)
-    ?(verify = true) ~model ~machine ~profile program =
+let compile ?metrics ?cache ?analysis ?(single_shadow = true)
+    ?(avoid_commit_deps = false) ?(verify = true) ~model ~machine ~profile
+    program =
+  (match analysis with
+  | Some a when a.program != program ->
+      invalid_arg "Driver.compile: analysis built from a different program"
+  | _ -> ());
   let build () =
+    let analysis =
+      match analysis with Some a -> a | None -> analyze ?metrics program
+    in
     compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify ~model
-      ~machine ~profile program
+      ~machine ~profile analysis
   in
   match cache with
   | None -> build ()
@@ -146,12 +179,3 @@ let run_vliw ?regfile_mode ?exec_kernel ?on_event ?events ?metrics c ~regs ~mem
   | Some code ->
       Vliw_sim.run ?regfile_mode ?exec_kernel ?lowered:c.lowered
         ?on_event ?events ?metrics ~model:c.machine ~regs ~mem code
-
-let code_size c =
-  match c.pcode with
-  | Some code -> Pcode.num_slots code
-  | None ->
-      Label.Map.fold
-        (fun _ (u : Runit.t) acc ->
-          acc + Array.length u.Runit.instrs + Array.length u.Runit.exits)
-        c.units 0

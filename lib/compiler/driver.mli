@@ -6,6 +6,7 @@ module Machine_model = Psb_machine.Machine_model
 module Pcode = Psb_machine.Pcode
 module Vliw_sim = Psb_machine.Vliw_sim
 module Branch_predict = Psb_cfg.Branch_predict
+module Cfg = Psb_cfg.Cfg
 
 type compiled = {
   model : Model.t;
@@ -18,15 +19,28 @@ type compiled = {
           built once per compile (and so shared by every cache hit). Always
           corresponds to [pcode] exactly — a caller substituting a different
           pcode (e.g. injecting a miscompile) must drop this field. *)
-  decoded : Decoded.t;
-      (** The scalar source predecoded to the flat form the interpreter
-          (by default) and the ROB walk ({!Psb_isa.Decoded}), built
-          once per compile. Its [source] is the exact program value this
-          compile saw; on a cache hit under a structurally-equal but
-          physically-distinct program, run against
-          [decoded.Decoded.source] (the stale-form check is physical,
-          like the lowered form's). *)
 }
+
+val compiled_equal : compiled -> compiled -> bool
+(** Structural equality of two compiles: the same per-region issue
+    cycles, the same {!code_size}, and [=] on the pcode. No printing. *)
+
+(** What every compile of one program shares, whatever the model,
+    machine or profile. *)
+type analysis = private {
+  program : Program.t;  (** the program analysed, compared physically *)
+  cfg : Cfg.t;
+  loop_heads : Label.t list;
+  decoded : Decoded.t;
+      (** the program predecoded to the flat form the interpreter (by
+          default) and the ROB walk ({!Psb_isa.Decoded}); compiles do
+          not read it *)
+}
+
+val analyze : ?metrics:Psb_obs.Metrics.t -> Program.t -> analysis
+(** Build the CFG, its loop heads (through dominance) and the decoded
+    form. [metrics] times the first three as the [cfg] pass and the
+    decode as the [decode] pass, under the labels {!compile} uses. *)
 
 val profile_of : Program.t -> regs:(Reg.t * int) list -> mem:Memory.t ->
   Psb_isa.Interp.result * Branch_predict.t
@@ -36,6 +50,7 @@ val profile_of : Program.t -> regs:(Reg.t * int) list -> mem:Memory.t ->
 val compile :
   ?metrics:Psb_obs.Metrics.t ->
   ?cache:compiled Compile_cache.t ->
+  ?analysis:analysis ->
   ?single_shadow:bool ->
   ?avoid_commit_deps:bool ->
   ?verify:bool ->
@@ -44,7 +59,9 @@ val compile :
   profile:Branch_predict.t ->
   Program.t ->
   compiled
-(** @raise Failure if any unit schedule fails validation, or — for
+(** @raise Invalid_argument if [analysis] was built from another
+    program value (physical equality, as {!Psb_isa.Decoded.check_source}).
+    @raise Failure if any unit schedule fails validation, or — for
     executable models, unless [verify:false] — if the emitted predicated
     code fails the static speculation-safety verifier
     ({!Psb_verify.Verify}; the failure message embeds the full
@@ -64,6 +81,10 @@ val compile :
     repository benchmark reads [decode] (and the others) by name as
     [compiler.pass.<pass>_share], so renaming or dropping one fails its
     smoke check.
+
+    [analysis] lets the compiles of one program share its {!analyze}
+    result; without it, a compile that misses the cache (or has none)
+    runs {!analyze} itself, timing [cfg] and [decode] as above.
 
     [cache] short-circuits the whole pipeline on a content hit (see
     {!Compile_cache} for the key derivation); on a hit no passes run,

@@ -3,7 +3,8 @@ type t = {
   edge_counts : (Label.t * Label.t, int) Hashtbl.t;
   (* Per dynamic branch, in execution order: (branch block, went-to-if_true). *)
   branch_stream : (Label.t * bool) array;
-  predictions : (Label.t, bool) Hashtbl.t;
+  (* Per branch block: (taken, not taken) over [branch_stream]. *)
+  taken_counts : (Label.t, int * int) Hashtbl.t;
 }
 
 let bump tbl key =
@@ -33,13 +34,11 @@ let of_blocks program blocks =
         walk rest
   in
   walk blocks;
-  let predictions = Hashtbl.create 64 in
-  Hashtbl.iter (fun l (t, n) -> Hashtbl.replace predictions l (t >= n)) taken_counts;
   {
     block_counts;
     edge_counts;
     branch_stream = Array.of_list (List.rev !stream_rev);
-    predictions;
+    taken_counts;
   }
 
 let of_result program (r : Interp.result) = of_blocks program r.Interp.block_trace
@@ -64,17 +63,14 @@ let hot_blocks ?limit t =
 let dynamic_branches t = Array.length t.branch_stream
 
 let taken_fraction t l =
-  let total = ref 0 and taken = ref 0 in
-  Array.iter
-    (fun (b, tk) ->
-      if Label.equal b l then begin
-        incr total;
-        if tk then incr taken
-      end)
-    t.branch_stream;
-  if !total = 0 then None else Some (float_of_int !taken /. float_of_int !total)
+  Option.map
+    (fun (tk, n) -> float_of_int tk /. float_of_int (tk + n))
+    (Hashtbl.find_opt t.taken_counts l)
 
-let predict t l = Option.value (Hashtbl.find_opt t.predictions l) ~default:true
+let predict t l =
+  match Hashtbl.find_opt t.taken_counts l with
+  | Some (tk, n) -> tk >= n
+  | None -> true
 
 let correctness t =
   Array.map (fun (b, taken) -> predict t b = taken) t.branch_stream

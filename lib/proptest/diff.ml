@@ -54,17 +54,6 @@ let pp_out l = String.concat "," (List.map string_of_int l)
 let executable_models =
   List.filter (fun (m : Model.t) -> m.Model.executable) Model.all
 
-let compiled_equal (a : Driver.compiled) (b : Driver.compiled) =
-  Driver.code_size a = Driver.code_size b
-  && Label.Map.equal
-       (fun (s1 : Sched.t) (s2 : Sched.t) -> s1.Sched.issue = s2.Sched.issue)
-       a.Driver.schedules b.Driver.schedules
-  && Option.equal
-       (fun c1 c2 ->
-         Format.asprintf "%a" Psb_machine.Pcode.pp c1
-         = Format.asprintf "%a" Psb_machine.Pcode.pp c2)
-       a.Driver.pcode b.Driver.pcode
-
 (* the out-of-order ROB backend must be architecturally
    byte-identical to the interpreter — outcome (same fatal fault),
    output, final registers, final memory and the handled-fault count;
@@ -144,27 +133,28 @@ let run_vliw ?exec_kernel (compiled : Driver.compiled) ~mem =
       Vliw_sim.run ~fuel:vliw_fuel ?exec_kernel ~model:compiled.Driver.machine
         ~regs:Gen.regs ~mem pcode
 
-(* compile, verify, run and kernel identity, once per executable model *)
-let check_model ?inject (g : Gen.t) (scalar : Interp.result) scalar_mem profile
-    (model : Model.t) =
+(* compile, verify, run and kernel identity, once per executable model;
+   returns the compile, before any injection *)
+let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
+    scalar_mem profile (model : Model.t) =
   let m = model.Model.name in
   let stage s = m ^ "/" ^ s in
-  let compiled =
+  let built =
     staged (stage "compile") (fun () ->
-        Driver.compile ~verify:false ~model ~machine:Machine_model.base ~profile
-          g.Gen.program)
+        Driver.compile ?cache ~analysis ~verify:false ~model
+          ~machine:Machine_model.base ~profile g.Gen.program)
   in
   let compiled =
-    match (inject, compiled.Driver.pcode) with
+    match (inject, built.Driver.pcode) with
     | Some bug, Some pcode ->
         (* the cached lowering describes the uninjected pcode; keeping it
            would mask the very miscompile we just planted *)
         {
-          compiled with
+          built with
           Driver.pcode = Some (Inject.apply bug pcode);
           Driver.lowered = None;
         }
-    | _ -> compiled
+    | _ -> built
   in
   (* verify-then-run: the static verifier must accept what we are about
      to execute (on injected code, a rejection here is the bug being
@@ -223,32 +213,35 @@ let check_model ?inject (g : Gen.t) (scalar : Interp.result) scalar_mem profile
         fail (stage "lowered-vs-tree")
           "lowered %d cycles / %a, tree %d cycles / %a" vliw.Vliw_sim.cycles
           Interp.pp_outcome vliw.Vliw_sim.outcome tree.Vliw_sim.cycles
-          Interp.pp_outcome tree.Vliw_sim.outcome)
+          Interp.pp_outcome tree.Vliw_sim.outcome);
+  built
 
-(* cache hit = cold compile, on the flagship model (the cache
-   key covers model/machine/options, so one model suffices per program) *)
-let check_cache (g : Gen.t) profile =
+(* The flagship model's compile went through the trial's cache (its key
+   covers model, machine and options, so one model suffices per
+   program): the same lookup must hit it, and it must equal one
+   independent cold compile that shares neither the analysis nor the
+   cache. *)
+let check_cache (g : Gen.t) ~analysis ~cache profile (cached : Driver.compiled)
+    =
   staged "cache" (fun () ->
-      let model = Model.region_pred and machine = Machine_model.base in
-      let cache = Compile_cache.create () in
-      let via_cache () =
-        Driver.compile ~cache ~model ~machine ~profile g.Gen.program
+      let compile ?cache ?analysis () =
+        Driver.compile ?cache ?analysis ~verify:false ~model:Model.region_pred
+          ~machine:Machine_model.base ~profile g.Gen.program
       in
-      let first = via_cache () in
-      let second = via_cache () in
-      let fresh = Driver.compile ~model ~machine ~profile g.Gen.program in
-      if not (second == first) then
-        fail "cache" "second lookup recompiled instead of hitting";
-      if not (compiled_equal first fresh) then
-        fail "cache" "cache hit differs structurally from cold compile")
+      if not (compile ~cache ~analysis () == cached) then
+        fail "cache" "lookup recompiled instead of hitting";
+      if not (Driver.compiled_equal cached (compile ())) then
+        fail "cache" "cached compile differs structurally from a cold compile")
 
 let check ?inject ?times (g : Gen.t) =
   try
-    (* decode once; every scalar and ROB stage below reuses the form *)
-    let decoded =
+    (* analyse once; every scalar and ROB stage below reuses the decoded
+       form, and every compile the CFG and loop heads *)
+    let analysis =
       timed times "decode" (fun () ->
-          staged "decode" (fun () -> Decoded.of_program g.Gen.program))
+          staged "decode" (fun () -> Driver.analyze g.Gen.program))
     in
+    let decoded = analysis.Driver.decoded in
     let scalar_mem = Gen.make_mem g in
     let scalar =
       timed times "interp" (fun () ->
@@ -267,13 +260,27 @@ let check ?inject ?times (g : Gen.t) =
                   (Driver.profile_of g.Gen.program ~regs:Gen.regs
                      ~mem:(Gen.make_mem g))))
       in
-      timed times "models" (fun () ->
-          List.iter
-            (check_model ?inject g scalar scalar_mem profile)
-            executable_models);
-      (match inject with
-      | None -> timed times "cache" (fun () -> check_cache g profile)
-      | Some _ -> ());
+      let cache = Compile_cache.create () in
+      (* only the flagship's compile outlives its own checks: holding
+         every model's until the cache stage raises peak memory *)
+      let flagship =
+        timed times "models" (fun () ->
+            List.fold_left
+              (fun kept (model : Model.t) ->
+                let flagship = model == Model.region_pred in
+                let compiled =
+                  check_model ?inject
+                    ?cache:(if flagship then Some cache else None)
+                    ~analysis g scalar scalar_mem profile model
+                in
+                if flagship then Some compiled else kept)
+              None executable_models)
+      in
+      (match (inject, flagship) with
+      | None, Some cached ->
+          timed times "cache" (fun () ->
+              check_cache g ~analysis ~cache profile cached)
+      | _ -> ());
       Ok ()
     end
   with Failed f -> Error f

@@ -1,9 +1,12 @@
 (** Whole-pipeline differential driver.
 
     One generated program, every stage boundary checked. The program is
-    predecoded once ({!Psb_isa.Decoded.of_program}) and the flat form is
-    shared by every scalar and ROB stage below. The reference is the
-    interpreter ({!Psb_isa.Interp}) on its default decoded kernel:
+    analysed once ({!Psb_compiler.Driver.analyze}): its decoded form is
+    shared by every scalar and ROB stage below, and its CFG and loop
+    heads by every compile. A trial runs five cold compiles: one per
+    executable model (four), plus one independent compile in the cache
+    stage. The reference is the interpreter ({!Psb_isa.Interp}) on its
+    default decoded kernel:
 
     + the decoded interpreter kernel against the tree-walking one —
       outcome, output, cycles, dynamic instructions, block trace, final
@@ -22,8 +25,13 @@
       structure-of-arrays kernel ({!Psb_machine.Lowered}): the same
       result record, final registers, stats and cycle breakdown
       included;
-    + compile-cache hit against cold compile, structurally equal
-      (flagship model only — the cache key covers the rest).
+    + the compile cache, on the flagship model only (the key covers
+      the rest): its compile goes through a per-trial cache, a second
+      lookup must return that very value, and one independent cold
+      compile, with neither the shared analysis nor the cache, must
+      equal it structurally ({!Psb_compiler.Driver.compiled_equal}).
+      Both compile unverified, like the model stage, whose [verify]
+      stage has already accepted exactly this code.
 
     The first failing stage is reported; an exception anywhere in the
     pipeline (e.g. the machine's [Machine_error] on injected code) is a
@@ -50,8 +58,8 @@ val check :
     and run stages — a healthy harness must then return [Error].
 
     [times] accumulates coarse per-stage wall-clock seconds into the
-    given table (buckets: [decode], [interp], [scalar] (the
-    [scalar-decoded-vs-tree] stage), [rob], [profile], [models],
-    [cache]) — the fuzz driver sums these across
+    given table (buckets: [decode] (the whole analysis), [interp],
+    [scalar] (the [scalar-decoded-vs-tree] stage), [rob], [profile],
+    [models], [cache]) — the fuzz driver sums these across
     trials for its throughput report. The table must not be shared
     between domains; give each trial its own and merge. *)

@@ -1,5 +1,5 @@
-(* Tests of the CFG layer: graph construction, dominance / post-dominance /
-   equivalence, liveness, loops, branch prediction. *)
+(* Tests of the CFG layer: graph construction, dominance, liveness, loops,
+   branch prediction. *)
 
 open Psb_isa
 open Psb_cfg
@@ -64,19 +64,6 @@ let test_dominance () =
   check_bool "idom of join is head" true
     (Dominance.idom dom (lbl "join") = Some (lbl "head"))
 
-let test_postdominance () =
-  check_bool "exit pdom head" true
-    (Dominance.postdominates dom (lbl "exit") (lbl "head"));
-  check_bool "join pdom then" true
-    (Dominance.postdominates dom (lbl "join") (lbl "then"));
-  check_bool "then not pdom head" false
-    (Dominance.postdominates dom (lbl "then") (lbl "head"));
-  (* §3.3 footnote 2: head and join are equivalent *)
-  check_bool "head equivalent join" true
-    (Dominance.equivalent dom (lbl "head") (lbl "join"));
-  check_bool "head not equivalent then" false
-    (Dominance.equivalent dom (lbl "head") (lbl "then"))
-
 let test_liveness () =
   let live = Liveness.compute cfg in
   (* r1 and r2 are live around the loop; r9 live from entry to join. *)
@@ -128,6 +115,39 @@ let test_branch_predict_heuristic () =
   (* join -> head is a backedge: predicted taken. *)
   check_bool "backedge predicted" true (Branch_predict.predict bp (lbl "join"))
 
+(* The profile's per-branch counts against a recount over the
+   interpreter's block trace: the fraction of a branch block's
+   successors that are its [if_true] target. *)
+let prop_taken_fraction_recount =
+  QCheck.Test.make ~name:"taken fraction = block-trace recount" ~count:60
+    Gen_programs.arb_program (fun g ->
+      let program = g.Gen_programs.program in
+      let res =
+        Interp.run ~regs:Gen_programs.regs ~mem:(Gen_programs.make_mem g)
+          program
+      in
+      let trace = Trace.of_result program res in
+      let recount l =
+        let rec go taken total = function
+          | b1 :: (b2 :: _ as rest) ->
+              let taken, total =
+                match (Program.find program b1).Program.term with
+                | Instr.Br { if_true; _ } when Label.equal b1 l ->
+                    ((if Label.equal b2 if_true then taken + 1 else taken), total + 1)
+                | _ -> (taken, total)
+              in
+              go taken total rest
+          | [ _ ] | [] ->
+              if total = 0 then None
+              else Some (float_of_int taken /. float_of_int total)
+        in
+        go 0 0 res.Interp.block_trace
+      in
+      List.for_all
+        (fun (b : Program.block) ->
+          Trace.taken_fraction trace b.Program.label = recount b.Program.label)
+        program.Program.blocks)
+
 let () =
   Alcotest.run "cfg"
     [
@@ -136,7 +156,6 @@ let () =
       ( "dominance",
         [
           Alcotest.test_case "dominators" `Quick test_dominance;
-          Alcotest.test_case "post-dominators" `Quick test_postdominance;
         ] );
       ( "liveness",
         [
@@ -148,5 +167,6 @@ let () =
         [
           Alcotest.test_case "profile" `Quick test_branch_predict_profile;
           Alcotest.test_case "heuristic" `Quick test_branch_predict_heuristic;
+          Qc.to_alcotest prop_taken_fraction_recount;
         ] );
     ]

@@ -181,29 +181,19 @@ let profile_of g =
   in
   profile
 
-(* Structural equality of compiled results: same schedules (per-label
-   issue cycles), same static size, same predicated code text. *)
-let compiled_equal (a : Driver.compiled) (b : Driver.compiled) =
-  Driver.code_size a = Driver.code_size b
-  && Label.Map.equal
-       (fun (s1 : Sched.t) (s2 : Sched.t) -> s1.Sched.issue = s2.Sched.issue)
-       a.Driver.schedules b.Driver.schedules
-  && Option.equal
-       (fun c1 c2 ->
-         Format.asprintf "%a" Psb_machine.Pcode.pp c1
-         = Format.asprintf "%a" Psb_machine.Pcode.pp c2)
-       a.Driver.pcode b.Driver.pcode
-
 let prop_cache_hit_equals_fresh =
   QCheck.Test.make ~name:"cache hit = fresh compile (structurally)" ~count:40
     Gen_programs.arb_program (fun g ->
       let program = g.Gen_programs.program in
       let profile = profile_of g in
       let cache = Compile_cache.create () in
+      (* every model's cached compile shares one analysis; [fresh] builds
+         its own *)
+      let analysis = Driver.analyze program in
       List.for_all
         (fun model ->
           let via_cache () =
-            Driver.compile ~cache ~model ~machine ~profile program
+            Driver.compile ~cache ~analysis ~model ~machine ~profile program
           in
           let first = via_cache () in
           let second = via_cache () in
@@ -211,7 +201,7 @@ let prop_cache_hit_equals_fresh =
           (* the hit returns the cached value itself... *)
           second == first
           (* ...and that value is indistinguishable from recompiling *)
-          && compiled_equal first fresh)
+          && Driver.compiled_equal first fresh)
         Model.all
       && (Compile_cache.stats cache).Compile_cache.hits
          = List.length Model.all)
@@ -283,6 +273,23 @@ let prop_cache_verify_flag_regression =
       in
       k true <> k false)
 
+(* An analysis serves only the program value it was built from: a
+   structurally equal copy is another program. *)
+let test_foreign_analysis_rejected () =
+  let open Psb_workloads in
+  let w = Suite.find "fib" in
+  let program = w.Dsl.program in
+  let _, profile =
+    Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+  in
+  let copy = Program.make ~entry:program.Program.entry program.Program.blocks in
+  let analysis = Driver.analyze copy in
+  match
+    Driver.compile ~analysis ~model:Model.region_pred ~machine ~profile program
+  with
+  | _ -> Alcotest.fail "compile accepted an analysis of another program"
+  | exception Invalid_argument _ -> ()
+
 (* Every machine field keys the cache: bumping any single one moves the
    key, so a hit never carries another caller's machine. *)
 let test_cache_key_every_machine_field () =
@@ -348,5 +355,7 @@ let () =
         @ [
             Alcotest.test_case "every machine field keys apart" `Quick
               test_cache_key_every_machine_field;
+            Alcotest.test_case "foreign analysis rejected" `Quick
+              test_foreign_analysis_rejected;
           ] );
     ]
