@@ -119,9 +119,9 @@ module Pred_bench = struct
     let open Bechamel in
     let t name f = Test.make ~name (Staged.stage f) in
     let rf_tick ~dirty () =
-      ignore (Regfile.tick ~dirty (Lazy.force rf) (Lazy.force ccr))
+      Regfile.tick ~dirty (Lazy.force rf) (Lazy.force ccr)
     and sb_tick ~dirty () =
-      ignore (Store_buffer.tick ~dirty (Lazy.force sb) (Lazy.force ccr))
+      Store_buffer.tick ~dirty (Lazy.force sb) (Lazy.force ccr)
     in
     let cp = lazy (Pred.compile (pred 0)) in
     Test.make_grouped ~name:"pred_kernel"
@@ -184,12 +184,9 @@ module Events_bench = struct
     let open Bechamel in
     let t name f = Test.make ~name (Staged.stage f) in
     let tick_rf rf () =
-      ignore
-        (Regfile.tick ~dirty:(-1) (Lazy.force rf) (Lazy.force Pred_bench.ccr))
+      Regfile.tick ~dirty:(-1) (Lazy.force rf) (Lazy.force Pred_bench.ccr)
     and tick_sb sb () =
-      ignore
-        (Store_buffer.tick ~dirty:(-1) (Lazy.force sb)
-           (Lazy.force Pred_bench.ccr))
+      Store_buffer.tick ~dirty:(-1) (Lazy.force sb) (Lazy.force Pred_bench.ccr)
     in
     Test.make_grouped ~name:"events"
       [

@@ -47,9 +47,10 @@ let add_machine b
    (v2: pcode slots carry compiled predicate masks; v3: compiles carry
    the lowered structure-of-arrays region form; v4: compiles carry the
    predecoded scalar form for the interpreter and ROB kernels; v5: they
-   no longer do, it moved to [Driver.analysis]), so a process mixing
-   library versions through a shared cache can never alias keys. *)
-let format_version = 5
+   no longer do, it moved to [Driver.analysis]; v6: the lowered form
+   lost its per-slot source predicates), so a process mixing library
+   versions through a shared cache can never alias keys. *)
+let format_version = 6
 
 let key ~model ~machine ~single_shadow ~avoid_commit_deps ~verify ~profile
     program =

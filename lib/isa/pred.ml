@@ -142,6 +142,24 @@ let compile p =
     }
   end
 
+(* Relations on compiled predicates: mask tests when both sides fit one
+   word, the literal maps otherwise. *)
+let narrow p q = p.c_wide = None && q.c_wide = None
+
+let disjoint_c p q =
+  if narrow p q then p.c_mask land q.c_mask land (p.c_want lxor q.c_want) <> 0
+  else disjoint p.c_source q.c_source
+
+let implies_c p q =
+  if narrow p q then
+    q.c_mask land p.c_mask = q.c_mask
+    && (p.c_want lxor q.c_want) land q.c_mask = 0
+  else implies p.c_source q.c_source
+
+let equal_c p q =
+  if narrow p q then p.c_mask = q.c_mask && p.c_want = q.c_want
+  else equal p.c_source q.c_source
+
 let compiled_always = compile always
 let source cp = cp.c_source
 

@@ -112,6 +112,15 @@ type compiled = private {
 
 val compile : t -> compiled
 
+val disjoint_c : compiled -> compiled -> bool
+val implies_c : compiled -> compiled -> bool
+val equal_c : compiled -> compiled -> bool
+(** {!disjoint}, {!implies} and {!equal} of the source predicates,
+    computed on the masks: disjoint is
+    [(m1 land m2) land (w1 lxor w2) <> 0], implication and equality are
+    mask tests of the same kind. Predicates reaching past [word_bits]
+    conditions fall back to the literal maps. *)
+
 val compiled_always : compiled
 (** [compile always], shared. *)
 

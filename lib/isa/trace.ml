@@ -7,39 +7,99 @@ type t = {
   taken_counts : (Label.t, int * int) Hashtbl.t;
 }
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
-
+(* Counting works on block indices: each dynamic label is looked up once
+   in a table built from the program, blocks, branch directions and
+   static successor edges are counted in int arrays, and the label-keyed
+   tables are filled once at the end. Only a pair that is not a static
+   successor edge (possible only in a hand-made list) goes straight into
+   the label-keyed edge table. *)
 let of_blocks program blocks =
+  let bs = Array.of_list program.Program.blocks in
+  let n = Array.length bs in
+  let index = Hashtbl.create (2 * n) in
+  Array.iteri (fun i b -> Hashtbl.replace index b.Program.label i) bs;
+  let lookup l = match Hashtbl.find index l with i -> i | exception Not_found -> -1 in
+  let succs =
+    Array.map
+      (fun b -> Array.of_list (List.map (Hashtbl.find index) (Program.successors b)))
+      bs
+  in
+  let if_true =
+    Array.map
+      (fun b ->
+        match b.Program.term with
+        | Instr.Br { if_true; _ } -> Hashtbl.find index if_true
+        | Instr.Jmp _ | Instr.Halt -> -1)
+      bs
+  in
+  let counts = Array.make n 0 in
+  let edges = Array.map (fun s -> Array.make (Array.length s) 0) succs in
+  let taken = Array.make n 0 and not_taken = Array.make n 0 in
   let block_counts = Hashtbl.create 64 in
   let edge_counts = Hashtbl.create 64 in
-  let stream_rev = ref [] in
-  let taken_counts = Hashtbl.create 64 in
-  let rec walk = function
-    | [] -> ()
-    | [ last ] -> bump block_counts last
-    | b1 :: (b2 :: _ as rest) ->
-        bump block_counts b1;
-        bump edge_counts (b1, b2);
-        (match (Program.find program b1).Program.term with
-        | Instr.Br { if_true; _ } ->
-            let taken = Label.equal b2 if_true in
-            stream_rev := (b1, taken) :: !stream_rev;
-            let t, n =
-              Option.value (Hashtbl.find_opt taken_counts b1) ~default:(0, 0)
-            in
-            Hashtbl.replace taken_counts b1
-              (if taken then (t + 1, n) else (t, n + 1))
-        | Instr.Jmp _ | Instr.Halt -> ());
-        walk rest
+  (* the block index of every dynamic label, for the branch stream *)
+  let idx = Array.make (List.length blocks) (-1) in
+  (* [l], at position [k] and block index [i], is followed by the rest *)
+  let rec walk k i l = function
+    | [] ->
+        if i >= 0 then counts.(i) <- counts.(i) + 1
+        else Hashtbl.replace block_counts l 1
+    | l' :: rest ->
+        (* a label missing from the program has no terminator to
+           consult: only the last block of the list may be one *)
+        if i < 0 then raise Not_found;
+        let j = lookup l' in
+        idx.(k + 1) <- j;
+        counts.(i) <- counts.(i) + 1;
+        let s = succs.(i) in
+        let p = ref 0 in
+        while !p < Array.length s && s.(!p) <> j do
+          incr p
+        done;
+        if !p < Array.length s then edges.(i).(!p) <- edges.(i).(!p) + 1
+        else
+          Hashtbl.replace edge_counts (l, l')
+            (1 + Option.value (Hashtbl.find_opt edge_counts (l, l')) ~default:0);
+        if if_true.(i) >= 0 then
+          if j = if_true.(i) then taken.(i) <- taken.(i) + 1
+          else not_taken.(i) <- not_taken.(i) + 1;
+        walk (k + 1) j l' rest
   in
-  walk blocks;
-  {
-    block_counts;
-    edge_counts;
-    branch_stream = Array.of_list (List.rev !stream_rev);
-    taken_counts;
-  }
+  (match blocks with
+  | [] -> ()
+  | l :: rest ->
+      let i = lookup l in
+      idx.(0) <- i;
+      walk 0 i l rest);
+  (* the branch stream shares one (label, direction) pair per branch
+     block and direction *)
+  let dir_true = Array.map (fun b -> (b.Program.label, true)) bs in
+  let dir_false = Array.map (fun b -> (b.Program.label, false)) bs in
+  let nbranches = Array.fold_left ( + ) 0 taken + Array.fold_left ( + ) 0 not_taken in
+  let branch_stream = Array.make nbranches (program.Program.entry, false) in
+  let b = ref 0 in
+  for k = 0 to Array.length idx - 2 do
+    let i = idx.(k) in
+    if if_true.(i) >= 0 then begin
+      branch_stream.(!b) <-
+        (if idx.(k + 1) = if_true.(i) then dir_true.(i) else dir_false.(i));
+      incr b
+    end
+  done;
+  let taken_counts = Hashtbl.create 64 in
+  Array.iteri
+    (fun i b ->
+      let l = b.Program.label in
+      if counts.(i) > 0 then Hashtbl.replace block_counts l counts.(i);
+      Array.iteri
+        (fun p j ->
+          if edges.(i).(p) > 0 then
+            Hashtbl.replace edge_counts (l, bs.(j).Program.label) edges.(i).(p))
+        succs.(i);
+      if taken.(i) + not_taken.(i) > 0 then
+        Hashtbl.replace taken_counts l (taken.(i), not_taken.(i)))
+    bs;
+  { block_counts; edge_counts; branch_stream; taken_counts }
 
 let of_result program (r : Interp.result) = of_blocks program r.Interp.block_trace
 

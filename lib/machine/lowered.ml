@@ -10,7 +10,6 @@ type region = {
   has_store : bool array;
   op_kind : kind array;
   op_cpred : Pred.compiled array;
-  op_pred : Pred.t array;
   op_lat : int array;
   op_dst : int array;
   op_aux : int array;
@@ -59,7 +58,6 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
   let has_store = Array.make nbundles false in
   let op_kind = Array.make nops Knop in
   let op_cpred = Array.make nops Pred.compiled_always in
-  let op_pred = Array.make nops Pred.always in
   let op_lat = Array.make nops 0 in
   let op_dst = Array.make nops (-1) in
   let op_aux = Array.make nops 0 in
@@ -103,7 +101,6 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
               in
               op_src.(i) <- pi;
               op_cpred.(i) <- pi.Pcode.cpred;
-              op_pred.(i) <- pi.Pcode.pred;
               op_lat.(i) <- Machine_model.latency machine pi.Pcode.op;
               (match pi.Pcode.op with
               | Instr.Nop -> op_kind.(i) <- Knop
@@ -167,7 +164,6 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
     has_store;
     op_kind;
     op_cpred;
-    op_pred;
     op_lat;
     op_dst;
     op_aux;

@@ -16,9 +16,10 @@
     - preresolved operand descriptors: register index or immediate, with
       the shadow-source membership test ([.s] sourcing, §3.5) folded
       into a per-operand flag;
-    - the {!Psb_isa.Pred.compiled} mask (shared with the tree form — the
-      same physical comparator the predicate kernel evaluates) and the
-      source predicate per slot;
+    - the {!Psb_isa.Pred.compiled} mask per slot (shared with the tree
+      form — the same physical comparator the predicate kernel
+      evaluates, and what shadow reads and store-buffer forwarding
+      compare);
     - the issue latency from {!Machine_model.latency}, resolved at
       lowering time;
     - exit targets preresolved to region {e indices}, so a region
@@ -48,7 +49,6 @@ type region = {
           structural-hazard test, precomputed) *)
   op_kind : kind array;
   op_cpred : Pred.compiled array;  (** compiled predicate per operation *)
-  op_pred : Pred.t array;  (** its source form (shadow reads, events) *)
   op_lat : int array;  (** {!Machine_model.latency}, preresolved *)
   op_dst : int array;  (** destination register index; [-1] if none *)
   op_aux : int array;

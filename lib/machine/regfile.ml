@@ -9,11 +9,18 @@ type version = {
   seqno : int; (* issue order, newest wins on reads *)
 }
 
+(* A register's buffered speculative state. The Single model keeps its
+   one version in [single] ([none] when empty), so a buffered write costs
+   one record; the Infinite model keeps [versions], newest first. *)
 type entry = {
   mutable seq : int;
   mutable written : bool;
-  mutable versions : version list; (* valid speculative versions, newest first *)
+  mutable single : version;
+  mutable versions : version list;
 }
+
+let none =
+  { value = 0; cpred = Pred.compiled_always; fault = None; seqno = -1 }
 
 type t = {
   mode : mode;
@@ -25,11 +32,14 @@ type t = {
   mutable commits : int;
   mutable squashes : int;
   mutable next_seqno : int;
-  (* live-state tracking: [live] buffered versions in total (the tick
-     returns immediately when none exist), [faults] of them carrying a
-     buffered exception (detection walks nothing when zero). *)
+  (* live-state tracking: [live] buffered versions in total (the tick and
+     invalidation return immediately when none exist), [faults] of them
+     carrying a buffered exception (detection walks nothing when zero). *)
   mutable live : int;
   mutable faults : int;
+  (* registers [lo .. hi] hold every live version; empty when live = 0 *)
+  mutable lo : int;
+  mutable hi : int;
   (* tick accounting for lib/obs *)
   mutable tick_examined : int;
   mutable tick_skipped : int;
@@ -42,7 +52,7 @@ let create ?(mode = Single) ?events ~nregs () =
     now = 0;
     entries =
       Array.init (max nregs 1) (fun _ ->
-          { seq = 0; written = false; versions = [] });
+          { seq = 0; written = false; single = none; versions = [] });
     conflicts = 0;
     spec_writes = 0;
     commits = 0;
@@ -50,6 +60,8 @@ let create ?(mode = Single) ?events ~nregs () =
     next_seqno = 0;
     live = 0;
     faults = 0;
+    lo = max_int;
+    hi = -1;
     tick_examined = 0;
     tick_skipped = 0;
   }
@@ -65,25 +77,25 @@ let ev t kind a b =
 let entry t r = t.entries.(Reg.index r)
 let read_seq t r = (entry t r).seq
 
-let vpred v = Pred.source v.cpred
+(* The speculative version a reader with predicate [cpred] should see:
+   the newest version whose predicate is not on a mutually-exclusive
+   path, or [none]. In the Single model there is at most one version. *)
+let rec pick_version vs cpred =
+  match vs with
+  | [] -> none
+  | v :: rest -> if Pred.disjoint_c v.cpred cpred then pick_version rest cpred else v
 
-(* Pick the speculative version a reader with predicate [pred] should see:
-   the newest version whose predicate is not on a mutually-exclusive path.
-   In the Single model there is at most one version. *)
-let pick_version e ~pred =
-  List.find_opt (fun v -> not (Pred.disjoint (vpred v) pred)) e.versions
+let pick e cpred =
+  let v = e.single in
+  if v != none then if Pred.disjoint_c v.cpred cpred then none else v
+  else pick_version e.versions cpred
 
-let read t r ~shadow ~pred =
+let read t r ~shadow ~cpred =
   let e = entry t r in
   if shadow then
-    match pick_version e ~pred with Some v -> v.value | None -> e.seq
+    let v = pick e cpred in
+    if v != none then v.value else e.seq
   else e.seq
-
-let read_fault t r ~shadow ~pred =
-  let e = entry t r in
-  if shadow then
-    match pick_version e ~pred with Some v -> v.fault | None -> None
-  else None
 
 let write_seq t r v =
   let e = entry t r in
@@ -92,168 +104,189 @@ let write_seq t r v =
 
 let count_fault = function Some _ -> 1 | None -> 0
 
+(* A same-predicate rewrite (speculative WAW on one path) takes the new
+   value, but flag E is sticky: an outstanding exception buffered in the
+   overwritten version must still be detected when the predicate commits
+   — the excepting instruction's result may be dead, its exception is
+   not. Recovery re-executes both instructions in order, so the final
+   value regenerates correctly. The earliest fault wins, matching the
+   order recovery would handle them. *)
+let merge_fault old_fault fault =
+  match old_fault with Some _ -> old_fault | None -> fault
+
+let rec split_same cpred = function
+  | [] -> (none, [])
+  | v :: rest ->
+      if Pred.equal_c v.cpred cpred then (v, rest)
+      else
+        let same, rest' = split_same cpred rest in
+        (same, v :: rest')
+
+(* Widen [lo .. hi] to cover register [i]. *)
+let note_live t i =
+  if i < t.lo then t.lo <- i;
+  if i > t.hi then t.hi <- i
+
+(* Once nothing is buffered the range is empty again. *)
+let check_empty t =
+  if t.live = 0 then begin
+    t.lo <- max_int;
+    t.hi <- -1
+  end
+
 let write_spec t r value ~cpred ~fault =
   let e = entry t r in
   t.spec_writes <- t.spec_writes + 1;
   ev t Psb_obs.Events.Shadow_write (Reg.index r) value;
-  (* A same-predicate rewrite (speculative WAW on one path) takes the new
-     value, but flag E is sticky: an outstanding exception buffered in the
-     overwritten version must still be detected when the predicate commits
-     — the excepting instruction's result may be dead, its exception is
-     not. Recovery re-executes both instructions in order, so the final
-     value regenerates correctly. The earliest fault wins, matching the
-     order recovery would handle them. *)
-  let merge_fault old_fault =
-    match old_fault with Some f -> Some f | None -> fault
-  in
-  let pred = Pred.source cpred in
-  let fresh = { value; cpred; fault; seqno = t.next_seqno } in
-  t.next_seqno <- t.next_seqno + 1;
+  let seqno = t.next_seqno in
+  t.next_seqno <- seqno + 1;
   match t.mode with
   | Infinite ->
-      let same, rest =
-        List.partition (fun v -> Pred.equal (vpred v) pred) e.versions
+      (* at most one version per predicate *)
+      let same, rest = split_same cpred e.versions in
+      let fault =
+        if same == none then fault
+        else begin
+          t.live <- t.live - 1;
+          t.faults <- t.faults - count_fault same.fault;
+          merge_fault same.fault fault
+        end
       in
-      let fresh =
-        match same with
-        | v :: _ ->
-            t.live <- t.live - 1;
-            t.faults <- t.faults - count_fault v.fault;
-            { fresh with fault = merge_fault v.fault }
-        | [] -> fresh
-      in
-      e.versions <- fresh :: rest;
+      e.versions <- { value; cpred; fault; seqno } :: rest;
+      note_live t (Reg.index r);
       t.live <- t.live + 1;
-      t.faults <- t.faults + count_fault fresh.fault;
+      t.faults <- t.faults + count_fault fault;
       `Ok
-  | Single -> (
-      match e.versions with
-      | [] ->
-          e.versions <- [ fresh ];
-          t.live <- t.live + 1;
-          t.faults <- t.faults + count_fault fresh.fault;
-          `Ok
-      | [ v ] when Pred.equal (vpred v) pred ->
-          let fresh = { fresh with fault = merge_fault v.fault } in
-          e.versions <- [ fresh ];
-          t.faults <- t.faults - count_fault v.fault + count_fault fresh.fault;
-          `Ok
-      | _ ->
-          t.conflicts <- t.conflicts + 1;
-          `Conflict)
+  | Single ->
+      let v = e.single in
+      if v == none then begin
+        e.single <- { value; cpred; fault; seqno };
+        note_live t (Reg.index r);
+        t.live <- t.live + 1;
+        t.faults <- t.faults + count_fault fault;
+        `Ok
+      end
+      else if Pred.equal_c v.cpred cpred then begin
+        let fault = merge_fault v.fault fault in
+        e.single <- { value; cpred; fault; seqno };
+        t.faults <- t.faults - count_fault v.fault + count_fault fault;
+        `Ok
+      end
+      else begin
+        t.conflicts <- t.conflicts + 1;
+        `Conflict
+      end
+
+let versions e = if e.single != none then [ e.single ] else e.versions
 
 let committing_exceptions t lookup =
   if t.faults = 0 then []
   else
     Array.to_seqi t.entries
     |> Seq.concat_map (fun (i, e) ->
-           List.to_seq e.versions
+           List.to_seq (versions e)
            |> Seq.filter_map (fun v ->
                   match v.fault with
-                  | Some f when Pred.eval (vpred v) lookup = Pred.True ->
+                  | Some f when Pred.eval (Pred.source v.cpred) lookup = Pred.True ->
                       Some (Reg.make i, f)
                   | Some _ | None -> None))
     |> List.of_seq
 
-let tick ?(dirty = -1) t ccr =
-  if t.live = 0 then []
+(* Evaluate a version once. A version whose mask meets none of the
+   conditions written since the last tick ([dirty]) is still Unspec —
+   the gating invariant: every buffered version was Unspec when last
+   examined (speculative writes only buffer on Unspec), and only a write
+   to a mentioned condition can change that. *)
+let decide t ccr ~dirty v =
+  if v.cpred.Pred.c_wide = None && v.cpred.Pred.c_mask land dirty = 0 then begin
+    t.tick_skipped <- t.tick_skipped + 1;
+    Pred.Unspec
+  end
   else begin
-    let events = ref [] in
-    Array.iteri
-      (fun idx e ->
-        if e.versions <> [] then begin
-          (* Evaluate each version exactly once. A version whose mask
-             meets none of the conditions written since the last tick
-             ([dirty]) is still Unspec — the gating invariant: every
-             buffered version was Unspec when last examined (speculative
-             writes only buffer on Unspec), and only a write to a
-             mentioned condition can change that. *)
-          let value v =
-            if v.cpred.Pred.c_wide = None && v.cpred.Pred.c_mask land dirty = 0
-            then begin
-              t.tick_skipped <- t.tick_skipped + 1;
-              Pred.Unspec
-            end
-            else begin
-              t.tick_examined <- t.tick_examined + 1;
-              Ccr.evalc ccr v.cpred
-            end
-          in
-          match e.versions with
-          | [ v ] -> (
-              (* At most one version (always, in the Single model): decide
-                 in place, allocating nothing while it stays Unspec — the
-                 overwhelmingly common per-cycle outcome. *)
-              match value v with
-              | Pred.Unspec -> ()
-              | Pred.True ->
-                  assert (v.fault = None);
-                  t.commits <- t.commits + 1;
-                  ev t Psb_obs.Events.Shadow_commit idx v.value;
-                  e.seq <- v.value;
-                  e.written <- true;
-                  e.versions <- [];
-                  t.live <- t.live - 1;
-                  events := (Reg.make idx, `Commit) :: !events
-              | Pred.False ->
-                  t.squashes <- t.squashes + 1;
-                  ev t Psb_obs.Events.Shadow_squash idx 0;
-                  t.faults <- t.faults - count_fault v.fault;
-                  e.versions <- [];
-                  t.live <- t.live - 1;
-                  events := (Reg.make idx, `Squash) :: !events)
-          | versions ->
-              (* Commits are processed oldest-first so that if several
-                 versions of the same register commit in one cycle (compiler
-                 bug in the Single model, possible WAW in Infinite), the
-                 newest wins. *)
-              let committing = ref [] and keep_rev = ref [] in
-              let squashed = ref 0 in
-              List.iter
-                (fun v ->
-                  match value v with
-                  | Pred.True -> committing := v :: !committing
-                  | Pred.False ->
-                      squashed := !squashed + 1;
-                      ev t Psb_obs.Events.Shadow_squash idx 0;
-                      t.faults <- t.faults - count_fault v.fault
-                  | Pred.Unspec -> keep_rev := v :: !keep_rev)
-                versions;
-              (match
-                 List.sort (fun a b -> compare a.seqno b.seqno) !committing
-               with
-              | [] -> ()
-              | winners ->
-                  List.iter
-                    (fun v ->
-                      assert (v.fault = None);
-                      t.commits <- t.commits + 1;
-                      ev t Psb_obs.Events.Shadow_commit idx v.value;
-                      e.seq <- v.value;
-                      e.written <- true)
-                    winners;
-                  events := (Reg.make idx, `Commit) :: !events);
-              t.squashes <- t.squashes + !squashed;
-              if !squashed > 0 then events := (Reg.make idx, `Squash) :: !events;
-              t.live <- t.live - List.length !committing - !squashed;
-              e.versions <- List.rev !keep_rev
-        end)
-      t.entries;
-    List.rev !events
+    t.tick_examined <- t.tick_examined + 1;
+    Ccr.evalc ccr v.cpred
+  end
+
+let commit_value t idx e v =
+  assert (v.fault = None);
+  t.commits <- t.commits + 1;
+  ev t Psb_obs.Events.Shadow_commit idx v.value;
+  e.seq <- v.value;
+  e.written <- true
+
+let notify_opt notify idx action =
+  match notify with None -> () | Some f -> f (Reg.make idx) action
+
+(* The versions of one register in the Infinite model. Commits are
+   processed oldest-first so that if several versions commit in one
+   cycle (a possible WAW), the newest wins. *)
+let tick_versions t ccr ~dirty ~notify idx e =
+  let committing = ref [] and keep_rev = ref [] in
+  let squashed = ref 0 in
+  List.iter
+    (fun v ->
+      match decide t ccr ~dirty v with
+      | Pred.True -> committing := v :: !committing
+      | Pred.False ->
+          squashed := !squashed + 1;
+          ev t Psb_obs.Events.Shadow_squash idx 0;
+          t.faults <- t.faults - count_fault v.fault
+      | Pred.Unspec -> keep_rev := v :: !keep_rev)
+    e.versions;
+  (match List.sort (fun a b -> compare a.seqno b.seqno) !committing with
+  | [] -> ()
+  | winners ->
+      List.iter (commit_value t idx e) winners;
+      notify_opt notify idx `Commit);
+  t.squashes <- t.squashes + !squashed;
+  if !squashed > 0 then notify_opt notify idx `Squash;
+  t.live <- t.live - List.length !committing - !squashed;
+  e.versions <- List.rev !keep_rev
+
+let tick ~dirty ?notify t ccr =
+  if t.live > 0 then begin
+    for idx = t.lo to t.hi do
+      let e = t.entries.(idx) in
+      let v = e.single in
+      if v != none then begin
+        (* the Single model: decide in place, allocating nothing *)
+        match decide t ccr ~dirty v with
+        | Pred.Unspec -> ()
+        | Pred.True ->
+            commit_value t idx e v;
+            e.single <- none;
+            t.live <- t.live - 1;
+            notify_opt notify idx `Commit
+        | Pred.False ->
+            t.squashes <- t.squashes + 1;
+            ev t Psb_obs.Events.Shadow_squash idx 0;
+            t.faults <- t.faults - count_fault v.fault;
+            e.single <- none;
+            t.live <- t.live - 1;
+            notify_opt notify idx `Squash
+      end
+      else if e.versions <> [] then tick_versions t ccr ~dirty ~notify idx e
+    done;
+    check_empty t
   end
 
 let invalidate_spec t =
-  (match t.events with
-  | None -> ()
-  | Some _ when t.live = 0 -> ()
-  | Some _ ->
-      Array.iteri
-        (fun idx e ->
-          List.iter (fun _ -> ev t Psb_obs.Events.Shadow_squash idx 1) e.versions)
-        t.entries);
-  Array.iter (fun e -> e.versions <- []) t.entries;
-  t.live <- 0;
-  t.faults <- 0
+  if t.live > 0 then begin
+    for idx = t.lo to t.hi do
+      let e = t.entries.(idx) in
+      if e.single != none then begin
+        ev t Psb_obs.Events.Shadow_squash idx 1;
+        e.single <- none
+      end;
+      if e.versions <> [] then begin
+        List.iter (fun _ -> ev t Psb_obs.Events.Shadow_squash idx 1) e.versions;
+        e.versions <- []
+      end
+    done;
+    t.live <- 0;
+    t.faults <- 0;
+    check_empty t
+  end
 
 let has_spec t = t.live > 0
 let conflicts t = t.conflicts
@@ -267,9 +300,9 @@ let tick_skipped t = t.tick_skipped
 let debug_recount t =
   Array.fold_left
     (fun (live, faults) e ->
-      ( live + List.length e.versions,
-        faults
-        + List.length (List.filter (fun v -> v.fault <> None) e.versions) ))
+      let vs = versions e in
+      ( live + List.length vs,
+        faults + List.length (List.filter (fun v -> v.fault <> None) vs) ))
     (0, 0) t.entries
 
 let final_state t =

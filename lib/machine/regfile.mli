@@ -10,13 +10,18 @@
     Two capacity models: [Single] (the paper's cost-reduced design — a
     second same-register speculative write with a different predicate is a
     {e storage conflict} and must stall, footnote 1) and [Infinite]
-    (the idealised design used to bound the cost of that choice).
+    (the idealised design used to bound the cost of that choice). A
+    Single entry holds its one version in a field of its own, so a
+    buffered write costs one record and nothing else; the Infinite model
+    keeps a list of versions per register.
 
     Buffered versions carry {e compiled} predicates
     ({!Psb_isa.Pred.compiled}); the per-cycle {!tick} evaluates them as
     bitmasks against the packed {!Ccr} — the software mirror of the
     paper's per-entry predicate hardware — and can skip entries whose
-    masks do not intersect the conditions written since the last tick. *)
+    masks do not intersect the conditions written since the last tick.
+    Reads and writes compare predicates by mask as well
+    ({!Psb_isa.Pred.disjoint_c}, {!Psb_isa.Pred.equal_c}). *)
 
 open Psb_isa
 
@@ -41,15 +46,13 @@ val set_now : t -> int -> unit
 
 val read_seq : t -> Reg.t -> int
 
-val read : t -> Reg.t -> shadow:bool -> pred:Pred.t -> int
+val read : t -> Reg.t -> shadow:bool -> cpred:Pred.compiled -> int
 (** Operand fetch. With [shadow:true] the speculative value is returned if
     valid, falling back to the sequential register otherwise (the §3.5
-    operand-fetch fix). [pred] is the reader's predicate, used in the
-    [Infinite] model to pick the matching speculative version. *)
-
-val read_fault : t -> Reg.t -> shadow:bool -> pred:Pred.t -> Fault.t option
-(** The buffered exception attached to the value {!read} would return, if
-    any (a corrupted operand propagates corruption, sentinel-style). *)
+    operand-fetch fix). [cpred] is the reader's compiled predicate, used
+    in the [Infinite] model to pick the matching speculative version: the
+    newest one not disjoint from it ({!Psb_isa.Pred.disjoint_c}, a mask
+    test). *)
 
 val write_seq : t -> Reg.t -> int -> unit
 
@@ -69,21 +72,31 @@ val committing_exceptions :
     (pending condition writes, the future CCR); returns immediately when
     no version carries a fault. *)
 
-val tick : ?dirty:int -> t -> Ccr.t -> (Reg.t * [ `Commit | `Squash ]) list
+val tick :
+  dirty:int ->
+  ?notify:(Reg.t -> [ `Commit | `Squash ] -> unit) ->
+  t ->
+  Ccr.t ->
+  unit
 (** Evaluate every valid speculative entry: true → commit (copy to
-    sequential state, clear V), false → squash (clear V). Returns what
-    happened, in register order, for event tracing. Entries with E must
-    have been intercepted by {!committing_exceptions} first; a committing
-    entry with E set is an internal error.
+    sequential state, clear V), false → squash (clear V). Entries with E
+    must have been intercepted by {!committing_exceptions} first; a
+    committing entry with E set is an internal error.
+
+    [notify], when given, hears what happened, in register order: one
+    [`Commit] per register whose versions committed, then one [`Squash]
+    per register that lost any. The tick itself returns nothing and, in
+    the Single model, allocates nothing.
 
     [dirty] is the word-0 bitmask of conditions written since the last
-    tick (default [-1]: everything dirty), as {!Ccr.take_dirty} returns
-    it. A version whose mask does not intersect [dirty] is still
-    [Unspec] — it was Unspec when buffered or last examined and none of
-    its conditions changed — and is skipped without evaluation. *)
+    tick ([-1]: everything dirty), as {!Ccr.take_dirty} returns it. A
+    version whose mask does not intersect [dirty] is still [Unspec] — it
+    was Unspec when buffered or last examined and none of its conditions
+    changed — and is skipped without evaluation. *)
 
 val invalidate_spec : t -> unit
-(** Clear all speculative state (on exception detection and region exit). *)
+(** Clear all speculative state (on exception detection and region exit).
+    Returns at once when nothing is buffered. *)
 
 val has_spec : t -> bool
 val conflicts : t -> int

@@ -59,38 +59,18 @@ type result = {
   breakdown : breakdown;
 }
 
-(* An operand captured at dispatch: either the value was available
-   (architectural, or the producing entry had already completed), or the
-   producing entry's slot — replaced by [Ready] when that slot's
-   completion broadcasts. *)
-type src = Ready of int | Wait of int
+(* The reorder buffer keeps its entries in per-field banks indexed by
+   slot, like the [rob_busy]/[rob_typ]/[rob_rno]/[rob_val] registers of a
+   hardware ROB. Entries are predecoded at dispatch into the dense class
+   tags of the {!Psb_isa.Decoded} form ([kind] is a [Decoded.k*] value, or
+   [branch_class]), so the per-cycle loops dispatch on ints and fetch
+   copies ints straight out of the flat arrays.
 
-type estate = Waiting | Exec of int | Done
-
-(* Entries are predecoded at dispatch into the same dense class tags the
-   {!Psb_isa.Decoded} form uses ([kind] is a [Decoded.k*] value, or
-   [branch_class]), so the issue/complete/commit loops dispatch on ints —
-   no [Instr.op] variant walks on the per-cycle paths. Fetch copies the
-   ints straight out of the flat arrays. *)
-type entry = {
-  seq : int;  (* fetch sequence number: program order, wrong paths included *)
-  visit : int;  (* dynamic block-visit id, for commit-ordered region events *)
-  blk : int;  (* decoded block index *)
-  idx : int;  (* position in the block body, the fault-restart point *)
-  kind : int;
-  dst : int;  (* register index, condition index for setc; -1 *)
-  aux : int;  (* load/store offset *)
-  alu : Opcode.alu;
-  cmp : Opcode.cmp;
-  t_true : int;  (* branch targets as block indices *)
-  t_false : int;
-  predicted : bool;
-  srcs : src array;
-  mutable state : estate;
-  mutable result : int;
-  mutable addr : int;  (* resolved memory address; -1 until known *)
-  mutable fault : Fault.t option;  (* buffered, raised only at commit *)
-}
+   An entry's state is an int: [st_waiting], [st_done], or (> 0) the
+   cycles left executing. Each operand is a pair of banks: the slot of
+   the producing entry it waits on ([-1] once ready) and its value. *)
+let st_waiting = -1
+let st_done = 0
 
 let op_classes =
   [| "alu"; "mov"; "load"; "store"; "cmp"; "setc"; "out"; "nop"; "branch" |]
@@ -124,6 +104,8 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
   let size = Machine_model.rob_size model in
   let issue_width = model.Machine_model.issue_width in
   let dcache_ports = model.Machine_model.dcache_ports in
+  let int_latency = max 1 model.Machine_model.int_latency in
+  let load_latency = max 1 model.Machine_model.load_latency in
   (* architectural state — only commit touches it *)
   let arch = Array.make nregs 0 in
   let written = Array.make nregs false in
@@ -135,13 +117,47 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     regs;
   let output_rev = ref [] in
   let faults_handled = ref 0 in
-  (* the reorder buffer: circular, [head] oldest, [count] live entries *)
-  let buf : entry option array = Array.make size None in
+  (* the reorder buffer: circular, [head] oldest, [count] live entries,
+     one bank per field *)
   let head = ref 0 in
   let count = ref 0 in
-  let slot_at k = (!head + k) mod size in
-  let entry_at k =
-    match buf.(slot_at k) with Some e -> e | None -> assert false
+  (* fetch sequence number: program order, wrong paths included *)
+  let e_seq = Array.make size 0 in
+  (* dynamic block-visit id, for commit-ordered region events *)
+  let e_visit = Array.make size 0 in
+  (* decoded block index, and position in the block body (the
+     fault-restart point) *)
+  let e_blk = Array.make size 0 and e_idx = Array.make size 0 in
+  let e_kind = Array.make size 0 in
+  (* register index, condition index for setc; -1 *)
+  let e_dst = Array.make size 0 in
+  (* load/store offset *)
+  let e_aux = Array.make size 0 in
+  let e_alu = Array.make size Opcode.Add in
+  let e_cmp = Array.make size Opcode.Eq in
+  (* branch targets as block indices, and the prediction *)
+  let e_tt = Array.make size 0 and e_tf = Array.make size 0 in
+  let e_pred = Array.make size false in
+  let e_state = Array.make size st_waiting in
+  let e_result = Array.make size 0 in
+  (* resolved memory address; -1 until known *)
+  let e_addr = Array.make size (-1) in
+  let e_live = Array.make size false in
+  (* buffered, raised only at commit; written only when an op faults *)
+  let e_fault : Fault.t option array = Array.make size None in
+  (* the operands *)
+  let e_w1 = Array.make size (-1) and e_v1 = Array.make size 0 in
+  let e_w2 = Array.make size (-1) and e_v2 = Array.make size 0 in
+  (* operands captured waiting on this entry; an upper bound once a
+     waiting consumer is squashed *)
+  let e_waiters = Array.make size 0 in
+  (* live entries waiting to issue, and executing *)
+  let nwait = ref 0 in
+  let nexec = ref 0 in
+  (* slot of position [k < size] from the head, without a division *)
+  let slot_at k =
+    let s = !head + k in
+    if s >= size then s - size else s
   in
   (* rename map: architectural register -> slot of the youngest live
      producer, -1 when the architectural file holds the value *)
@@ -156,10 +172,15 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
   let seq_counter = ref 0 in
   (* 2-bit saturating counter per branch block, initially weakly taken *)
   let pred_arr = Array.make (max 1 d.Decoded.nblocks) 2 in
-  let train (e : entry) taken =
-    let c = pred_arr.(e.blk) in
-    pred_arr.(e.blk) <- (if taken then min 3 (c + 1) else max 0 (c - 1))
+  (* function units per class, and those still free this cycle, indexed
+     by [unit_*] *)
+  let unit_alu = 0 and unit_br = 1 and unit_ld = 2 and unit_st = 3 in
+  let unit_count =
+    Array.map
+      (Machine_model.units_available model)
+      Machine_model.[| Alu_unit; Branch_unit; Load_unit; Store_unit |]
   in
+  let units = Array.make 4 0 in
   (* statistics *)
   let fetched = ref 0 in
   let committed = ref 0 in
@@ -202,41 +223,45 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
       metrics
   in
   (* ----- dispatch ----- *)
-  let capture_reg ri =
+  (* Capture register [ri] into operand bank [w]/[v] of [slot]: the
+     value if it is available (architectural, or the producing entry has
+     completed), else the producing entry's slot. *)
+  let capture w v slot ri =
     let s = rmap.(ri) in
-    if s < 0 then Ready arch.(ri)
-    else
-      match buf.(s) with
-      | Some p when p.state = Done -> Ready p.result
-      | Some _ -> Wait s
-      | None -> Ready arch.(ri)
+    if s >= 0 && e_live.(s) && e_state.(s) <> st_done then begin
+      w.(slot) <- s;
+      e_waiters.(s) <- e_waiters.(s) + 1
+    end
+    else begin
+      w.(slot) <- -1;
+      v.(slot) <- (if s >= 0 && e_live.(s) then e_result.(s) else arch.(ri))
+    end
   in
-  let push ~blk ~idx ~kind ~dst ~aux ~alu ~cmp ~t_true ~t_false ~predicted
-      ~srcs =
-    let slot = (!head + !count) mod size in
-    let e =
-      {
-        seq = !seq_counter;
-        visit = !cur_visit;
-        blk;
-        idx;
-        kind;
-        dst;
-        aux;
-        alu;
-        cmp;
-        t_true;
-        t_false;
-        predicted;
-        srcs;
-        state = Waiting;
-        result = 0;
-        addr = -1;
-        fault = None;
-      }
-    in
+  let ready w v slot x =
+    w.(slot) <- -1;
+    v.(slot) <- x
+  in
+  (* A register source [reg] or an immediate [imm]. *)
+  let capture_src w v slot reg imm =
+    if reg >= 0 then capture w v slot reg else ready w v slot imm
+  in
+  (* The tail slot's fields other than its operands, which the caller
+     has already captured. *)
+  let push slot ~blk ~idx ~kind ~dst =
+    e_seq.(slot) <- !seq_counter;
+    e_visit.(slot) <- !cur_visit;
+    e_blk.(slot) <- blk;
+    e_idx.(slot) <- idx;
+    e_kind.(slot) <- kind;
+    e_dst.(slot) <- dst;
+    e_state.(slot) <- st_waiting;
+    incr nwait;
+    e_waiters.(slot) <- 0;
+    e_result.(slot) <- 0;
+    e_addr.(slot) <- -1;
+    e_live.(slot) <- true;
+    if e_fault.(slot) != None then e_fault.(slot) <- None;
     incr seq_counter;
-    buf.(slot) <- Some e;
     incr count;
     incr fetched;
     if has_reg_dst kind then rmap.(dst) <- slot
@@ -246,50 +271,44 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     cur_visit := !visit_counter;
     cur_idx := 0
   in
+  let goto t =
+    cur_blk := t;
+    next_visit ()
+  in
   let fetch () =
-    let goto t =
-      cur_blk := t;
-      next_visit ()
-    in
-    let cap1 i =
-      let r = d.Decoded.s1_reg.(i) in
-      if r >= 0 then capture_reg r else Ready d.Decoded.s1_imm.(i)
-    in
-    let cap2 i =
-      let r = d.Decoded.s2_reg.(i) in
-      if r >= 0 then capture_reg r else Ready d.Decoded.s2_imm.(i)
-    in
     let budget = ref issue_width in
-    let stop = ref false in
-    let noted_full = ref false in
-    let full () =
-      if not !noted_full then begin
-        noted_full := true;
-        incr full_stalls
-      end;
-      stop := true
-    in
-    while (not !stop) && (not !fetch_halted) && !budget > 0 do
+    while (not !fetch_halted) && !budget > 0 do
       let bi = !cur_blk in
       (* control reached a label missing from the program *)
       if bi < 0 then raise Not_found;
       let lo = d.Decoded.op_bounds.(bi) in
       let len = d.Decoded.op_bounds.(bi + 1) - lo in
       if !cur_idx < len then
-        if !count >= size then full ()
+        if !count >= size then begin
+          incr full_stalls;
+          budget := 0
+        end
         else begin
           let i = lo + !cur_idx in
           let k = d.Decoded.kind.(i) in
-          let srcs =
-            if k = Decoded.knop then [||]
-            else if k = Decoded.kmov || k = Decoded.kload || k = Decoded.kout
-            then [| cap1 i |]
-            else [| cap1 i; cap2 i |]
-          in
-          push ~blk:bi ~idx:!cur_idx ~kind:k ~dst:d.Decoded.dst.(i)
-            ~aux:d.Decoded.aux.(i) ~alu:d.Decoded.alu.(i)
-            ~cmp:d.Decoded.cmp.(i) ~t_true:(-1) ~t_false:(-1)
-            ~predicted:false ~srcs;
+          let slot = slot_at !count in
+          if k = Decoded.knop then begin
+            ready e_w1 e_v1 slot 0;
+            ready e_w2 e_v2 slot 0
+          end
+          else begin
+            capture_src e_w1 e_v1 slot d.Decoded.s1_reg.(i)
+              d.Decoded.s1_imm.(i);
+            if k = Decoded.kmov || k = Decoded.kload || k = Decoded.kout then
+              ready e_w2 e_v2 slot 0
+            else
+              capture_src e_w2 e_v2 slot d.Decoded.s2_reg.(i)
+                d.Decoded.s2_imm.(i)
+          end;
+          e_aux.(slot) <- d.Decoded.aux.(i);
+          e_alu.(slot) <- d.Decoded.alu.(i);
+          e_cmp.(slot) <- d.Decoded.cmp.(i);
+          push slot ~blk:bi ~idx:!cur_idx ~kind:k ~dst:d.Decoded.dst.(i);
           incr cur_idx;
           decr budget
         end
@@ -302,13 +321,21 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
           decr budget;
           goto d.Decoded.term_t.(bi)
         end
-        else if !count >= size then full ()
+        else if !count >= size then begin
+          incr full_stalls;
+          budget := 0
+        end
         else begin
           let predicted = pred_arr.(bi) >= 2 in
           let tt = d.Decoded.term_t.(bi) and tf = d.Decoded.term_f.(bi) in
-          push ~blk:bi ~idx:len ~kind:branch_class ~dst:(-1) ~aux:0
-            ~alu:Opcode.Add ~cmp:Opcode.Eq ~t_true:tt ~t_false:tf ~predicted
-            ~srcs:[| capture_reg d.Decoded.term_src.(bi) |];
+          let slot = slot_at !count in
+          capture e_w1 e_v1 slot d.Decoded.term_src.(bi);
+          ready e_w2 e_v2 slot 0;
+          e_aux.(slot) <- 0;
+          e_tt.(slot) <- tt;
+          e_tf.(slot) <- tf;
+          e_pred.(slot) <- predicted;
+          push slot ~blk:bi ~idx:len ~kind:branch_class ~dst:(-1);
           decr budget;
           goto (if predicted then tt else tf)
         end
@@ -319,46 +346,60 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     if !redirect_stall > 0 then decr redirect_stall else fetch ()
   in
   (* ----- completion ----- *)
-  let broadcast slot v =
-    for k = 0 to !count - 1 do
-      let e = entry_at k in
-      for i = 0 to Array.length e.srcs - 1 do
-        match e.srcs.(i) with
-        | Wait s when s = slot -> e.srcs.(i) <- Ready v
-        | Wait _ | Ready _ -> ()
-      done
+  (* A consumer is always younger than its producer, so the broadcast
+     starts after the producer's position [pos], and it stops once every
+     operand captured waiting on the producer has been found. *)
+  let broadcast pos slot v =
+    let left = ref e_waiters.(slot) and k = ref (pos + 1) in
+    while !left > 0 && !k < !count do
+      let c = slot_at !k in
+      if e_w1.(c) = slot then begin
+        ready e_w1 e_v1 c v;
+        decr left
+      end;
+      if e_w2.(c) = slot then begin
+        ready e_w2 e_v2 c v;
+        decr left
+      end;
+      incr k
     done
   in
-  let squash_entry ~reason e =
-    eev Events.Rob_squash ~a:e.seq ~b:reason;
+  let squash_entry ~reason slot =
+    let n = e_state.(slot) in
+    if n = st_waiting then decr nwait else if n > 0 then decr nexec;
+    eev Events.Rob_squash ~a:e_seq.(slot) ~b:reason;
     incr squashed;
-    if e.fault <> None then incr squashed_faults
+    if e_fault.(slot) != None then incr squashed_faults
   in
-  (* youngest older store with a matching resolved address; entries
-     strictly older than position [pos] *)
+  (* Position of the youngest store strictly older than position [pos]
+     with a matching resolved address, or -1. *)
   let forward_from_store pos addr =
-    let rec scan j =
-      if j < 0 then None
-      else
-        let p = entry_at j in
-        if p.kind = Decoded.kstore && p.state = Done && p.addr = addr then
-          Some p.result
-        else scan (j - 1)
-    in
-    scan (pos - 1)
+    let j = ref (pos - 1) in
+    while
+      !j >= 0
+      &&
+      let p = slot_at !j in
+      not
+        (e_kind.(p) = Decoded.kstore
+        && e_state.(p) = st_done
+        && e_addr.(p) = addr)
+    do
+      decr j
+    done;
+    !j
   in
   let mispredict_flush pos ~blk =
     incr mispredicts;
     for k = pos + 1 to !count - 1 do
-      let e = entry_at k in
-      squash_entry ~reason:0 e;
-      buf.(slot_at k) <- None
+      let slot = slot_at k in
+      squash_entry ~reason:0 slot;
+      e_live.(slot) <- false
     done;
     count := pos + 1;
     Array.fill rmap 0 nregs (-1);
     for k = 0 to pos do
-      let e = entry_at k in
-      if has_reg_dst e.kind then rmap.(e.dst) <- slot_at k
+      let slot = slot_at k in
+      if has_reg_dst e_kind.(slot) then rmap.(e_dst.(slot)) <- slot
     done;
     cur_blk := blk;
     next_visit ();
@@ -366,141 +407,142 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     redirect_stall := 1 + model.Machine_model.transition_penalty;
     flush_cycle := true
   in
-  let complete_entry e ~pos ~slot =
-    let v i =
-      match e.srcs.(i) with Ready v -> v | Wait _ -> assert false
-    in
-    if e.kind = branch_class then begin
-      let taken = v 0 <> 0 in
-      e.result <- (if taken then 1 else 0);
-      e.state <- Done;
-      train e taken;
-      if taken <> e.predicted then
-        mispredict_flush pos ~blk:(if taken then e.t_true else e.t_false)
+  let defer_fault slot f ~a =
+    e_result.(slot) <- 0;
+    e_fault.(slot) <- Some f;
+    eev Events.Fault_deferred ~a ~b:0
+  in
+  let complete_entry ~pos ~slot =
+    let kind = e_kind.(slot) in
+    let v1 = e_v1.(slot) and v2 = e_v2.(slot) in
+    if kind = branch_class then begin
+      let taken = v1 <> 0 in
+      e_result.(slot) <- (if taken then 1 else 0);
+      e_state.(slot) <- st_done;
+      let blk = e_blk.(slot) in
+      let c = pred_arr.(blk) in
+      pred_arr.(blk) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+      if taken <> e_pred.(slot) then
+        mispredict_flush pos ~blk:(if taken then e_tt.(slot) else e_tf.(slot))
     end
     else begin
       (* dense dispatch on the Decoded class tags:
          0 alu, 1 mov, 2 load, 3 store, 4 cmp, 5 setc, 6 out, 7 nop *)
-      (match e.kind with
+      (match kind with
       | 0 -> (
-          match Opcode.eval_alu e.alu (v 0) (v 1) with
-          | r -> e.result <- r
+          match Opcode.eval_alu e_alu.(slot) v1 v2 with
+          | r -> e_result.(slot) <- r
           | exception Opcode.Arithmetic_fault m ->
-              e.result <- 0;
-              e.fault <- Some (Fault.Arith m);
-              eev Events.Fault_deferred ~a:(-1) ~b:0)
-      | 1 | 6 -> e.result <- v 0
-      | 4 | 5 -> e.result <- (if Opcode.eval_cmp e.cmp (v 0) (v 1) then 1 else 0)
+              defer_fault slot (Fault.Arith m) ~a:(-1))
+      | 1 | 6 -> e_result.(slot) <- v1
+      | 4 | 5 ->
+          e_result.(slot) <-
+            (if Opcode.eval_cmp e_cmp.(slot) v1 v2 then 1 else 0)
       | 2 -> (
-          let addr = v 0 + e.aux in
-          e.addr <- addr;
-          match forward_from_store pos addr with
-          | Some fv ->
-              e.result <- fv;
-              incr loads_forwarded
-          | None -> (
-              match Memory.read mem addr with
-              | value -> e.result <- value
-              | exception Memory.Fault f ->
-                  e.result <- 0;
-                  e.fault <- Some (Fault.Mem f);
-                  eev Events.Fault_deferred ~a:addr ~b:0))
+          let addr = v1 + e_aux.(slot) in
+          e_addr.(slot) <- addr;
+          let j = forward_from_store pos addr in
+          if j >= 0 then begin
+            e_result.(slot) <- e_result.(slot_at j);
+            incr loads_forwarded
+          end
+          else
+            match Memory.read mem addr with
+            | value -> e_result.(slot) <- value
+            | exception Memory.Fault f -> defer_fault slot (Fault.Mem f) ~a:addr)
       | 3 -> (
-          let addr = v 0 + e.aux in
-          e.addr <- addr;
-          e.result <- v 1;
+          let addr = v1 + e_aux.(slot) in
+          e_addr.(slot) <- addr;
+          e_result.(slot) <- v2;
           match Memory.probe mem addr with
           | None -> ()
           | Some f ->
-              e.fault <- Some (Fault.Mem f);
+              e_fault.(slot) <- Some (Fault.Mem f);
               eev Events.Fault_deferred ~a:addr ~b:0)
-      | _ (* nop *) -> e.result <- 0);
-      e.state <- Done;
-      if has_reg_dst e.kind then broadcast slot e.result
+      | _ (* nop *) -> e_result.(slot) <- 0);
+      e_state.(slot) <- st_done;
+      if has_reg_dst kind then broadcast pos slot e_result.(slot)
     end
   in
+  (* Walks the buffer until it has seen every executing entry. *)
   let complete_cycle () =
-    let k = ref 0 in
-    while (not !flush_cycle) && !k < !count do
-      let e = entry_at !k in
-      (match e.state with
-      | Exec n when n <= 1 -> complete_entry e ~pos:!k ~slot:(slot_at !k)
-      | Exec n -> e.state <- Exec (n - 1)
-      | Waiting | Done -> ());
+    let k = ref 0 and left = ref !nexec in
+    while (not !flush_cycle) && !left > 0 && !k < !count do
+      let slot = slot_at !k in
+      let n = e_state.(slot) in
+      if n > 0 then begin
+        decr left;
+        if n = 1 then begin
+          decr nexec;
+          complete_entry ~pos:!k ~slot
+        end
+        else e_state.(slot) <- n - 1
+      end;
       incr k
     done
   in
   (* ----- issue ----- *)
+  (* Walks the buffer until it has seen every waiting entry: past the
+     last one, nothing can issue. *)
   let issue_cycle () =
-    let avail c = Machine_model.units_available model c in
-    let alu = ref (avail Machine_model.Alu_unit) in
-    let br = ref (avail Machine_model.Branch_unit) in
-    let ld = ref (avail Machine_model.Load_unit) in
-    let st = ref (avail Machine_model.Store_unit) in
+    Array.blit unit_count 0 units 0 4;
     let pending_store = ref false in
-    for k = 0 to !count - 1 do
-      let e = entry_at k in
-      (match e.state with
-      | Waiting ->
-          let ready =
-            Array.for_all
-              (function Ready _ -> true | Wait _ -> false)
-              e.srcs
+    let k = ref 0 and left = ref !nwait in
+    while !left > 0 && !k < !count do
+      let slot = slot_at !k in
+      incr k;
+      let kind = e_kind.(slot) in
+      if e_state.(slot) = st_waiting then begin
+        decr left;
+        if e_w1.(slot) < 0 && e_w2.(slot) < 0 then begin
+          let u =
+            if kind = branch_class then unit_br
+            else if kind = Decoded.kload then unit_ld
+            else if kind = Decoded.kstore then unit_st
+            else unit_alu
           in
-          if ready then
-            if e.kind = branch_class then begin
-              if !br > 0 then begin
-                decr br;
-                e.state <- Exec model.Machine_model.int_latency
-              end
-            end
-            else begin
-              let unit =
-                if e.kind = Decoded.kload then ld
-                else if e.kind = Decoded.kstore then st
-                else alu
-              in
-              (* total store-queue disambiguation: a load waits until
-                 every older store has resolved its address *)
-              let blocked = e.kind = Decoded.kload && !pending_store in
-              if (not blocked) && !unit > 0 then begin
-                decr unit;
-                e.state <-
-                  Exec
-                    (if e.kind = Decoded.kload then
-                       model.Machine_model.load_latency
-                     else model.Machine_model.int_latency)
-              end
-            end
-      | Exec _ | Done -> ());
-      if e.kind = Decoded.kstore && e.state <> Done then pending_store := true
+          (* total store-queue disambiguation: a load waits until every
+             older store has resolved its address *)
+          let blocked = kind = Decoded.kload && !pending_store in
+          if (not blocked) && units.(u) > 0 then begin
+            units.(u) <- units.(u) - 1;
+            decr nwait;
+            incr nexec;
+            e_state.(slot) <-
+              (if kind = Decoded.kload then load_latency else int_latency)
+          end
+        end
+      end;
+      if kind = Decoded.kstore && e_state.(slot) <> st_done then
+        pending_store := true
     done
   in
   (* ----- commit ----- *)
   let last_committed_visit = ref 0 in
-  let restart_at e =
+  let restart_at slot =
     incr fault_restarts;
+    let blk = e_blk.(slot) and idx = e_idx.(slot) and visit = e_visit.(slot) in
     for k = 0 to !count - 1 do
-      let p = entry_at k in
+      let p = slot_at k in
       (* the head's own fault was raised, not discarded *)
       if k = 0 then begin
-        eev Events.Rob_squash ~a:p.seq ~b:1;
+        eev Events.Rob_squash ~a:e_seq.(p) ~b:1;
         incr squashed
       end
       else squash_entry ~reason:1 p;
-      buf.(slot_at k) <- None
+      e_live.(p) <- false
     done;
     count := 0;
     head := 0;
     Array.fill rmap 0 nregs (-1);
-    cur_blk := e.blk;
-    cur_idx := e.idx;
-    cur_visit := e.visit;
+    cur_blk := blk;
+    cur_idx := idx;
+    cur_visit := visit;
     fetch_halted := false;
     redirect_stall := 1 + model.Machine_model.transition_penalty;
     fault_cycle := true
   in
-  let commit_fault e f =
+  let commit_fault slot f =
     match f with
     | Fault.Arith _ ->
         eev Events.Fault_raised ~a:(-1) ~b:0;
@@ -509,62 +551,62 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
         (* Re-probe: an older instruction's commit may already have
            mapped the page (it flushed us too, but be robust); a stale
            fault just restarts without counting a handled fault. *)
-        match Memory.probe mem e.addr with
+        let addr = e_addr.(slot) in
+        match Memory.probe mem addr with
         | Some mf when Memory.is_fatal mf ->
-            eev Events.Fault_raised ~a:e.addr ~b:0;
+            eev Events.Fault_raised ~a:addr ~b:0;
             raise (Abort (Fault.Mem mf))
         | Some mf ->
             assert (Memory.handle_fault mem mf);
             incr faults_handled;
-            eev Events.Fault_raised ~a:e.addr ~b:1;
-            restart_at e
-        | None -> restart_at e)
+            eev Events.Fault_raised ~a:addr ~b:1;
+            restart_at slot
+        | None -> restart_at slot)
   in
   let commit_cycle () =
     let budget = ref issue_width in
     let st_budget = ref dcache_ports in
-    let stop = ref false in
-    while (not !stop) && !budget > 0 && !count > 0 do
+    while !budget > 0 && !count > 0 do
       let slot = !head in
-      let e = entry_at 0 in
-      if e.state <> Done then stop := true
+      if e_state.(slot) <> st_done then budget := 0
       else
-        match e.fault with
+        match e_fault.(slot) with
         | Some f ->
-            commit_fault e f;
-            stop := true
+            commit_fault slot f;
+            budget := 0
         | None ->
-            let is_store = e.kind = Decoded.kstore in
-            if is_store && !st_budget <= 0 then stop := true
+            let kind = e_kind.(slot) in
+            let is_store = kind = Decoded.kstore in
+            if is_store && !st_budget <= 0 then budget := 0
             else begin
-              if e.visit <> !last_committed_visit then begin
-                last_committed_visit := e.visit;
+              if e_visit.(slot) <> !last_committed_visit then begin
+                last_committed_visit := e_visit.(slot);
                 eev Events.Region_enter
-                  ~a:(region_id d.Decoded.labels.(e.blk))
+                  ~a:(region_id d.Decoded.labels.(e_blk.(slot)))
                   ~b:0
               end;
-              if e.kind = branch_class then incr branches
+              let result = e_result.(slot) in
+              if kind = branch_class then incr branches
               else if is_store then begin
-                Memory.write mem e.addr e.result;
+                Memory.write mem e_addr.(slot) result;
                 decr st_budget
               end
-              else if e.kind = Decoded.kout then
-                output_rev := e.result :: !output_rev
-              else if e.kind = Decoded.ksetc then
-                conds.(e.dst) <- e.result <> 0
-              else if e.kind <> Decoded.knop then begin
+              else if kind = Decoded.kout then
+                output_rev := result :: !output_rev
+              else if kind = Decoded.ksetc then conds.(e_dst.(slot)) <- result <> 0
+              else if kind <> Decoded.knop then begin
                 (* alu / mov / load / cmp: architectural writeback *)
-                let ri = e.dst in
-                arch.(ri) <- e.result;
+                let ri = e_dst.(slot) in
+                arch.(ri) <- result;
                 written.(ri) <- true;
                 if rmap.(ri) = slot then rmap.(ri) <- -1
               end;
-              class_counts.(e.kind) <- class_counts.(e.kind) + 1;
-              eev Events.Rob_commit ~a:e.seq ~b:slot;
+              class_counts.(kind) <- class_counts.(kind) + 1;
+              eev Events.Rob_commit ~a:e_seq.(slot) ~b:slot;
               incr committed;
               incr ncommitted;
-              buf.(slot) <- None;
-              head := (slot + 1) mod size;
+              e_live.(slot) <- false;
+              head := slot_at 1;
               decr count;
               decr budget
             end
@@ -573,8 +615,8 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
   let head_mem_wait () =
     !count > 0
     &&
-    let e = entry_at 0 in
-    (e.kind = Decoded.kload || e.kind = Decoded.kstore) && e.state <> Done
+    let kind = e_kind.(!head) in
+    (kind = Decoded.kload || kind = Decoded.kstore) && e_state.(!head) <> st_done
   in
   let finish outcome =
     let breakdown =

@@ -37,6 +37,20 @@
       slot's tag; [Jmp]s are followed for free; a full buffer stalls
       fetch.
 
+    The buffer keeps its entries in per-field int banks indexed by slot,
+    like the [rob_busy]/[rob_typ]/[rob_rno]/[rob_val] registers of a
+    hardware ROB: fetch sequence number, block visit, block and body
+    index, class tag, destination, offset, ALU and compare opcodes, both
+    branch targets, the prediction, a state ([waiting], [done] or the
+    cycles left executing), result, address and a live flag; each operand
+    is a pair of banks, the producing slot it waits on ([-1] once ready)
+    and its value. A buffered fault goes in an option bank written only
+    when an entry faults. So dispatch, issue, completion and commit
+    allocate nothing per cycle or per instruction, and a completion
+    broadcasts only to entries younger than the producer, since a
+    consumer always is. Per-run set-up is O([rob_size] + registers +
+    blocks).
+
     Because stores, outputs and faults only touch architectural state
     at in-order commit, a squashed wrong-path entry can never write
     memory, emit output, map a demand page or raise — so the

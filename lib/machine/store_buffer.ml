@@ -32,6 +32,10 @@ type t = {
      [faults] of them with a buffered exception. *)
   mutable spec_live : int;
   mutable faults : int;
+  mutable dead : int; (* squashed entries still occupying the FIFO *)
+  (* the entry the last forwarding hit read *)
+  mutable fwd_value : int;
+  mutable fwd_fault : Fault.t option;
   (* tick accounting for lib/obs *)
   mutable tick_examined : int;
   mutable tick_skipped : int;
@@ -63,11 +67,16 @@ let create ?events () =
     squashes = 0;
     spec_live = 0;
     faults = 0;
+    dead = 0;
+    fwd_value = 0;
+    fwd_fault = None;
     tick_examined = 0;
     tick_skipped = 0;
   }
 
-let nth t i = t.buf.((t.head + i) mod Array.length t.buf)
+(* The capacity is a power of two, so wrapping is a mask. *)
+let wrap t i = i land (Array.length t.buf - 1)
+let nth t i = t.buf.(wrap t (t.head + i))
 let set_now t cycle = t.now <- cycle
 
 let ev t kind a b =
@@ -91,7 +100,7 @@ let count_fault e = if e.fault <> None then 1 else 0
 let append t ~addr ~value ~cpred ~spec ~fault =
   if t.count = Array.length t.buf then grow t;
   let e = { addr; value; cpred; spec; valid = true; examined = false; fault } in
-  t.buf.((t.head + t.count) mod Array.length t.buf) <- e;
+  t.buf.(wrap t (t.head + t.count)) <- e;
   t.count <- t.count + 1;
   ev t Psb_obs.Events.Sb_append addr (if spec then 1 else 0);
   if spec then begin
@@ -101,10 +110,8 @@ let append t ~addr ~value ~cpred ~spec ~fault =
   end;
   if t.count > t.max_occupancy then t.max_occupancy <- t.count
 
-let tick ?(dirty = -1) t ccr =
-  if t.spec_live = 0 then []
-  else begin
-    let events = ref [] in
+let tick ~dirty ?notify t ccr =
+  if t.spec_live > 0 then
     for i = 0 to t.count - 1 do
       let e = nth t i in
       if is_live_spec e then begin
@@ -124,25 +131,24 @@ let tick ?(dirty = -1) t ccr =
           end
         in
         match value with
-        | Pred.True ->
+        | Pred.True -> (
             assert (e.fault = None);
             t.commits <- t.commits + 1;
             ev t Psb_obs.Events.Sb_commit e.addr 0;
             e.spec <- false;
             t.spec_live <- t.spec_live - 1;
-            events := (e.addr, `Commit) :: !events
-        | Pred.False ->
+            match notify with None -> () | Some f -> f e.addr `Commit)
+        | Pred.False -> (
             t.squashes <- t.squashes + 1;
             ev t Psb_obs.Events.Sb_squash e.addr 0;
             e.valid <- false;
+            t.dead <- t.dead + 1;
             t.spec_live <- t.spec_live - 1;
             t.faults <- t.faults - count_fault e;
-            events := (e.addr, `Squash) :: !events
+            match notify with None -> () | Some f -> f e.addr `Squash)
         | Pred.Unspec -> ()
       end
-    done;
-    List.rev !events
-  end
+    done
 
 let committing_exceptions t lookup =
   if t.faults = 0 then []
@@ -162,7 +168,7 @@ let committing_exceptions t lookup =
 
 let pop_head t =
   t.buf.(t.head) <- dummy;
-  t.head <- (t.head + 1) mod Array.length t.buf;
+  t.head <- wrap t (t.head + 1);
   t.count <- t.count - 1
 
 let drain t ~max:limit mem =
@@ -170,7 +176,11 @@ let drain t ~max:limit mem =
   let continue = ref true in
   while !continue && t.count > 0 do
     let e = t.buf.(t.head) in
-    if not e.valid then pop_head t (* squashed: free discard *)
+    if not e.valid then begin
+      (* squashed: free discard *)
+      t.dead <- t.dead - 1;
+      pop_head t
+    end
     else if e.spec || !written >= limit then continue := false
     else begin
       (match e.fault with
@@ -190,51 +200,61 @@ let drain_all t mem =
   if t.count > 0 then
     invalid_arg "Store_buffer.drain_all: speculative entries remain"
 
-let forward t ~addr ~load_pred ccr =
-  (* Search youngest → oldest among valid entries with the address. *)
-  let rec search i =
-    if i < 0 then `Miss
+(* Search youngest → oldest, from position [i], among valid entries with
+   the address. *)
+let rec search t ~addr ~load_cpred ccr i =
+  if i < 0 then `Miss
+  else
+    let e = nth t i in
+    if (not (e.valid && e.addr = addr)) || Pred.disjoint_c e.cpred load_cpred
+    then search t ~addr ~load_cpred ccr (i - 1)
+    else if (not e.spec) || Pred.implies_c load_cpred e.cpred then hit t e
     else
-      let e = nth t i in
-      if not (e.valid && e.addr = addr) then search (i - 1)
-      else if Pred.disjoint (Pred.source e.cpred) load_pred then search (i - 1)
-      else if (not e.spec) || Pred.implies load_pred (Pred.source e.cpred) then begin
-        ev t Psb_obs.Events.Sb_forward e.addr e.value;
-        `Hit (e.value, e.fault)
-      end
-      else
-        match Ccr.evalc ccr e.cpred with
-        | Pred.True ->
-            ev t Psb_obs.Events.Sb_forward e.addr e.value;
-            `Hit (e.value, e.fault)
-        | Pred.False -> search (i - 1)
-        | Pred.Unspec -> `Commit_dependence
-  in
-  search (t.count - 1)
+      match Ccr.evalc ccr e.cpred with
+      | Pred.True -> hit t e
+      | Pred.False -> search t ~addr ~load_cpred ccr (i - 1)
+      | Pred.Unspec -> `Commit_dependence
+
+and hit t e =
+  ev t Psb_obs.Events.Sb_forward e.addr e.value;
+  t.fwd_value <- e.value;
+  t.fwd_fault <- e.fault;
+  `Hit
+
+let forward t ~addr ~load_cpred ccr =
+  search t ~addr ~load_cpred ccr (t.count - 1)
+
+let forwarded_value t = t.fwd_value
+let forwarded_fault t = t.fwd_fault
 
 let invalidate_spec t =
-  (* Squash every speculative entry and compact the invalid ones away, as
-     the list representation did. Cold path: exception detection, region
-     exit, halt. *)
-  let kept = ref [] in
-  for i = t.count - 1 downto 0 do
-    let e = nth t i in
-    if e.spec then begin
-      if e.valid then ev t Psb_obs.Events.Sb_squash e.addr 1;
-      e.valid <- false
-    end;
-    if e.valid then kept := e :: !kept
-  done;
-  Array.fill t.buf 0 (Array.length t.buf) dummy;
-  t.head <- 0;
-  t.count <- 0;
-  List.iter
-    (fun e ->
-      t.buf.(t.count) <- e;
-      t.count <- t.count + 1)
-    !kept;
-  t.spec_live <- 0;
-  t.faults <- 0
+  (* Squash every speculative entry, youngest first, and compact the
+     invalid ones away in place. Returns at once when every entry is
+     valid and committed. *)
+  if t.spec_live > 0 || t.dead > 0 then begin
+    for i = t.count - 1 downto 0 do
+      let e = nth t i in
+      if e.spec then begin
+        if e.valid then ev t Psb_obs.Events.Sb_squash e.addr 1;
+        e.valid <- false
+      end
+    done;
+    let kept = ref 0 in
+    for i = 0 to t.count - 1 do
+      let e = nth t i in
+      if e.valid then begin
+        t.buf.(wrap t (t.head + !kept)) <- e;
+        incr kept
+      end
+    done;
+    for i = !kept to t.count - 1 do
+      t.buf.(wrap t (t.head + i)) <- dummy
+    done;
+    t.count <- !kept;
+    t.spec_live <- 0;
+    t.faults <- 0;
+    t.dead <- 0
+  end
 
 let has_spec t = t.spec_live > 0
 let length t = t.count

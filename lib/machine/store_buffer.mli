@@ -7,10 +7,11 @@
     false → squash (clear V). Head entries that are valid and
     non-speculative drain to the D-cache.
 
-    The FIFO is a growable ring: appends are O(1) amortised and the
-    per-cycle {!tick} walks a flat array evaluating {e compiled}
-    predicates ({!Psb_isa.Pred.compiled}) against the packed {!Ccr}
-    without allocating. *)
+    The FIFO is a growable ring of entry records: an append allocates
+    the one record, appends are O(1) amortised, and the per-cycle {!tick},
+    {!forward}, {!drain} and {!invalidate_spec} walk the ring evaluating
+    {e compiled} predicates ({!Psb_isa.Pred.compiled}) against the packed
+    {!Ccr} without allocating. *)
 
 open Psb_isa
 
@@ -32,17 +33,22 @@ val append :
   t -> addr:int -> value:int -> cpred:Pred.compiled -> spec:bool ->
   fault:Fault.t option -> unit
 
-val tick : ?dirty:int -> t -> Ccr.t -> (int * [ `Commit | `Squash ]) list
-(** Evaluate speculative entries' predicates; commit or squash. Returns
-    the affected addresses, in buffer order, for event tracing.
+val tick :
+  dirty:int ->
+  ?notify:(int -> [ `Commit | `Squash ] -> unit) ->
+  t ->
+  Ccr.t ->
+  unit
+(** Evaluate speculative entries' predicates; commit or squash. [notify],
+    when given, hears each affected address, in buffer order. The tick
+    returns nothing and allocates nothing.
 
     [dirty] is the word-0 bitmask of conditions written since the last
-    tick (default [-1]: everything dirty), as {!Ccr.take_dirty} returns
-    it; an entry already examined once whose mask does not intersect
-    [dirty] is still [Unspec] and is skipped without evaluation. A fresh
-    entry is always examined on its first tick — unlike register
-    versions, a store may be appended with an already-decided
-    predicate. *)
+    tick ([-1]: everything dirty), as {!Ccr.take_dirty} returns it; an
+    entry already examined once whose mask does not intersect [dirty] is
+    still [Unspec] and is skipped without evaluation. A fresh entry is
+    always examined on its first tick — unlike register versions, a
+    store may be appended with an already-decided predicate. *)
 
 val committing_exceptions :
   t -> (Cond.t -> Pred.cond_value) -> Fault.t list
@@ -63,8 +69,8 @@ val drain_all : t -> Memory.t -> unit
     @raise Invalid_argument if speculative entries remain. *)
 
 val forward :
-  t -> addr:int -> load_pred:Pred.t -> Ccr.t ->
-  [ `Hit of int * Fault.t option | `Miss | `Commit_dependence ]
+  t -> addr:int -> load_cpred:Pred.compiled -> Ccr.t ->
+  [ `Hit | `Miss | `Commit_dependence ]
 (** Store-to-load forwarding. Searches youngest → oldest among valid
     entries with the same address: entries on mutually exclusive paths
     (disjoint predicates) or already-squashed entries are skipped; an entry
@@ -72,9 +78,21 @@ val forward :
     or already true) forwards its value. An unresolved entry that may or
     may not be on the load's path is a {e commit dependence}
     (§4.2.2) — the scheduler must have prevented it, so the machine
-    reports it as an error. *)
+    reports it as an error. Predicates are compared by mask
+    ({!Psb_isa.Pred.disjoint_c}, {!Psb_isa.Pred.implies_c}).
+
+    A [`Hit] leaves the forwarded value and the entry's buffered
+    exception in {!forwarded_value} and {!forwarded_fault}, so a search
+    allocates nothing. *)
+
+val forwarded_value : t -> int
+val forwarded_fault : t -> Fault.t option
+(** The value and buffered exception of the entry the last [`Hit] read. *)
 
 val invalidate_spec : t -> unit
+(** Squash every speculative entry and drop the squashed ones from the
+    FIFO. Returns at once when every entry is valid and committed. *)
+
 val has_spec : t -> bool
 
 val length : t -> int

@@ -108,28 +108,133 @@ exception Machine_error of string
 
 let machine_error fmt = Format.kasprintf (fun s -> raise (Machine_error s)) fmt
 
-(* Writebacks in flight. [load_addr] lets a buffered load exception be
-   re-executed when it turns out to be committed and recoverable. *)
-type wb =
-  | Wreg of {
-      dst : Reg.t;
-      value : int;
-      cpred : Pred.compiled;
-      fault : Fault.t option;
-      decided_seq : bool;
-      load_addr : int option;
-    }
-  | Wcond of { dst : Cond.t; value : bool }
-  | Wstore of {
-      addr : int;
-      value : int;
-      cpred : Pred.compiled;
-      spec : bool;
-      fault : Fault.t option;
-    }
-  | Wout of int
+(* ----- in-flight writebacks -----
 
-type pending = { due : int; order : int; action : wb }
+   The writeback queue is a ring of flat banks kept sorted by (due,
+   order), so the items due this cycle are a prefix, applied by popping
+   the front. An item enters by shifting the ones that sort after it up
+   from the tail; the pending depth is a few items, so inserts stay
+   cheap, and nothing is allocated once the banks are big enough. Each
+   item is one of four kinds:
+   - a register write: [dst], [value], [cpred], the buffered [fault],
+     [flag] = decided sequential at issue, and the load address [addr]
+     when [has_addr] (a buffered load exception is re-executed when it
+     turns out to be committed and recoverable);
+   - a condition write: [dst] the condition, [value] 0 or 1;
+   - a store: [addr], [value], [cpred], [flag] = speculative, [fault];
+   - an output: [value]. *)
+
+let wb_reg = 0
+let wb_cond = 1
+let wb_store = 2
+let wb_out = 3
+
+type wbq = {
+  mutable head : int;
+  mutable n : int;
+  mutable mask : int;  (* capacity - 1, a power of two minus one *)
+  mutable w_due : int array;
+  mutable w_order : int array;
+  mutable w_kind : int array;
+  mutable w_dst : int array;
+  mutable w_value : int array;
+  mutable w_addr : int array;
+  mutable w_flag : bool array;
+  mutable w_has_addr : bool array;
+  mutable w_cpred : Pred.compiled array;
+  mutable w_fault : Fault.t option array;
+}
+
+let wbq_create cap =
+  {
+    head = 0;
+    n = 0;
+    mask = cap - 1;
+    w_due = Array.make cap 0;
+    w_order = Array.make cap 0;
+    w_kind = Array.make cap 0;
+    w_dst = Array.make cap 0;
+    w_value = Array.make cap 0;
+    w_addr = Array.make cap 0;
+    w_flag = Array.make cap false;
+    w_has_addr = Array.make cap false;
+    w_cpred = Array.make cap Pred.compiled_always;
+    w_fault = Array.make cap None;
+  }
+
+(* Copy the item at physical slot [src] of [q] to slot [dst] of [q']. *)
+let wbq_copy q src q' dst =
+  q'.w_due.(dst) <- q.w_due.(src);
+  q'.w_order.(dst) <- q.w_order.(src);
+  q'.w_kind.(dst) <- q.w_kind.(src);
+  q'.w_dst.(dst) <- q.w_dst.(src);
+  q'.w_value.(dst) <- q.w_value.(src);
+  q'.w_addr.(dst) <- q.w_addr.(src);
+  q'.w_flag.(dst) <- q.w_flag.(src);
+  q'.w_has_addr.(dst) <- q.w_has_addr.(src);
+  q'.w_cpred.(dst) <- q.w_cpred.(src);
+  q'.w_fault.(dst) <- q.w_fault.(src)
+
+let wbq_move q ~dst ~src = wbq_copy q src q dst
+
+let wbq_grow q =
+  let fresh = wbq_create (2 * (q.mask + 1)) in
+  for i = 0 to q.n - 1 do
+    wbq_copy q ((q.head + i) land q.mask) fresh i
+  done;
+  q.head <- 0;
+  q.mask <- fresh.mask;
+  q.w_due <- fresh.w_due;
+  q.w_order <- fresh.w_order;
+  q.w_kind <- fresh.w_kind;
+  q.w_dst <- fresh.w_dst;
+  q.w_value <- fresh.w_value;
+  q.w_addr <- fresh.w_addr;
+  q.w_flag <- fresh.w_flag;
+  q.w_has_addr <- fresh.w_has_addr;
+  q.w_cpred <- fresh.w_cpred;
+  q.w_fault <- fresh.w_fault
+
+(* Open a slot for an item keyed ([due], [order]) at its sorted
+   position; returns its physical index with the key filled in. At least
+   one slot beyond the live items always stays free, so the slot the
+   last pop freed survives a following insert. *)
+let wbq_slot q ~due ~order =
+  if q.n + 2 > q.mask + 1 then wbq_grow q;
+  let i = ref q.n in
+  while
+    !i > 0
+    &&
+    let p = (q.head + !i - 1) land q.mask in
+    q.w_due.(p) > due || (q.w_due.(p) = due && q.w_order.(p) > order)
+  do
+    wbq_move q ~dst:((q.head + !i) land q.mask)
+      ~src:((q.head + !i - 1) land q.mask);
+    decr i
+  done;
+  let p = (q.head + !i) land q.mask in
+  q.w_due.(p) <- due;
+  q.w_order.(p) <- order;
+  q.n <- q.n + 1;
+  p
+
+(* Remove the front item; its fields stay readable at the returned
+   physical slot until the next insert after another pop. *)
+let wbq_pop q =
+  let p = q.head in
+  q.head <- (p + 1) land q.mask;
+  q.n <- q.n - 1;
+  p
+
+(* The front item's due cycle; the queue must not be empty. *)
+let wbq_front_due q = q.w_due.(q.head)
+
+(* Put back the item just popped from slot [p], now due at [due], with
+   its issue order. *)
+let wbq_requeue q p ~due =
+  let p' = wbq_slot q ~due ~order:q.w_order.(p) in
+  wbq_move q ~dst:p' ~src:p;
+  q.w_due.(p') <- due
 
 type mode = Normal | Recovery of { future : Ccr.t; epc : int }
 
@@ -173,8 +278,23 @@ type state = {
   mutable region : Pcode.region;
   mutable pc : int;
   mutable now : int;
-  mutable pending : pending list;
+  wbq : wbq;
   mutable next_order : int;
+  (* one cycle's condition writes, in application order; consumers read
+     them newest first, as they applied the list that preceded them *)
+  mutable cw_cond : int array;
+  mutable cw_val : bool array;
+  mutable cw_n : int;
+  (* out-of-band fault report of [compute]/[load_access]: whether the
+     access faulted, the fault (meaningful only then, and written only
+     then), and whether the returned value was forwarded from a
+     store-buffer entry *)
+  mutable faulted : bool;
+  mutable fault : Fault.t;
+  mutable forwarded : bool;
+  (* the typed tick events, set only when [on_event] is *)
+  mutable rf_notify : (Reg.t -> [ `Commit | `Squash ] -> unit) option;
+  mutable sb_notify : (int -> [ `Commit | `Squash ] -> unit) option;
   mutable output_rev : int list;
   mutable faults_handled : int;
   (* statistics *)
@@ -243,10 +363,6 @@ let note_sb_occupancy st =
     end
   end
 
-let schedule st ~latency action =
-  st.pending <- { due = st.now + latency; order = st.next_order; action } :: st.pending;
-  st.next_order <- st.next_order + 1
-
 let handle_or_abort st fault =
   if Fault.recoverable fault then begin
     (match fault with
@@ -261,27 +377,40 @@ let handle_or_abort st fault =
   end
 
 (* A load access: store-buffer forwarding first, then the D-cache.
-   Returns the value, or the fault if the access faults. *)
-let load_access st ~addr ~load_pred =
-  match Store_buffer.forward st.sb ~addr ~load_pred st.ccr with
-  | `Hit (v, None) -> Ok v
-  | `Hit (v, Some f) -> Error (f, Some v)
+   Returns the value; a fault is reported in [st.faulted] (cleared by
+   the caller) and [st.fault], with [st.forwarded] telling whether the
+   value came from a store whose own exception is buffered. *)
+let load_access st ~addr ~cpred =
+  match Store_buffer.forward st.sb ~addr ~load_cpred:cpred st.ccr with
+  | `Hit ->
+      (match Store_buffer.forwarded_fault st.sb with
+      | None -> ()
+      | Some f ->
+          st.faulted <- true;
+          st.fault <- f;
+          st.forwarded <- true);
+      Store_buffer.forwarded_value st.sb
   | `Commit_dependence ->
       machine_error "commit-dependence violation: load at %d hits an unresolved speculative store" addr
   | `Miss -> (
       match Memory.read st.mem addr with
-      | v -> Ok v
-      | exception Memory.Fault f -> Error (Fault.Mem f, None))
+      | v -> v
+      | exception Memory.Fault f ->
+          st.faulted <- true;
+          st.fault <- Fault.Mem f;
+          st.forwarded <- false;
+          0)
 
 (* Non-speculative load: faults are handled on the spot (or abort). *)
-let rec load_nonspec st ~addr ~load_pred =
-  match load_access st ~addr ~load_pred with
-  | Ok v -> v
-  | Error (f, forwarded) -> (
-      handle_or_abort st f;
-      match forwarded with
-      | Some v -> v (* the forwarded store's page is mapped now *)
-      | None -> load_nonspec st ~addr ~load_pred)
+let rec load_nonspec st ~addr ~cpred =
+  st.faulted <- false;
+  let v = load_access st ~addr ~cpred in
+  if not st.faulted then v
+  else begin
+    handle_or_abort st st.fault;
+    (* the forwarded store's page is mapped now *)
+    if st.forwarded then v else load_nonspec st ~addr ~cpred
+  end
 
 (* ----- execute stage, shared by both kernels -----
 
@@ -289,95 +418,127 @@ let rec load_nonspec st ~addr ~load_pred =
    operation: the [Lowered.kind] tag, the ALU/compare opcode, the source
    operand values [a] and [b] (a load's base; a store's base and data),
    [aux] (the address offset, or the condition index a [Setc] writes),
-   the destination register index, the latency and the predicate in both
-   forms. From there on there is one copy of the §3 issue rule. *)
+   the destination register index, the latency and the compiled
+   predicate. From there on there is one copy of the §3 issue rule. *)
 
-(* Compute a Mov/ALU/Cmp/Load value; faults become [Error]. *)
-let compute st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~pred =
+let schedule_reg st ~latency ~dst ~value ~cpred ~fault ~decided_seq
+    ~has_addr ~addr =
+  let q = st.wbq in
+  let p = wbq_slot q ~due:(st.now + latency) ~order:st.next_order in
+  st.next_order <- st.next_order + 1;
+  q.w_kind.(p) <- wb_reg;
+  q.w_dst.(p) <- dst;
+  q.w_value.(p) <- value;
+  q.w_flag.(p) <- decided_seq;
+  (* a write decided sequential at issue needs nothing more *)
+  if not decided_seq then begin
+    q.w_cpred.(p) <- cpred;
+    q.w_fault.(p) <- fault;
+    q.w_has_addr.(p) <- has_addr;
+    q.w_addr.(p) <- addr
+  end
+
+let schedule_store st ~latency ~addr ~value ~cpred ~spec ~fault =
+  let q = st.wbq in
+  let p = wbq_slot q ~due:(st.now + latency) ~order:st.next_order in
+  st.next_order <- st.next_order + 1;
+  q.w_kind.(p) <- wb_store;
+  q.w_addr.(p) <- addr;
+  q.w_value.(p) <- value;
+  q.w_cpred.(p) <- cpred;
+  q.w_flag.(p) <- spec;
+  q.w_fault.(p) <- fault
+
+let schedule_simple st ~latency kind ~dst ~value =
+  let q = st.wbq in
+  let p = wbq_slot q ~due:(st.now + latency) ~order:st.next_order in
+  st.next_order <- st.next_order + 1;
+  q.w_kind.(p) <- kind;
+  q.w_dst.(p) <- dst;
+  q.w_value.(p) <- value
+
+(* Compute a Mov/ALU/Cmp/Load value; a fault is reported in
+   [st.faulted] and [st.fault]. *)
+let compute st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~cpred =
+  st.faulted <- false;
   match k with
   | Lowered.Kalu -> (
       match Opcode.eval_alu alu a b with
-      | v -> Ok v
-      | exception Opcode.Arithmetic_fault m -> Error (Fault.Arith m, None))
-  | Lowered.Kmov -> Ok a
-  | Lowered.Kload -> (
-      let addr = a + aux in
-      match load_access st ~addr ~load_pred:pred with
-      | Ok v -> Ok v
-      | Error (f, fw) -> Error (f, Some (addr, fw)))
-  | Lowered.Kcmp -> Ok (if Opcode.eval_cmp cmp a b then 1 else 0)
+      | v -> v
+      | exception Opcode.Arithmetic_fault m ->
+          st.faulted <- true;
+          st.fault <- Fault.Arith m;
+          0)
+  | Lowered.Kmov -> a
+  | Lowered.Kload -> load_access st ~addr:(a + aux) ~cpred
+  | Lowered.Kcmp -> if Opcode.eval_cmp cmp a b then 1 else 0
   | Lowered.Knop | Lowered.Kout | Lowered.Ksetc | Lowered.Kstore ->
       assert false (* handled by the callers *)
 
 (* Issue one operation whose predicate evaluated True: execute
    non-speculatively. *)
 let issue_nonspec st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~dst ~latency
-    ~pred ~cpred =
+    ~cpred =
   match k with
   | Lowered.Knop -> ()
-  | Lowered.Kout -> schedule st ~latency (Wout a)
+  | Lowered.Kout -> schedule_simple st ~latency wb_out ~dst:0 ~value:a
   | Lowered.Ksetc ->
-      schedule st ~latency
-        (Wcond { dst = aux; value = Opcode.eval_cmp cmp a b })
+      schedule_simple st ~latency wb_cond ~dst:aux
+        ~value:(if Opcode.eval_cmp cmp a b then 1 else 0)
   | Lowered.Kstore ->
-      schedule st ~latency
-        (Wstore
-           { addr = a + aux; value = b; cpred; spec = false; fault = None })
+      schedule_store st ~latency ~addr:(a + aux) ~value:b ~cpred ~spec:false
+        ~fault:None
   | Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload ->
+      let v = compute st k ~alu ~cmp ~a ~b ~aux ~cpred in
       let value =
-        match compute st k ~alu ~cmp ~a ~b ~aux ~pred with
-        | Ok v -> v
-        | Error (f, Some (addr, forwarded)) -> (
-            handle_or_abort st f;
-            match forwarded with
-            | Some v -> v
-            | None -> load_nonspec st ~addr ~load_pred:pred)
-        | Error (f, None) ->
-            (* Arithmetic fault with a true predicate: fatal. *)
-            handle_or_abort st f;
-            assert false
+        if not st.faulted then v
+        else begin
+          (* an arithmetic fault with a true predicate is fatal *)
+          handle_or_abort st st.fault;
+          if k <> Lowered.Kload then assert false
+          else if st.forwarded then v
+          else load_nonspec st ~addr:(a + aux) ~cpred
+        end
       in
-      schedule st ~latency
-        (Wreg
-           {
-             dst;
-             value;
-             cpred;
-             fault = None;
-             decided_seq = true;
-             load_addr = None;
-           })
+      schedule_reg st ~latency ~dst ~value ~cpred ~fault:None
+        ~decided_seq:true ~has_addr:false ~addr:0
 
-(* Issue one operation whose predicate is unspecified: execute
-   speculatively. In recovery mode a fault consults the future condition:
-   true → handled now, false → ignored, unspecified → buffered again. *)
-let issue_spec st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~dst ~latency ~pred
-    ~cpred =
-  st.spec_ops <- st.spec_ops + 1;
-  let future_value () =
-    match st.mode with
-    | Normal -> Pred.Unspec
-    | Recovery { future; _ } -> Ccr.evalc future cpred
-  in
-  let resolve_fault f ~addr_info =
-    (* Decide what to do with a speculative fault. Returns
-       (value, buffered fault). *)
-    match future_value () with
+(* What a speculative fault will turn into: in recovery mode the future
+   condition decides (true → handled now, false → ignored, unspecified →
+   buffered again); in normal mode it is buffered. *)
+let future_value st cpred =
+  match st.mode with
+  | Normal -> Pred.Unspec
+  | Recovery { future; _ } -> Ccr.evalc future cpred
+
+(* Resolve the fault [compute] reported for a speculative Mov/ALU/Cmp/
+   Load issue and schedule its register write. [v] is the value
+   [compute] returned (meaningful only for a forwarded load). *)
+let resolve_fault st (k : Lowered.kind) ~a ~aux ~dst ~latency ~cpred f v =
+  let is_load = k = Lowered.Kload in
+  let addr = a + aux in
+  let value, fault =
+    match future_value st cpred with
     | Pred.Unspec ->
-        eev st Psb_obs.Events.Fault_deferred
-          ~a:(match addr_info with Some (addr, _) -> addr | None -> -1)
+        eev st Psb_obs.Events.Fault_deferred ~a:(if is_load then addr else -1)
           ~b:0;
         (0, Some f)
     | Pred.False -> (0, None) (* ignored: result squashes under the future *)
-    | Pred.True -> (
+    | Pred.True ->
+        let forwarded = st.forwarded in
         handle_or_abort st f;
-        match addr_info with
-        | None -> (0, None)
-        | Some (addr, forwarded) -> (
-            match forwarded with
-            | Some v -> (v, None)
-            | None -> (load_nonspec st ~addr ~load_pred:pred, None)))
+        if not is_load then (0, None)
+        else if forwarded then (v, None)
+        else (load_nonspec st ~addr ~cpred, None)
   in
+  schedule_reg st ~latency ~dst ~value ~cpred ~fault ~decided_seq:false
+    ~has_addr:is_load ~addr
+
+(* Issue one operation whose predicate is unspecified: execute
+   speculatively. *)
+let issue_spec st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~dst ~latency
+    ~cpred =
+  st.spec_ops <- st.spec_ops + 1;
   match k with
   | Lowered.Knop -> ()
   | Lowered.Kout ->
@@ -386,130 +547,136 @@ let issue_spec st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~dst ~latency ~pred
       machine_error "Setc issued with an unspecified predicate (must be alw)"
   | Lowered.Kstore ->
       let addr = a + aux in
-      let fault = Option.map (fun f -> Fault.Mem f) (Memory.probe st.mem addr) in
       let fault =
-        match fault with
+        match Memory.probe st.mem addr with
         | None -> None
         | Some f -> (
-            match future_value () with
+            match future_value st cpred with
             | Pred.Unspec ->
                 eev st Psb_obs.Events.Fault_deferred ~a:addr ~b:0;
-                Some f
+                Some (Fault.Mem f)
             | Pred.False -> None
             | Pred.True ->
-                handle_or_abort st f;
+                handle_or_abort st (Fault.Mem f);
                 None)
       in
-      schedule st ~latency
-        (Wstore { addr; value = b; cpred; spec = true; fault })
-  | Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload ->
-      let value, fault, load_addr =
-        match compute st k ~alu ~cmp ~a ~b ~aux ~pred with
-        | Ok v -> (v, None, None)
-        | Error (f, (Some (addr, _) as ai)) ->
-            let v, bf = resolve_fault f ~addr_info:ai in
-            (v, bf, Some addr)
-        | Error (f, None) ->
-            let v, bf = resolve_fault f ~addr_info:None in
-            (v, bf, None)
-      in
-      schedule st ~latency
-        (Wreg { dst; value; cpred; fault; decided_seq = false; load_addr })
+      schedule_store st ~latency ~addr ~value:b ~cpred ~spec:true ~fault
+  | Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload -> (
+      let v = compute st k ~alu ~cmp ~a ~b ~aux ~cpred in
+      if st.faulted then resolve_fault st k ~a ~aux ~dst ~latency ~cpred st.fault v
+      else
+        schedule_reg st ~latency ~dst ~value:v ~cpred ~fault:None
+          ~decided_seq:false ~has_addr:false ~addr:0)
 
-let[@inline] execute st ~spec k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~pred
-    ~cpred =
-  if spec then issue_spec st k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~pred ~cpred
-  else issue_nonspec st k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~pred ~cpred
+let[@inline] execute st ~spec k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred =
+  if spec then issue_spec st k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred
+  else issue_nonspec st k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred
 
-(* Apply one due writeback. Returns [`Conflict] when a speculative register
-   write hits an occupied shadow entry (single-shadow model): the caller
-   requeues it and stalls issue. *)
-let apply_wb st action ~cond_writes =
-  match action with
-  | Wout v ->
-      st.output_rev <- v :: st.output_rev;
-      `Ok
-  | Wcond { dst; value } ->
-      cond_writes := (dst, value) :: !cond_writes;
-      `Ok
-  | Wstore { addr; value; cpred; spec; fault } ->
-      Store_buffer.append st.sb ~addr ~value ~cpred ~spec ~fault;
-      `Ok
-  | Wreg { dst; value; cpred; fault; decided_seq; load_addr } ->
-      if decided_seq then begin
-        Regfile.write_seq st.rf dst value;
-        `Ok
-      end
-      else begin
-        match Ccr.evalc st.ccr cpred with
-        | Pred.False ->
-            st.wb_squashes <- st.wb_squashes + 1;
-            `Ok (* squashed in flight *)
-        | Pred.True ->
-            (* Committed during execution (like i6 in Table 1). A fault
-               surfacing here is a committed exception caught before
-               buffering: handle it like a normal exception. *)
-            let value =
-              match fault with
-              | None -> value
-              | Some f -> (
-                  handle_or_abort st f;
-                  match load_addr with
-                  | Some addr ->
-                      load_nonspec st ~addr ~load_pred:(Pred.source cpred)
-                  | None -> assert false)
-            in
-            Regfile.write_seq st.rf dst value;
-            `Ok
-        | Pred.Unspec -> (
-            match Regfile.write_spec st.rf dst value ~cpred ~fault with
-            | `Ok -> `Ok
-            | `Conflict -> `Conflict)
-      end
+let push_cond st c v =
+  if st.cw_n = Array.length st.cw_cond then begin
+    let n = 2 * st.cw_n in
+    let cc = Array.make n 0 and cv = Array.make n false in
+    Array.blit st.cw_cond 0 cc 0 st.cw_n;
+    Array.blit st.cw_val 0 cv 0 st.cw_n;
+    st.cw_cond <- cc;
+    st.cw_val <- cv
+  end;
+  st.cw_cond.(st.cw_n) <- c;
+  st.cw_val.(st.cw_n) <- v;
+  st.cw_n <- st.cw_n + 1
 
-let lookup_with st writes c =
-  match List.assoc_opt c writes with
-  | Some v -> if v then Pred.T else Pred.F
-  | None -> Ccr.get st.ccr c
+(* Apply the writeback at physical queue slot [p]. Returns [`Conflict]
+   when a speculative register write hits an occupied shadow entry
+   (single-shadow model): the caller requeues it and stalls issue. *)
+let apply_wb st p =
+  let q = st.wbq in
+  let k = q.w_kind.(p) in
+  if k = wb_out then begin
+    st.output_rev <- q.w_value.(p) :: st.output_rev;
+    `Ok
+  end
+  else if k = wb_cond then begin
+    push_cond st q.w_dst.(p) (q.w_value.(p) <> 0);
+    `Ok
+  end
+  else if k = wb_store then begin
+    Store_buffer.append st.sb ~addr:q.w_addr.(p) ~value:q.w_value.(p)
+      ~cpred:q.w_cpred.(p) ~spec:q.w_flag.(p) ~fault:q.w_fault.(p);
+    `Ok
+  end
+  else
+    let dst = q.w_dst.(p) in
+    if q.w_flag.(p) then begin
+      Regfile.write_seq st.rf dst q.w_value.(p);
+      `Ok
+    end
+    else
+      let cpred = q.w_cpred.(p) in
+      match Ccr.evalc st.ccr cpred with
+      | Pred.False ->
+          st.wb_squashes <- st.wb_squashes + 1;
+          `Ok (* squashed in flight *)
+      | Pred.True ->
+          (* Committed during execution (like i6 in Table 1). A fault
+             surfacing here is a committed exception caught before
+             buffering: handle it like a normal exception. *)
+          let value =
+            match q.w_fault.(p) with
+            | None -> q.w_value.(p)
+            | Some f ->
+                let has_addr = q.w_has_addr.(p) and addr = q.w_addr.(p) in
+                handle_or_abort st f;
+                if has_addr then load_nonspec st ~addr ~cpred else assert false
+          in
+          Regfile.write_seq st.rf dst value;
+          `Ok
+      | Pred.Unspec ->
+          Regfile.write_spec st.rf dst q.w_value.(p) ~cpred
+            ~fault:q.w_fault.(p)
+
+(* A condition's value under the pending writes, the newest first. *)
+let rec lookup_pending st c i =
+  if i < 0 then Ccr.get st.ccr c
+  else if st.cw_cond.(i) = c then if st.cw_val.(i) then Pred.T else Pred.F
+  else lookup_pending st c (i - 1)
 
 (* Detection (§3.5): would applying the pending condition writes commit a
    buffered speculative exception? *)
-let detect st writes =
-  let lookup = lookup_with st writes in
+let detect st =
+  (Regfile.buffered_faults st.rf > 0 || Store_buffer.buffered_faults st.sb > 0)
+  &&
+  let lookup c = lookup_pending st c (st.cw_n - 1) in
   Regfile.committing_exceptions st.rf lookup <> []
   || Store_buffer.committing_exceptions st.sb lookup <> []
 
-let drain_store_buffer st =
-  let rec go () =
-    match Store_buffer.drain st.sb ~max:st.model.Machine_model.dcache_ports st.mem with
-    | _ -> ()
-    | exception Memory.Fault f ->
-        handle_or_abort st (Fault.Mem f);
-        go ()
-  in
-  go ()
+let rec drain_store_buffer st =
+  match
+    Store_buffer.drain st.sb ~max:st.model.Machine_model.dcache_ports st.mem
+  with
+  | _ -> ()
+  | exception Memory.Fault f ->
+      handle_or_abort st (Fault.Mem f);
+      drain_store_buffer st
 
 (* Complete all in-flight writebacks (used at region transitions: the
    machine interlocks until outstanding latencies drain). Returns the
    number of extra cycles charged. *)
 let flush_pending st ~allow_cond =
-  if st.pending = [] then 0
+  let q = st.wbq in
+  if q.n = 0 then 0
   else begin
-    let last_due = List.fold_left (fun m p -> max m p.due) st.now st.pending in
-    let ps =
-      List.sort (fun a b -> compare (a.due, a.order) (b.due, b.order)) st.pending
-    in
-    st.pending <- [];
-    let cond_writes = ref [] in
-    List.iter
-      (fun p ->
-        match apply_wb st p.action ~cond_writes with
-        | `Ok -> ()
-        | `Conflict -> () (* dead: speculative state is about to be squashed *))
-      ps;
-    if !cond_writes <> [] && not allow_cond then
+    let last_due = max st.now q.w_due.((q.head + q.n - 1) land q.mask) in
+    st.cw_n <- 0;
+    while q.n > 0 do
+      (* a conflict is dead: speculative state is about to be squashed *)
+      ignore (apply_wb st (wbq_pop q))
+    done;
+    if st.cw_n > 0 && not allow_cond then
       machine_error "Setc write pending at region exit";
-    List.iter (fun (c, v) -> Ccr.set st.ccr c v) !cond_writes;
+    for i = st.cw_n - 1 downto 0 do
+      Ccr.set st.ccr st.cw_cond.(i) st.cw_val.(i)
+    done;
+    st.cw_n <- 0;
     max 0 (last_due - st.now)
   end
 
@@ -517,24 +684,28 @@ let start_recovery st ~future =
   emit st Exception_detected;
   st.recoveries <- st.recoveries + 1;
   (* Invalidate all speculative state: this establishes the precise
-     interrupt point. In-flight non-speculative writebacks complete;
-     speculative ones are dropped with the shadow state they target. *)
-  let spec, nonspec =
-    List.partition
-      (fun p ->
-        match p.action with
-        | Wreg { decided_seq; _ } -> not decided_seq
-        | Wstore { spec; _ } -> spec
-        | Wcond _ | Wout _ -> false)
-      st.pending
-  in
-  ignore spec;
-  st.pending <- nonspec;
-  let cond_writes = ref [] in
-  let ps = List.sort (fun a b -> compare (a.due, a.order) (b.due, b.order)) st.pending in
-  st.pending <- [];
-  List.iter (fun p -> ignore (apply_wb st p.action ~cond_writes)) ps;
-  if !cond_writes <> [] then
+     interrupt point. In-flight non-speculative writebacks complete, in
+     order; speculative ones are dropped with the shadow state they
+     target. *)
+  let q = st.wbq in
+  let kept = ref 0 in
+  for i = 0 to q.n - 1 do
+    let p = (q.head + i) land q.mask in
+    let k = q.w_kind.(p) in
+    let spec =
+      (k = wb_reg && not q.w_flag.(p)) || (k = wb_store && q.w_flag.(p))
+    in
+    if not spec then begin
+      wbq_move q ~dst:((q.head + !kept) land q.mask) ~src:p;
+      incr kept
+    end
+  done;
+  q.n <- !kept;
+  st.cw_n <- 0;
+  while q.n > 0 do
+    ignore (apply_wb st (wbq_pop q))
+  done;
+  if st.cw_n > 0 then
     machine_error "non-speculative Setc pending across exception detection";
   Regfile.invalidate_spec st.rf;
   Store_buffer.invalidate_spec st.sb;
@@ -546,7 +717,7 @@ let start_recovery st ~future =
    speculative state. The caller then installs the next region (or
    halts). *)
 let exit_prologue st (target : Pcode.exit_target) =
-  emit st (Region_exit target);
+  if observing st then emit st (Region_exit target);
   eev st Psb_obs.Events.Region_exit
     ~a:(region_id st st.region.Pcode.name)
     ~b:
@@ -560,9 +731,10 @@ let exit_prologue st (target : Pcode.exit_target) =
   st.now <- st.now + extra + st.model.Machine_model.transition_penalty;
   sync_now st;
   (* A final resolve pass: writebacks applied during the flush may have
-     buffered state whose predicate is already decided. *)
-  ignore (Regfile.tick ~dirty:(-1) st.rf st.ccr);
-  ignore (Store_buffer.tick ~dirty:(-1) st.sb st.ccr);
+     buffered state whose predicate is already decided. Its events are
+     not reported. *)
+  Regfile.tick ~dirty:(-1) st.rf st.ccr;
+  Store_buffer.tick ~dirty:(-1) st.sb st.ccr;
   (* Whatever speculative state remains belongs to untaken paths of the
      region being left (closed-region property): squash it. *)
   Regfile.invalidate_spec st.rf;
@@ -727,14 +899,13 @@ let end_bundle st ~in_recovery ~nexec ~fired =
 (* Tree decode: operand values from the [Operand.t] variants, the
    latency from the machine model. *)
 let issue_tree_op st ~spec (pi : Pcode.pinstr) ~latency =
-  let pred = pi.Pcode.pred in
+  let cpred = pi.Pcode.cpred in
   let reg r =
-    Regfile.read st.rf r ~shadow:(Reg.Set.mem r pi.Pcode.shadow_srcs) ~pred
+    Regfile.read st.rf r ~shadow:(Reg.Set.mem r pi.Pcode.shadow_srcs) ~cpred
   in
   let opnd = function Operand.Reg r -> reg r | Operand.Imm i -> i in
   let go ?(alu = Opcode.Add) ?(cmp = Opcode.Eq) ?(aux = 0) ?(dst = -1) k a b =
-    execute st ~spec k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~pred
-      ~cpred:pi.Pcode.cpred
+    execute st ~spec k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred
   in
   match pi.Pcode.op with
   | Instr.Nop -> go Lowered.Knop 0 0
@@ -793,8 +964,8 @@ let issue_tree st ~conflict =
 
 (* Lowered operand fetch: a register (shadow version if flagged) or an
    immediate. *)
-let[@inline] operand st ~pred reg imm shadow =
-  if reg >= 0 then Regfile.read st.rf reg ~shadow ~pred else imm
+let[@inline] operand st ~cpred reg imm shadow =
+  if reg >= 0 then Regfile.read st.rf reg ~shadow ~cpred else imm
 
 (* The lowered kernel: the same stages over the flat arrays, with the
    store flag, operands, latency and exit targets resolved ahead of
@@ -815,17 +986,16 @@ let issue_low st ls ~conflict =
       let latency = lr.Lowered.op_lat.(i) in
       let d = note_slot st (i - lo) lr.Lowered.op_src.(i) ~latency in
       if d > 0 then begin
-        let pred = lr.Lowered.op_pred.(i) in
+        let cpred = lr.Lowered.op_cpred.(i) in
         execute st ~spec:(d = 2) lr.Lowered.op_kind.(i)
           ~alu:lr.Lowered.op_alu.(i) ~cmp:lr.Lowered.op_cmp.(i)
           ~a:
-            (operand st ~pred lr.Lowered.op_s1_reg.(i) lr.Lowered.op_s1_imm.(i)
-               lr.Lowered.op_s1_sh.(i))
+            (operand st ~cpred lr.Lowered.op_s1_reg.(i)
+               lr.Lowered.op_s1_imm.(i) lr.Lowered.op_s1_sh.(i))
           ~b:
-            (operand st ~pred lr.Lowered.op_s2_reg.(i) lr.Lowered.op_s2_imm.(i)
-               lr.Lowered.op_s2_sh.(i))
-          ~aux:lr.Lowered.op_aux.(i) ~dst:lr.Lowered.op_dst.(i) ~latency ~pred
-          ~cpred:lr.Lowered.op_cpred.(i)
+            (operand st ~cpred lr.Lowered.op_s2_reg.(i)
+               lr.Lowered.op_s2_imm.(i) lr.Lowered.op_s2_sh.(i))
+          ~aux:lr.Lowered.op_aux.(i) ~dst:lr.Lowered.op_dst.(i) ~latency ~cpred
       end
     done;
     let fired = ref (-1) and j = ref lr.Lowered.ex_bounds.(st.pc) in
@@ -859,68 +1029,60 @@ let step st ~fuel =
   | Recovery _ -> st.recovery_cycles <- st.recovery_cycles + 1
   | Normal -> ());
   (* 1. Apply writebacks due this cycle. *)
-  let due, later = List.partition (fun p -> p.due <= st.now) st.pending in
-  st.pending <- later;
-  let due = List.sort (fun a b -> compare (a.due, a.order) (b.due, b.order)) due in
-  let cond_writes = ref [] in
+  let q = st.wbq in
+  st.cw_n <- 0;
   let conflict = ref false in
-  List.iter
-    (fun p ->
-      match apply_wb st p.action ~cond_writes with
-      | `Ok -> ()
-      | `Conflict ->
-          conflict := true;
-          st.pending <- { p with due = st.now + 1 } :: st.pending)
-    due;
+  while q.n > 0 && wbq_front_due q <= st.now do
+    let p = wbq_pop q in
+    match apply_wb st p with
+    | `Ok -> ()
+    | `Conflict ->
+        conflict := true;
+        wbq_requeue q p ~due:(st.now + 1)
+  done;
   (* 2. CCR update with exception detection. *)
   (match pending_assign with
   | Some future ->
-      assert (!cond_writes = []);
+      assert (st.cw_n = 0);
       if
         Regfile.committing_exceptions st.rf (Ccr.lookup future) <> []
         || Store_buffer.committing_exceptions st.sb (Ccr.lookup future) <> []
       then machine_error "detection while leaving recovery";
       Ccr.assign st.ccr ~from:future
   | None ->
-      let writes = !cond_writes in
-      if writes <> [] && detect st writes then begin
+      if st.cw_n > 0 && detect st then begin
         match st.mode with
         | Recovery _ -> machine_error "exception detection during recovery"
         | Normal ->
             (* Suppress the CCR update; the new value goes to the future
                CCR (§3.5). *)
             let future = Ccr.copy st.ccr in
-            List.iter (fun (c, v) -> Ccr.set future c v) writes;
+            for i = st.cw_n - 1 downto 0 do
+              Ccr.set future st.cw_cond.(i) st.cw_val.(i)
+            done;
             start_recovery st ~future;
             st.kind <- Krecovery;
             raise Cycle_done (* re-execution starts next cycle *)
       end
       else
-        List.iter
-          (fun (c, v) ->
-            Ccr.set st.ccr c v;
-            eev st
-              (if v then Psb_obs.Events.Pred_true else Psb_obs.Events.Pred_false)
-              ~a:(Cond.index c) ~b:0;
-            emit st (Cond_set (c, v)))
-          writes);
+        for i = st.cw_n - 1 downto 0 do
+          let c = st.cw_cond.(i) and v = st.cw_val.(i) in
+          Ccr.set st.ccr c v;
+          eev st
+            (if v then Psb_obs.Events.Pred_true else Psb_obs.Events.Pred_false)
+            ~a:(Cond.index c) ~b:0;
+          if observing st then emit st (Cond_set (c, v))
+        done);
   (* 3. Commit/squash the buffered speculative state, gated by the
      conditions written since the previous tick. *)
   let dirty = Ccr.take_dirty st.ccr in
-  List.iter
-    (fun (r, a) ->
-      emit st (match a with `Commit -> Reg_commit r | `Squash -> Reg_squash r))
-    (Regfile.tick ~dirty st.rf st.ccr);
-  List.iter
-    (fun (a, act) ->
-      emit st
-        (match act with `Commit -> Store_commit a | `Squash -> Store_squash a))
-    (Store_buffer.tick ~dirty st.sb st.ccr);
+  Regfile.tick ~dirty ?notify:st.rf_notify st.rf st.ccr;
+  Store_buffer.tick ~dirty ?notify:st.sb_notify st.sb st.ccr;
   (* Sample occupancy after commit/squash but before the drain — this is
      the point where buffered state held across the cycle is visible. *)
   note_sb_occupancy st;
   (* 4. Store buffer drains to the D-cache. *)
-  drain_store_buffer st;
+  if Store_buffer.length st.sb > 0 then drain_store_buffer st;
   (* 5. Issue one bundle (unless stalled on a shadow-storage conflict),
      through whichever execution kernel this run selected. *)
   match st.exec with
@@ -995,8 +1157,16 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
       region = region0;
       pc = 0;
       now = 0;
-      pending = [];
+      wbq = wbq_create 16;
       next_order = 0;
+      cw_cond = Array.make 8 0;
+      cw_val = Array.make 8 false;
+      cw_n = 0;
+      faulted = false;
+      fault = Fault.Arith "";
+      forwarded = false;
+      rf_notify = None;
+      sb_notify = None;
       output_rev = [];
       faults_handled = 0;
       dyn_bundles = 0;
@@ -1020,6 +1190,20 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
       last_sb_occ = 0;
     }
   in
+  (match on_event with
+  | None -> ()
+  | Some _ ->
+      st.rf_notify <-
+        Some
+          (fun r a ->
+            emit st (match a with `Commit -> Reg_commit r | `Squash -> Reg_squash r));
+      st.sb_notify <-
+        Some
+          (fun addr a ->
+            emit st
+              (match a with
+              | `Commit -> Store_commit addr
+              | `Squash -> Store_squash addr)));
   List.iter (fun (r, v) -> Regfile.write_seq st.rf r v) regs;
   eev st Psb_obs.Events.Region_enter
     ~a:(region_id st st.region.Pcode.name)

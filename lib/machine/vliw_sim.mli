@@ -20,7 +20,18 @@
 
     Region exits reset the CCR and squash any speculative state left
     behind — the closed-region property of §3.3 guarantees such state
-    belongs to untaken paths. *)
+    belongs to untaken paths.
+
+    The cycle loop allocates nothing per simulated cycle or per
+    non-speculative operation. In-flight writebacks sit in one queue of
+    flat banks kept sorted by (due cycle, issue order), so the items due
+    this cycle are a prefix applied in that order; a speculative
+    register write that meets an occupied shadow entry is requeued for
+    the next cycle with its issue order kept, and stalls issue. One
+    cycle's condition writes sit in a preallocated array. An issue
+    reports a fault out of band, in the machine state, rather than in a
+    result box. What still allocates is one record per buffered
+    speculative register write and one per store-buffer entry. *)
 
 open Psb_isa
 
@@ -145,8 +156,12 @@ val run :
 (** [fuel] bounds the cycle count (default 60M). [mem] is mutated.
     [on_event] receives commit/squash/detection/recovery/exit/issue
     events with the cycle they occur in — the machine's observable
-    timeline (compare Table 1). When neither [on_event] nor [metrics] is
-    given the instrumentation costs nothing.
+    timeline (compare Table 1). The register-file and store-buffer ticks
+    hand their [Reg_commit]/[Reg_squash]/[Store_commit]/[Store_squash]
+    events to it through a callback that the machine passes only when
+    [on_event] is set; every other event value is built only when
+    [on_event] is set. When neither [on_event] nor [metrics] is given the
+    instrumentation costs nothing.
 
     [events], independently of [on_event], records the speculation
     lifecycle into a structured ring buffer ([Psb_obs.Events]): region

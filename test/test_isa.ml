@@ -122,6 +122,28 @@ let prop_disjoint_semantics =
       (not (Pred.disjoint p q))
       || not (Pred.eval p lookup = Pred.True && Pred.eval q lookup = Pred.True))
 
+(* The compiled relations agree with the literal-map ones, on narrow
+   predicates (mask tests) and on predicates reaching past one word
+   (the fallback). *)
+let prop_compiled_relations =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 4)
+        (pair (oneofl [ 0; 1; 2; 3; Pred.word_bits - 1; Pred.word_bits ]) bool)
+      >|= fun lits ->
+      List.fold_left
+        (fun p (c, v) ->
+          match Pred.conj p (cond c) v with p' -> p' | exception _ -> p)
+        Pred.always lits)
+  in
+  let arb = QCheck.make ~print:(Format.asprintf "%a" Pred.pp) gen in
+  QCheck.Test.make ~name:"compiled relations = literal-map relations"
+    ~count:1000 (QCheck.pair arb arb) (fun (p, q) ->
+      let cp = Pred.compile p and cq = Pred.compile q in
+      Pred.disjoint_c cp cq = Pred.disjoint p q
+      && Pred.implies_c cp cq = Pred.implies p q
+      && Pred.equal_c cp cq = Pred.equal p q)
+
 (* ---------- Opcode ---------- *)
 
 let test_opcode_semantics () =
@@ -436,6 +458,80 @@ let test_trace_successive () =
   check_bool "monotone decreasing" true
     (Trace.successive_accuracy t 4 <= a2 +. 1e-9)
 
+(* The counts [Trace.of_blocks] keeps, recounted directly from their
+   definitions: per block, per consecutive pair, and per branch block
+   the directions taken, each terminator looked up in the program. *)
+let trace_agrees_with_recount program blocks =
+  let t = Trace.of_blocks program blocks in
+  let count tbl k =
+    Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0)
+  in
+  let blocks_n = Hashtbl.create 16 and edges_n = Hashtbl.create 16 in
+  let dirs = Hashtbl.create 16 and stream = ref [] in
+  List.iter (count blocks_n) blocks;
+  let rec pairs = function
+    | b1 :: (b2 :: _ as rest) ->
+        count edges_n (b1, b2);
+        (match (Program.find program b1).Program.term with
+        | Instr.Br { if_true; _ } ->
+            let taken = Label.equal b2 if_true in
+            stream := (b1, taken) :: !stream;
+            count dirs (b1, taken)
+        | Instr.Jmp _ | Instr.Halt -> ());
+        pairs rest
+    | [ _ ] | [] -> ()
+  in
+  pairs blocks;
+  let labels =
+    List.sort_uniq Label.compare (Program.labels program @ blocks)
+  in
+  let n tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0 in
+  let predict l = n dirs (l, true) >= n dirs (l, false) in
+  let correct =
+    List.length (List.filter (fun (l, taken) -> predict l = taken) !stream)
+  in
+  let nbr = List.length !stream in
+  List.for_all (fun l -> Trace.block_count t l = n blocks_n l) labels
+  && List.for_all
+       (fun src ->
+         List.for_all
+           (fun dst -> Trace.edge_count t ~src ~dst = n edges_n (src, dst))
+           labels)
+       labels
+  && List.for_all
+       (fun l ->
+         let tk = n dirs (l, true) and nt = n dirs (l, false) in
+         Trace.taken_fraction t l
+         = (if tk + nt = 0 then None
+            else Some (float_of_int tk /. float_of_int (tk + nt))))
+       labels
+  && Trace.dynamic_branches t = nbr
+  && Trace.prediction_accuracy t
+     = (if nbr = 0 then 1.0 else float_of_int correct /. float_of_int nbr)
+
+let prop_trace_recount =
+  QCheck.Test.make ~name:"Trace.of_blocks = direct recount" ~count:100
+    Gen_programs.arb_program (fun g ->
+      let r =
+        Interp.run ~regs:Gen_programs.regs ~mem:(Gen_programs.make_mem g)
+          g.Gen_programs.program
+      in
+      trace_agrees_with_recount g.Gen_programs.program r.Interp.block_trace)
+
+(* A hand-made list may pair blocks that are not static successors
+   (body -> done, done -> head) and end on a label the program lacks. *)
+let test_trace_non_successor_pair () =
+  let p, _ = branchy ~n:1 in
+  let blocks =
+    List.map lbl [ "head"; "body"; "done"; "head"; "head"; "body"; "head"; "elsewhere" ]
+  in
+  check_bool "recount agrees" true (trace_agrees_with_recount p blocks);
+  let t = Trace.of_blocks p blocks in
+  check_int "non-successor edge counted" 1
+    (Trace.edge_count t ~src:(lbl "body") ~dst:(lbl "done"));
+  check_int "missing last label counted" 1
+    (Trace.block_count t (lbl "elsewhere"))
+
 let test_program_validation () =
   Alcotest.check_raises "undefined target"
     (Invalid_argument "Program.make: undefined target nowhere in block e")
@@ -544,6 +640,7 @@ let () =
           prop_eval_agrees_when_specified;
           prop_implies_semantics;
           prop_disjoint_semantics;
+          prop_compiled_relations;
         ];
       ( "opcode",
         [
@@ -572,6 +669,9 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_trace_counts;
           Alcotest.test_case "successive accuracy" `Quick test_trace_successive;
+          Alcotest.test_case "non-successor pair" `Quick
+            test_trace_non_successor_pair;
+          Qc.to_alcotest prop_trace_recount;
         ] );
       ( "program",
         [ Alcotest.test_case "validation" `Quick test_program_validation ] );

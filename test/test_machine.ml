@@ -75,9 +75,10 @@ let test_regfile_commit () =
   check_bool "spec write ok" true
     (Regfile.write_spec rf (reg 0) 99 ~cpred:(Pred.compile p) ~fault:None = `Ok);
   check_int "seq unchanged" 10 (Regfile.read_seq rf (reg 0));
-  check_int "shadow read" 99 (Regfile.read rf (reg 0) ~shadow:true ~pred:p);
+  check_int "shadow read" 99
+    (Regfile.read rf (reg 0) ~shadow:true ~cpred:(Pred.compile p));
   check_rf_counters rf;
-  ignore (Regfile.tick rf (ccr_with [ (0, true) ]));
+  Regfile.tick ~dirty:(-1) rf (ccr_with [ (0, true) ]);
   check_int "committed" 99 (Regfile.read_seq rf (reg 0));
   check_bool "shadow cleared" true (not (Regfile.has_spec rf));
   check_rf_counters rf
@@ -89,7 +90,7 @@ let test_regfile_squash () =
     (Regfile.write_spec rf (reg 1) 42
        ~cpred:(Pred.compile (p_true (cond 0)))
        ~fault:None);
-  ignore (Regfile.tick rf (ccr_with [ (0, false) ]));
+  Regfile.tick ~dirty:(-1) rf (ccr_with [ (0, false) ]);
   check_int "squashed: seq intact" 7 (Regfile.read_seq rf (reg 1));
   check_bool "no spec left" true (not (Regfile.has_spec rf));
   check_int "one squash" 1 (Regfile.squashes rf)
@@ -98,7 +99,8 @@ let test_regfile_shadow_fallback () =
   (* §3.5 operand fetch: reading shadow with V clear falls back to seq. *)
   let rf = Regfile.create ~nregs:4 () in
   Regfile.write_seq rf (reg 2) 5;
-  check_int "fallback" 5 (Regfile.read rf (reg 2) ~shadow:true ~pred:Pred.always)
+  check_int "fallback" 5
+    (Regfile.read rf (reg 2) ~shadow:true ~cpred:Pred.compiled_always)
 
 let test_regfile_conflict () =
   let rf = Regfile.create ~nregs:4 () in
@@ -123,7 +125,7 @@ let test_regfile_infinite_mode () =
     (Regfile.write_spec rf (reg 0) 2 ~cpred:c1 ~fault:None = `Ok);
   check_int "no conflicts" 0 (Regfile.conflicts rf);
   (* c0 true, c1 false: version 1 commits, version 2 squashes. *)
-  ignore (Regfile.tick rf (ccr_with [ (0, true); (1, false) ]));
+  Regfile.tick ~dirty:(-1) rf (ccr_with [ (0, true); (1, false) ]);
   check_int "right version committed" 1 (Regfile.read_seq rf (reg 0))
 
 let test_regfile_exception_buffering () =
@@ -166,7 +168,7 @@ let test_sb_spec_blocks_drain () =
     ~spec:false ~fault:None;
   check_int "speculative head blocks" 0 (Store_buffer.drain sb ~max:8 mem);
   check_sb_counters sb;
-  ignore (Store_buffer.tick sb (ccr_with [ (0, true) ]));
+  Store_buffer.tick ~dirty:(-1) sb (ccr_with [ (0, true) ]);
   check_sb_counters sb;
   check_int "after commit both drain" 2 (Store_buffer.drain sb ~max:8 mem);
   check_int "order preserved" 1 (Memory.peek mem 1)
@@ -177,7 +179,7 @@ let test_sb_squash () =
   Store_buffer.append sb ~addr:1 ~value:1
     ~cpred:(Pred.compile (p_true (cond 0)))
     ~spec:true ~fault:None;
-  ignore (Store_buffer.tick sb (ccr_with [ (0, false) ]));
+  Store_buffer.tick ~dirty:(-1) sb (ccr_with [ (0, false) ]);
   check_sb_counters sb;
   check_int "squashed entry discarded" 0 (Store_buffer.drain sb ~max:8 mem);
   check_int "nothing written" 0 (Memory.peek mem 1);
@@ -185,26 +187,31 @@ let test_sb_squash () =
 
 let test_sb_forwarding () =
   let sb = Store_buffer.create () in
-  let p0 = p_true (cond 0) in
-  let not_p0 = Pred.of_list [ (cond 0, false) ] in
+  let p0 = Pred.compile (p_true (cond 0)) in
+  let not_p0 = Pred.compile (Pred.of_list [ (cond 0, false) ]) in
   let unspec = ccr_with [] in
+  let forward load_cpred =
+    match Store_buffer.forward sb ~addr:5 ~load_cpred unspec with
+    | `Hit ->
+        `Hit (Store_buffer.forwarded_value sb, Store_buffer.forwarded_fault sb)
+    | (`Miss | `Commit_dependence) as r -> r
+  in
   Store_buffer.append sb ~addr:5 ~value:50 ~cpred:Pred.compiled_always
     ~spec:false ~fault:None;
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:Pred.always unspec with
+  (match forward Pred.compiled_always with
   | `Hit (50, None) -> ()
   | _ -> Alcotest.fail "expected hit from non-speculative entry");
-  Store_buffer.append sb ~addr:5 ~value:60 ~cpred:(Pred.compile p0) ~spec:true
-    ~fault:None;
+  Store_buffer.append sb ~addr:5 ~value:60 ~cpred:p0 ~spec:true ~fault:None;
   (* A load on the opposite path skips the speculative entry. *)
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:not_p0 unspec with
+  (match forward not_p0 with
   | `Hit (50, None) -> ()
   | _ -> Alcotest.fail "disjoint speculative entry must be skipped");
   (* A load control-dependent on the store sees the speculative value. *)
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:p0 unspec with
+  (match forward p0 with
   | `Hit (60, None) -> ()
   | _ -> Alcotest.fail "implied speculative entry must forward");
   (* An unrelated load with an unresolved store is a commit dependence. *)
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:Pred.always unspec with
+  (match forward Pred.compiled_always with
   | `Commit_dependence -> ()
   | _ -> Alcotest.fail "expected commit-dependence report")
 
@@ -1064,10 +1071,10 @@ let test_regfile_dirty_gating () =
   let ccr = ccr_with [ (2, true) ] in
   (* cond 2 is specified, but the tick is told only cond 0 changed: the
      mask kernel must not even look. *)
-  ignore (Regfile.tick ~dirty:(1 lsl 0) rf ccr);
+  Regfile.tick ~dirty:(1 lsl 0) rf ccr;
   check_bool "still buffered after gated tick" true (Regfile.has_spec rf);
   check_int "skipped once" 1 (Regfile.tick_skipped rf);
-  ignore (Regfile.tick ~dirty:(1 lsl 2) rf ccr);
+  Regfile.tick ~dirty:(1 lsl 2) rf ccr;
   check_bool "committed once ungated" true (not (Regfile.has_spec rf));
   check_int "committed value" 9 (Regfile.read_seq rf (reg 0));
   check_rf_counters rf
@@ -1082,7 +1089,7 @@ let test_sb_dirty_gating_fresh_entry () =
   Store_buffer.append sb ~addr:3 ~value:33
     ~cpred:(Pred.compile (p_true (cond 0)))
     ~spec:true ~fault:None;
-  ignore (Store_buffer.tick ~dirty:0 sb ccr);
+  Store_buffer.tick ~dirty:0 sb ccr;
   check_int "fresh entry examined despite empty dirty mask" 1
     (Store_buffer.tick_examined sb);
   check_int "committed and drains" 1 (Store_buffer.drain sb ~max:8 mem);
@@ -1091,8 +1098,8 @@ let test_sb_dirty_gating_fresh_entry () =
   Store_buffer.append sb ~addr:4 ~value:44
     ~cpred:(Pred.compile (p_true (cond 1)))
     ~spec:true ~fault:None;
-  ignore (Store_buffer.tick ~dirty:0 sb ccr);
-  ignore (Store_buffer.tick ~dirty:0 sb ccr);
+  Store_buffer.tick ~dirty:0 sb ccr;
+  Store_buffer.tick ~dirty:0 sb ccr;
   check_int "second tick skipped" 1 (Store_buffer.tick_skipped sb);
   check_sb_counters sb
 
@@ -1169,13 +1176,24 @@ let prop_dirty_gating_never_delays =
                   ~spec:true ~fault:None)
           [ gated; full ];
         let dirty = Ccr.take_dirty ccr in
-        let rf_ev = Regfile.tick ~dirty rf ccr
-        and rf_ev' = Regfile.tick ~dirty:(-1) rf' ccr' in
-        let sb_ev = Store_buffer.tick ~dirty sb ccr
-        and sb_ev' = Store_buffer.tick ~dirty:(-1) sb' ccr' in
+        let heard tick =
+          let acc = ref [] in
+          tick (fun x a -> acc := (x, a) :: !acc);
+          List.rev !acc
+        in
+        let rf_ev = heard (fun notify -> Regfile.tick ~dirty ~notify rf ccr)
+        and rf_ev' =
+          heard (fun notify -> Regfile.tick ~dirty:(-1) ~notify rf' ccr')
+        in
+        let sb_ev =
+          heard (fun notify -> Store_buffer.tick ~dirty ~notify sb ccr)
+        and sb_ev' =
+          heard (fun notify -> Store_buffer.tick ~dirty:(-1) ~notify sb' ccr')
+        in
         let shadow rf =
           List.map
-            (fun r -> Regfile.read rf (reg r) ~shadow:true ~pred:Pred.always)
+            (fun r ->
+              Regfile.read rf (reg r) ~shadow:true ~cpred:Pred.compiled_always)
             [ 0; 1; 2; 3 ]
         in
         rf_ev = rf_ev' && sb_ev = sb_ev'
@@ -1570,6 +1588,315 @@ let prop_rob_matches_interp =
           && s.Interp.faults_handled = r.Rob_sim.faults_handled
           && Rob_sim.breakdown_total r.Rob_sim.breakdown = r.cycles)
 
+(* ---------- timing pins ----------
+
+   Cycle-level results of both machines, recorded at a known-good
+   commit. The differential stages compare architectural state only,
+   the two VLIW kernels share their execute stage and writeback queue,
+   and the ROB has no second implementation, so nothing else catches a
+   rewrite that moves a cycle. A change that alters timing on purpose
+   re-records both pins and says so in CHANGES.md. *)
+
+module Driver = Psb_compiler.Driver
+module Model = Psb_compiler.Model
+module Gen = Psb_proptest.Gen
+
+(* per suite program on [Machine_model.base]: ROB cycles, committed and
+   mispredicts; region-pred VLIW cycles, commits and squashes *)
+let pinned_suite =
+  [
+    ("compress", (8183, 16102, 221), (12172, 3421, 4016));
+    ("eqntott", (30214, 59793, 2557), (31586, 18780, 9289));
+    ("espresso", (48697, 102684, 4346), (56385, 27228, 4893));
+    ("grep", (19964, 64566, 230), (40161, 19619, 234));
+    ("li", (21221, 32210, 1337), (25525, 7016, 5580));
+    ("nroff", (18468, 55767, 241), (37546, 18124, 478));
+  ]
+
+let test_pin_suite_table () =
+  let got =
+    List.map
+      (fun (w : Dsl.t) ->
+        let r =
+          Rob_sim.run ~model:Machine_model.base ~regs:w.Dsl.regs
+            ~mem:(w.Dsl.make_mem ()) w.Dsl.program
+        in
+        let _, profile =
+          Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs
+            ~mem:(w.Dsl.make_mem ())
+        in
+        let c =
+          Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
+            ~profile w.Dsl.program
+        in
+        let v = Driver.run_vliw c ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) in
+        let rs = r.Rob_sim.stats and vs = v.Vliw_sim.stats in
+        ( w.Dsl.name,
+          (r.Rob_sim.cycles, rs.Rob_sim.committed, rs.Rob_sim.mispredicts),
+          (v.Vliw_sim.cycles, vs.Vliw_sim.commits, vs.Vliw_sim.squashes) ))
+      Suite.all
+  in
+  let show (n, (a, b, c), (d, e, f)) =
+    Printf.sprintf "(%S, (%d, %d, %d), (%d, %d, %d))" n a b c d e f
+  in
+  Alcotest.(check (list string))
+    "suite timing on base" (List.map show pinned_suite) (List.map show got)
+
+(* One line per run: every field of the result record. *)
+let ints l = String.concat "," (List.map string_of_int l)
+
+let pin_regs regs =
+  ints (List.concat_map (fun (r, v) -> [ Reg.index r; v ]) (Reg.Map.bindings regs))
+
+let pin_outcome o = Format.asprintf "%a" Interp.pp_outcome o
+
+let pin_rob (r : Rob_sim.result) =
+  let s = r.Rob_sim.stats in
+  Printf.sprintf "%s out=%s cyc=%d dyn=%d regs=%s fh=%d st=%s bd=%s"
+    (pin_outcome r.Rob_sim.outcome)
+    (ints r.Rob_sim.output) r.Rob_sim.cycles r.Rob_sim.dyn_instrs
+    (pin_regs r.Rob_sim.regs) r.Rob_sim.faults_handled
+    (ints
+       [
+         s.Rob_sim.fetched; s.committed; s.squashed; s.branches; s.mispredicts;
+         s.loads_forwarded; s.squashed_faults; s.fault_restarts;
+         s.rob_max_occupancy; s.rob_full_stalls;
+       ])
+    (ints (List.map snd (Rob_sim.breakdown_fields r.Rob_sim.breakdown)))
+
+let pin_vliw (r : Vliw_sim.result) =
+  let s = r.Vliw_sim.stats in
+  Printf.sprintf "%s out=%s cyc=%d regs=%s fh=%d st=%s bd=%s"
+    (pin_outcome r.Vliw_sim.outcome)
+    (ints r.Vliw_sim.output) r.Vliw_sim.cycles (pin_regs r.Vliw_sim.regs)
+    r.Vliw_sim.faults_handled
+    (ints
+       [
+         s.Vliw_sim.dyn_bundles; s.dyn_ops; s.squashed_ops; s.spec_ops;
+         s.commits; s.squashes; s.recoveries; s.recovery_cycles;
+         s.shadow_conflicts; s.conflict_stall_cycles; s.sb_max_occupancy;
+         s.sb_stall_cycles; s.region_transitions;
+       ])
+    (ints (List.map snd (Vliw_sim.breakdown_fields r.Vliw_sim.breakdown)))
+
+let pin_guard f = try f () with e -> "exn " ^ Printexc.to_string e
+
+let pin_rob_machines =
+  rob_machines
+  @ [
+      ( "small",
+        {
+          Machine_model.base with
+          Machine_model.issue_width = 2;
+          rob_size = 4;
+          load_latency = 3;
+          dcache_ports = 1;
+          transition_penalty = 1;
+        } );
+    ]
+
+let pin_shadow_modes =
+  [
+    ("single", true, Regfile.Single);
+    ("infinite", false, Regfile.Infinite);
+    ("infinite-code-on-single", false, Regfile.Single);
+  ]
+
+let pin_kernels = [ ("lowered", Vliw_sim.Lowered); ("tree", Vliw_sim.Tree) ]
+
+(* the suite, then generated programs from a fixed seed, half of them
+   with a nested inner loop *)
+let pin_programs () =
+  Suite.all
+  @ List.init 40 (fun i ->
+        let shape =
+          if i mod 2 = 0 then Gen.default_shape
+          else { Gen.default_shape with Gen.nesting = 2 }
+        in
+        Gen.to_dsl ~name:(Printf.sprintf "gen%d" i)
+          (Gen.gen shape (Random.State.make [| 0x5eed; i |])))
+
+let pin_lines () =
+  List.concat_map
+    (fun (w : Dsl.t) ->
+      let program = w.Dsl.program and regs = w.Dsl.regs in
+      let rob =
+        List.map
+          (fun (mname, model) ->
+            Printf.sprintf "%s rob/%s %s" w.Dsl.name mname
+              (pin_guard (fun () ->
+                   pin_rob
+                     (Rob_sim.run ~fuel:2_000_000 ~model ~regs
+                        ~mem:(w.Dsl.make_mem ()) program))))
+          pin_rob_machines
+      in
+      let _, profile = Driver.profile_of program ~regs ~mem:(w.Dsl.make_mem ()) in
+      let vliw =
+        List.concat_map
+          (fun (model : Model.t) ->
+            List.concat_map
+              (fun (sname, single_shadow, regfile_mode) ->
+                let compiled =
+                  try
+                    Ok
+                      (Driver.compile ~verify:false ~single_shadow ~model
+                         ~machine:Machine_model.base ~profile program)
+                  with e -> Error (Printexc.to_string e)
+                in
+                List.map
+                  (fun (kname, exec_kernel) ->
+                    let tag =
+                      Printf.sprintf "%s %s/%s/%s" w.Dsl.name model.Model.name
+                        sname kname
+                    in
+                    match compiled with
+                    | Error e -> tag ^ " compile " ^ e
+                    | Ok c ->
+                        let pcode = Option.get c.Driver.pcode in
+                        let lowered =
+                          match exec_kernel with
+                          | Vliw_sim.Lowered -> c.Driver.lowered
+                          | Vliw_sim.Tree -> None
+                        in
+                        tag ^ " "
+                        ^ pin_guard (fun () ->
+                              pin_vliw
+                                (Vliw_sim.run ~fuel:2_000_000 ~regfile_mode
+                                   ~exec_kernel ?lowered ~model:c.Driver.machine
+                                   ~regs ~mem:(w.Dsl.make_mem ()) pcode)))
+                  pin_kernels)
+              pin_shadow_modes)
+          (List.filter (fun (m : Model.t) -> m.Model.executable) Model.all)
+      in
+      rob @ vliw)
+    (pin_programs ())
+
+let pinned_digest = "b6d35dfe284f7111b4b8aa10944cec25"
+
+let test_pin_digest () =
+  let lines = pin_lines () in
+  Alcotest.(check string)
+    (Printf.sprintf "digest of %d result records" (List.length lines))
+    pinned_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* ---------- allocation bounds ----------
+
+   The cycle loops allocate nothing per simulated cycle or per
+   non-speculative operation: a long run allocates what a short one
+   does, up to the tolerance. The only per-operation allocation left is
+   one record per buffered speculative register write (the shadow
+   version) and one per store-buffer entry. [Gc.minor_words] returns a
+   boxed float, which the tolerance absorbs. *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Words allocated by a run of [n] iterations, after a warm-up run. *)
+let words_per_run run n =
+  ignore (run 10);
+  minor_words_of (fun () -> ignore (run n))
+
+let check_flat name ~small ~large =
+  check_bool
+    (Printf.sprintf "%s: no per-iteration allocation (%.0f -> %.0f words)" name
+       small large)
+    true
+    (large -. small < 4096.)
+
+(* A counted loop with a load and a branch on the counter's parity, which
+   the 2-bit predictor keeps mispredicting. *)
+let rob_loop =
+  Asm.parse_exn
+    {|
+entry entry
+entry:
+  r2 = 0
+  r5 = 0
+  jmp head
+head:
+  r3 = load r2+0
+  r4 = and r1 1
+  br r4 ? odd : even
+odd:
+  r5 = add r5 r3
+  jmp next
+even:
+  r5 = sub r5 1
+  jmp next
+next:
+  r1 = sub r1 1
+  r6 = r1 > 0
+  br r6 ? head : done
+done:
+  halt
+|}
+
+let test_rob_no_alloc () =
+  let decoded = Decoded.of_program rob_loop in
+  let run n =
+    Rob_sim.run ~decoded ~model:Machine_model.base
+      ~regs:[ (reg 1, n) ]
+      ~mem:(Memory.create ~size:16) rob_loop
+  in
+  let r = run 1_000 in
+  check_bool "halts" true (r.Rob_sim.outcome = Interp.Halted);
+  check_bool "mispredicts" true (r.Rob_sim.stats.Rob_sim.mispredicts > 100);
+  check_flat "rob" ~small:(words_per_run run 1_000)
+    ~large:(words_per_run run 100_000)
+
+let alu ?(pred = Pred.always) op d a b =
+  Pcode.op pred (Instr.Alu { op; dst = reg d; a; b })
+
+(* One region that loops on itself while r1 counts down; the op in the
+   second bundle is speculative when [spec] (its condition is written in
+   the same bundle, so it is unspecified at issue). *)
+let vliw_loop ~spec =
+  let pred = if spec then p_true (cond 0) else Pred.always in
+  Pcode.make ~entry:(lbl "loop")
+    [
+      region "loop"
+        [
+          [ alu Opcode.Sub 1 (r 1) (imm 1); alu Opcode.Add 2 (r 2) (imm 3) ];
+          [ setc 0 Opcode.Gt (r 1) (imm 0); alu ~pred Opcode.Add 3 (r 3) (imm 1) ];
+          [
+            Pcode.exit_to (p_true (cond 0)) (lbl "loop");
+            Pcode.exit_stop (Pred.of_list [ (cond 0, false) ]);
+          ];
+        ];
+    ]
+
+let vliw_loop_run pcode n =
+  Vliw_sim.run ~model ~regs:[ (reg 1, n) ] ~mem:(Memory.create ~size:16) pcode
+
+let test_vliw_nonspec_no_alloc () =
+  let pcode = vliw_loop ~spec:false in
+  let r = vliw_loop_run pcode 1_000 in
+  check_bool "halts" true (r.Vliw_sim.outcome = Interp.Halted);
+  check_int "no speculation" 0 r.Vliw_sim.stats.Vliw_sim.spec_ops;
+  check_flat "vliw" ~small:(words_per_run (vliw_loop_run pcode) 1_000)
+    ~large:(words_per_run (vliw_loop_run pcode) 100_000)
+
+let test_vliw_spec_write_one_version () =
+  let pcode = vliw_loop ~spec:true in
+  let r = vliw_loop_run pcode 1_000 in
+  check_bool "halts" true (r.Vliw_sim.outcome = Interp.Halted);
+  check_int "one speculative write per iteration" 1_000
+    r.Vliw_sim.stats.Vliw_sim.spec_ops;
+  (* c0 is false on the last iteration *)
+  check_int "commits" 999 r.Vliw_sim.stats.Vliw_sim.commits;
+  check_int "squashes" 1 r.Vliw_sim.stats.Vliw_sim.squashes;
+  let small = words_per_run (vliw_loop_run pcode) 1_000
+  and large = words_per_run (vliw_loop_run pcode) 100_000 in
+  (* a version record: a header and four fields *)
+  let per_iter = (large -. small) /. 99_000. in
+  check_bool
+    (Printf.sprintf "at most one shadow version per iteration (%.2f words)"
+       per_iter)
+    true (per_iter <= 5.05)
+
 (* ---------- predecoded scalar form (Decoded) ---------- *)
 
 (* Edge shapes of the decoded form: the interpreter's decoded kernel must
@@ -1876,6 +2203,21 @@ let () =
             test_rob_spec_profile_reconciles;
           Qc.to_alcotest prop_rob_commit_monotone;
           Qc.to_alcotest prop_rob_matches_interp;
+        ] );
+      ( "timing-pins",
+        [
+          Alcotest.test_case "suite on the base machine" `Quick
+            test_pin_suite_table;
+          Alcotest.test_case "result-record digest" `Quick test_pin_digest;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "rob loop allocates nothing per iteration" `Quick
+            test_rob_no_alloc;
+          Alcotest.test_case "non-speculative vliw loop allocates nothing"
+            `Quick test_vliw_nonspec_no_alloc;
+          Alcotest.test_case "one shadow version per speculative write" `Quick
+            test_vliw_spec_write_one_version;
         ] );
       ( "decoded",
         [

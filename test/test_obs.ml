@@ -453,8 +453,8 @@ let test_events_emit_no_alloc () =
 
 (* Attaching a ring to the per-cycle tick paths must add zero minor-heap
    allocation: measured as a delta between identical state with and
-   without [?events]. The store-buffer side is additionally absolute:
-   its tick allocates nothing at all. *)
+   without [?events]. Both ticks are additionally absolute: they
+   allocate nothing at all. *)
 let test_tick_no_alloc_with_events () =
   let module Regfile = Psb_machine.Regfile in
   let module Store_buffer = Psb_machine.Store_buffer in
@@ -503,6 +503,9 @@ let test_tick_no_alloc_with_events () =
   let rf1 = measure (fun () -> Regfile.tick ~dirty:(-1) rf_events ccr) in
   let sb0 = measure (fun () -> Store_buffer.tick ~dirty:(-1) sb_plain ccr) in
   let sb1 = measure (fun () -> Store_buffer.tick ~dirty:(-1) sb_events ccr) in
+  check_bool
+    (Printf.sprintf "rf tick allocates nothing (%.0f words / 10k)" rf1)
+    true (rf1 < 256.);
   check_bool
     (Printf.sprintf "events add nothing to rf tick (%+.0f words / 10k)"
        (rf1 -. rf0))
