@@ -333,6 +333,46 @@ module Decoded_bench = struct
       ]
 end
 
+(* ----- trace-driven estimate microbenches -----
+
+   The two per-program costs behind every speedup table: [cycles]
+   replays compress's recorded block trace over its region-pred units on
+   the base machine (what [Harness.estimated_cycles] does after a cache
+   hit), and [profile] is the traced scalar run plus the profile built
+   from it ([Driver.profile_of], a harness set-up). The replay decodes
+   the program and flattens the units into int tables once per call, so
+   its allocation follows the program and its units, not the trace. *)
+module Estimate_bench = struct
+  module Driver = Psb_compiler.Driver
+  module Interp = Psb_isa.Interp
+  module Dsl = Psb_workloads.Dsl
+
+  let scalar =
+    lazy
+      (let w = Lazy.force Lowered_bench.w in
+       fst
+         (Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs
+            ~mem:(w.Dsl.make_mem ())))
+
+  let tests () =
+    let open Bechamel in
+    let t name f = Test.make ~name (Staged.stage f) in
+    Test.make_grouped ~name:"estimate"
+      [
+        t "cycles" (fun () ->
+            let w = Lazy.force Lowered_bench.w in
+            ignore
+              (Driver.estimate_cycles (Lazy.force Lowered_bench.compiled)
+                 w.Dsl.program
+                 ~block_trace:(Lazy.force scalar).Interp.block_trace));
+        t "profile" (fun () ->
+            let w = Lazy.force Lowered_bench.w in
+            ignore
+              (Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs
+                 ~mem:(w.Dsl.make_mem ())));
+      ]
+end
+
 (* Bechamel timings. Groups: [experiments] times the full regeneration of
    each table/figure against a null formatter; [pred_kernel] times the
    per-cycle bitmask predicate evaluation; [events] times the structured
@@ -340,7 +380,9 @@ end
    simulation under the lowered vs tree execution kernels; [rob] times the
    rival reorder-buffer backend against the scalar and VLIW simulators;
    [decoded] times the predecoded scalar form on both scalar backends
-   (and the interpreter's tree kernel), plus the decode pass itself. *)
+   (and the interpreter's tree kernel), plus the decode pass itself;
+   [estimate] times the trace-driven cycle estimate and the profile run
+   it replays. *)
 let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
   [
     ( "experiments",
@@ -357,6 +399,7 @@ let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
     ("lowered", Lowered_bench.tests);
     ("rob", Rob_bench.tests);
     ("decoded", Decoded_bench.tests);
+    ("estimate", Estimate_bench.tests);
   ]
 
 let bench_usage_error name =

@@ -19,7 +19,22 @@ val measure :
   units:Runit.t Label.Map.t ->
   schedules:Sched.t Label.Map.t ->
   Program.t ->
-  block_trace:Label.t list ->
+  block_trace:int array ->
   t
-(** @raise Failure if the trace cannot be replayed through the units
-    (indicates a unit-construction bug). *)
+(** Replay [block_trace], the blocks a run entered as positions in
+    [program.blocks] ([Interp.result.block_trace]). The trace must be
+    that of a run that halted: a run stopped by a fault or out of fuel
+    can end inside a unit visit, which has no exit to charge.
+
+    The units, their copies and their steps are flattened into int
+    tables once per call (block numbering and branch arms from
+    {!Psb_isa.Decoded}), so the replay itself does array reads only: a
+    call allocates in proportion to the program and its units, not to
+    the trace.
+    @raise Invalid_argument if an index lies outside the program.
+    @raise Failure if the trace cannot be replayed through the units: a
+    visit starts at a block that heads no unit, the trace leaves the
+    unit's copies or follows neither arm of a branch, or a step is
+    missing (each a unit-construction bug); or the trace ends inside a
+    unit visit (the trace of a run that did not halt), which the message
+    locates by the unit's header and the last block. *)

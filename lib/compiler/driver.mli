@@ -92,8 +92,11 @@ val compile :
     with other callers (and other domains) — treat it as read-only,
     which every consumer already does. *)
 
-val estimate_cycles : compiled -> Program.t -> block_trace:Label.t list -> int
-(** Trace-driven cycle count (see {!Cycles}). *)
+val estimate_cycles : compiled -> Program.t -> block_trace:int array -> int
+(** Trace-driven cycle count (see {!Cycles.measure}). [block_trace] is
+    the [Interp.result.block_trace] of a run of [program] that halted.
+    @raise Failure if the trace cannot be replayed, including the trace
+    of a run stopped by a fault or out of fuel. *)
 
 val run_vliw :
   ?regfile_mode:Psb_machine.Regfile.mode ->

@@ -461,12 +461,15 @@ let unroll_ablation ?(factors = [ 1; 2; 4 ]) (h : Harness.t) =
     Harness.par_map h
       (fun ((e : Harness.entry), factor) ->
         let w = e.Harness.workload in
-        let program =
-          if factor <= 1 then w.Dsl.program
-          else Transform.unroll_loops ~factor w.Dsl.program
-        in
-        let scalar, profile =
-          Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+        (* at factor 1 the program is the entry's own, already profiled *)
+        let program, scalar, profile =
+          if factor <= 1 then (w.Dsl.program, e.Harness.scalar, e.Harness.profile)
+          else
+            let program = Transform.unroll_loops ~factor w.Dsl.program in
+            let scalar, profile =
+              Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+            in
+            (program, scalar, profile)
         in
         let compiled =
           Driver.compile ~cache:h.Harness.cache ~model:Model.region_pred

@@ -142,9 +142,8 @@ let analyze (w : Dsl.t) =
     | Instr.Store { src; _ } -> mem_write (Option.get addr) (rr src)
     | Instr.Setc _ | Instr.Out _ | Instr.Nop -> ()
   in
-  List.iter
-    (fun label ->
-      let bi = Decoded.block_index decoded label in
+  Array.iter
+    (fun bi ->
       let hi = decoded.Decoded.op_bounds.(bi + 1) in
       for i = decoded.Decoded.op_bounds.(bi) to hi - 1 do
         step decoded.Decoded.ops.(i)
@@ -167,7 +166,10 @@ let analyze (w : Dsl.t) =
     value_headroom = ipc value /. max (ipc oracle) 1e-9;
   }
 
-let analyze_suite ?(workloads = Suite.all) () = List.map analyze workloads
+let analyze_suite ?pool ?(workloads = Suite.all) () =
+  match pool with
+  | Some p -> Psb_parallel.Pool.map_exn p analyze workloads
+  | None -> List.map analyze workloads
 
 let pp ppf rows =
   Format.fprintf ppf

@@ -38,5 +38,9 @@ type row = {
 }
 
 val analyze : Dsl.t -> row
-val analyze_suite : ?workloads:Dsl.t list -> unit -> row list
+val analyze_suite :
+  ?pool:Psb_parallel.Pool.t -> ?workloads:Dsl.t list -> unit -> row list
+(** One row per workload (default {!Psb_workloads.Suite.all}), in order;
+    with [pool], the workloads are analysed as independent pool tasks. *)
+
 val pp : Format.formatter -> row list -> unit

@@ -287,7 +287,7 @@ let experiments =
           Experiments.predictability_sweep ?pool:h.Harness.pool ()) );
     ( "limits",
       "ILP limit study (block vs oracle vs value oracle, the paper's motivation)",
-      fun _ ppf -> Limits.pp ppf (Limits.analyze_suite ()) );
+      on Limits.pp (fun h -> Limits.analyze_suite ?pool:h.Harness.pool ()) );
     ( "hwcost",
       "hardware cost model (4.2.1)",
       fun _ ppf -> Hwcost.pp_report ppf (Hwcost.analyze Hwcost.default) );
@@ -314,7 +314,7 @@ let experiment (h : Harness.t) = function
   | "unroll" -> Some (unroll_json (Experiments.unroll_ablation h))
   | "sweep" ->
       Some (sweep_json (Experiments.predictability_sweep ?pool:h.Harness.pool ()))
-  | "limits" -> Some (limits_json (Limits.analyze_suite ()))
+  | "limits" -> Some (limits_json (Limits.analyze_suite ?pool:h.Harness.pool ()))
   | "hwcost" -> Some (hwcost_json (Hwcost.analyze Hwcost.default))
   | "rob" -> Some (rob_json (Experiments.rob_rival h))
   | _ -> None

@@ -5,7 +5,7 @@ type result = {
   output : int list;
   cycles : int;
   dyn_instrs : int;
-  block_trace : Label.t list;
+  block_trace : int array;
   regs : int Reg.Map.t;
   faults_handled : int;
 }
@@ -18,12 +18,24 @@ type env = {
   mutable output_rev : int list;
   mutable cycles : int;
   mutable dyn_instrs : int;
-  mutable trace_rev : Label.t list;
+  mutable trace : int array; (* blocks entered; the first [trace_len] count *)
+  mutable trace_len : int;
   mutable faults_handled : int;
   mutable last_load_dst : Reg.t option; (* for the load-use interlock *)
 }
 
 let reg_value env r = env.regs.(Reg.index r)
+
+(* Append a block index to the trace, doubling the buffer when full. *)
+let record env bi =
+  let n = env.trace_len in
+  if n = Array.length env.trace then begin
+    let a = Array.make (max 256 (2 * n)) 0 in
+    Array.blit env.trace 0 a 0 n;
+    env.trace <- a
+  end;
+  env.trace.(n) <- bi;
+  env.trace_len <- n + 1
 
 let set_reg env r v =
   env.regs.(Reg.index r) <- v;
@@ -98,7 +110,8 @@ let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
       output_rev = [];
       cycles = 0;
       dyn_instrs = 0;
-      trace_rev = [];
+      trace = [||];
+      trace_len = 0;
       faults_handled = 0;
       last_load_dst = None;
     }
@@ -115,42 +128,56 @@ let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
       output = List.rev env.output_rev;
       cycles = env.cycles;
       dyn_instrs = env.dyn_instrs;
-      block_trace = List.rev env.trace_rev;
+      block_trace =
+        (if env.trace_len = Array.length env.trace then env.trace
+         else Array.sub env.trace 0 env.trace_len);
       regs = final_regs;
       faults_handled = env.faults_handled;
     }
   in
-  (* ----- tree kernel: walk the block lists, match the variants ----- *)
-  let rec run_block label =
-    if env.dyn_instrs > fuel then finish Out_of_fuel
-    else begin
-      if record_trace then env.trace_rev <- label :: env.trace_rev;
-      (match on_block with None -> () | Some f -> f env.cycles label);
-      let b = Program.find program label in
-      List.iter
-        (fun op ->
-          charge env op;
-          (match observer with
-          | None -> ()
-          | Some f ->
-              let addr =
-                match op with
-                | Instr.Load { base; off; _ } -> Some (reg_value env base + off)
-                | Instr.Store { base; off; _ } -> Some (reg_value env base + off)
-                | _ -> None
-              in
-              f op addr);
-          exec_op env op)
-        b.Program.body;
-      env.dyn_instrs <- env.dyn_instrs + 1;
-      env.cycles <- env.cycles + 1;
-      env.last_load_dst <- None;
-      match b.Program.term with
-      | Instr.Halt -> finish Halted
-      | Instr.Jmp l -> run_block l
-      | Instr.Br { src; if_true; if_false } ->
-          run_block (if reg_value env src <> 0 then if_true else if_false)
-    end
+  (* ----- tree kernel: walk the block lists, match the variants -----
+     Each label resolves through one per-run table to its position in
+     [program.blocks] (the first block of that name, as [Program.find])
+     and its block. *)
+  let run_tree () =
+    let blocks = Hashtbl.create 64 in
+    List.iteri
+      (fun i (b : Program.block) ->
+        if not (Hashtbl.mem blocks b.Program.label) then
+          Hashtbl.add blocks b.Program.label (i, b))
+      program.Program.blocks;
+    let rec run_block label =
+      if env.dyn_instrs > fuel then finish Out_of_fuel
+      else begin
+        let bi, b = Hashtbl.find blocks label in
+        if record_trace then record env bi;
+        (match on_block with None -> () | Some f -> f env.cycles label);
+        List.iter
+          (fun op ->
+            charge env op;
+            (match observer with
+            | None -> ()
+            | Some f ->
+                let addr =
+                  match op with
+                  | Instr.Load { base; off; _ } -> Some (reg_value env base + off)
+                  | Instr.Store { base; off; _ } -> Some (reg_value env base + off)
+                  | _ -> None
+                in
+                f op addr);
+            exec_op env op)
+          b.Program.body;
+        env.dyn_instrs <- env.dyn_instrs + 1;
+        env.cycles <- env.cycles + 1;
+        env.last_load_dst <- None;
+        match b.Program.term with
+        | Instr.Halt -> finish Halted
+        | Instr.Jmp l -> run_block l
+        | Instr.Br { src; if_true; if_false } ->
+            run_block (if reg_value env src <> 0 then if_true else if_false)
+      end
+    in
+    run_block program.Program.entry
   in
   (* ----- decoded kernel: walk the flat arrays -----
      Cycle accounting, trace/observer/hook ordering, fuel-check position
@@ -237,7 +264,7 @@ let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
       if env.dyn_instrs > fuel then finish Out_of_fuel
       else if bi < 0 then raise Not_found (* parity with the tree path's find *)
       else begin
-        if record_trace then env.trace_rev <- labels.(bi) :: env.trace_rev;
+        if record_trace then record env bi;
         (match on_block with None -> () | Some f -> f env.cycles labels.(bi));
         let hi = op_bounds.(bi + 1) in
         for i = op_bounds.(bi) to hi - 1 do
@@ -262,7 +289,7 @@ let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
   | None -> ());
   try
     match kernel with
-    | Tree -> run_block program.Program.entry
+    | Tree -> run_tree ()
     | Decoded ->
         let d =
           match decoded with Some d -> d | None -> Decoded.of_program program

@@ -16,7 +16,9 @@ type result = {
   output : int list;  (** values emitted by [Out], in order *)
   cycles : int;
   dyn_instrs : int;
-  block_trace : Label.t list;  (** blocks entered, in order *)
+  block_trace : int array;
+      (** blocks entered, in order, each as its position in
+          [program.blocks] — the numbering {!Decoded} uses *)
   regs : int Reg.Map.t;  (** final register file (registers ever written) *)
   faults_handled : int;
 }
@@ -39,7 +41,8 @@ val run :
   Program.t ->
   result
 (** [fuel] bounds the number of dynamic instructions (default 30M).
-    [record_trace] (default true) controls whether [block_trace] is kept.
+    [record_trace] (default true) controls whether [block_trace] is kept;
+    without it, nothing is allocated per block entered.
     [observer] is called for every executed operation with the memory
     address it touches, if any — the hook behind trace-driven analyses
     such as the ILP limit study. [on_block] is called with the current
@@ -53,7 +56,8 @@ val run :
     (fuzz stages, limit regimes) decode once; it must have been built
     from exactly this program.
     @raise Invalid_argument if [decoded] was decoded from a different
-    program value ({!Decoded.check_source}). *)
+    program value ({!Decoded.check_source}).
+    @raise Not_found if control reaches a label the program lacks. *)
 
 val equivalent : result -> result -> bool
 (** Same outcome, output and final registers — used to check that compiled

@@ -1,24 +1,31 @@
 type t = {
   block_counts : (Label.t, int) Hashtbl.t;
   edge_counts : (Label.t * Label.t, int) Hashtbl.t;
-  (* Per dynamic branch, in execution order: (branch block, went-to-if_true). *)
-  branch_stream : (Label.t * bool) array;
+  (* Per dynamic branch, in execution order: twice the branch block's
+     index, plus one if it went to [if_true]. *)
+  branch_stream : int array;
   (* Per branch block: (taken, not taken) over [branch_stream]. *)
   taken_counts : (Label.t, int * int) Hashtbl.t;
+  (* Per block index: the direction [predict] gives. *)
+  predicted : bool array;
 }
 
-(* Counting works on block indices: each dynamic label is looked up once
-   in a table built from the program, blocks, branch directions and
-   static successor edges are counted in int arrays, and the label-keyed
-   tables are filled once at the end. Only a pair that is not a static
-   successor edge (possible only in a hand-made list) goes straight into
-   the label-keyed edge table. *)
-let of_blocks program blocks =
+(* Counting works on block indices: blocks, branch directions and
+   static successor edges are counted in int arrays, and the
+   label-keyed tables are filled once at the end. Only a pair that is
+   not a static successor edge (possible only in a hand-made trace)
+   goes straight into the label-keyed edge table. *)
+let of_blocks program trace =
   let bs = Array.of_list program.Program.blocks in
   let n = Array.length bs in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= n then
+        invalid_arg
+          (Printf.sprintf "Trace.of_blocks: block index %d outside the program" i))
+    trace;
   let index = Hashtbl.create (2 * n) in
   Array.iteri (fun i b -> Hashtbl.replace index b.Program.label i) bs;
-  let lookup l = match Hashtbl.find index l with i -> i | exception Not_found -> -1 in
   let succs =
     Array.map
       (fun b -> Array.of_list (List.map (Hashtbl.find index) (Program.successors b)))
@@ -35,57 +42,40 @@ let of_blocks program blocks =
   let counts = Array.make n 0 in
   let edges = Array.map (fun s -> Array.make (Array.length s) 0) succs in
   let taken = Array.make n 0 and not_taken = Array.make n 0 in
-  let block_counts = Hashtbl.create 64 in
   let edge_counts = Hashtbl.create 64 in
-  (* the block index of every dynamic label, for the branch stream *)
-  let idx = Array.make (List.length blocks) (-1) in
-  (* [l], at position [k] and block index [i], is followed by the rest *)
-  let rec walk k i l = function
-    | [] ->
-        if i >= 0 then counts.(i) <- counts.(i) + 1
-        else Hashtbl.replace block_counts l 1
-    | l' :: rest ->
-        (* a label missing from the program has no terminator to
-           consult: only the last block of the list may be one *)
-        if i < 0 then raise Not_found;
-        let j = lookup l' in
-        idx.(k + 1) <- j;
-        counts.(i) <- counts.(i) + 1;
-        let s = succs.(i) in
-        let p = ref 0 in
-        while !p < Array.length s && s.(!p) <> j do
-          incr p
-        done;
-        if !p < Array.length s then edges.(i).(!p) <- edges.(i).(!p) + 1
-        else
-          Hashtbl.replace edge_counts (l, l')
-            (1 + Option.value (Hashtbl.find_opt edge_counts (l, l')) ~default:0);
-        if if_true.(i) >= 0 then
-          if j = if_true.(i) then taken.(i) <- taken.(i) + 1
-          else not_taken.(i) <- not_taken.(i) + 1;
-        walk (k + 1) j l' rest
-  in
-  (match blocks with
-  | [] -> ()
-  | l :: rest ->
-      let i = lookup l in
-      idx.(0) <- i;
-      walk 0 i l rest);
-  (* the branch stream shares one (label, direction) pair per branch
-     block and direction *)
-  let dir_true = Array.map (fun b -> (b.Program.label, true)) bs in
-  let dir_false = Array.map (fun b -> (b.Program.label, false)) bs in
+  let len = Array.length trace in
+  for k = 0 to len - 1 do
+    let i = trace.(k) in
+    counts.(i) <- counts.(i) + 1;
+    if k + 1 < len then begin
+      let j = trace.(k + 1) in
+      let s = succs.(i) in
+      let p = ref 0 in
+      while !p < Array.length s && s.(!p) <> j do
+        incr p
+      done;
+      if !p < Array.length s then edges.(i).(!p) <- edges.(i).(!p) + 1
+      else begin
+        let key = (bs.(i).Program.label, bs.(j).Program.label) in
+        Hashtbl.replace edge_counts key
+          (1 + Option.value (Hashtbl.find_opt edge_counts key) ~default:0)
+      end;
+      if if_true.(i) >= 0 then
+        if j = if_true.(i) then taken.(i) <- taken.(i) + 1
+        else not_taken.(i) <- not_taken.(i) + 1
+    end
+  done;
   let nbranches = Array.fold_left ( + ) 0 taken + Array.fold_left ( + ) 0 not_taken in
-  let branch_stream = Array.make nbranches (program.Program.entry, false) in
+  let branch_stream = Array.make nbranches 0 in
   let b = ref 0 in
-  for k = 0 to Array.length idx - 2 do
-    let i = idx.(k) in
+  for k = 0 to len - 2 do
+    let i = trace.(k) in
     if if_true.(i) >= 0 then begin
-      branch_stream.(!b) <-
-        (if idx.(k + 1) = if_true.(i) then dir_true.(i) else dir_false.(i));
+      branch_stream.(!b) <- (2 * i) + Bool.to_int (trace.(k + 1) = if_true.(i));
       incr b
     end
   done;
+  let block_counts = Hashtbl.create 64 in
   let taken_counts = Hashtbl.create 64 in
   Array.iteri
     (fun i b ->
@@ -99,7 +89,8 @@ let of_blocks program blocks =
       if taken.(i) + not_taken.(i) > 0 then
         Hashtbl.replace taken_counts l (taken.(i), not_taken.(i)))
     bs;
-  { block_counts; edge_counts; branch_stream; taken_counts }
+  let predicted = Array.init n (fun i -> taken.(i) >= not_taken.(i)) in
+  { block_counts; edge_counts; branch_stream; taken_counts; predicted }
 
 let of_result program (r : Interp.result) = of_blocks program r.Interp.block_trace
 
@@ -133,7 +124,7 @@ let predict t l =
   | None -> true
 
 let correctness t =
-  Array.map (fun (b, taken) -> predict t b = taken) t.branch_stream
+  Array.map (fun e -> t.predicted.(e lsr 1) = (e land 1 = 1)) t.branch_stream
 
 let prediction_accuracy t =
   let c = correctness t in

@@ -7,8 +7,14 @@
 
 type t
 
-val of_blocks : Program.t -> Label.t list -> t
+val of_blocks : Program.t -> int array -> t
+(** Count a block trace given as positions in [program.blocks] (the
+    numbering of [Interp.result.block_trace]). The walk does no
+    per-block lookup.
+    @raise Invalid_argument if an index lies outside the program. *)
+
 val of_result : Program.t -> Interp.result -> t
+(** [of_blocks] over the run's [block_trace]. *)
 
 val block_count : t -> Label.t -> int
 val edge_count : t -> src:Label.t -> dst:Label.t -> int

@@ -112,10 +112,8 @@ let check_scalar_kernels (g : Gen.t) ~decoded =
       if d.Interp.dyn_instrs <> t.Interp.dyn_instrs then
         fail "scalar-decoded-vs-tree" "dyn_instrs %d vs %d" d.Interp.dyn_instrs
           t.Interp.dyn_instrs;
-      if
-        not
-          (List.equal Label.equal d.Interp.block_trace t.Interp.block_trace)
-      then fail "scalar-decoded-vs-tree" "block traces differ";
+      if d.Interp.block_trace <> t.Interp.block_trace then
+        fail "scalar-decoded-vs-tree" "block traces differ";
       if not (Reg.Map.equal Int.equal d.Interp.regs t.Interp.regs) then
         fail "scalar-decoded-vs-tree" "final registers differ";
       if d.Interp.faults_handled <> t.Interp.faults_handled then

@@ -141,7 +141,10 @@ let prop_taken_fraction_recount =
               if total = 0 then None
               else Some (float_of_int taken /. float_of_int total)
         in
-        go 0 0 res.Interp.block_trace
+        let bs = Array.of_list program.Program.blocks in
+        go 0 0
+          (Array.to_list
+             (Array.map (fun i -> bs.(i).Program.label) res.Interp.block_trace))
       in
       List.for_all
         (fun (b : Program.block) ->

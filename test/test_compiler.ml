@@ -355,6 +355,92 @@ let test_model_ordering_diamond () =
     (Format.asprintf "region-pred (%d) <= global (%d)" rp global)
     true (rp <= global)
 
+(* ---------- trace replay failures ----------
+
+   Hand-made index traces over [diamond_loop]'s region-pred units: the
+   entry unit exits to the loop head, whose unit holds both arms and the
+   join. Each broken trace raises one [Failure] naming what went wrong. *)
+
+let diamond_region_pred =
+  lazy
+    (compile_with Model.region_pred diamond_loop ~regs:[]
+       ~mem_fn:(fun () -> Memory.create ~size:64))
+
+let diamond_index l =
+  Decoded.block_index (Decoded.of_program diamond_loop) (lbl l)
+
+let replay labels =
+  ignore
+    (Driver.estimate_cycles (Lazy.force diamond_region_pred) diamond_loop
+       ~block_trace:(Array.of_list (List.map diamond_index labels)))
+
+let test_replay_failures () =
+  let fails name trace msg =
+    Alcotest.check_raises name (Failure msg) (fun () -> replay trace)
+  in
+  let ends_inside ~unit_ ~at =
+    Printf.sprintf
+      "Cycles.measure: trace ends inside unit %s at %s (an estimate needs the \
+       trace of a halted run)"
+      unit_ at
+  in
+  fails "starts at a block that heads no unit" [ "then" ]
+    "Cycles.measure: no unit for then";
+  fails "copy does not match the trace" [ "entry"; "head"; "then"; "else" ]
+    "Cycles.measure: unit head expected join, trace has else";
+  fails "next block is neither branch arm" [ "entry"; "head"; "join" ]
+    "Cycles.measure: trace does not follow the branch";
+  fails "trace ends at a branch" [ "entry"; "head" ]
+    (ends_inside ~unit_:"head" ~at:"head");
+  fails "trace ends after an in-unit jump" [ "entry"; "head"; "then" ]
+    (ends_inside ~unit_:"head" ~at:"then");
+  Alcotest.check_raises "index outside the program"
+    (Invalid_argument "Cycles.measure: block index 6 outside the program")
+    (fun () ->
+      ignore
+        (Driver.estimate_cycles (Lazy.force diamond_region_pred) diamond_loop
+           ~block_trace:[| diamond_index "entry"; 6 |]));
+  (* the run's own trace replays *)
+  let scalar = Interp.run ~regs:[] ~mem:(Memory.create ~size:64) diamond_loop in
+  check_bool "halted trace replays" true
+    (Driver.estimate_cycles (Lazy.force diamond_region_pred) diamond_loop
+       ~block_trace:scalar.Interp.block_trace
+    > 0)
+
+(* A fatal run stops inside a block, so its trace cannot be replayed:
+   every model's estimate raises [Failure], never another exception. *)
+let prop_fatal_trace_fails =
+  let shape = { Gen_programs.default_shape with fault_prob = 0.3 } in
+  QCheck.Test.make ~name:"estimate of a fatal trace raises Failure" ~count:60
+    (Gen_programs.arb ~shape ()) (fun g ->
+      let program = g.Gen_programs.program in
+      let regs = Gen_programs.regs in
+      let scalar =
+        Interp.run ~fuel:500_000 ~regs ~mem:(Gen_programs.make_mem g) program
+      in
+      QCheck.assume
+        (match scalar.Interp.outcome with Interp.Fatal _ -> true | _ -> false);
+      let _, profile =
+        Driver.profile_of program ~regs ~mem:(Gen_programs.make_mem g)
+      in
+      List.for_all
+        (fun model ->
+          let compiled =
+            Driver.compile ~verify:false ~model ~machine ~profile program
+          in
+          match
+            Driver.estimate_cycles compiled program
+              ~block_trace:scalar.Interp.block_trace
+          with
+          | cycles ->
+              QCheck.Test.fail_reportf "%s: estimate %d, expected Failure"
+                model.Model.name cycles
+          | exception Failure _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "%s: raised %s" model.Model.name
+                (Printexc.to_string e))
+        Model.all)
+
 (* ---------- model lookup (the CLI's -m conv) ---------- *)
 
 let test_model_find () =
@@ -418,6 +504,8 @@ let () =
         [
           Alcotest.test_case "speedup sanity" `Quick test_speedup_sane;
           Alcotest.test_case "model ordering" `Quick test_model_ordering_diamond;
+          Alcotest.test_case "replay failures" `Quick test_replay_failures;
+          Qc.to_alcotest prop_fatal_trace_fails;
         ] );
       ( "model-lookup",
         [

@@ -59,6 +59,9 @@ let differential model =
           (Memory.equal scalar_mem vliw_mem);
       true)
 
+(* Every model compiles on the base and the 8-issue, 8-condition
+   machine, and the flat replay's estimate equals the label-walking
+   oracle's whole record. *)
 let estimate_never_crashes =
   QCheck.Test.make ~name:"all models compile + estimate" ~count:60 arb_program
     (fun g ->
@@ -67,16 +70,20 @@ let estimate_never_crashes =
       QCheck.assume (scalar.Interp.outcome = Interp.Halted);
       let _, profile = Driver.profile_of g.program ~regs ~mem:(make_mem g) in
       List.for_all
-        (fun model ->
-          let compiled =
-            Driver.compile ~model ~machine:Machine_model.base ~profile g.program
-          in
-          let est =
-            Driver.estimate_cycles compiled g.program
-              ~block_trace:scalar.Interp.block_trace
-          in
-          est > 0)
-        Model.all)
+        (fun machine ->
+          List.for_all
+            (fun model ->
+              let compiled = Driver.compile ~model ~machine ~profile g.program in
+              match
+                Cycles_oracle.compare compiled g.program
+                  ~block_trace:scalar.Interp.block_trace
+              with
+              | Ok est -> est.Cycles.cycles > 0
+              | Error e ->
+                  QCheck.Test.fail_reportf "%s, %d-issue: %s" model.Model.name
+                    machine.Machine_model.issue_width e)
+            Model.all)
+        [ Machine_model.base; Machine_model.full_issue ~width:8 ~max_spec_conds:8 ])
 
 let infinite_shadow_agrees =
   QCheck.Test.make ~name:"infinite shadow = single shadow semantics" ~count:60
@@ -338,7 +345,7 @@ let scalar_results_agree (a : Interp.result) (b : Interp.result) =
   && a.Interp.output = b.Interp.output
   && a.Interp.cycles = b.Interp.cycles
   && a.Interp.dyn_instrs = b.Interp.dyn_instrs
-  && List.equal Label.equal a.Interp.block_trace b.Interp.block_trace
+  && a.Interp.block_trace = b.Interp.block_trace
   && Reg.Map.equal Int.equal a.Interp.regs b.Interp.regs
   && a.Interp.faults_handled = b.Interp.faults_handled
 

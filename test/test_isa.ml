@@ -305,12 +305,18 @@ let branchy ~n =
     ]
   |> fun p -> (p, [ (reg 1, n); (reg 2, 0) ])
 
+(* A block trace as the labels of the blocks it indexes. *)
+let trace_labels (p : Program.t) trace =
+  let bs = Array.of_list p.Program.blocks in
+  Array.to_list (Array.map (fun i -> bs.(i).Program.label) trace)
+
 let test_interp_loop () =
   let p, regs = branchy ~n:10 in
   let r = Interp.run ~regs ~mem:(Memory.create ~size:16) p in
   Alcotest.(check (list int)) "sum 1..10" [ 55 ] r.Interp.output;
   check_int "head visits" 11
-    (List.length (List.filter (Label.equal (lbl "head")) r.Interp.block_trace))
+    (List.length
+       (List.filter (Label.equal (lbl "head")) (trace_labels p r.Interp.block_trace)))
 
 let test_interp_fatal_fault () =
   let p =
@@ -366,12 +372,22 @@ let test_interp_div_fault () =
 (* With the trace off and the decoded kernel, the interpreter's hot
    loop must not allocate per dynamic instruction or per block entered:
    the same count-down loop run for 100x the iterations may not cost
-   meaningfully more minor words (a recorded trace alone is multiple
-   words per block entered, which the trace-on control run pins). *)
+   meaningfully more minor words. The trace-on control run pins what a
+   recorded trace costs: at least one word per block entered, and, as
+   one growable int buffer trimmed once, at most four. It counts all
+   allocation, since the buffer soon outgrows the minor heap; the minor
+   heap is emptied first, so a collection during the run promotes only
+   what the run allocated and the count is exact. *)
 let minor_words_of f =
   let w0 = Gc.minor_words () in
   f ();
   Gc.minor_words () -. w0
+
+let words_allocated_by f =
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
 
 let test_interp_no_trace_no_alloc () =
   let program =
@@ -420,16 +436,27 @@ let test_interp_no_trace_no_alloc () =
     true
     (large -. small < 4096.);
   (* control: with the trace on, allocation does scale with the blocks
-     entered — the delta above really is the trace cells' absence *)
+     entered — the delta above really is the trace buffer's absence *)
+  let blocks = ref 0 in
   let traced =
-    minor_words_of (fun () -> ignore (go ~record_trace:true 100_000))
+    words_allocated_by (fun () ->
+        let r = go ~record_trace:true 100_000 in
+        blocks := Array.length r.Interp.block_trace)
   in
+  let untraced =
+    words_allocated_by (fun () -> ignore (go ~record_trace:false 100_000))
+  in
+  let per_block = traced /. float_of_int !blocks in
   check_bool
     (Printf.sprintf "trace-on control allocates per block (%.0f words)" traced)
     true
-    (traced -. large > 100_000.);
+    (traced -. untraced > float_of_int !blocks);
+  check_bool
+    (Printf.sprintf "trace-on control: at most 4 words per block (%.2f)"
+       per_block)
+    true (per_block <= 4.0);
   let r = go ~record_trace:false 5 in
-  check_bool "trace suppressed" true (r.Interp.block_trace = [])
+  check_bool "trace suppressed" true (r.Interp.block_trace = [||])
 
 (* ---------- Trace ---------- *)
 
@@ -459,10 +486,12 @@ let test_trace_successive () =
     (Trace.successive_accuracy t 4 <= a2 +. 1e-9)
 
 (* The counts [Trace.of_blocks] keeps, recounted directly from their
-   definitions: per block, per consecutive pair, and per branch block
-   the directions taken, each terminator looked up in the program. *)
-let trace_agrees_with_recount program blocks =
-  let t = Trace.of_blocks program blocks in
+   definitions over the trace's labels: per block, per consecutive pair,
+   and per branch block the directions taken, each terminator looked up
+   in the program. *)
+let trace_agrees_with_recount program trace =
+  let t = Trace.of_blocks program trace in
+  let blocks = trace_labels program trace in
   let count tbl k =
     Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0)
   in
@@ -518,19 +547,29 @@ let prop_trace_recount =
       in
       trace_agrees_with_recount g.Gen_programs.program r.Interp.block_trace)
 
-(* A hand-made list may pair blocks that are not static successors
-   (body -> done, done -> head) and end on a label the program lacks. *)
+(* A hand-made trace may pair blocks that are not static successors
+   (body -> done, done -> head); an index outside the program is
+   rejected. *)
 let test_trace_non_successor_pair () =
   let p, _ = branchy ~n:1 in
+  let index l = Decoded.block_index (Decoded.of_program p) (lbl l) in
   let blocks =
-    List.map lbl [ "head"; "body"; "done"; "head"; "head"; "body"; "head"; "elsewhere" ]
+    Array.map index [| "head"; "body"; "done"; "head"; "head"; "body"; "head" |]
   in
   check_bool "recount agrees" true (trace_agrees_with_recount p blocks);
   let t = Trace.of_blocks p blocks in
   check_int "non-successor edge counted" 1
     (Trace.edge_count t ~src:(lbl "body") ~dst:(lbl "done"));
-  check_int "missing last label counted" 1
-    (Trace.block_count t (lbl "elsewhere"))
+  let nblocks = List.length p.Program.blocks in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "index %d out of range" bad)
+        (Invalid_argument
+           (Printf.sprintf "Trace.of_blocks: block index %d outside the program"
+              bad))
+        (fun () -> ignore (Trace.of_blocks p [| index "head"; bad |])))
+    [ nblocks; -1 ]
 
 let test_program_validation () =
   Alcotest.check_raises "undefined target"

@@ -1924,7 +1924,7 @@ let check_scalar_identical name ((dec, dmem), (tree, tmem)) =
   check_int (name ^ ": dyn instrs") tree.Interp.dyn_instrs
     dec.Interp.dyn_instrs;
   check_bool (name ^ ": trace") true
-    (List.equal Label.equal tree.Interp.block_trace dec.Interp.block_trace);
+    (tree.Interp.block_trace = dec.Interp.block_trace);
   check_bool (name ^ ": regs") true
     (Reg.Map.equal Int.equal tree.Interp.regs dec.Interp.regs);
   check_int (name ^ ": faults") tree.Interp.faults_handled

@@ -96,30 +96,43 @@ let test_compiled_equivalence model () =
     (Lazy.force scalar_results)
 
 let test_estimates_all_models () =
-  (* Every model's trace-driven estimate replays without error and lands in
-     a sane band (faster than 1.2x scalar, slower than 20x). *)
+  (* Every model's trace-driven estimate, on the base and the 8-issue,
+     8-condition machine, replays without error, equals the
+     label-walking oracle's whole record, and lands in a sane band
+     (faster than 1.2x scalar, slower than 20x). *)
   List.iter
     (fun ((w : Dsl.t), (scalar : Interp.result)) ->
       let _, profile =
         Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
       in
       List.iter
-        (fun model ->
+        (fun (machine, model) ->
           let compiled =
-            Driver.compile ~model ~machine:Machine_model.base ~profile
-              w.Dsl.program
+            Driver.compile ~model ~machine ~profile w.Dsl.program
+          in
+          let ctx =
+            Printf.sprintf "%s:%s:%d-issue" w.Dsl.name model.Model.name
+              machine.Machine_model.issue_width
           in
           let est =
-            Driver.estimate_cycles compiled w.Dsl.program
-              ~block_trace:scalar.Interp.block_trace
+            match
+              Cycles_oracle.compare compiled w.Dsl.program
+                ~block_trace:scalar.Interp.block_trace
+            with
+            | Ok est -> est.Cycles.cycles
+            | Error e -> Alcotest.failf "%s: %s" ctx e
           in
-          let ctx = w.Dsl.name ^ ":" ^ model.Model.name in
           check_bool
             (Format.asprintf "%s estimate sane (%d vs scalar %d)" ctx est
                scalar.Interp.cycles)
             true
             (est * 10 > scalar.Interp.cycles && est < scalar.Interp.cycles * 2))
-        Model.all)
+        (List.concat_map
+           (fun machine -> List.map (fun model -> (machine, model)) Model.all)
+           [
+             Machine_model.base;
+             Machine_model.full_issue ~width:8 ~max_spec_conds:8;
+           ]))
     (Lazy.force scalar_results)
 
 let test_synth_generator () =
