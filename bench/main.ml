@@ -38,7 +38,8 @@ let verify = ref true
 let baseline_file : string option ref = ref None
 let threshold = ref 50.
 let pool = lazy (if !jobs > 1 then Some (Pool.create ~jobs:!jobs ()) else None)
-let h = lazy (Harness.create ?pool:(Lazy.force pool) ~verify:!verify ())
+let harness () = Harness.create ?pool:(Lazy.force pool) ~verify:!verify ()
+let h = lazy (harness ())
 
 (* [limits-gen] needs the fuzzer's program generator, which sits above
    [Psb_eval], so it is listed here rather than in [Report.experiments]. *)
@@ -373,8 +374,29 @@ module Estimate_bench = struct
       ]
 end
 
-(* Bechamel timings. Groups: [experiments] times the full regeneration of
-   each table/figure against a null formatter; [pred_kernel] times the
+(* ----- limit-study microbench -----
+
+   The §1 limit study's replay ([Limits.analyze]) of compress's traced
+   scalar run, made once, as [estimate] does: what the [limits]
+   experiment does per harness entry. The replay walks the decoded
+   arrays and allocates per program, not per dynamic op. *)
+module Limits_bench = struct
+  let tests () =
+    let open Bechamel in
+    Test.make_grouped ~name:"limits"
+      [
+        Test.make ~name:"replay"
+          (Staged.stage (fun () ->
+               ignore
+                 (Limits.analyze (Lazy.force Lowered_bench.w)
+                    ~scalar:(Lazy.force Estimate_bench.scalar))));
+      ]
+end
+
+(* Bechamel timings. Groups: [experiments] times each table/figure as
+   [bench/main.exe NAME] runs it, on a fresh harness per run (so no
+   compile-cache hit or stored VLIW run of an earlier run stands in for
+   work), against a null formatter; [pred_kernel] times the
    per-cycle bitmask predicate evaluation; [events] times the structured
    event log against the machine hot paths; [lowered] times whole-workload
    simulation under the lowered vs tree execution kernels; [rob] times the
@@ -382,7 +404,8 @@ end
    [decoded] times the predecoded scalar form on both scalar backends
    (and the interpreter's tree kernel), plus the decode pass itself;
    [estimate] times the trace-driven cycle estimate and the profile run
-   it replays. *)
+   it replays; [limits] times the limit study's replay of a traced
+   run. *)
 let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
   [
     ( "experiments",
@@ -392,7 +415,8 @@ let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
         Test.make_grouped ~name:"experiments"
           (List.map
              (fun (name, _, f) ->
-               Test.make ~name (Staged.stage (fun () -> f h null_ppf)))
+               Test.make ~name
+                 (Staged.stage (fun () -> f (lazy (harness ())) null_ppf)))
              experiments) );
     ("pred_kernel", Pred_bench.tests);
     ("events", Events_bench.tests);
@@ -400,6 +424,7 @@ let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
     ("rob", Rob_bench.tests);
     ("decoded", Decoded_bench.tests);
     ("estimate", Estimate_bench.tests);
+    ("limits", Limits_bench.tests);
   ]
 
 let bench_usage_error name =

@@ -349,17 +349,13 @@ let pp_counter ppf rows =
 type btb_row = { b_name : string; b_free : int; b_miss1 : int }
 
 let btb_ablation (h : Harness.t) =
+  let machine1 =
+    { h.Harness.machine with Machine_model.transition_penalty = 1 }
+  in
   Harness.par_map h
     (fun (e : Harness.entry) ->
       let free = Harness.measured h Model.region_pred e in
-      let machine1 =
-        { h.Harness.machine with Machine_model.transition_penalty = 1 }
-      in
-      let compiled = Harness.compile h ~machine:machine1 Model.region_pred e in
-      let mem = e.Harness.workload.Dsl.make_mem () in
-      let miss =
-        Driver.run_vliw compiled ~regs:e.Harness.workload.Dsl.regs ~mem
-      in
+      let miss = Harness.measured h ~machine:machine1 Model.region_pred e in
       {
         b_name = e.Harness.workload.Dsl.name;
         b_free = free.Vliw_sim.cycles;
@@ -505,6 +501,14 @@ let pp_unroll ppf rows =
       Format.fprintf ppf "@,")
     rows;
   Format.fprintf ppf "@]"
+
+(* ----- ILP limit study (§1) ----- *)
+
+let limits (h : Harness.t) =
+  Harness.par_map h
+    (fun (e : Harness.entry) ->
+      Limits.analyze e.Harness.workload ~scalar:e.Harness.scalar)
+    h.Harness.entries
 
 (* ----- synthetic predictability sweep ----- *)
 

@@ -89,7 +89,9 @@ type shadow_row = {
 }
 
 val shadow_ablation : Harness.t -> shadow_row list
-(** Footnote 1: single vs infinite shadow registers (machine-measured). *)
+(** Footnote 1: single vs infinite shadow registers (machine-measured).
+    Its single-shadow region-pred runs are the ones {!validation} and
+    {!btb_ablation} read back from the harness ({!Harness.measured}). *)
 
 val pp_shadow : Format.formatter -> shadow_row list -> unit
 
@@ -127,7 +129,9 @@ type btb_row = {
 val btb_ablation : Harness.t -> btb_row list
 (** The paper's optimism check: region transitions cost 0 vs 1 cycle —
     "this optimistic assumption increases the evaluated performance a few
-    percent". *)
+    percent". Both runs go through {!Harness.measured}, so both are
+    checked against the scalar reference; the free-transition run is
+    the base machine's region-pred run the other ablations share. *)
 
 val pp_btb : Format.formatter -> btb_row list -> unit
 
@@ -176,6 +180,10 @@ val unroll_ablation : ?factors:int list -> Harness.t -> unroll_row list
     innermost loops unrolled 1/2/4 times. *)
 
 val pp_unroll : Format.formatter -> unroll_row list -> unit
+
+val limits : Harness.t -> Limits.row list
+(** The §1 ILP limit study ({!Limits}), one row per harness entry in
+    order: each entry's traced scalar run, replayed on the pool. *)
 
 type sweep_row = { sw_taken_prob : float; sw_trace : float; sw_region : float }
 

@@ -15,7 +15,12 @@
     figures reuse schedules instead of recompiling. Both are invisible in
     the results: cells are pure, result order is by input position, and
     cache hits return the same (deterministically compiled) value — so a
-    sweep at any [-j] is byte-identical to the sequential one. *)
+    sweep at any [-j] is byte-identical to the sequential one.
+
+    A harness also keeps one result per distinct VLIW run ({!measured}),
+    so the experiments that measure the same code on the same workload —
+    [shadow], [validation] and [btb] all run region-pred on the base
+    machine — share one simulation. *)
 
 open Psb_isa
 module Machine_model = Psb_machine.Machine_model
@@ -30,12 +35,17 @@ type entry = {
   profile : Psb_cfg.Branch_predict.t;
 }
 
+type runs
+(** The harness's stored VLIW runs; read them through {!measured} and
+    count them with {!run_stats}. *)
+
 type t = {
   machine : Machine_model.t;
   entries : entry list;
   pool : Pool.t option;
   cache : Driver.compiled Compile_cache.t;
   verify : bool;  (** statically verify every compile (default) *)
+  runs : runs;
 }
 
 val create :
@@ -62,6 +72,13 @@ val par_map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val cache_stats : t -> Compile_cache.stats
 
+type run_stats = {
+  requests : int;  (** {!measured} calls *)
+  runs : int;  (** of those, the ones that ran the simulator *)
+}
+
+val run_stats : t -> run_stats
+
 val scalar_cycles : entry -> int
 
 val compile :
@@ -73,14 +90,27 @@ val estimated_cycles :
   t -> ?machine:Machine_model.t -> Model.t -> entry -> int
 (** Trace-driven accounting on the model's schedules. *)
 
-val measured : t -> ?single_shadow:bool ->
+val measured : t -> ?machine:Machine_model.t -> ?single_shadow:bool ->
   ?regfile_mode:Psb_machine.Regfile.mode ->
   ?events:Psb_obs.Events.t -> Model.t -> entry ->
   Vliw_sim.result
-(** Run the compiled code on the machine simulator (executable models).
-    Also asserts observable equivalence with the scalar reference.
-    [events] records the speculation lifecycle (see
-    {!Psb_obs.Events}). *)
+(** Run the compiled code on the machine simulator (executable models)
+    and fail unless it halts with the scalar reference's output.
+    [machine], [single_shadow] and [model] select the code as {!compile}
+    does.
+
+    The harness keeps one result per (compiled code, entry,
+    [regfile_mode]), an absent mode meaning [Single]: a later call for
+    the same run returns the stored result, physically, without running
+    or checking again (the first run was checked). Code compares
+    physically, which is exact because a compile-cache hit returns the
+    stored compile. It always compiles first, so the compile-cache
+    counters do not depend on the stored runs. The store is domain-safe;
+    two tasks racing on one run both run it and the first stored result
+    wins.
+
+    [events] records the speculation lifecycle (see {!Psb_obs.Events});
+    a call with a ring always runs, and its result is not stored. *)
 
 val speedup : scalar:int -> cycles:int -> float
 

@@ -3,7 +3,8 @@
 
     An oracle dataflow schedule of the dynamic instruction stream: every
     instruction issues as soon as its operands are ready (infinite
-    resources, perfect renaming and memory disambiguation). Two regimes:
+    resources, perfect renaming and memory disambiguation). Three
+    regimes:
 
     - {b block-limited}: control dependences are barriers — no instruction
       issues before the branch that guards it; this is the basic-block ILP
@@ -37,10 +38,18 @@ type row = {
   value_headroom : float;  (** value / oracle *)
 }
 
-val analyze : Dsl.t -> row
-val analyze_suite :
-  ?pool:Psb_parallel.Pool.t -> ?workloads:Dsl.t list -> unit -> row list
-(** One row per workload (default {!Psb_workloads.Suite.all}), in order;
-    with [pool], the workloads are analysed as independent pool tasks. *)
+val analyze : Dsl.t -> scalar:Psb_isa.Interp.result -> row
+(** Replay [scalar], a traced scalar run of the workload's program (as
+    {!Psb_isa.Interp.run} records by default, or a harness entry's
+    [scalar]), through the three regimes. Latencies are the base
+    machine's. The replay walks {!Psb_isa.Decoded}'s flat arrays, keeps
+    register values and ready times in int arrays sized from the
+    program, and each address's last store completion in a flat table,
+    addresses outside memory included; it allocates nothing per dynamic
+    op beyond what {!Psb_isa.Memory} allocates. Every block of the trace
+    is replayed whole, a fatal run's last block too, and the replay is
+    fault-tolerant: a demand page is mapped and the access retried, a
+    fatal access reads 0 and drops the write, and a faulting ALU op
+    writes 0. *)
 
 val pp : Format.formatter -> row list -> unit

@@ -287,7 +287,7 @@ let experiments =
           Experiments.predictability_sweep ?pool:h.Harness.pool ()) );
     ( "limits",
       "ILP limit study (block vs oracle vs value oracle, the paper's motivation)",
-      on Limits.pp (fun h -> Limits.analyze_suite ?pool:h.Harness.pool ()) );
+      on Limits.pp Experiments.limits );
     ( "hwcost",
       "hardware cost model (4.2.1)",
       fun _ ppf -> Hwcost.pp_report ppf (Hwcost.analyze Hwcost.default) );
@@ -314,7 +314,7 @@ let experiment (h : Harness.t) = function
   | "unroll" -> Some (unroll_json (Experiments.unroll_ablation h))
   | "sweep" ->
       Some (sweep_json (Experiments.predictability_sweep ?pool:h.Harness.pool ()))
-  | "limits" -> Some (limits_json (Limits.analyze_suite ?pool:h.Harness.pool ()))
+  | "limits" -> Some (limits_json (Experiments.limits h))
   | "hwcost" -> Some (hwcost_json (Hwcost.analyze Hwcost.default))
   | "rob" -> Some (rob_json (Experiments.rob_rival h))
   | _ -> None
@@ -361,14 +361,16 @@ let speculation_json (h : Harness.t) =
 (* The "runtime" section is the one part of the document that is NOT
    deterministic (wall-clock, per-domain load, cache traffic depend on
    scheduling): consumers comparing documents across [-j] levels strip
-   this member first, and the determinism tests do exactly that. *)
+   this member first, and the determinism tests do exactly that. The
+   compile-cache and VLIW-run counters are read before the speculation
+   runs below. *)
 let runtime_json (h : Harness.t) ~wall_seconds ~per_experiment =
   let pool_stats =
     match h.Harness.pool with
     | Some p -> Psb_parallel.Pool.stats p
     | None -> [||]
   in
-  let cache = Harness.cache_stats h in
+  let cache = Harness.cache_stats h and runs = Harness.run_stats h in
   Json.Obj
     [
       ("jobs", Json.Int (Harness.jobs h));
@@ -391,6 +393,12 @@ let runtime_json (h : Harness.t) ~wall_seconds ~per_experiment =
             ("hits", Json.Int cache.Psb_compiler.Compile_cache.hits);
             ("misses", Json.Int cache.Psb_compiler.Compile_cache.misses);
             ("entries", Json.Int cache.Psb_compiler.Compile_cache.entries);
+          ] );
+      ( "vliw_runs",
+        Json.Obj
+          [
+            ("requests", Json.Int runs.Harness.requests);
+            ("runs", Json.Int runs.Harness.runs);
           ] );
       ( "experiments_wall_seconds",
         Json.Obj (List.map (fun (n, s) -> (n, Json.Float s)) per_experiment) );

@@ -32,6 +32,7 @@
                       { "jobs", "domains": [{"domain","tasks",
                         "busy_seconds"}..],
                         "compile_cache": {"hits","misses","entries"},
+                        "vliw_runs": {"requests","runs"},
                         "experiments_wall_seconds": {name: seconds, ..},
                         "wall_seconds",
                         "speculation": {workload:
@@ -48,6 +49,12 @@
     Schema 4 adds the "rob" experiment (the rival out-of-order backend,
     {!Psb_machine.Rob_sim}, vs the scalar reference) and the four
     [rob_*] cost columns inside "hwcost".
+
+    "vliw_runs" counts {!Harness.measured}'s requests and the runs it
+    made (a full regeneration asks for 42 and makes 30); like
+    "compile_cache" it is read before the speculation runs. Adding it
+    kept schema 4: it only adds a member to the nondeterministic
+    section.
 
     Everything under "experiments" is deterministic — byte-identical at
     any [-j] level. "runtime" is the sole nondeterministic member
@@ -75,7 +82,7 @@ val experiment : Harness.t -> string -> Json.t option
 val all : ?names:string list -> ?runtime:bool -> Harness.t -> Json.t
 (** The full document ([names] defaults to {!experiment_names});
     [~runtime:true] (default false) appends the "runtime" member with
-    per-domain wall-clock and compile-cache statistics.
+    per-domain wall-clock, compile-cache and VLIW-run statistics.
     @raise Invalid_argument on an unknown name. *)
 
 val speedup_table_json : Experiments.speedup_table -> Json.t

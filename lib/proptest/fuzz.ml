@@ -178,4 +178,10 @@ let limits_fleet ?(n = 8) ?(shape = Gen.default_shape) ~seed () =
   let st = Random.State.make [| 0x50FB; seed |] in
   List.init n (fun i ->
       let g = Gen.gen shape st in
-      Psb_eval.Limits.analyze (Gen.to_dsl ~name:(Printf.sprintf "gen-%03d" i) g))
+      let w = Gen.to_dsl ~name:(Printf.sprintf "gen-%03d" i) g in
+      let open Psb_workloads in
+      let scalar =
+        Psb_isa.Interp.run ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+          w.Dsl.program
+      in
+      Psb_eval.Limits.analyze w ~scalar)

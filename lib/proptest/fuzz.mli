@@ -65,6 +65,6 @@ val run :
 val limits_fleet :
   ?n:int -> ?shape:Gen.shape -> seed:int -> unit -> Psb_eval.Limits.row list
 (** The generator fleet as an ILP limit study: [n] (default 8) random
-    programs viewed as workloads through {!Gen.to_dsl}, analyzed with
-    {!Psb_eval.Limits.analyze} — block, oracle and value-prediction
-    regimes per program. *)
+    programs viewed as workloads through {!Gen.to_dsl}, each run once on
+    the traced interpreter and replayed by {!Psb_eval.Limits.analyze} —
+    block, oracle and value-prediction regimes per program. *)

@@ -2,6 +2,7 @@
    and figures — who wins, where, and by roughly how much. These encode
    the qualitative claims of §4, not exact numbers. *)
 
+open Psb_isa
 open Psb_compiler
 open Psb_eval
 
@@ -187,6 +188,40 @@ let test_parallel_determinism () =
   in
   Alcotest.(check string) "bytes identical at -j 1 vs -j 8" seq par
 
+(* The regenerated paper, pinned: the digest of [Report.all]'s
+   "experiments" member, minified, as the paper-regen benchmark prints
+   it. A change that moves a figure on purpose re-records the pin and
+   names the cells that moved. *)
+let regeneration_digest = "a76ce08c7e5f8c39bae69bb0c3276c4b"
+
+let test_regeneration_pinned () =
+  let digest doc =
+    Digest.to_hex
+      (Digest.string
+         (Psb_obs.Json.to_string ~minify:true
+            (Option.get (Psb_obs.Json.member "experiments" doc))))
+  in
+  let h = Harness.create () in
+  let doc = Report.all ~runtime:true h in
+  Alcotest.(check string) "sequential" regeneration_digest (digest doc);
+  let vliw_runs k =
+    let open Psb_obs.Json in
+    Option.bind (member "runtime" doc) (member "vliw_runs")
+    |> Fun.flip Option.bind (member k)
+    |> Fun.flip Option.bind to_int
+  in
+  Alcotest.(check (pair (option int) (option int)))
+    "a regeneration asks for 42 VLIW runs and makes 30" (Some 42, Some 30)
+    (vliw_runs "requests", vliw_runs "runs");
+  let runs = (Harness.run_stats h).Harness.runs in
+  Alcotest.(check string) "again, every run reused" regeneration_digest
+    (digest (Report.all h));
+  Alcotest.(check int) "the second pass runs nothing" runs
+    (Harness.run_stats h).Harness.runs;
+  Psb_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check string) "on a 2-domain pool" regeneration_digest
+        (digest (Report.all (Harness.create ~pool ()))))
+
 (* The harness routes every compile through one shared cache; repeating
    an experiment must hit instead of recompiling. *)
 let test_cache_traffic () =
@@ -203,8 +238,56 @@ let test_cache_traffic () =
   check_bool "rerun is all hits" true
     (s2.Compile_cache.hits >= s1.Compile_cache.hits + 24)
 
+(* A regeneration makes each distinct VLIW run once: [shadow]'s
+   single-shadow region-pred runs serve [validation]'s region-pred cells
+   and [btb]'s free-transition cells. *)
+let test_shared_runs () =
+  let h = Harness.create () in
+  let stats () =
+    let s = Harness.run_stats h in
+    (s.Harness.requests, s.Harness.runs)
+  in
+  let pair = Alcotest.(pair int int) in
+  ignore (Experiments.shadow_ablation h);
+  Alcotest.check pair "shadow: 12 runs" (12, 12) (stats ());
+  ignore (Experiments.validation h);
+  Alcotest.check pair "validation: its region-pred cells are shadow's"
+    (30, 24) (stats ());
+  ignore (Experiments.btb_ablation h);
+  Alcotest.check pair "btb: its free cells are shadow's" (42, 30) (stats ());
+  ignore (Experiments.validation h);
+  Alcotest.check pair "validation again runs nothing" (60, 30) (stats ());
+  List.iter
+    (fun e ->
+      let r = Harness.measured h Model.region_pred e in
+      check_bool "the stored run is returned, physically" true
+        (Harness.measured h ~regfile_mode:Psb_machine.Regfile.Single
+           Model.region_pred e
+        == r))
+    h.Harness.entries;
+  Alcotest.check pair "reading it back runs nothing" (72, 30) (stats ())
+
+(* A ring is an output: a call with one always runs and fills it. *)
+let test_event_runs () =
+  let h =
+    Harness.create ~workloads:[ Psb_workloads.Suite.find "compress" ] ()
+  in
+  let e = List.hd h.Harness.entries in
+  let stored = Harness.measured h Model.region_pred e in
+  List.iter
+    (fun n ->
+      let events = Psb_obs.Events.create ~capacity:(1 lsl 20) () in
+      let r = Harness.measured h ~events Model.region_pred e in
+      check_bool "a fresh result" true (r != stored);
+      check_bool "same cycles" true
+        (r.Harness.Vliw_sim.cycles = stored.Harness.Vliw_sim.cycles);
+      check_bool "the ring is filled" true (Psb_obs.Events.length events > 0);
+      Alcotest.(check int)
+        "every event run runs" n (Harness.run_stats h).Harness.runs)
+    [ 2; 3 ]
+
 let test_limits () =
-  let rows = Limits.analyze_suite () in
+  let rows = Experiments.limits (Lazy.force h) in
   List.iter
     (fun (r : Limits.row) ->
       (* the limit-study shape: basic blocks are ILP-starved, removing
@@ -220,7 +303,7 @@ let test_limits_value_oracle () =
   (* the value-prediction oracle only removes constraints relative to
      the unconstrained oracle, so its IPC must dominate on every
      workload — and actually open extra headroom somewhere *)
-  let rows = Limits.analyze_suite () in
+  let rows = Experiments.limits (Lazy.force h) in
   List.iter
     (fun (r : Limits.row) ->
       check_bool
@@ -235,6 +318,154 @@ let test_limits_value_oracle () =
     rows;
   check_bool "value prediction opens extra headroom on some workload" true
     (List.exists (fun (r : Limits.row) -> r.Limits.value_headroom > 1.05) rows)
+
+(* The workload's traced scalar run, as a harness entry holds it *)
+let traced (w : Psb_workloads.Dsl.t) =
+  let open Psb_workloads in
+  Interp.run ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) w.Dsl.program
+
+(* The flat replay returns the list-walking oracle's row, every float
+   bit for bit. *)
+let check_oracle ~what (w : Psb_workloads.Dsl.t) =
+  let flat = Limits.analyze w ~scalar:(traced w) in
+  match Limits_oracle.compare flat (Limits_oracle.analyze w) with
+  | None -> ()
+  | Some (flat, list) ->
+      Alcotest.failf "%s %s: flat %a, list %a" what flat.Limits.name
+        Limits.pp [ flat ] Limits.pp [ list ]
+
+let test_limits_oracle () =
+  List.iter (check_oracle ~what:"suite")
+    (Psb_workloads.Suite.all @ Psb_workloads.Suite.extras);
+  let module Gen = Psb_proptest.Gen in
+  let shapes =
+    [
+      Gen.default_shape;
+      { Gen.default_shape with Gen.fault_prob = 0.3 };
+      { Gen.default_shape with Gen.nesting = 2 };
+      {
+        Gen.default_shape with
+        Gen.nesting = 2;
+        fault_prob = 0.3;
+        oob_prob = 0.5;
+      };
+    ]
+  in
+  List.iteri
+    (fun k shape ->
+      let st = Random.State.make [| 0x11A1; k |] in
+      for i = 1 to 250 do
+        check_oracle
+          ~what:(Printf.sprintf "shape %d" k)
+          (Gen.to_dsl ~name:(Printf.sprintf "gen-%d" i) (Gen.gen shape st))
+      done)
+    shapes
+
+(* Hand-made cases the generator never draws: more stored addresses
+   than the store table starts with, and out-of-range accesses. A fatal
+   store ends the scalar run, but the replay finishes its block, where
+   an out-of-range load depends on that store. *)
+let test_limits_store_table () =
+  let open Psb_workloads.Dsl in
+  let program =
+    Program.make ~entry:(lbl "fill")
+      [
+        block "fill"
+          [ store 1 1 0; add 1 (r 1) (i 1); cmp 2 Opcode.Lt (r 1) (i 512) ]
+          (br 2 "fill" "scan");
+        block "scan"
+          [ load 3 1 (-1); add 4 (r 4) (r 3); sub 1 (r 1) (i 1);
+            cmp 2 Opcode.Gt (r 1) (i 0) ]
+          (br 2 "scan" "bad");
+        block "bad"
+          [ mov 5 (i (-7)); store 4 5 0; load 6 5 0; add 7 (r 6) (i 1);
+            store 7 5 900; load 8 5 900; out (r 8) ]
+          halt;
+      ]
+  in
+  let w =
+    {
+      name = "store-table";
+      description = "";
+      program;
+      regs = [];
+      make_mem = (fun () -> Memory.create ~size:512);
+    }
+  in
+  check_oracle ~what:"hand-made" w
+
+(* A store/load loop whose two base registers sit above r63: the study
+   must read and write them like any other register. *)
+let limits_loop ~base_a ~base_b =
+  let open Psb_workloads.Dsl in
+  let program =
+    Program.make ~entry:(lbl "loop")
+      [
+        block "loop"
+          [ load 3 base_a 0; add 4 (r 3) (i 1); store 4 base_b 0;
+            add base_a (r base_a) (i 1); add base_b (r base_b) (i 1);
+            sub 1 (r 1) (i 1); cmp 2 Opcode.Gt (r 1) (i 0) ]
+          (br 2 "loop" "done");
+        block "done" [] halt;
+      ]
+  in
+  {
+    name = Printf.sprintf "r%d/r%d" base_a base_b;
+    description = "";
+    program;
+    regs = [ (reg 1, 40); (reg base_a, 100); (reg base_b, 300) ];
+    make_mem = (fun () -> Memory.create ~size:512);
+  }
+
+let test_limits_high_registers () =
+  let row w =
+    { (Limits.analyze w ~scalar:(traced w)) with Limits.name = "loop" }
+  in
+  let low = row (limits_loop ~base_a:7 ~base_b:8)
+  and high = row (limits_loop ~base_a:70 ~base_b:71) in
+  check_bool "renaming the base registers moves no field" true
+    (Limits_oracle.compare low high = None);
+  check_bool "the loop's iterations overlap" true (low.Limits.oracle_ipc > 3.0);
+  check_oracle ~what:"renamed" (limits_loop ~base_a:70 ~base_b:71)
+
+(* The replay allocates per program, not per dynamic op: a memory-free
+   loop allocates the same at 1k and at 100k iterations. *)
+let test_limits_no_per_op_alloc () =
+  let open Psb_workloads.Dsl in
+  let program =
+    Program.make ~entry:(lbl "head")
+      [
+        block "head"
+          [ add 3 (r 3) (r 1); sub 1 (r 1) (i 1); cmp 2 Opcode.Gt (r 1) (i 0) ]
+          (br 2 "head" "done");
+        block "done" [ out (r 3) ] halt;
+      ]
+  in
+  let words n =
+    let w =
+      {
+        name = "loop";
+        description = "";
+        program;
+        regs = [ (reg 1, n) ];
+        make_mem = (fun () -> Memory.create ~size:16);
+      }
+    in
+    let scalar = traced w in
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    let row = Limits.analyze w ~scalar in
+    let b1 = Gc.allocated_bytes () in
+    Alcotest.(check int)
+      "every op replayed" ((3 * n) + 1) row.Limits.dyn_instrs;
+    (b1 -. b0) /. float_of_int (Sys.word_size / 8)
+  in
+  ignore (words 10);
+  let small = words 1_000 and large = words 100_000 in
+  check_bool
+    (Printf.sprintf "no per-op allocation (%.0f -> %.0f words)" small large)
+    true
+    (Float.abs (large -. small) < 64.)
 
 (* ---------- benchmark regression gating ---------- *)
 
@@ -469,6 +700,14 @@ let () =
           Alcotest.test_case "headroom" `Quick test_limits;
           Alcotest.test_case "value oracle dominates" `Quick
             test_limits_value_oracle;
+          Alcotest.test_case "flat replay = list replay" `Quick
+            test_limits_oracle;
+          Alcotest.test_case "store table and out-of-range addresses" `Quick
+            test_limits_store_table;
+          Alcotest.test_case "registers above r63" `Quick
+            test_limits_high_registers;
+          Alcotest.test_case "no per-op allocation" `Quick
+            test_limits_no_per_op_alloc;
         ] );
       ( "harness",
         [
@@ -476,6 +715,10 @@ let () =
           Alcotest.test_case "cache traffic" `Slow test_cache_traffic;
           Alcotest.test_case "-j 1 = -j 8 byte-identical" `Slow
             test_parallel_determinism;
+          Alcotest.test_case "shared VLIW runs" `Slow test_shared_runs;
+          Alcotest.test_case "event runs always run" `Quick test_event_runs;
+          Alcotest.test_case "regeneration pinned" `Slow
+            test_regeneration_pinned;
         ] );
       ( "baseline",
         [
