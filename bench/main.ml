@@ -136,6 +136,58 @@ module Pred_bench = struct
       ]
 end
 
+(* ----- execution-kernel microbenches -----
+
+   Whole-workload simulation under the two execution kernels:
+   [sim/lowered] walks the flat structure-of-arrays form of
+   [Psb_machine.Lowered] (the default), [sim/tree] re-walks the
+   [Pcode.bundle] slot lists every cycle (the differential-testing
+   reference). The compile — and the lowering cached inside it — is
+   shared by both rows, so the delta is purely the per-cycle issue-phase
+   cost. [lower] prices the one-time lowering pass itself, to show it is
+   amortised after a handful of simulated cycles. *)
+module Lowered_bench = struct
+  module Driver = Psb_compiler.Driver
+  module Model = Psb_compiler.Model
+  module Machine_model = Psb_machine.Machine_model
+  module Lowered = Psb_machine.Lowered
+  module Vliw_sim = Psb_machine.Vliw_sim
+  module Suite = Psb_workloads.Suite
+  module Dsl = Psb_workloads.Dsl
+
+  let w = lazy (Suite.find "compress")
+
+  let compiled =
+    lazy
+      (let w = Lazy.force w in
+       let _, profile =
+         Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs
+           ~mem:(w.Dsl.make_mem ())
+       in
+       Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
+         ~profile w.Dsl.program)
+
+  let run ?events kernel () =
+    let w = Lazy.force w in
+    ignore
+      (Driver.run_vliw ?events ~exec_kernel:kernel (Lazy.force compiled)
+         ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()))
+
+  let tests () =
+    let open Bechamel in
+    let t name f = Test.make ~name (Staged.stage f) in
+    Test.make_grouped ~name:"lowered"
+      [
+        t "sim/lowered" (run Vliw_sim.Lowered);
+        t "sim/tree" (run Vliw_sim.Tree);
+        t "lower" (fun () ->
+            let c = Lazy.force compiled in
+            match c.Driver.pcode with
+            | Some code -> ignore (Lowered.compile ~machine:c.Driver.machine code)
+            | None -> assert false);
+      ]
+end
+
 (* ----- events microbenches -----
 
    The structured event log must be free when absent and cheap when
@@ -143,7 +195,9 @@ end
    capacity), and the tick pairs run the same all-Unspec per-cycle state
    with and without a ring attached — the delta is the cost of the
    [?events] option check on the hot path, which the zero-overhead claim
-   says is a pointer test. *)
+   says is a pointer test. [vliw] is [rob/sim/vliw]'s compress run with
+   one preallocated ring attached, cleared before each run: a traced
+   run allocates what an untraced one does. *)
 module Events_bench = struct
   open Psb_isa
   module Regfile = Psb_machine.Regfile
@@ -176,6 +230,7 @@ module Events_bench = struct
     done;
     sb
 
+  let vliw_ring = lazy (Events.create ~capacity:(1 lsl 20) ())
   let rf_plain = lazy (make_rf None)
   let rf_events = lazy (make_rf (Some (Lazy.force ring)))
   let sb_plain = lazy (make_sb None)
@@ -197,58 +252,10 @@ module Events_bench = struct
         t "rf_tick/events" (tick_rf rf_events);
         t "sb_tick/no_events" (tick_sb sb_plain);
         t "sb_tick/events" (tick_sb sb_events);
-      ]
-end
-
-(* ----- execution-kernel microbenches -----
-
-   Whole-workload simulation under the two execution kernels:
-   [sim/lowered] walks the flat structure-of-arrays form of
-   [Psb_machine.Lowered] (the default), [sim/tree] re-walks the
-   [Pcode.bundle] slot lists every cycle (the differential-testing
-   reference). The compile — and the lowering cached inside it — is
-   shared by both rows, so the delta is purely the per-cycle issue-phase
-   cost. [lower] prices the one-time lowering pass itself, to show it is
-   amortised after a handful of simulated cycles. *)
-module Lowered_bench = struct
-  module Driver = Psb_compiler.Driver
-  module Model = Psb_compiler.Model
-  module Machine_model = Psb_machine.Machine_model
-  module Lowered = Psb_machine.Lowered
-  module Vliw_sim = Psb_machine.Vliw_sim
-  module Suite = Psb_workloads.Suite
-  module Dsl = Psb_workloads.Dsl
-
-  let w = lazy (Suite.find "compress")
-
-  let compiled =
-    lazy
-      (let w = Lazy.force w in
-       let _, profile =
-         Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs
-           ~mem:(w.Dsl.make_mem ())
-       in
-       Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
-         ~profile w.Dsl.program)
-
-  let run kernel () =
-    let w = Lazy.force w in
-    ignore
-      (Driver.run_vliw ~exec_kernel:kernel (Lazy.force compiled)
-         ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()))
-
-  let tests () =
-    let open Bechamel in
-    let t name f = Test.make ~name (Staged.stage f) in
-    Test.make_grouped ~name:"lowered"
-      [
-        t "sim/lowered" (run Vliw_sim.Lowered);
-        t "sim/tree" (run Vliw_sim.Tree);
-        t "lower" (fun () ->
-            let c = Lazy.force compiled in
-            match c.Driver.pcode with
-            | Some code -> ignore (Lowered.compile ~machine:c.Driver.machine code)
-            | None -> assert false);
+        t "vliw" (fun () ->
+            let ring = Lazy.force vliw_ring in
+            Events.clear ring;
+            Lowered_bench.run ~events:ring Psb_machine.Vliw_sim.Lowered ());
       ]
 end
 

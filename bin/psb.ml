@@ -79,6 +79,21 @@ let machine_of_issue issue =
   if issue = 4 then Machine_model.base
   else Machine_model.full_issue ~width:issue ~max_spec_conds:4
 
+(* Estimate-only models emit no predicated code: the commands that run
+   the machine refuse them, naming the executable ones. *)
+let require_executable (model : Model.t) =
+  if not model.Model.executable then begin
+    Format.eprintf "model %s is not executable; pick one of:@." model.Model.name;
+    List.iter
+      (fun (m : Model.t) ->
+        if m.Model.executable then Format.eprintf "  %s@." m.Model.name)
+      Model.all;
+    exit 1
+  end
+
+(* The event ring a traced run records into: no suite run overflows it. *)
+let ring_capacity = 1 lsl 20
+
 (* ----- list ----- *)
 
 let list_cmd =
@@ -151,6 +166,7 @@ let compile_cmd =
 
 let sim_cmd =
   let run (w : Dsl.t) model issue opt =
+    require_executable model;
     let machine = machine_of_issue issue in
     let program = preoptimize opt w.Dsl.program in
     let scalar, profile =
@@ -295,28 +311,30 @@ let rob_cmd =
 
 let timeline_cmd =
   let run (w : Dsl.t) model limit =
+    require_executable model;
     let machine = Machine_model.base in
     let _, profile =
       Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
     let compiled = Driver.compile ~model ~machine ~profile w.Dsl.program in
-    let shown = ref 0 in
-    let on_event cycle ev =
-      if !shown < limit then begin
-        Format.printf "cycle %5d  %a@." cycle Vliw_sim.pp_event ev;
-        incr shown;
-        if !shown = limit then Format.printf "... (truncated; use -n)@."
-      end
+    let events = Psb_obs.Events.create ~capacity:ring_capacity () in
+    let res =
+      Driver.run_vliw compiled ~events ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
-    match compiled.Driver.pcode with
-    | None -> Format.printf "model %s is not executable@." model.Model.name
-    | Some code ->
-        let res =
-          Vliw_sim.run ~on_event ~model:machine ~regs:w.Dsl.regs
-            ~mem:(w.Dsl.make_mem ()) code
-        in
-        Format.printf "%a in %d cycles@." Interp.pp_outcome res.Vliw_sim.outcome
-          res.Vliw_sim.cycles
+    if Psb_obs.Events.dropped events > 0 then
+      Format.printf "... (event ring overflowed: the oldest %d events are lost)@."
+        (Psb_obs.Events.dropped events);
+    let shown = ref 0 in
+    (try
+       Vliw_trace.iter_lines ~model:machine (Option.get compiled.Driver.pcode)
+         events (fun cycle line ->
+           if !shown >= limit then raise_notrace Exit;
+           Format.printf "cycle %5d  %s@." cycle line;
+           incr shown;
+           if !shown = limit then Format.printf "... (truncated; use -n)@.")
+     with Exit -> ());
+    Format.printf "%a in %d cycles@." Interp.pp_outcome res.Vliw_sim.outcome
+      res.Vliw_sim.cycles
   in
   let limit =
     Arg.(value & opt int 60 & info [ "n" ] ~docv:"N" ~doc:"Events to show.")
@@ -330,25 +348,21 @@ let timeline_cmd =
 
 let trace_cmd =
   let run (w : Dsl.t) model issue opt out limit =
+    require_executable model;
     let machine = machine_of_issue issue in
     let program = preoptimize opt w.Dsl.program in
     let _, profile =
       Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
     let compiled = Driver.compile ~model ~machine ~profile program in
-    if compiled.Driver.pcode = None then begin
-      Format.eprintf "model %s is not executable; pick one of:@." model.Model.name;
-      List.iter
-        (fun (m : Model.t) ->
-          if m.Model.executable then Format.eprintf "  %s@." m.Model.name)
-        Model.all;
-      exit 1
-    end;
-    let sink = Vliw_trace.create ?limit ~model:machine () in
+    let events = Psb_obs.Events.create ~capacity:ring_capacity () in
     let res =
-      Driver.run_vliw compiled
-        ~on_event:(Vliw_trace.on_event sink)
-        ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+      Driver.run_vliw compiled ~events ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+    in
+    let sink =
+      Vliw_trace.of_events ?limit ~model:machine
+        (Option.get compiled.Driver.pcode)
+        events
     in
     let json = Psb_obs.Json.to_string (Vliw_trace.to_json ~result:res sink) in
     (match out with
@@ -365,7 +379,9 @@ let trace_cmd =
         close_out oc;
         Format.eprintf "wrote %s (%a in %d cycles)@." path Interp.pp_outcome
           res.Vliw_sim.outcome res.Vliw_sim.cycles);
-    if Vliw_trace.truncated sink then
+    if Psb_obs.Events.dropped events > 0 then
+      Format.eprintf "warning: trace truncated: the event ring overflowed@."
+    else if Vliw_trace.truncated sink then
       Format.eprintf "warning: trace truncated at the event limit (--limit)@."
   in
   let out =
@@ -454,18 +470,11 @@ let speculate_cmd =
       end;
       exit 0
     end;
+    require_executable model;
     let _, profile =
       Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
     let compiled = Driver.compile ~model ~machine ~profile program in
-    if compiled.Driver.pcode = None then begin
-      Format.eprintf "model %s is not executable; pick one of:@." model.Model.name;
-      List.iter
-        (fun (m : Model.t) ->
-          if m.Model.executable then Format.eprintf "  %s@." m.Model.name)
-        Model.all;
-      exit 1
-    end;
     let events = Psb_obs.Events.create ~capacity () in
     let res =
       Driver.run_vliw compiled ~events ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
@@ -507,7 +516,7 @@ let speculate_cmd =
   let capacity =
     Arg.(
       value
-      & opt int (1 lsl 20)
+      & opt int ring_capacity
       & info [ "capacity" ] ~docv:"N"
           ~doc:
             "Event ring capacity (default 1048576). The scorecards only \
@@ -847,16 +856,15 @@ let pexec_cmd =
             (Psb_isa.Reg.make 8, 64);
           ]
         in
-        let events = ref [] in
-        let on_event c e = events := (c, e) :: !events in
-        let res = Vliw_sim.run ~on_event ~model:Machine_model.base ~regs ~mem code in
+        let model = Machine_model.base in
+        let events = Psb_obs.Events.create ~capacity:ring_capacity () in
+        let res = Vliw_sim.run ~events ~model ~regs ~mem code in
         Format.printf "outcome: %a in %d cycles, output %s@." Interp.pp_outcome
           res.Vliw_sim.outcome res.Vliw_sim.cycles
           (String.concat " " (List.map string_of_int res.Vliw_sim.output));
         Format.printf "timeline:@.";
-        List.iter
-          (fun (c, e) -> Format.printf "  cycle %2d  %a@." c Vliw_sim.pp_event e)
-          (List.rev !events)
+        Vliw_trace.iter_lines ~model code events (fun c line ->
+            Format.printf "  cycle %2d  %s@." c line)
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ppsb") in
   Cmd.v

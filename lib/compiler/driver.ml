@@ -169,8 +169,7 @@ let estimate_cycles c program ~block_trace =
   (Cycles.measure ~units:c.units ~schedules:c.schedules program ~block_trace)
     .Cycles.cycles
 
-let run_vliw ?regfile_mode ?exec_kernel ?on_event ?events ?metrics c ~regs ~mem
-    =
+let run_vliw ?regfile_mode ?exec_kernel ?events ?metrics c ~regs ~mem =
   match c.pcode with
   | None ->
       invalid_arg
@@ -178,4 +177,4 @@ let run_vliw ?regfile_mode ?exec_kernel ?on_event ?events ?metrics c ~regs ~mem
            c.model.Model.name)
   | Some code ->
       Vliw_sim.run ?regfile_mode ?exec_kernel ?lowered:c.lowered
-        ?on_event ?events ?metrics ~model:c.machine ~regs ~mem code
+        ?events ?metrics ~model:c.machine ~regs ~mem code

@@ -101,7 +101,6 @@ val estimate_cycles : compiled -> Program.t -> block_trace:int array -> int
 val run_vliw :
   ?regfile_mode:Psb_machine.Regfile.mode ->
   ?exec_kernel:Vliw_sim.exec_kernel ->
-  ?on_event:(int -> Vliw_sim.event -> unit) ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
   compiled ->
@@ -109,8 +108,9 @@ val run_vliw :
   mem:Memory.t ->
   Vliw_sim.result
 (** Execute the compiled predicated code on the machine simulator;
-    [exec_kernel], [on_event], [events] and [metrics] are passed through to {!Vliw_sim.run}, along with the cached [lowered]
-    form (so a lowered-kernel run never re-lowers).
+    [exec_kernel], [events] and [metrics] are passed through to
+    {!Vliw_sim.run}, along with the cached [lowered] form (so a
+    lowered-kernel run never re-lowers).
     @raise Invalid_argument if the model is not executable. *)
 
 val code_size : compiled -> int

@@ -83,6 +83,15 @@ let make ~entry regions =
   { entry; regions }
 
 let find_region t l = List.find (fun r -> Label.equal r.name l) t.regions
+
+let bundle_op r ~bundle ~slot =
+  let rec nth j = function
+    | [] -> invalid_arg "Pcode.bundle_op: slot past the bundle's operations"
+    | Op pi :: rest -> if j = 0 then pi else nth (j - 1) rest
+    | Exit _ :: rest -> nth j rest
+  in
+  nth slot r.code.(bundle)
+
 let num_regions t = List.length t.regions
 
 let num_bundles t =

@@ -68,6 +68,12 @@ val find_region : t -> Label.t -> region
 (** Region by name. @raise Not_found on an unknown label (cannot happen
     for exit targets of a {!make}-validated program). *)
 
+val bundle_op : region -> bundle:int -> slot:int -> pinstr
+(** The [slot]th operation of bundle [bundle], counting operations only
+    (exits excluded) — how the machine's event ring names an issued
+    operation. @raise Invalid_argument when the bundle holds fewer
+    operations. *)
+
 val num_regions : t -> int
 
 val num_slots : t -> int

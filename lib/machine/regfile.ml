@@ -214,13 +214,10 @@ let commit_value t idx e v =
   e.seq <- v.value;
   e.written <- true
 
-let notify_opt notify idx action =
-  match notify with None -> () | Some f -> f (Reg.make idx) action
-
 (* The versions of one register in the Infinite model. Commits are
    processed oldest-first so that if several versions commit in one
    cycle (a possible WAW), the newest wins. *)
-let tick_versions t ccr ~dirty ~notify idx e =
+let tick_versions t ccr ~dirty idx e =
   let committing = ref [] and keep_rev = ref [] in
   let squashed = ref 0 in
   List.iter
@@ -233,17 +230,13 @@ let tick_versions t ccr ~dirty ~notify idx e =
           t.faults <- t.faults - count_fault v.fault
       | Pred.Unspec -> keep_rev := v :: !keep_rev)
     e.versions;
-  (match List.sort (fun a b -> compare a.seqno b.seqno) !committing with
-  | [] -> ()
-  | winners ->
-      List.iter (commit_value t idx e) winners;
-      notify_opt notify idx `Commit);
+  List.iter (commit_value t idx e)
+    (List.sort (fun a b -> compare a.seqno b.seqno) !committing);
   t.squashes <- t.squashes + !squashed;
-  if !squashed > 0 then notify_opt notify idx `Squash;
   t.live <- t.live - List.length !committing - !squashed;
   e.versions <- List.rev !keep_rev
 
-let tick ~dirty ?notify t ccr =
+let tick ~dirty t ccr =
   if t.live > 0 then begin
     for idx = t.lo to t.hi do
       let e = t.entries.(idx) in
@@ -255,17 +248,15 @@ let tick ~dirty ?notify t ccr =
         | Pred.True ->
             commit_value t idx e v;
             e.single <- none;
-            t.live <- t.live - 1;
-            notify_opt notify idx `Commit
+            t.live <- t.live - 1
         | Pred.False ->
             t.squashes <- t.squashes + 1;
             ev t Psb_obs.Events.Shadow_squash idx 0;
             t.faults <- t.faults - count_fault v.fault;
             e.single <- none;
-            t.live <- t.live - 1;
-            notify_opt notify idx `Squash
+            t.live <- t.live - 1
       end
-      else if e.versions <> [] then tick_versions t ccr ~dirty ~notify idx e
+      else if e.versions <> [] then tick_versions t ccr ~dirty idx e
     done;
     check_empty t
   end

@@ -72,21 +72,14 @@ val committing_exceptions :
     (pending condition writes, the future CCR); returns immediately when
     no version carries a fault. *)
 
-val tick :
-  dirty:int ->
-  ?notify:(Reg.t -> [ `Commit | `Squash ] -> unit) ->
-  t ->
-  Ccr.t ->
-  unit
+val tick : dirty:int -> t -> Ccr.t -> unit
 (** Evaluate every valid speculative entry: true → commit (copy to
     sequential state, clear V), false → squash (clear V). Entries with E
     must have been intercepted by {!committing_exceptions} first; a
     committing entry with E set is an internal error.
 
-    [notify], when given, hears what happened, in register order: one
-    [`Commit] per register whose versions committed, then one [`Squash]
-    per register that lost any. The tick itself returns nothing and, in
-    the Single model, allocates nothing.
+    What happened reaches the [events] ring, one event per version in
+    register order. In the Single model the tick allocates nothing.
 
     [dirty] is the word-0 bitmask of conditions written since the last
     tick ([-1]: everything dirty), as {!Ccr.take_dirty} returns it. A

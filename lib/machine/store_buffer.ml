@@ -110,7 +110,7 @@ let append t ~addr ~value ~cpred ~spec ~fault =
   end;
   if t.count > t.max_occupancy then t.max_occupancy <- t.count
 
-let tick ~dirty ?notify t ccr =
+let tick ~dirty t ccr =
   if t.spec_live > 0 then
     for i = 0 to t.count - 1 do
       let e = nth t i in
@@ -131,21 +131,19 @@ let tick ~dirty ?notify t ccr =
           end
         in
         match value with
-        | Pred.True -> (
+        | Pred.True ->
             assert (e.fault = None);
             t.commits <- t.commits + 1;
             ev t Psb_obs.Events.Sb_commit e.addr 0;
             e.spec <- false;
-            t.spec_live <- t.spec_live - 1;
-            match notify with None -> () | Some f -> f e.addr `Commit)
-        | Pred.False -> (
+            t.spec_live <- t.spec_live - 1
+        | Pred.False ->
             t.squashes <- t.squashes + 1;
             ev t Psb_obs.Events.Sb_squash e.addr 0;
             e.valid <- false;
             t.dead <- t.dead + 1;
             t.spec_live <- t.spec_live - 1;
-            t.faults <- t.faults - count_fault e;
-            match notify with None -> () | Some f -> f e.addr `Squash)
+            t.faults <- t.faults - count_fault e
         | Pred.Unspec -> ()
       end
     done

@@ -33,15 +33,10 @@ val append :
   t -> addr:int -> value:int -> cpred:Pred.compiled -> spec:bool ->
   fault:Fault.t option -> unit
 
-val tick :
-  dirty:int ->
-  ?notify:(int -> [ `Commit | `Squash ] -> unit) ->
-  t ->
-  Ccr.t ->
-  unit
-(** Evaluate speculative entries' predicates; commit or squash. [notify],
-    when given, hears each affected address, in buffer order. The tick
-    returns nothing and allocates nothing.
+val tick : dirty:int -> t -> Ccr.t -> unit
+(** Evaluate speculative entries' predicates; commit or squash, in
+    buffer order, each reaching the [events] ring. The tick allocates
+    nothing.
 
     [dirty] is the word-0 bitmask of conditions written since the last
     tick ([-1]: everything dirty), as {!Ccr.take_dirty} returns it; an

@@ -60,50 +60,6 @@ type result = {
   breakdown : breakdown;
 }
 
-type stall_reason = Shadow_conflict | Store_buffer_full
-
-type event =
-  | Reg_commit of Reg.t
-  | Reg_squash of Reg.t
-  | Store_commit of int
-  | Store_squash of int
-  | Exception_detected
-  | Recovery_done
-  | Region_exit of Pcode.exit_target
-  | Bundle_issue of {
-      region : Label.t;
-      pc : int;
-      ops : int;
-      squashed : int;
-      spec : int;
-    }
-  | Op_issue of { op : Instr.op; pred : Pred.t; spec : bool; latency : int }
-  | Stall of stall_reason
-  | Cond_set of Cond.t * bool
-  | Sb_occupancy of int
-
-let pp_event ppf = function
-  | Reg_commit r -> Format.fprintf ppf "commit %a" Reg.pp r
-  | Reg_squash r -> Format.fprintf ppf "squash %a" Reg.pp r
-  | Store_commit a -> Format.fprintf ppf "commit sb@%d" a
-  | Store_squash a -> Format.fprintf ppf "squash sb@%d" a
-  | Exception_detected -> Format.pp_print_string ppf "exception detected"
-  | Recovery_done -> Format.pp_print_string ppf "recovery done"
-  | Region_exit (Pcode.To_region l) -> Format.fprintf ppf "exit -> %a" Label.pp l
-  | Region_exit Pcode.Stop -> Format.pp_print_string ppf "exit -> halt"
-  | Bundle_issue { region; pc; ops; squashed; spec } ->
-      Format.fprintf ppf "issue %a[%d]: %d ops (%d spec, %d squashed)"
-        Label.pp region pc ops spec squashed
-  | Op_issue { op; spec; latency; _ } ->
-      Format.fprintf ppf "op%s %a (latency %d)"
-        (if spec then ".s" else "")
-        Instr.pp_op op latency
-  | Stall Shadow_conflict -> Format.pp_print_string ppf "stall: shadow conflict"
-  | Stall Store_buffer_full ->
-      Format.pp_print_string ppf "stall: store buffer full"
-  | Cond_set (c, v) -> Format.fprintf ppf "%a := %b" Cond.pp c v
-  | Sb_occupancy n -> Format.fprintf ppf "sb occupancy %d" n
-
 exception Machine_error of string
 
 let machine_error fmt = Format.kasprintf (fun s -> raise (Machine_error s)) fmt
@@ -262,7 +218,6 @@ type exec_repr = Etree | Elow of low_state
 type state = {
   model : Machine_model.t;
   exec : exec_repr;
-  on_event : (int -> event -> unit) option;
   events : Psb_obs.Events.t option;
   sb_hist : Psb_obs.Metrics.histogram option;
   bundle_hist : Psb_obs.Metrics.histogram option;
@@ -292,9 +247,6 @@ type state = {
   mutable faulted : bool;
   mutable fault : Fault.t;
   mutable forwarded : bool;
-  (* the typed tick events, set only when [on_event] is *)
-  mutable rf_notify : (Reg.t -> [ `Commit | `Squash ] -> unit) option;
-  mutable sb_notify : (int -> [ `Commit | `Squash ] -> unit) option;
   mutable output_rev : int list;
   mutable faults_handled : int;
   (* statistics *)
@@ -320,12 +272,9 @@ type state = {
   mutable last_sb_occ : int;
 }
 
-let emit st ev =
-  match st.on_event with None -> () | Some f -> f st.now ev
-
-(* Structured event-log emission (the [?events] channel). One branch on
-   the option when absent — the per-cycle hot path must not allocate. *)
-let eev st kind ~a ~b =
+(* Event-ring emission. One branch on the option when absent — the
+   per-cycle hot path must not allocate. *)
+let[@inline] eev st kind ~a ~b =
   match st.events with
   | None -> ()
   | Some e -> Psb_obs.Events.emit e ~cycle:st.now kind ~a ~b
@@ -348,20 +297,20 @@ let fault_addr = function
   | Fault.Mem (Memory.Out_of_bounds a) | Fault.Mem (Memory.Unmapped a) -> a
   | Fault.Arith _ -> -1
 
-let observing st = st.on_event <> None
-
 (* Emitted only when the occupancy changed, to keep traces small. *)
 let note_sb_occupancy st =
   (match st.sb_hist with
   | Some h -> Psb_obs.Metrics.observe h (float_of_int (Store_buffer.length st.sb))
   | None -> ());
-  if observing st then begin
-    let occ = Store_buffer.length st.sb in
-    if occ <> st.last_sb_occ then begin
-      st.last_sb_occ <- occ;
-      emit st (Sb_occupancy occ)
-    end
-  end
+  match st.events with
+  | None -> ()
+  | Some e ->
+      let occ = Store_buffer.length st.sb in
+      if occ <> st.last_sb_occ then begin
+        st.last_sb_occ <- occ;
+        Psb_obs.Events.emit e ~cycle:st.now Psb_obs.Events.Sb_occupancy ~a:occ
+          ~b:0
+      end
 
 let handle_or_abort st fault =
   if Fault.recoverable fault then begin
@@ -681,7 +630,7 @@ let flush_pending st ~allow_cond =
   end
 
 let start_recovery st ~future =
-  emit st Exception_detected;
+  eev st Psb_obs.Events.Recovery_start ~a:st.pc ~b:0;
   st.recoveries <- st.recoveries + 1;
   (* Invalidate all speculative state: this establishes the precise
      interrupt point. In-flight non-speculative writebacks complete, in
@@ -717,7 +666,6 @@ let start_recovery st ~future =
    speculative state. The caller then installs the next region (or
    halts). *)
 let exit_prologue st (target : Pcode.exit_target) =
-  if observing st then emit st (Region_exit target);
   eev st Psb_obs.Events.Region_exit
     ~a:(region_id st st.region.Pcode.name)
     ~b:
@@ -731,8 +679,7 @@ let exit_prologue st (target : Pcode.exit_target) =
   st.now <- st.now + extra + st.model.Machine_model.transition_penalty;
   sync_now st;
   (* A final resolve pass: writebacks applied during the flush may have
-     buffered state whose predicate is already decided. Its events are
-     not reported. *)
+     buffered state whose predicate is already decided. *)
   Regfile.tick ~dirty:(-1) st.rf st.ccr;
   Store_buffer.tick ~dirty:(-1) st.sb st.ccr;
   (* Whatever speculative state remains belongs to untaken paths of the
@@ -789,7 +736,7 @@ let stall_sb st =
      that resolves the blocking speculative head could never issue) *)
   st.sb_stall_cycles <- st.sb_stall_cycles + 1;
   st.kind <- Ksb_stall;
-  emit st (Stall Store_buffer_full);
+  eev st Psb_obs.Events.Stall ~a:1 ~b:0;
   st.consecutive_stalls <- st.consecutive_stalls + 1;
   if st.consecutive_stalls > 10_000 then
     machine_error "store buffer never drains (speculative head stuck)"
@@ -797,7 +744,7 @@ let stall_sb st =
 let stall_conflict st =
   st.conflict_stall_cycles <- st.conflict_stall_cycles + 1;
   st.kind <- Kshadow_stall;
-  emit st (Stall Shadow_conflict);
+  eev st Psb_obs.Events.Stall ~a:0 ~b:0;
   st.consecutive_stalls <- st.consecutive_stalls + 1;
   (* A conflict that never resolves means the scheduler violated the
      shadow-storage WAW commit dependence: the blocking predicate can
@@ -839,27 +786,14 @@ let[@inline] decide st ~in_recovery j cpred =
     | Pred.True -> if in_recovery then 0 else 1
     | Pred.Unspec -> 2)
 
-(* Once all [nops] slots are decided: the bundle's events and histogram
+(* Once all [nops] slots are decided: the bundle's event and histogram
    sample. Returns the executed-slot count. *)
-let note_bundle st ~in_recovery ~nops =
-  let nexec = ref 0 and nspec = ref 0 in
+let note_bundle st ~nops =
+  let nexec = ref 0 in
   for j = 0 to nops - 1 do
-    let d = st.dec.(j) in
-    if d > 0 then incr nexec;
-    if d = 2 then incr nspec
+    if st.dec.(j) > 0 then incr nexec
   done;
-  let nsq = nops - !nexec in
-  if not in_recovery then eev st Psb_obs.Events.Issue ~a:!nexec ~b:nsq;
-  if observing st then
-    emit st
-      (Bundle_issue
-         {
-           region = st.region.Pcode.name;
-           pc = st.pc;
-           ops = !nexec;
-           squashed = nsq;
-           spec = !nspec;
-         });
+  eev st Psb_obs.Events.Issue ~a:!nexec ~b:(nops - !nexec);
   (match st.bundle_hist with
   | Some h -> Psb_obs.Metrics.observe h (float_of_int !nexec)
   | None -> ());
@@ -867,15 +801,13 @@ let note_bundle st ~in_recovery ~nops =
 
 (* Slot [j]'s bookkeeping, in slot order: a squashed slot is counted, an
    executed one counted and announced. Returns its decision. *)
-let[@inline] note_slot st j (pi : Pcode.pinstr) ~latency =
+let[@inline] note_slot st j =
   let d = st.dec.(j) in
   if d = 0 then st.squashed_ops <- st.squashed_ops + 1
   else begin
     st.dyn_ops <- st.dyn_ops + 1;
-    if observing st then
-      emit st
-        (Op_issue
-           { op = pi.Pcode.op; pred = pi.Pcode.pred; spec = d = 2; latency })
+    eev st Psb_obs.Events.Op_issue ~a:st.pc
+      ~b:(if d = 2 then (2 * j) + 1 else 2 * j)
   end;
   d
 
@@ -940,12 +872,13 @@ let issue_tree st ~conflict =
         bundle
     in
     List.iteri (fun j pi -> decide st ~in_recovery j pi.Pcode.cpred) ops;
-    let nexec = note_bundle st ~in_recovery ~nops:(List.length ops) in
+    let nexec = note_bundle st ~nops:(List.length ops) in
     List.iteri
       (fun j pi ->
-        let latency = Machine_model.latency st.model pi.Pcode.op in
-        let d = note_slot st j pi ~latency in
-        if d > 0 then issue_tree_op st ~spec:(d = 2) pi ~latency)
+        let d = note_slot st j in
+        if d > 0 then
+          issue_tree_op st ~spec:(d = 2) pi
+            ~latency:(Machine_model.latency st.model pi.Pcode.op))
       ops;
     (* A Setc may share a bundle with an exit as long as that exit does
        not fire (Figure 4 bundles them); if it fires, the pending
@@ -981,10 +914,9 @@ let issue_low st ls ~conflict =
     for i = lo to hi - 1 do
       decide st ~in_recovery (i - lo) lr.Lowered.op_cpred.(i)
     done;
-    let nexec = note_bundle st ~in_recovery ~nops:(hi - lo) in
+    let nexec = note_bundle st ~nops:(hi - lo) in
     for i = lo to hi - 1 do
-      let latency = lr.Lowered.op_lat.(i) in
-      let d = note_slot st (i - lo) lr.Lowered.op_src.(i) ~latency in
+      let d = note_slot st (i - lo) in
       if d > 0 then begin
         let cpred = lr.Lowered.op_cpred.(i) in
         execute st ~spec:(d = 2) lr.Lowered.op_kind.(i)
@@ -995,7 +927,8 @@ let issue_low st ls ~conflict =
           ~b:
             (operand st ~cpred lr.Lowered.op_s2_reg.(i)
                lr.Lowered.op_s2_imm.(i) lr.Lowered.op_s2_sh.(i))
-          ~aux:lr.Lowered.op_aux.(i) ~dst:lr.Lowered.op_dst.(i) ~latency ~cpred
+          ~aux:lr.Lowered.op_aux.(i) ~dst:lr.Lowered.op_dst.(i)
+          ~latency:lr.Lowered.op_lat.(i) ~cpred
       end
     done;
     let fired = ref (-1) and j = ref lr.Lowered.ex_bounds.(st.pc) in
@@ -1021,7 +954,7 @@ let step st ~fuel =
     match st.mode with
     | Recovery { future; epc } when st.pc = epc ->
         st.mode <- Normal;
-        emit st Recovery_done;
+        eev st Psb_obs.Events.Recovery_end ~a:0 ~b:0;
         Some future
     | Recovery _ | Normal -> None
   in
@@ -1070,14 +1003,13 @@ let step st ~fuel =
           Ccr.set st.ccr c v;
           eev st
             (if v then Psb_obs.Events.Pred_true else Psb_obs.Events.Pred_false)
-            ~a:(Cond.index c) ~b:0;
-          if observing st then emit st (Cond_set (c, v))
+            ~a:(Cond.index c) ~b:0
         done);
   (* 3. Commit/squash the buffered speculative state, gated by the
      conditions written since the previous tick. *)
   let dirty = Ccr.take_dirty st.ccr in
-  Regfile.tick ~dirty ?notify:st.rf_notify st.rf st.ccr;
-  Store_buffer.tick ~dirty ?notify:st.sb_notify st.sb st.ccr;
+  Regfile.tick ~dirty st.rf st.ccr;
+  Store_buffer.tick ~dirty st.sb st.ccr;
   (* Sample occupancy after commit/squash but before the drain — this is
      the point where buffered state held across the cycle is visible. *)
   note_sb_occupancy st;
@@ -1092,7 +1024,7 @@ let step st ~fuel =
 let default_fuel = 60_000_000
 
 let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
-    ?(exec_kernel = Lowered) ?lowered ?on_event ?events ?metrics ~model ~regs
+    ?(exec_kernel = Lowered) ?lowered ?events ?metrics ~model ~regs
     ~mem (code : Pcode.t) =
   let exec, region0, nregs, width =
     match exec_kernel with
@@ -1143,7 +1075,6 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
     {
       model;
       exec;
-      on_event;
       events;
       sb_hist;
       bundle_hist;
@@ -1165,8 +1096,6 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
       faulted = false;
       fault = Fault.Arith "";
       forwarded = false;
-      rf_notify = None;
-      sb_notify = None;
       output_rev = [];
       faults_handled = 0;
       dyn_bundles = 0;
@@ -1190,20 +1119,6 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
       last_sb_occ = 0;
     }
   in
-  (match on_event with
-  | None -> ()
-  | Some _ ->
-      st.rf_notify <-
-        Some
-          (fun r a ->
-            emit st (match a with `Commit -> Reg_commit r | `Squash -> Reg_squash r));
-      st.sb_notify <-
-        Some
-          (fun addr a ->
-            emit st
-              (match a with
-              | `Commit -> Store_commit addr
-              | `Squash -> Store_squash addr)));
   List.iter (fun (r, v) -> Regfile.write_seq st.rf r v) regs;
   eev st Psb_obs.Events.Region_enter
     ~a:(region_id st st.region.Pcode.name)

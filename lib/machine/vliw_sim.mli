@@ -93,35 +93,6 @@ type result = {
   breakdown : breakdown;
 }
 
-type stall_reason = Shadow_conflict | Store_buffer_full
-
-type event =
-  | Reg_commit of Reg.t
-  | Reg_squash of Reg.t
-  | Store_commit of int  (** address *)
-  | Store_squash of int
-  | Exception_detected
-  | Recovery_done
-  | Region_exit of Pcode.exit_target
-  | Bundle_issue of {
-      region : Label.t;
-      pc : int;  (** bundle index within the region *)
-      ops : int;  (** operation slots that executed (incl. speculative) *)
-      squashed : int;  (** slots whose predicate evaluated false *)
-      spec : int;  (** slots issued speculatively *)
-    }
-  | Op_issue of { op : Instr.op; pred : Pred.t; spec : bool; latency : int }
-      (** One executed operation slot, emitted after its
-          {!Bundle_issue}. [latency] is the writeback distance — the
-          trace sink renders the span. *)
-  | Stall of stall_reason
-  | Cond_set of Cond.t * bool  (** CCR update applied (no detection) *)
-  | Sb_occupancy of int
-      (** store-buffer occupancy after this cycle's commit/squash
-          resolution (before the drain), emitted only when it changed *)
-
-val pp_event : Format.formatter -> event -> unit
-
 exception Machine_error of string
 (** Raised when executed code violates a machine invariant the scheduler
     must uphold (commit-dependence violation, side effect with an
@@ -145,7 +116,6 @@ val run :
   ?regfile_mode:Regfile.mode ->
   ?exec_kernel:exec_kernel ->
   ?lowered:Lowered.t ->
-  ?on_event:(int -> event -> unit) ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
   model:Machine_model.t ->
@@ -154,25 +124,22 @@ val run :
   Pcode.t ->
   result
 (** [fuel] bounds the cycle count (default 60M). [mem] is mutated.
-    [on_event] receives commit/squash/detection/recovery/exit/issue
-    events with the cycle they occur in — the machine's observable
-    timeline (compare Table 1). The register-file and store-buffer ticks
-    hand their [Reg_commit]/[Reg_squash]/[Store_commit]/[Store_squash]
-    events to it through a callback that the machine passes only when
-    [on_event] is set; every other event value is built only when
-    [on_event] is set. When neither [on_event] nor [metrics] is given the
-    instrumentation costs nothing.
 
-    [events], independently of [on_event], records the speculation
-    lifecycle into a structured ring buffer ([Psb_obs.Events]): region
-    enter/exit (region names interned), predicate resolutions
-    ([Pred_true]/[Pred_false] per applied condition write), one normal-mode
-    [Issue] per issued bundle ([a] = executed slots, [b] = squashed
-    slots; recovery-mode bundles are deliberately not logged so that
-    useful/wasted sums reconcile with the {!breakdown}), shadow-register
-    and store-buffer lifecycles (via {!Regfile} and {!Store_buffer}), and
-    [Fault_deferred]/[Fault_raised]. Absent, the per-cycle path allocates
-    nothing on its behalf (enforced by a minor-words test).
+    [events] records the machine's observable timeline (compare Table 1)
+    into a structured ring buffer ([Psb_obs.Events]), each event stamped
+    with the cycle it occurs in: region enter/exit (region names
+    interned); every issued bundle ([Issue], in normal and recovery mode)
+    and every executed operation slot ([Op_issue], resolved against the
+    pcode by bundle and slot); stalls; predicate resolutions
+    ([Pred_true]/[Pred_false] per applied condition write); exception
+    detection and recovery end ([Recovery_start]/[Recovery_end]);
+    shadow-register and store-buffer lifecycles (via {!Regfile} and
+    {!Store_buffer}); store-buffer occupancy changes; and
+    [Fault_deferred]/[Fault_raised]. [Vliw_trace] renders the ring as
+    text and as a trace document. Absent, the cycle loop allocates
+    nothing on its behalf and tests one pointer per emission site;
+    attached, it still allocates nothing (both enforced by minor-words
+    tests).
 
     Per-cycle predicate evaluation uses the compiled bitmask comparators
     ({!Ccr.evalc}), with the commit/squash tick gated by the CCR's dirty

@@ -16,6 +16,11 @@ type kind =
   | Fault_raised
   | Rob_commit
   | Rob_squash
+  | Op_issue
+  | Stall
+  | Recovery_start
+  | Recovery_end
+  | Sb_occupancy
 
 let kind_name = function
   | Region_enter -> "region_enter"
@@ -35,6 +40,11 @@ let kind_name = function
   | Fault_raised -> "fault_raised"
   | Rob_commit -> "rob_commit"
   | Rob_squash -> "rob_squash"
+  | Op_issue -> "op_issue"
+  | Stall -> "stall"
+  | Recovery_start -> "recovery_start"
+  | Recovery_end -> "recovery_end"
+  | Sb_occupancy -> "sb_occupancy"
 
 (* All constructors of [kind] are constant, so values are immediates and
    [kinds] below is an unboxed int array: [emit] touches four flat
@@ -109,10 +119,16 @@ let iter t f =
     f t.cycles.(i) t.kinds.(i) t.aa.(i) t.bb.(i)
   done
 
+(* A top-level scan, not a local closure: machines intern at every
+   region or block entry, and that must not allocate. *)
+let rec find_name names n s i =
+  if i >= n then -1
+  else if String.equal names.(i) s then i
+  else find_name names n s (i + 1)
+
 let intern t s =
   let n = t.num_names in
-  let rec find i = if i >= n then -1 else if t.names.(i) = s then i else find (i + 1) in
-  match find 0 with
+  match find_name t.names n s 0 with
   | id when id >= 0 -> id
   | _ ->
       if n = Array.length t.names then begin
@@ -150,16 +166,3 @@ let to_json t =
       ("names", Json.List names);
       ("events", Json.List (List.rev !events));
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>events: %d held, %d total, %d dropped@," t.len
-    t.total t.dropped;
-  iter t (fun cycle kind a b ->
-      match kind with
-      | Region_enter ->
-          Format.fprintf ppf "%6d  region_enter    %s@," cycle (name t a)
-      | Region_exit ->
-          Format.fprintf ppf "%6d  region_exit     %s -> %s@," cycle (name t a)
-            (if b < 0 then "<halt>" else name t b)
-      | _ -> Format.fprintf ppf "%6d  %-15s a=%d b=%d@," cycle (kind_name kind) a b);
-  Format.fprintf ppf "@]"

@@ -4,8 +4,9 @@
 
     Where {!Metrics} aggregates and {!Trace_event} renders, this module
     {e records}: each event is a (cycle, kind, a, b) quadruple kept in
-    flat integer arrays, so emission allocates nothing — the log can sit
-    inside the machine's per-cycle loops without disturbing them. When
+    flat integer arrays, so emission allocates nothing, and neither does
+    {!intern} once a name is known — a machine run with a ring attached
+    allocates what it allocates without one. When
     the ring fills, the oldest events are overwritten and counted as
     dropped; consumers that need a complete stream (the
     {!Spec_profile} scorecards) size the capacity to the run and check
@@ -25,8 +26,23 @@
       region id, or [-1] for halt
     - [Pred_true] / [Pred_false]: a condition write specified buffered
       predicates; [a] = condition index
-    - [Issue]: one bundle issued in normal mode; [a] = operation slots
-      that executed, [b] = slots squashed (predicate false)
+    - [Issue]: one bundle issued, in normal or recovery mode; [a] =
+      operation slots that executed, [b] = slots squashed (predicate
+      false). The bundle's index in its region is the number of [Issue]
+      events since the last [Region_enter] or [Recovery_start]
+    - [Op_issue]: one executed operation slot, after its bundle's
+      [Issue]; [a] = bundle index, [b] = 2 × slot + 1 if issued
+      speculatively, else 2 × slot (slots count the bundle's operations,
+      exits excluded), so the pcode names the operation
+    - [Stall]: issue held this cycle; [a] = 0 on a shadow-storage
+      conflict, 1 on a full store buffer
+    - [Recovery_start]: exception detection entered recovery mode; [a] =
+      the EPC, the bundle index where recovery ends
+    - [Recovery_end]: the PC reached the EPC; the future condition became
+      the current one
+    - [Sb_occupancy]: store-buffer entries after the cycle's commit and
+      squash resolution, emitted only when the count changed; [a] =
+      entries
     - [Shadow_write]: a speculative result buffered into the shadow
       register file; [a] = register index, [b] = value
     - [Shadow_commit] / [Shadow_squash]: a buffered register resolved;
@@ -71,10 +87,15 @@ type kind =
   | Fault_raised
   | Rob_commit
   | Rob_squash
+  | Op_issue
+  | Stall
+  | Recovery_start
+  | Recovery_end
+  | Sb_occupancy
 
 val kind_name : kind -> string
 (** Stable lower-snake name ([region_enter], [sb_flush], ...) used in
-    JSON and the pretty-printer. *)
+    JSON. *)
 
 type t
 
@@ -108,8 +129,8 @@ val iter : t -> (int -> kind -> int -> int -> unit) -> unit
 val intern : t -> string -> int
 (** Find-or-create a small integer id for a name (region labels). Ids
     are dense from 0 in first-intern order; the table is tiny (one entry
-    per static region), looked up linearly and never reset by
-    {!clear}. *)
+    per static region), looked up linearly without allocating, and never
+    reset by {!clear}. *)
 
 val name : t -> int -> string
 (** The interned name for an id; ["?<id>"] for ids never interned
@@ -119,7 +140,3 @@ val to_json : t -> Json.t
 (** [{"capacity", "total", "dropped", "names": [..in id order..],
      "events": [{"cycle", "kind", "a", "b"}...]}] — events oldest
     first. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per held event, region ids resolved through the intern
-    table. *)

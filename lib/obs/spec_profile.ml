@@ -99,6 +99,10 @@ let of_events ~total_cycles events =
      later in the stream, so the classification of an [Issue] is held
      until an event from a later cycle (or the exit) settles it. *)
   let pending_issue = ref None (* (card, cycle, executed) *) in
+  (* Recovery-mode bundles re-execute work already counted; the machine
+     charges their cycles to recovery, so the fold skips their [Issue]
+     events. *)
+  let recovering = ref false in
   let settle_issue ~useful =
     match !pending_issue with
     | None -> ()
@@ -149,7 +153,11 @@ let of_events ~total_cycles events =
           | Some (_, c, _) when c = cycle -> settle_issue ~useful:true
           | _ -> ());
           ignore (card ())
-      | Events.Issue -> pending_issue := Some (card (), cycle, a)
+      | Events.Issue ->
+          if not !recovering then pending_issue := Some (card (), cycle, a)
+      | Events.Recovery_start -> recovering := true
+      | Events.Recovery_end -> recovering := false
+      | Events.Op_issue | Events.Stall | Events.Sb_occupancy -> ()
       | Events.Pred_true ->
           let c = card () in
           c.preds_true <- c.preds_true + 1

@@ -225,6 +225,12 @@ let event_list ring =
       acc := (cycle, kind, a, b) :: !acc);
   List.rev !acc
 
+(* A run's timeline as [Vliw_trace] prints it: (cycle, line) pairs. *)
+let timeline ~model pcode ring =
+  let acc = ref [] in
+  Vliw_trace.iter_lines ~model pcode ring (fun c l -> acc := (c, l) :: !acc);
+  List.rev !acc
+
 (* Every hand-written program runs on both execution kernels, the tree
    reference on a copy of the memory. They must agree on the whole result
    record, the final memory, the full event ring and the exception raised,
@@ -750,10 +756,9 @@ let test_paper_figure4 () =
   let two_issue =
     { Machine_model.base with Machine_model.issue_width = 2 }
   in
-  let events = ref [] in
-  let on_event cycle ev = events := (cycle, ev) :: !events in
-  let res = Vliw_sim.run ~on_event ~model:two_issue ~regs ~mem pcode in
-  let events = List.rev !events in
+  let ring = Psb_obs.Events.create () in
+  let res = Vliw_sim.run ~events:ring ~model:two_issue ~regs ~mem pcode in
+  let events = timeline ~model:two_issue pcode ring in
   (* took the i17 exit to L8 *)
   Alcotest.(check (list int)) "exited to L8" [ 8 ] res.Vliw_sim.output;
   (* r2 committed as r2 - 1 *)
@@ -778,19 +783,16 @@ let test_paper_figure4 () =
      paper's 1-based counting); r2, r7 and the buffered store all commit
      together when c1 sets (cycle 7); the exit to L8 fires the same
      cycle. *)
-  let cycle_of ev =
-    List.find_map (fun (c, e) -> if e = ev then Some c else None) events
+  let get line =
+    match List.find_opt (fun (_, l) -> l = line) events with
+    | Some (c, _) -> c
+    | None -> Alcotest.failf "event %s missing from the trace" line
   in
-  let get name ev =
-    match cycle_of ev with
-    | Some c -> c
-    | None -> Alcotest.failf "event %s missing from the trace" name
-  in
-  let t_squash_r5 = get "squash r5" (Vliw_sim.Reg_squash (reg 5)) in
-  let t_commit_r2 = get "commit r2" (Vliw_sim.Reg_commit (reg 2)) in
-  let t_commit_r7 = get "commit r7" (Vliw_sim.Reg_commit (reg 7)) in
-  let t_commit_sb = get "commit sb" (Vliw_sim.Store_commit 99) in
-  let t_exit = get "exit" (Vliw_sim.Region_exit (Pcode.To_region (lbl "L8"))) in
+  let t_squash_r5 = get "squash r5" in
+  let t_commit_r2 = get "commit r2" in
+  let t_commit_r7 = get "commit r7" in
+  let t_commit_sb = get "commit sb@99" in
+  let t_exit = get "exit -> L8" in
   check_bool "r5 squashed before the c0&c1 commits" true
     (t_squash_r5 < t_commit_r2);
   check_int "r2 and r7 commit together" t_commit_r2 t_commit_r7;
@@ -843,10 +845,9 @@ let test_paper_figure5 () =
     [ (reg 2, 50); (reg 3, -1); (reg 4, 1100); (reg 6, 1300); (reg 7, 10); (reg 8, 5) ]
   in
   let single_issue = { Machine_model.base with Machine_model.issue_width = 1 } in
-  let events = ref [] in
-  let on_event cycle ev = events := (cycle, ev) :: !events in
-  let res = Vliw_sim.run ~on_event ~model:single_issue ~regs ~mem pcode in
-  let events = List.rev !events in
+  let ring = Psb_obs.Events.create () in
+  let res = Vliw_sim.run ~events:ring ~model:single_issue ~regs ~mem pcode in
+  let events = timeline ~model:single_issue pcode ring in
   check_bool "halted" true (res.Vliw_sim.outcome = Interp.Halted);
   check_int "one recovery episode" 1 res.Vliw_sim.stats.Vliw_sim.recoveries;
   (* i4's exception handled; i5's squashed without a handler call *)
@@ -854,22 +855,22 @@ let test_paper_figure5 () =
   (* r7 regenerated by i6's re-execution: 10 + mem[1100 after mapping]=0 *)
   Alcotest.(check (list int)) "r7 regenerated" [ 10 ] res.Vliw_sim.output;
   (* event order: detection → recovery done → r3/r7 commit and r5 squash *)
-  let idx name p =
-    match List.find_index (fun (_, e) -> p e) events with
+  let idx line =
+    match List.find_index (fun (_, l) -> l = line) events with
     | Some i -> i
-    | None -> Alcotest.failf "event %s missing" name
+    | None -> Alcotest.failf "event %s missing" line
   in
-  let det = idx "detect" (fun e -> e = Vliw_sim.Exception_detected) in
-  let fin = idx "recovery done" (fun e -> e = Vliw_sim.Recovery_done) in
-  let commit_r3 = idx "commit r3" (fun e -> e = Vliw_sim.Reg_commit (reg 3)) in
-  let commit_r7 = idx "commit r7" (fun e -> e = Vliw_sim.Reg_commit (reg 7)) in
-  let squash_r5 = idx "squash r5" (fun e -> e = Vliw_sim.Reg_squash (reg 5)) in
+  let det = idx "exception detected" in
+  let fin = idx "recovery done" in
+  let commit_r3 = idx "commit r3" in
+  let commit_r7 = idx "commit r7" in
+  let squash_r5 = idx "squash r5" in
   check_bool "detection precedes recovery end" true (det < fin);
   check_bool "commits happen after recovery" true
     (fin < commit_r3 && fin < commit_r7 && fin < squash_r5);
   (* the squashed i5 entry never triggers a second detection *)
   check_int "exactly one detection" 1
-    (List.length (List.filter (fun (_, e) -> e = Vliw_sim.Exception_detected) events))
+    (List.length (List.filter (fun (_, l) -> l = "exception detected") events))
 
 (* ---------- machine invariants on bad code ---------- *)
 
@@ -1152,14 +1153,16 @@ let prop_dirty_gating_never_delays =
   QCheck.Test.make ~name:"dirty gating never delays a commit or squash"
     ~count:500 arb_gating_ops (fun (infinite, ops) ->
       let mode = if infinite then Regfile.Infinite else Regfile.Single in
+      (* each twin's register file and store buffer share one ring *)
       let twin () =
-        ( Ccr.create ~width:128,
-          Regfile.create ~mode ~nregs:4 (),
-          Store_buffer.create () )
+        let ring = Psb_obs.Events.create () in
+        ( ring,
+          ( Ccr.create ~width:128,
+            Regfile.create ~mode ~events:ring ~nregs:4 (),
+            Store_buffer.create ~events:ring () ) )
       in
-      let ((ccr, rf, sb) as gated) = twin () and ((ccr', rf', sb') as full) =
-        twin ()
-      in
+      let ring, ((ccr, rf, sb) as gated) = twin ()
+      and ring', ((ccr', rf', sb') as full) = twin () in
       let step i op =
         List.iter
           (fun (ccr, rf, sb) ->
@@ -1176,27 +1179,17 @@ let prop_dirty_gating_never_delays =
                   ~spec:true ~fault:None)
           [ gated; full ];
         let dirty = Ccr.take_dirty ccr in
-        let heard tick =
-          let acc = ref [] in
-          tick (fun x a -> acc := (x, a) :: !acc);
-          List.rev !acc
-        in
-        let rf_ev = heard (fun notify -> Regfile.tick ~dirty ~notify rf ccr)
-        and rf_ev' =
-          heard (fun notify -> Regfile.tick ~dirty:(-1) ~notify rf' ccr')
-        in
-        let sb_ev =
-          heard (fun notify -> Store_buffer.tick ~dirty ~notify sb ccr)
-        and sb_ev' =
-          heard (fun notify -> Store_buffer.tick ~dirty:(-1) ~notify sb' ccr')
-        in
+        Regfile.tick ~dirty rf ccr;
+        Regfile.tick ~dirty:(-1) rf' ccr';
+        Store_buffer.tick ~dirty sb ccr;
+        Store_buffer.tick ~dirty:(-1) sb' ccr';
         let shadow rf =
           List.map
             (fun r ->
               Regfile.read rf (reg r) ~shadow:true ~cpred:Pred.compiled_always)
             [ 0; 1; 2; 3 ]
         in
-        rf_ev = rf_ev' && sb_ev = sb_ev'
+        event_list ring = event_list ring'
         && Regfile.commits rf = Regfile.commits rf'
         && Regfile.squashes rf = Regfile.squashes rf'
         && Regfile.debug_recount rf = Regfile.debug_recount rf'
@@ -1897,6 +1890,28 @@ let test_vliw_spec_write_one_version () =
        per_iter)
     true (per_iter <= 5.05)
 
+(* An attached event ring costs no allocation either: emission writes
+   flat arrays and interning a known region name allocates nothing, so
+   all three machines stay flat with a small ring that wraps many times
+   over. *)
+let test_ring_attached_no_alloc () =
+  let ring = Psb_obs.Events.create ~capacity:1024 () in
+  let flat name run =
+    check_flat name ~small:(words_per_run run 1_000)
+      ~large:(words_per_run run 100_000)
+  in
+  let regs n = [ (reg 1, n) ] and mem () = Memory.create ~size:16 in
+  let pcode = vliw_loop ~spec:false in
+  flat "vliw with a ring" (fun n ->
+      Vliw_sim.run ~events:ring ~model ~regs:(regs n) ~mem:(mem ()) pcode);
+  let decoded = Decoded.of_program rob_loop in
+  flat "rob with a ring" (fun n ->
+      Rob_sim.run ~events:ring ~decoded ~model:Machine_model.base
+        ~regs:(regs n) ~mem:(mem ()) rob_loop);
+  flat "scalar with a ring" (fun n ->
+      Scalar_sim.run ~events:ring ~record_trace:false ~regs:(regs n)
+        ~mem:(mem ()) rob_loop)
+
 (* ---------- predecoded scalar form (Decoded) ---------- *)
 
 (* Edge shapes of the decoded form: the interpreter's decoded kernel must
@@ -2218,6 +2233,8 @@ let () =
             `Quick test_vliw_nonspec_no_alloc;
           Alcotest.test_case "one shadow version per speculative write" `Quick
             test_vliw_spec_write_one_version;
+          Alcotest.test_case "machines with a ring attached allocate nothing"
+            `Quick test_ring_attached_no_alloc;
         ] );
       ( "decoded",
         [

@@ -23,16 +23,41 @@ let executable_models =
 
 let workloads = Suite.all @ Suite.extras
 
-(* Compile [w] under [model] and run it with the given instrumentation. *)
-let run_workload ?on_event ?events ?metrics (w : Dsl.t) (model : Model.t) =
+let compile_workload (w : Dsl.t) (model : Model.t) =
   let _, profile =
     Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
   in
-  let compiled =
-    Driver.compile ~model ~machine:Machine_model.base ~profile w.Dsl.program
-  in
-  Driver.run_vliw ?on_event ?events ?metrics compiled ~regs:w.Dsl.regs
+  Driver.compile ~model ~machine:Machine_model.base ~profile w.Dsl.program
+
+(* Compile [w] under [model] and run it with the given instrumentation. *)
+let run_workload ?events ?metrics (w : Dsl.t) (model : Model.t) =
+  Driver.run_vliw ?events ?metrics (compile_workload w model) ~regs:w.Dsl.regs
     ~mem:(w.Dsl.make_mem ())
+
+(* A run recorded into a ring that holds all of it: the result, the ring
+   and the run's pcode, which the ring's readers resolve events against.
+   [ring], when given, is cleared and reused. *)
+let traced ?regfile_mode ?ring (compiled : Driver.compiled) ~regs ~mem =
+  let ring =
+    match ring with
+    | Some r ->
+        Events.clear r;
+        r
+    | None -> Events.create ~capacity:(1 lsl 20) ()
+  in
+  let res = Driver.run_vliw ?regfile_mode ~events:ring compiled ~regs ~mem in
+  check_int "the ring held the whole run" 0 (Events.dropped ring);
+  (res, ring, Option.get compiled.Driver.pcode)
+
+let traced_workload (w : Dsl.t) model =
+  traced (compile_workload w model) ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+
+let count_events ring p =
+  let n = ref 0 in
+  Events.iter ring (fun _ kind a b -> if p kind a b then incr n);
+  !n
+
+let is kind kind' _ _ = kind' = kind
 
 (* ---------- JSON ---------- *)
 
@@ -139,8 +164,8 @@ let test_metrics_json_deterministic () =
 let test_trace_golden () =
   let model = Model.region_pred in
   let w = Suite.find "fib" in
-  let sink = Vliw_trace.create ~model:Machine_model.base () in
-  let res = run_workload ~on_event:(Vliw_trace.on_event sink) w model in
+  let res, ring, code = traced_workload w model in
+  let sink = Vliw_trace.of_events ~model:Machine_model.base code ring in
   let doc = Vliw_trace.to_json ~result:res sink in
   let s = Json.to_string doc in
   match Json.parse s with
@@ -214,36 +239,32 @@ let test_accounting_recovery_cycles () =
 
 (* ---------- event-stream invariants ---------- *)
 
-let collect_events (w : Dsl.t) model =
-  let events = ref [] in
-  let on_event c e = events := (c, e) :: !events in
-  let res = run_workload ~on_event w model in
-  (res, List.rev !events)
-
 (* A region exit closes the region: invalidation happens at the exit, so
-   no buffered-state resolution (commit or squash) may appear in the
-   stream until the next bundle issues in the new region. *)
+   no buffered-state resolution (commit, or squash of a predicate that
+   specified false) may appear in the stream until the next bundle
+   issues in the new region. *)
 let test_no_resolution_after_exit () =
   List.iter
     (fun (w : Dsl.t) ->
       List.iter
         (fun (model : Model.t) ->
-          let _, events = collect_events w model in
+          let _, ring, _ = traced_workload w model in
           let after_exit = ref false in
-          List.iter
-            (fun (cycle, e) ->
-              match e with
-              | Vliw_sim.Region_exit _ -> after_exit := true
-              | Vliw_sim.Bundle_issue _ -> after_exit := false
-              | Vliw_sim.Reg_commit _ | Vliw_sim.Reg_squash _
-              | Vliw_sim.Store_commit _ | Vliw_sim.Store_squash _ ->
-                  if !after_exit then
-                    Alcotest.failf
-                      "%s/%s: state resolution at cycle %d between a region \
-                       exit and the next bundle"
-                      w.Dsl.name model.Model.name cycle
-              | _ -> ())
-            events)
+          let resolved cycle =
+            if !after_exit then
+              Alcotest.failf
+                "%s/%s: state resolution at cycle %d between a region exit \
+                 and the next bundle"
+                w.Dsl.name model.Model.name cycle
+          in
+          Events.iter ring (fun cycle kind _ b ->
+              match kind with
+              | Events.Region_exit -> after_exit := true
+              | Events.Issue -> after_exit := false
+              | Events.Shadow_commit | Events.Sb_commit -> resolved cycle
+              | (Events.Shadow_squash | Events.Sb_squash) when b = 0 ->
+                  resolved cycle
+              | _ -> ()))
         executable_models)
     workloads
 
@@ -252,17 +273,12 @@ let test_recovery_done_count () =
     (fun (w : Dsl.t) ->
       List.iter
         (fun (model : Model.t) ->
-          let res, events = collect_events w model in
-          let dones =
-            List.length
-              (List.filter
-                 (fun (_, e) -> e = Vliw_sim.Recovery_done)
-                 events)
-          in
+          let res, ring, _ = traced_workload w model in
           check_int
             (Printf.sprintf "%s/%s recovery episodes" w.Dsl.name
                model.Model.name)
-            res.Vliw_sim.stats.Vliw_sim.recoveries dones)
+            res.Vliw_sim.stats.Vliw_sim.recoveries
+            (count_events ring (is Events.Recovery_end)))
         executable_models)
     workloads
 
@@ -271,75 +287,77 @@ let test_recovery_done_count () =
 let test_event_cycles_monotone () =
   List.iter
     (fun (w : Dsl.t) ->
-      let res, events = collect_events w Model.region_pred in
+      let res, ring, _ = traced_workload w Model.region_pred in
       let last = ref 0 in
-      List.iter
-        (fun (cycle, _) ->
+      Events.iter ring (fun cycle _ _ _ ->
           check_bool (w.Dsl.name ^ " monotone") true (cycle >= !last);
-          last := cycle)
-        events;
+          last := cycle);
       check_bool (w.Dsl.name ^ " bounded") true (!last <= res.Vliw_sim.cycles))
     workloads
 
-(* A run that actually recovers (the §3.5 demand-paging scenario from
-   examples/exception_recovery.ml): the accounting must still sum, must
-   charge the recovery category, and the event stream must close every
-   episode. *)
+(* A run that actually recovers: the §3.5 demand-paging scenario from
+   examples/exception_recovery.ml, where region-pred recovers 6 times
+   in 101 cycles. *)
+let recovering =
+  lazy
+    (let open Psb_workloads.Dsl in
+     let stride = 70 and iters = 8 in
+     let program =
+       Program.make ~entry:(lbl "entry")
+         [
+           block "entry" [ mov 1 (i 0); mov 2 (i 0) ] (jmp "head");
+           block "head"
+             [
+               add 5 (r 20) (r 1);
+               load 6 5 0;
+               mul 6 (r 6) (i 3);
+               sub 6 (r 6) (i 1);
+               cmp 4 Opcode.Gt (r 6) (i 0);
+             ]
+             (br 4 "body" "done");
+           block "body"
+             [
+               mul 7 (r 1) (i stride);
+               add 7 (r 7) (r 21);
+               load 3 7 0;
+               add 2 (r 2) (r 3);
+               add 1 (r 1) (i 1);
+             ]
+             (jmp "head");
+           block "done" [ out (r 2) ] halt;
+         ]
+     in
+     let make_mem () =
+       let mem = Memory.create_demand ~size:2048 ~unmapped:(320, 1024) in
+       for k = 0 to iters - 1 do
+         Memory.poke mem k (if k = iters - 1 then 0 else 1)
+       done;
+       for k = 0 to iters - 1 do
+         let a = 256 + (k * stride) in
+         if Memory.probe mem a = None then Memory.poke mem a (k + 1)
+       done;
+       mem
+     in
+     let regs = [ (Reg.make 20, 0); (Reg.make 21, 256) ] in
+     let _, profile = Driver.profile_of program ~regs ~mem:(make_mem ()) in
+     let compiled =
+       Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
+         ~profile program
+     in
+     traced compiled ~regs ~mem:(make_mem ()))
+
+let recovering_trace () =
+  let res, ring, code = Lazy.force recovering in
+  let sink = Vliw_trace.of_events ~model:Machine_model.base code ring in
+  Vliw_trace.to_json ~result:res sink
+
+(* Under recovery the accounting must still sum, must charge the
+   recovery category, and the event stream must close every episode. *)
 let test_accounting_under_recovery () =
-  let open Psb_workloads.Dsl in
-  let stride = 70 and iters = 8 in
-  let program =
-    Program.make ~entry:(lbl "entry")
-      [
-        block "entry" [ mov 1 (i 0); mov 2 (i 0) ] (jmp "head");
-        block "head"
-          [
-            add 5 (r 20) (r 1);
-            load 6 5 0;
-            mul 6 (r 6) (i 3);
-            sub 6 (r 6) (i 1);
-            cmp 4 Opcode.Gt (r 6) (i 0);
-          ]
-          (br 4 "body" "done");
-        block "body"
-          [
-            mul 7 (r 1) (i stride);
-            add 7 (r 7) (r 21);
-            load 3 7 0;
-            add 2 (r 2) (r 3);
-            add 1 (r 1) (i 1);
-          ]
-          (jmp "head");
-        block "done" [ out (r 2) ] halt;
-      ]
-  in
-  let make_mem () =
-    let mem = Memory.create_demand ~size:2048 ~unmapped:(320, 1024) in
-    for k = 0 to iters - 1 do
-      Memory.poke mem k (if k = iters - 1 then 0 else 1)
-    done;
-    for k = 0 to iters - 1 do
-      let a = 256 + (k * stride) in
-      if Memory.probe mem a = None then Memory.poke mem a (k + 1)
-    done;
-    mem
-  in
-  let regs = [ (Reg.make 20, 0); (Reg.make 21, 256) ] in
-  let _, profile = Driver.profile_of program ~regs ~mem:(make_mem ()) in
-  let compiled =
-    Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
-      ~profile program
-  in
-  let events = ref [] in
-  let sink = Vliw_trace.create ~model:Machine_model.base () in
-  let on_event c e =
-    events := (c, e) :: !events;
-    Vliw_trace.on_event sink c e
-  in
-  let res = Driver.run_vliw ~on_event compiled ~regs ~mem:(make_mem ()) in
+  let res, ring, _ = Lazy.force recovering in
   check_bool "recovers" true (res.Vliw_sim.stats.Vliw_sim.recoveries > 0);
-  (* the trace sink renders each episode as a span on the recovery track *)
-  (match Json.parse (Json.to_string (Vliw_trace.to_json ~result:res sink)) with
+  (* the trace renders each episode as a span on the recovery track *)
+  (match Json.parse (Json.to_string (recovering_trace ())) with
   | Error e -> Alcotest.failf "recovery trace does not parse: %s" e
   | Ok v ->
       let recovery_spans =
@@ -355,13 +373,111 @@ let test_accounting_under_recovery () =
     (res.Vliw_sim.breakdown.Vliw_sim.bd_recovery > 0);
   check_int "sums under recovery" res.Vliw_sim.cycles
     (Vliw_sim.breakdown_total res.Vliw_sim.breakdown);
-  let count p = List.length (List.filter (fun (_, e) -> p e) !events) in
   check_int "every episode closes"
     res.Vliw_sim.stats.Vliw_sim.recoveries
-    (count (fun e -> e = Vliw_sim.Recovery_done));
+    (count_events ring (is Events.Recovery_end));
   check_int "every episode opens"
     res.Vliw_sim.stats.Vliw_sim.recoveries
-    (count (fun e -> e = Vliw_sim.Exception_detected))
+    (count_events ring (is Events.Recovery_start))
+
+(* The recovering run's trace document, byte for byte: no suite run
+   recovers, so this is the pin on the recovery track. *)
+let test_recovery_trace_pinned () =
+  Alcotest.(check string)
+    "trace digest" "b373e40a453af9b94838d17a355b99d2"
+    (Digest.to_hex (Digest.string (Json.to_string (recovering_trace ()))))
+
+(* ---------- the ring against the result record ---------- *)
+
+(* Every issued bundle, executed operation, stall and recovery episode
+   is one ring event. *)
+let check_ring_counts name (res : Vliw_sim.result) ring =
+  let s = res.Vliw_sim.stats in
+  let count = count_events ring in
+  let check what = check_int (Printf.sprintf "%s %s" name what) in
+  check "op issues" s.Vliw_sim.dyn_ops (count (is Events.Op_issue));
+  check "speculative op issues" s.Vliw_sim.spec_ops
+    (count (fun k _ b -> k = Events.Op_issue && b land 1 = 1));
+  check "bundle issues" s.Vliw_sim.dyn_bundles (count (is Events.Issue));
+  check "shadow-conflict stalls" s.Vliw_sim.conflict_stall_cycles
+    (count (fun k a _ -> k = Events.Stall && a = 0));
+  check "store-buffer stalls" s.Vliw_sim.sb_stall_cycles
+    (count (fun k a _ -> k = Events.Stall && a = 1));
+  if res.Vliw_sim.outcome = Interp.Halted then begin
+    check "recovery starts" s.Vliw_sim.recoveries
+      (count (is Events.Recovery_start));
+    check "recovery ends" s.Vliw_sim.recoveries (count (is Events.Recovery_end))
+  end
+
+let test_ring_matches_stats () =
+  List.iter
+    (fun (w : Dsl.t) ->
+      List.iter
+        (fun (model : Model.t) ->
+          let res, ring, _ = traced_workload w model in
+          check_ring_counts (w.Dsl.name ^ "/" ^ model.Model.name) res ring)
+        executable_models)
+    workloads;
+  let res, ring, _ = Lazy.force recovering in
+  check_bool "the recovering run halts" true
+    (res.Vliw_sim.outcome = Interp.Halted);
+  check_ring_counts "recovering" res ring
+
+(* The trace's cumulative commit counter ends at the machine's commit
+   count under both shadow-storage models: the ring carries one event
+   per committed register version or store. *)
+let last_spec_commits doc =
+  List.fold_left
+    (fun acc e ->
+      if Option.bind (Json.member "name" e) Json.to_str = Some "spec-commits"
+      then
+        Option.get
+          (Option.bind (Json.member "args" e) (fun args ->
+               Option.bind (Json.member "value" args) Json.to_int))
+      else acc)
+    0
+    (Json.to_list (Option.get (Json.member "traceEvents" doc)))
+
+let check_commit_counter ?ring name ~profile program ~regs ~mem =
+  List.iter
+    (fun (single_shadow, regfile_mode) ->
+      let compiled =
+        Driver.compile ~single_shadow ~model:Model.region_pred
+          ~machine:Machine_model.base ~profile program
+      in
+      let res, ring, code =
+        traced ~regfile_mode ?ring compiled ~regs ~mem:(mem ())
+      in
+      let sink = Vliw_trace.of_events ~model:Machine_model.base code ring in
+      check_int
+        (Printf.sprintf "%s (single shadow %b) spec-commits" name single_shadow)
+        res.Vliw_sim.stats.Vliw_sim.commits
+        (last_spec_commits (Vliw_trace.to_json sink)))
+    [ (true, Psb_machine.Regfile.Single); (false, Psb_machine.Regfile.Infinite) ]
+
+let test_commit_counter () =
+  List.iter
+    (fun (w : Dsl.t) ->
+      let _, profile =
+        Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs
+          ~mem:(w.Dsl.make_mem ())
+      in
+      check_commit_counter w.Dsl.name ~profile w.Dsl.program ~regs:w.Dsl.regs
+        ~mem:w.Dsl.make_mem)
+    Suite.all;
+  let module Gen = Psb_proptest.Gen in
+  let rng = Random.State.make [| 22 |] in
+  let ring = Events.create () in
+  for i = 1 to 300 do
+    let g = Gen.gen Gen.default_shape rng in
+    let _, profile =
+      Driver.profile_of g.Gen.program ~regs:Gen.regs ~mem:(Gen.make_mem g)
+    in
+    check_commit_counter ~ring
+      (Printf.sprintf "generated #%d" i)
+      ~profile g.Gen.program ~regs:Gen.regs
+      ~mem:(fun () -> Gen.make_mem g)
+  done
 
 (* ---------- structured event ring ---------- *)
 
@@ -569,52 +685,7 @@ let test_spec_profile_reconciles () =
    cycles belong to the region that faulted, and the deferred/raised
    fault events appear on its card. *)
 let test_spec_profile_recovery () =
-  let open Psb_workloads.Dsl in
-  let stride = 70 and iters = 8 in
-  let program =
-    Program.make ~entry:(lbl "entry")
-      [
-        block "entry" [ mov 1 (i 0); mov 2 (i 0) ] (jmp "head");
-        block "head"
-          [
-            add 5 (r 20) (r 1);
-            load 6 5 0;
-            mul 6 (r 6) (i 3);
-            sub 6 (r 6) (i 1);
-            cmp 4 Opcode.Gt (r 6) (i 0);
-          ]
-          (br 4 "body" "done");
-        block "body"
-          [
-            mul 7 (r 1) (i stride);
-            add 7 (r 7) (r 21);
-            load 3 7 0;
-            add 2 (r 2) (r 3);
-            add 1 (r 1) (i 1);
-          ]
-          (jmp "head");
-        block "done" [ out (r 2) ] halt;
-      ]
-  in
-  let make_mem () =
-    let mem = Memory.create_demand ~size:2048 ~unmapped:(320, 1024) in
-    for k = 0 to iters - 1 do
-      Memory.poke mem k (if k = iters - 1 then 0 else 1)
-    done;
-    for k = 0 to iters - 1 do
-      let a = 256 + (k * stride) in
-      if Memory.probe mem a = None then Memory.poke mem a (k + 1)
-    done;
-    mem
-  in
-  let regs = [ (Reg.make 20, 0); (Reg.make 21, 256) ] in
-  let _, profile = Driver.profile_of program ~regs ~mem:(make_mem ()) in
-  let compiled =
-    Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
-      ~profile program
-  in
-  let events = Events.create ~capacity:(1 lsl 20) () in
-  let res = Driver.run_vliw ~events compiled ~regs ~mem:(make_mem ()) in
+  let res, events, _ = Lazy.force recovering in
   check_bool "recovers" true (res.Vliw_sim.stats.Vliw_sim.recoveries > 0);
   let prof = Spec_profile.of_events ~total_cycles:res.Vliw_sim.cycles events in
   check_bool "reconciles under recovery" true (Spec_profile.reconciles prof);
@@ -847,6 +918,8 @@ let () =
             test_accounting_recovery_cycles;
           Alcotest.test_case "sums under recovery" `Quick
             test_accounting_under_recovery;
+          Alcotest.test_case "recovering trace pinned" `Quick
+            test_recovery_trace_pinned;
         ] );
       ( "events",
         [
@@ -856,6 +929,10 @@ let () =
             test_recovery_done_count;
           Alcotest.test_case "cycles monotone" `Quick
             test_event_cycles_monotone;
+          Alcotest.test_case "ring matches the result record" `Slow
+            test_ring_matches_stats;
+          Alcotest.test_case "trace commit counter ends at stats.commits"
+            `Slow test_commit_counter;
         ] );
       ( "integration",
         [

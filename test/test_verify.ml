@@ -16,6 +16,7 @@ open Psb_compiler
 module Machine_model = Psb_machine.Machine_model
 module Pcode = Psb_machine.Pcode
 module Vliw_sim = Psb_machine.Vliw_sim
+module Events = Psb_obs.Events
 module Verify = Psb_verify.Verify
 module Dsl = Psb_workloads.Dsl
 module Suite = Psb_workloads.Suite
@@ -306,6 +307,9 @@ let mutate (code : Pcode.t) =
   in
   go [] code.Pcode.regions
 
+(* One ring for every trial, cleared before each run. *)
+let ring = Events.create ~capacity:(1 lsl 18) ()
+
 let prop_shadow_overflow =
   QCheck.Test.make
     ~name:"shadow overflow: verifier rejects, machine flags" ~count:40
@@ -338,30 +342,41 @@ let prop_shadow_overflow =
              the pair writes a shadow version (the other executes
              non-speculatively or squashes) and there is nothing to flag —
              the static verifier still rejects, conservatively. Op_issue
-             events follow their Bundle_issue, so count speculative
-             defs of the cloned register per bundle visit. *)
-          let in_site = ref false in
-          let site_writes = ref 0 in
-          let overflow = ref false in
-          let on_event _ = function
-            | Vliw_sim.Bundle_issue { region; pc; _ } ->
-                in_site := Label.equal region rname && pc = b;
-                site_writes := 0
-            | Vliw_sim.Op_issue { op; spec = true; _ } when !in_site ->
-                if List.exists (Reg.equal reg) (Instr.defs op) then begin
-                  incr site_writes;
-                  if !site_writes >= 2 then overflow := true
-                end
-            | _ -> ()
+             events follow their bundle's Issue and name their bundle and
+             slot, so count speculative defs of the cloned register per
+             bundle visit. *)
+          let site_overflows () =
+            let region = ref None and site_writes = ref 0 in
+            let overflow = ref false in
+            Events.iter ring (fun _ kind a slot ->
+                match kind with
+                | Events.Region_enter ->
+                    region :=
+                      Some (Pcode.find_region code' (Events.name ring a))
+                | Events.Issue -> site_writes := 0
+                | Events.Op_issue when slot land 1 = 1 && a = b -> (
+                    match !region with
+                    | Some r when Label.equal r.Pcode.name rname ->
+                        let pi = Pcode.bundle_op r ~bundle:a ~slot:(slot / 2) in
+                        if List.exists (Reg.equal reg) (Instr.defs pi.Pcode.op)
+                        then begin
+                          incr site_writes;
+                          if !site_writes >= 2 then overflow := true
+                        end
+                    | Some _ | None -> ())
+                | _ -> ());
+            !overflow
           in
+          Events.clear ring;
           let flagged =
             match
-              Vliw_sim.run ~on_event ~model:machine ~regs:Gen_programs.regs
+              Vliw_sim.run ~events:ring ~model:machine ~regs:Gen_programs.regs
                 ~mem:(Gen_programs.make_mem g) code'
             with
             | res ->
-                (not !overflow)
-                || res.Vliw_sim.stats.Vliw_sim.shadow_conflicts > 0
+                Events.dropped ring = 0
+                && ((not (site_overflows ()))
+                   || res.Vliw_sim.stats.Vliw_sim.shadow_conflicts > 0)
             | exception Vliw_sim.Machine_error _ -> true
           in
           rejected && flagged)
