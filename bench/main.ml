@@ -400,6 +400,65 @@ module Limits_bench = struct
       ]
 end
 
+(* ----- compile-path microbenches -----
+
+   The compile work of one differential fuzz trial ([Diff.check]) on 20
+   programs of the default generator shape: per program one analysis,
+   the four executable models sharing it (region-pred through a fresh
+   cache), one cache lookup (a hit) and one cold compile, all
+   unverified. The profiles are taken once, outside the timed run.
+   [key] times one cache key of the first program. *)
+module Compile_bench = struct
+  module Driver = Psb_compiler.Driver
+  module Model = Psb_compiler.Model
+  module Compile_cache = Psb_compiler.Compile_cache
+  module Machine_model = Psb_machine.Machine_model
+  module Gen = Psb_proptest.Gen
+  module Fuzz = Psb_proptest.Fuzz
+
+  let machine = Machine_model.base
+
+  let programs =
+    lazy
+      (List.init 20 (fun i ->
+           let g = Fuzz.gen_trial { Fuzz.default with Fuzz.seed = 1 } i in
+           let program = g.Gen.program in
+           ( program,
+             snd (Driver.profile_of program ~regs:Gen.regs ~mem:(Gen.make_mem g))
+           )))
+
+  let executable = List.filter (fun (m : Model.t) -> m.Model.executable) Model.all
+
+  let trial (program, profile) =
+    let analysis = Driver.analyze program in
+    let cache = Compile_cache.create () in
+    let compile ?cache ?analysis model =
+      Driver.compile ?cache ?analysis ~verify:false ~model ~machine ~profile
+        program
+    in
+    List.iter
+      (fun (model : Model.t) ->
+        let cache = if model == Model.region_pred then Some cache else None in
+        ignore (compile ?cache ~analysis model))
+      executable;
+    ignore (compile ~cache ~analysis Model.region_pred);
+    ignore (compile Model.region_pred)
+
+  let key () =
+    let program, profile = List.hd (Lazy.force programs) in
+    Compile_cache.key ~model:Model.region_pred ~machine ~single_shadow:true
+      ~avoid_commit_deps:false ~verify:false ~profile program
+
+  let tests () =
+    let open Bechamel in
+    let t name f = Test.make ~name (Staged.stage f) in
+    Test.make_grouped ~name:"compile"
+      [
+        t "trial" (fun () -> List.iter trial (Lazy.force programs));
+        t "key" (fun () -> ignore (key ()));
+      ]
+end
+
 (* Bechamel timings. Groups: [experiments] times each table/figure as
    [bench/main.exe NAME] runs it, on a fresh harness per run (so no
    compile-cache hit or stored VLIW run of an earlier run stands in for
@@ -412,7 +471,7 @@ end
    (and the interpreter's tree kernel), plus the decode pass itself;
    [estimate] times the trace-driven cycle estimate and the profile run
    it replays; [limits] times the limit study's replay of a traced
-   run. *)
+   run; [compile] times a fuzz trial's compiles and one cache key. *)
 let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
   [
     ( "experiments",
@@ -432,6 +491,7 @@ let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
     ("decoded", Decoded_bench.tests);
     ("estimate", Estimate_bench.tests);
     ("limits", Limits_bench.tests);
+    ("compile", Compile_bench.tests);
   ]
 
 let bench_usage_error name =

@@ -364,7 +364,9 @@ let trace_cmd =
         (Option.get compiled.Driver.pcode)
         events
     in
-    let json = Psb_obs.Json.to_string (Vliw_trace.to_json ~result:res sink) in
+    let json =
+      Psb_obs.Json.to_string ~minify:true (Vliw_trace.to_json ~result:res sink)
+    in
     (match out with
     | None -> print_endline json
     | Some path ->

@@ -53,26 +53,35 @@ let edge_probability t src dst =
       if Label.equal dst if_false then p := !p +. (1.0 -. p_true);
       !p
 
-let fingerprint t =
+let fingerprint b t =
   (* Everything the compiler can observe of a profile — per reachable
      block (in the CFG's reverse post-order, so the walk is
      deterministic): the predicted direction, its confidence, and the
      probability of every outgoing edge. Two profiles with the same
      fingerprint schedule identically, which is what the compile cache
-     needs from its key. *)
-  let b = Buffer.create 256 in
+     needs from its key. Counts and string lengths are 8-byte
+     little-endian ints and floats their exact IEEE bits, so the
+     encoding is injective. *)
+  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let add_float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  let add_label l =
+    let s = Label.name l in
+    add_int (String.length s);
+    Buffer.add_string b s
+  in
+  let blocks = Cfg.blocks t.cfg in
+  add_int (List.length blocks);
   List.iter
     (fun (blk : Program.block) ->
       let l = blk.Program.label in
-      Buffer.add_string b (Label.name l);
+      add_label l;
       Buffer.add_char b (if predict t l then 'T' else 'F');
-      Buffer.add_string b (Printf.sprintf "%.9f" (confidence t l));
+      add_float (confidence t l);
+      let succs = Program.successors blk in
+      add_int (List.length succs);
       List.iter
         (fun s ->
-          Buffer.add_string b
-            (Printf.sprintf ",%s:%.9f" (Label.name s)
-               (edge_probability t l s)))
-        (Program.successors blk);
-      Buffer.add_char b ';')
-    (Cfg.blocks t.cfg);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+          add_label s;
+          add_float (edge_probability t l s))
+        succs)
+    blocks

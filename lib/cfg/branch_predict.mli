@@ -24,8 +24,14 @@ val edge_probability : t -> Label.t -> Label.t -> float
 (** [edge_probability t src dst]: estimated probability that control
     leaving [src] goes to [dst]. *)
 
-val fingerprint : t -> string
-(** Hex digest of everything the compiler can observe of this profile
-    (per-block prediction, confidence, edge probabilities, walked in a
-    deterministic order). Profiles with equal fingerprints produce
+val fingerprint : Buffer.t -> t -> unit
+(** Append to the buffer everything the compiler can observe of this
+    profile, in binary: the number of reachable blocks, then per block in
+    the CFG's reverse post-order its label, the predicted direction
+    (['T'] or ['F']), the confidence, and for each successor in
+    {!Psb_isa.Program.successors} order its label and the edge
+    probability. Counts and label lengths are 8-byte little-endian ints;
+    every float is written as its exact bits ([Int64.bits_of_float]), so
+    two profiles encode alike only if the compiler would read exactly
+    the same numbers from them. Profiles with equal encodings produce
     identical schedules — the compile cache keys on this. *)

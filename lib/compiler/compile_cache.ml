@@ -4,23 +4,146 @@ module Branch_predict = Psb_cfg.Branch_predict
 
 type key = string
 
-let add_model b (m : Model.t) =
-  let spec = function
-    | Model.No_spec -> "none"
-    | Model.Squash n -> Printf.sprintf "squash%d" n
-    | Model.Buffered -> "buffered"
-  in
-  Buffer.add_string b
-    (Printf.sprintf "|model=%s;scope=%s;safe=%s;unsafe=%s;store=%s;elim=%b;climit=%s;counter=%b;exec=%b"
-       m.Model.name
-       (match m.Model.scope with Model.Trace -> "trace" | Model.Region -> "region")
-       (spec m.Model.safe_spec) (spec m.Model.unsafe_spec)
-       (spec m.Model.store_spec) m.Model.branch_elim
-       (match m.Model.cond_limit with None -> "inf" | Some n -> string_of_int n)
-       m.Model.counter_preds m.Model.executable)
+(* ----- the key: one tagged, length-prefixed binary encoding -----
 
-(* An exhaustive pattern, so a new machine field fails to compile here
-   until it joins the key. *)
+   Ints (counts, lengths, registers, immediates, offsets, fields) are
+   8-byte little-endian; each variant starts with a tag byte; strings
+   carry their length. The encoding is therefore injective: two
+   encodings are equal only if every input is. *)
+
+let add_int b i = Buffer.add_int64_le b (Int64.of_int i)
+let add_bool b v = Buffer.add_char b (if v then 'T' else 'F')
+
+let add_string b s =
+  add_int b (String.length s);
+  Buffer.add_string b s
+
+let add_label b l = add_string b (Label.name l)
+
+let add_operand b = function
+  | Operand.Reg r ->
+      Buffer.add_char b 'r';
+      add_int b (Reg.index r)
+  | Operand.Imm k ->
+      Buffer.add_char b 'i';
+      add_int b k
+
+let alu_tag = function
+  | Opcode.Add -> 'a'
+  | Opcode.Sub -> 's'
+  | Opcode.Mul -> 'm'
+  | Opcode.Div -> 'd'
+  | Opcode.And -> '&'
+  | Opcode.Or -> '|'
+  | Opcode.Xor -> '^'
+  | Opcode.Sll -> '<'
+  | Opcode.Srl -> '>'
+  | Opcode.Sra -> ')'
+
+let cmp_tag = function
+  | Opcode.Eq -> '='
+  | Opcode.Ne -> '!'
+  | Opcode.Lt -> '<'
+  | Opcode.Le -> '['
+  | Opcode.Gt -> '>'
+  | Opcode.Ge -> ']'
+
+let add_op b = function
+  | Instr.Alu { op; dst; a; b = o } ->
+      Buffer.add_char b 'A';
+      Buffer.add_char b (alu_tag op);
+      add_int b (Reg.index dst);
+      add_operand b a;
+      add_operand b o
+  | Instr.Mov { dst; src } ->
+      Buffer.add_char b 'M';
+      add_int b (Reg.index dst);
+      add_operand b src
+  | Instr.Load { dst; base; off } ->
+      Buffer.add_char b 'L';
+      add_int b (Reg.index dst);
+      add_int b (Reg.index base);
+      add_int b off
+  | Instr.Store { src; base; off } ->
+      Buffer.add_char b 'S';
+      add_int b (Reg.index src);
+      add_int b (Reg.index base);
+      add_int b off
+  | Instr.Cmp { op; dst; a; b = o } ->
+      Buffer.add_char b 'C';
+      Buffer.add_char b (cmp_tag op);
+      add_int b (Reg.index dst);
+      add_operand b a;
+      add_operand b o
+  | Instr.Setc { dst; op; a; b = o } ->
+      Buffer.add_char b 'P';
+      Buffer.add_char b (cmp_tag op);
+      add_int b (Cond.index dst);
+      add_operand b a;
+      add_operand b o
+  | Instr.Out o ->
+      Buffer.add_char b 'O';
+      add_operand b o
+  | Instr.Nop -> Buffer.add_char b 'N'
+
+let add_control b = function
+  | Instr.Br { src; if_true; if_false } ->
+      Buffer.add_char b 'B';
+      add_int b (Reg.index src);
+      add_label b if_true;
+      add_label b if_false
+  | Instr.Jmp l ->
+      Buffer.add_char b 'J';
+      add_label b l
+  | Instr.Halt -> Buffer.add_char b 'H'
+
+(* The program's blocks in program order, as [Asm.print] lists them. *)
+let add_program b (p : Program.t) =
+  add_label b p.Program.entry;
+  add_int b (List.length p.Program.blocks);
+  List.iter
+    (fun (blk : Program.block) ->
+      add_label b blk.Program.label;
+      add_int b (List.length blk.Program.body);
+      List.iter (add_op b) blk.Program.body;
+      add_control b blk.Program.term)
+    p.Program.blocks
+
+let add_spec b = function
+  | Model.No_spec -> Buffer.add_char b 'n'
+  | Model.Squash w ->
+      Buffer.add_char b 's';
+      add_int b w
+  | Model.Buffered -> Buffer.add_char b 'b'
+
+(* Exhaustive patterns, so a new model or machine field fails to compile
+   here until it joins the key. *)
+let add_model b
+    {
+      Model.name;
+      scope;
+      safe_spec;
+      unsafe_spec;
+      store_spec;
+      branch_elim;
+      cond_limit;
+      counter_preds;
+      executable;
+    } =
+  add_string b name;
+  Buffer.add_char b (match scope with Model.Trace -> 't' | Model.Region -> 'r');
+  add_spec b safe_spec;
+  add_spec b unsafe_spec;
+  add_spec b store_spec;
+  add_bool b branch_elim;
+  (match cond_limit with
+  | None -> Buffer.add_char b 'u'
+  | Some n ->
+      Buffer.add_char b 'k';
+      add_int b n);
+  add_bool b counter_preds;
+  add_bool b executable
+
 let add_machine b
     {
       Machine_model.issue_width;
@@ -37,11 +160,12 @@ let add_machine b
       dcache_ports;
       rob_size;
     } =
-  Buffer.add_string b
-    (Printf.sprintf "|machine=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
-       issue_width alu_units branch_units load_units store_units ccr_size
-       load_latency int_latency max_spec_conds transition_penalty sb_capacity
-       dcache_ports rob_size)
+  List.iter (add_int b)
+    [
+      issue_width; alu_units; branch_units; load_units; store_units; ccr_size;
+      load_latency; int_latency; max_spec_conds; transition_penalty;
+      sb_capacity; dcache_ports; rob_size;
+    ]
 
 (* Bumped whenever the [Driver.compiled] representation changes shape
    (v2: pcode slots carry compiled predicate masks; v3: compiles carry
@@ -54,15 +178,15 @@ let format_version = 6
 
 let key ~model ~machine ~single_shadow ~avoid_commit_deps ~verify ~profile
     program =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b (Printf.sprintf "v%d|" format_version);
-  Buffer.add_string b (Asm.print program);
+  let b = Buffer.create 4096 in
+  add_int b format_version;
+  add_program b program;
   add_model b model;
   add_machine b machine;
-  Buffer.add_string b
-    (Printf.sprintf "|single_shadow=%b|avoid_commit_deps=%b|verify=%b|profile="
-       single_shadow avoid_commit_deps verify);
-  Buffer.add_string b (Branch_predict.fingerprint profile);
+  add_bool b single_shadow;
+  add_bool b avoid_commit_deps;
+  add_bool b verify;
+  Branch_predict.fingerprint b profile;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 type 'a t = {

@@ -8,18 +8,34 @@
     makes all of that reuse automatic, including across experiments in
     one [bench --json] run and across domains of the parallel pool.
 
-    The key is a digest of everything that determines the output of
-    {!Driver.compile}:
+    The key is the MD5 of one binary encoding of everything that
+    determines the output of {!Driver.compile}, written in a single pass
+    into one buffer:
 
-    - the program, in its canonical assembly text ({!Psb_isa.Asm.print}
-      round-trips, so the text is a faithful content address);
+    - a format version;
+    - the program: its entry label, then each block in program order
+      with its label, its operations and its terminator, every operand
+      and label in full;
     - every field of the {!Model.t} (not just its name);
     - every field of the {!Psb_machine.Machine_model.t};
     - the [single_shadow], [avoid_commit_deps] and [verify] compile
       options ([verify] does not change the emitted code, but a value
       compiled with verification off has proved nothing — serving it to
       a verified caller would skip the check silently);
-    - the profile's {!Psb_cfg.Branch_predict.fingerprint}.
+    - what the compiler observes of the profile, as
+      {!Psb_cfg.Branch_predict.fingerprint} appends it: per reachable
+      block the prediction, the confidence and each edge probability.
+
+    Every variant starts with a tag byte, every list and string with its
+    length, and every int (counts, registers, immediates, offsets,
+    fields) is 8 bytes little-endian; floats are written as their exact
+    bits ([Int64.bits_of_float]). The encoding is therefore injective:
+    structurally equal inputs (say, a program rebuilt from the same
+    blocks, or a profile from another run of the same training input)
+    key equal, and any difference keys apart (up to MD5 collisions),
+    including profiles that differ only past a printed float's digits. The model and machine
+    encoders match their records exhaustively, so a new field fails to
+    compile until it joins the key. No key is ever persisted.
 
     The table is guarded by a mutex, so domains of a parallel sweep
     share one cache. Two domains racing on the same missing key both
@@ -30,7 +46,7 @@
     across domains. *)
 
 type key = string
-(** Hex digest. Obtain one only via {!key}. *)
+(** Hex MD5 digest of the encoding above. Obtain one only via {!key}. *)
 
 val key :
   model:Model.t ->

@@ -34,6 +34,10 @@ open Psb_isa
 module Machine_model = Psb_machine.Machine_model
 
 type t
+(** Nodes and edges in flat int arrays: the edges, collected as
+    (src, dst, latency) triples, are stored twice in compressed sparse
+    rows (per destination and per source), so walking a node's edges
+    reads two arrays and allocates nothing. *)
 
 val n_instrs : t -> int
 val n_exits : t -> int
@@ -42,11 +46,22 @@ val n_nodes : t -> int
 
 val build :
   Model.t -> Machine_model.t -> single_shadow:bool -> Runit.t -> t
+(** Every predicate of the unit is compiled to mask form once
+    ({!Psb_isa.Pred.compile}), so "on compatible paths", "implies" and
+    "equal" are a few word operations; a condition's [Setc] is found by
+    index ({!Runit.setc_uid}); symbolic addresses live in one register
+    environment updated in place; heights are computed in decreasing
+    [seq] by merging the instruction and exit orders. The edge rules are
+    mirrored by the static verifier ([Psb_verify.Verify]). *)
 
-val in_edges : t -> int -> (int * int) list
-(** [(src_node, latency)] pairs. *)
+val in_degree : t -> int -> int
+(** Number of in-edges of a node (parallel edges counted apart). *)
 
-val out_edges : t -> int -> (int * int) list
+val iter_in : t -> int -> (int -> int -> unit) -> unit
+(** [iter_in g node f] calls [f src latency] on each in-edge. *)
+
+val iter_out : t -> int -> (int -> int -> unit) -> unit
+(** [iter_out g node f] calls [f dst latency] on each out-edge. *)
 
 val shadow_srcs : t -> int -> Reg.Set.t
 (** Registers instruction [uid] must fetch from the speculative state. *)

@@ -35,11 +35,19 @@ let compiled_equal a b =
        a.schedules b.schedules
   && a.pcode = b.pcode
 
+(* Unit formations already made for this program, newest first. A list
+   in an atomic: a domain that misses forms the units outside any lock
+   and publishes them by compare-and-set; if another domain published
+   the same key first, its value wins, so every compile sees one map. *)
+type unit_memo =
+  (Runit.params * Branch_predict.t * Runit.t Label.Map.t) list Atomic.t
+
 type analysis = {
   program : Program.t;
   cfg : Cfg.t;
   loop_heads : Label.t list;
   decoded : Decoded.t;
+  unit_memo : unit_memo;
 }
 
 let timed metrics pass f =
@@ -55,7 +63,33 @@ let analyze ?metrics program =
         (cfg, Loops.loop_heads cfg (Dominance.compute cfg)))
   in
   let decoded = timed metrics "decode" (fun () -> Decoded.of_program program) in
-  { program; cfg; loop_heads; decoded }
+  { program; cfg; loop_heads; decoded; unit_memo = Atomic.make [] }
+
+(* Params compare structurally, profiles physically. *)
+let rec find_units params profile = function
+  | [] -> None
+  | (p, prof, units) :: rest ->
+      if prof == profile && p = params then Some units
+      else find_units params profile rest
+
+let units_of a params profile =
+  match find_units params profile (Atomic.get a.unit_memo) with
+  | Some units -> units
+  | None ->
+      let units =
+        Runit.build_all params a.cfg profile ~loop_heads:a.loop_heads
+          ~entry:a.program.Program.entry
+      in
+      let rec publish () =
+        let seen = Atomic.get a.unit_memo in
+        match find_units params profile seen with
+        | Some first -> first
+        | None ->
+            if Atomic.compare_and_set a.unit_memo seen ((params, profile, units) :: seen)
+            then units
+            else publish ()
+      in
+      publish ()
 
 let profile_of program ~regs ~mem =
   let result = Interp.run ~regs ~mem program in
@@ -64,16 +98,15 @@ let profile_of program ~regs ~mem =
   (result, Branch_predict.of_trace cfg trace)
 
 let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
-    ~model ~machine ~profile { program; cfg; loop_heads; _ } =
+    ~model ~machine ~profile analysis =
+  let program = analysis.program in
   let timed pass f = timed metrics pass f in
   let params =
     Runit.default_params ~scope:model.Model.scope
       ~max_conds:machine.Machine_model.ccr_size
       ~fuse_compare:model.Model.branch_elim ~avoid_commit_deps ()
   in
-  let units = timed "unit_formation" (fun () ->
-      Runit.build_all params cfg profile ~loop_heads ~entry:program.Program.entry)
-  in
+  let units = timed "unit_formation" (fun () -> units_of analysis params profile) in
   let schedules = timed "schedule" (fun () ->
       Label.Map.map (fun u -> Sched.schedule model machine ~single_shadow u) units)
   in

@@ -25,6 +25,10 @@ val compiled_equal : compiled -> compiled -> bool
 (** Structural equality of two compiles: the same per-region issue
     cycles, the same {!code_size}, and [=] on the pcode. No printing. *)
 
+type unit_memo
+(** The unit formations ({!Runit.build_all}) made by the compiles that
+    share an analysis. *)
+
 (** What every compile of one program shares, whatever the model,
     machine or profile. *)
 type analysis = private {
@@ -35,6 +39,20 @@ type analysis = private {
       (** the program predecoded to the flat form the interpreter (by
           default) and the ROB walk ({!Psb_isa.Decoded}); compiles do
           not read it *)
+  unit_memo : unit_memo;
+      (** Units formed once per ({!Runit.params}, profile): the params
+          compare structurally and the profile physically, so the
+          compiles of one program under one profile whose models and
+          machine give the same params ([region-sched], [guarded] and
+          [region-pred] on one machine) share one [units] map, while
+          [trace-pred], another CCR size, [avoid_commit_deps] or another
+          profile value form their own. Unit formation reads only the
+          CFG, the loop heads, the params and the profile, and a unit is
+          never mutated after it is built, so the shared map is the one
+          a cold compile would build. The memo is safe to use from
+          several domains: a miss forms the units outside any lock and
+          publishes them by compare-and-set, and if another domain
+          published the same key first, its map is the one returned. *)
 }
 
 val analyze : ?metrics:Psb_obs.Metrics.t -> Program.t -> analysis
@@ -83,8 +101,9 @@ val compile :
     smoke check.
 
     [analysis] lets the compiles of one program share its {!analyze}
-    result; without it, a compile that misses the cache (or has none)
-    runs {!analyze} itself, timing [cfg] and [decode] as above.
+    result and its unit formations (see [unit_memo]); without it, a
+    compile that misses the cache (or has none) runs {!analyze} itself,
+    timing [cfg] and [decode] as above, and forms its own units.
 
     [cache] short-circuits the whole pipeline on a content hit (see
     {!Compile_cache} for the key derivation); on a hit no passes run,

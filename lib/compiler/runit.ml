@@ -29,7 +29,7 @@ type t = {
   exits : uexit array;
   copies : copy array;
   steps : (int * dir, step) Hashtbl.t;
-  setc_of_cond : (Cond.t * int) array;
+  setc_of_cond : int array;
   nconds : int;
 }
 
@@ -312,7 +312,7 @@ let build params cfg bp ~header ~avoid =
                 { dst = c; op = Opcode.Ne; a = Operand.reg src; b = Operand.imm 0 }
         in
         let uid = add_instr setc_op ~pred:Pred.always ~dep_pred:pred in
-        setcs := (c, uid) :: !setcs;
+        setcs := uid :: !setcs;
         List.iter
           (fun (d, tgt, value) ->
             let pred' = Pred.conj pred c value in
@@ -423,9 +423,9 @@ let build_all params cfg bp ~loop_heads ~entry =
   !units
 
 let setc_uid t c =
-  match Array.find_opt (fun (c', _) -> Cond.equal c c') t.setc_of_cond with
-  | Some (_, uid) -> uid
-  | None -> invalid_arg (Format.asprintf "Runit.setc_uid: unknown %a" Cond.pp c)
+  let k = Cond.index c in
+  if k >= 0 && k < Array.length t.setc_of_cond then t.setc_of_cond.(k)
+  else invalid_arg (Format.asprintf "Runit.setc_uid: unknown %a" Cond.pp c)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>unit %a (%d copies, %d conds):@," Label.pp t.header

@@ -51,7 +51,9 @@ type t = {
   exits : uexit array;
   copies : copy array;  (** copy 0 is the header *)
   steps : (int * dir, step) Hashtbl.t;
-  setc_of_cond : (Cond.t * int) array;  (** condition → uid of its [Setc] *)
+  setc_of_cond : int array;
+      (** uid of each condition's [Setc], indexed by {!Psb_isa.Cond.index}
+          (a unit numbers its conditions [0 .. nconds - 1]) *)
   nconds : int;
 }
 

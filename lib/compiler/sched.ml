@@ -9,127 +9,159 @@ type t = {
   length : int;
 }
 
-type node_kind = Ninstr of Runit.uinstr | Nexit of Runit.uexit
+(* Unit classes as indices into a per-cycle capacity array. *)
+let classes =
+  Machine_model.[| Alu_unit; Branch_unit; Load_unit; Store_unit |]
 
-let node_kind (u : Runit.t) ni node =
-  if node < ni then Ninstr u.Runit.instrs.(node)
-  else Nexit u.Runit.exits.(node - ni)
+let class_index = function
+  | Machine_model.Alu_unit -> 0
+  | Machine_model.Branch_unit -> 1
+  | Machine_model.Load_unit -> 2
+  | Machine_model.Store_unit -> 3
 
-(* Resource demand of a node: (consumes_slot, unit_class option). *)
-let demand (model : Model.t) = function
-  | Ninstr i -> (
-      match i.Runit.op with
-      | Instr.Nop -> (false, None)
-      | Instr.Setc _ ->
-          if model.Model.branch_elim then (true, Some Machine_model.Alu_unit)
-          else (true, Some Machine_model.Branch_unit)
-      | op -> (true, Some (Machine_model.unit_of_op op)))
-  | Nexit x ->
-      if model.Model.branch_elim then (true, Some Machine_model.Branch_unit)
-      else (
-        match x.Runit.from_branch with
-        | Some _ -> (false, None) (* the branch (Setc) pays the slot *)
-        | None -> (true, Some Machine_model.Branch_unit))
+(* Resource demand of a node: the index of the unit class it occupies,
+   or [-1] if it takes no issue slot. *)
+let demand (model : Model.t) (u : Runit.t) node =
+  let ni = Array.length u.Runit.instrs in
+  if node < ni then
+    match u.Runit.instrs.(node).Runit.op with
+    | Instr.Nop -> -1
+    | Instr.Setc _ -> if model.Model.branch_elim then 0 else 1
+    | op -> class_index (Machine_model.unit_of_op op)
+  else if model.Model.branch_elim then 1
+  else
+    match u.Runit.exits.(node - ni).Runit.from_branch with
+    | Some _ -> -1 (* the branch (Setc) pays the slot *)
+    | None -> 1
 
-let is_setc_node = function
-  | Ninstr { Runit.op = Instr.Setc _; _ } -> true
-  | Ninstr _ | Nexit _ -> false
+let is_setc_node (u : Runit.t) node =
+  node < Array.length u.Runit.instrs
+  && match u.Runit.instrs.(node).Runit.op with Instr.Setc _ -> true | _ -> false
 
-let is_exit_node = function Nexit _ -> true | Ninstr _ -> false
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 
 let schedule (model : Model.t) (machine : Machine_model.t) ~single_shadow u =
   let g = Depgraph.build model machine ~single_shadow u in
   let ni = Depgraph.n_instrs g in
   let n = Depgraph.n_nodes g in
   let issue = Array.make n (-1) in
-  let remaining = ref n in
-  (* spec_time of a condition: cycle its value becomes visible. *)
-  let spec_time c =
-    let uid = Runit.setc_uid u c in
-    if issue.(uid) < 0 then max_int else issue.(uid) + 1
+  (* per node: in-edges whose source is still unplaced, and the earliest
+     cycle the placed sources allow *)
+  let pending = Array.init n (Depgraph.in_degree g) in
+  let earliest = Array.make n 0 in
+  let cls = Array.init n (demand model u) in
+  let preds =
+    Array.map (fun (i : Runit.uinstr) -> Pred.compile i.Runit.pred) u.Runit.instrs
   in
-  let unresolved_ok kind t =
-    match kind with
-    | Nexit _ -> true
-    | Ninstr i ->
-        let k =
-          match model.Model.cond_limit with
-          | None -> machine.Machine_model.max_spec_conds
-          | Some l -> min l machine.Machine_model.max_spec_conds
-        in
-        let unresolved =
-          Cond.Set.fold
-            (fun c acc -> if spec_time c > t then acc + 1 else acc)
-            (Pred.conds i.Runit.pred) 0
-        in
-        unresolved <= k
+  let k =
+    match model.Model.cond_limit with
+    | None -> machine.Machine_model.max_spec_conds
+    | Some l -> Int.min l machine.Machine_model.max_spec_conds
   in
-  let ready node t =
-    issue.(node) < 0
-    && List.for_all
-         (fun (src, lat) -> issue.(src) >= 0 && issue.(src) + lat <= t)
-         (Depgraph.in_edges g node)
-    && unresolved_ok (node_kind u ni node) t
-  in
+  (* Conditions visible at the current cycle (their Setc issued in an
+     earlier one): a mask over the first [word_bits] conditions, and per
+     condition the cycle it becomes visible, for wide predicates. *)
+  let resolved = ref 0 and newly = ref 0 in
+  let visible_at = Array.make u.Runit.nconds max_int in
   let t = ref 0 in
+  let unresolved_ok node =
+    node >= ni
+    ||
+    let p = preds.(node) in
+    match p.Pred.c_wide with
+    | None -> popcount (p.Pred.c_mask land lnot !resolved) <= k
+    | Some _ ->
+        Pred.count_conds
+          (fun c -> visible_at.(Cond.index c) > !t)
+          (Pred.source p)
+        <= k
+  in
+  (* unplaced nodes in priority order: critical-path height, then index *)
+  let live = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b -> compare (Depgraph.height g b) (Depgraph.height g a))
+    live;
+  let nlive = ref n in
+  let snapshot = Array.make n 0 in
+  let capacity = Array.map (Machine_model.units_available machine) classes in
+  let cap = Array.copy capacity in
+  let slots = ref 0 and has_setc = ref false and has_exit = ref false in
+  let release dst lat =
+    pending.(dst) <- pending.(dst) - 1;
+    if !t + lat > earliest.(dst) then earliest.(dst) <- !t + lat
+  in
+  let try_place node =
+    let c = cls.(node) in
+    let setc = is_setc_node u node and exit_ = node >= ni in
+    let fits = c < 0 || (cap.(c) > 0 && !slots > 0) in
+    let structural_ok =
+      (not model.Model.executable)
+      || ((not (setc && !has_exit)) && not (exit_ && !has_setc))
+    in
+    if fits && structural_ok then begin
+      issue.(node) <- !t;
+      if c >= 0 then begin
+        decr slots;
+        cap.(c) <- cap.(c) - 1
+      end;
+      if setc then begin
+        (match u.Runit.instrs.(node).Runit.op with
+        | Instr.Setc { dst; _ } ->
+            let ci = Cond.index dst in
+            if ci < Pred.word_bits then newly := !newly lor (1 lsl ci);
+            visible_at.(ci) <- !t + 1
+        | _ -> ());
+        has_setc := true
+      end;
+      if exit_ then has_exit := true;
+      Depgraph.iter_out g node release
+    end
+  in
   let deadline = 100_000 in
-  while !remaining > 0 do
+  while !nlive > 0 do
     if !t > deadline then failwith "Sched.schedule: no progress (cyclic constraints?)";
     (* capacity for this cycle *)
-    let slots = ref machine.Machine_model.issue_width in
-    let cap = Hashtbl.create 4 in
-    Hashtbl.replace cap Machine_model.Alu_unit machine.Machine_model.alu_units;
-    Hashtbl.replace cap Machine_model.Branch_unit machine.Machine_model.branch_units;
-    Hashtbl.replace cap Machine_model.Load_unit machine.Machine_model.load_units;
-    Hashtbl.replace cap Machine_model.Store_unit machine.Machine_model.store_units;
-    let has_setc = ref false and has_exit = ref false in
-    let try_place node =
-      let kind = node_kind u ni node in
-      let consumes, klass = demand model kind in
-      let fits_units =
-        match klass with None -> true | Some k -> Hashtbl.find cap k > 0
-      in
-      let fits_slot = (not consumes) || !slots > 0 in
-      let structural_ok =
-        (not model.Model.executable)
-        || (not (is_setc_node kind && !has_exit))
-           && not (is_exit_node kind && !has_setc)
-      in
-      if fits_units && fits_slot && structural_ok then begin
-        issue.(node) <- !t;
-        decr remaining;
-        if consumes then begin
-          decr slots;
-          match klass with
-          | Some k -> Hashtbl.replace cap k (Hashtbl.find cap k - 1)
-          | None -> ()
-        end;
-        if is_setc_node kind then has_setc := true;
-        if is_exit_node kind then has_exit := true
-      end
-    in
+    slots := machine.Machine_model.issue_width;
+    Array.blit capacity 0 cap 0 (Array.length cap);
+    has_setc := false;
+    has_exit := false;
     (* Iterate to a fixpoint within the cycle: placing a node can make a
        zero-latency successor (completion edges, WAR) ready in the same
-       bundle. Condition visibility (spec_time = issue + 1) cannot change
-       within the cycle, so this converges. *)
+       bundle. Each pass places the nodes ready when it starts, so such a
+       successor waits for the next pass. Condition visibility cannot
+       change within the cycle, so this converges. *)
     let progress = ref true in
-    while !progress && !remaining > 0 do
-      progress := false;
-      let before = !remaining in
-      List.init n (fun i -> i)
-      |> List.filter (fun node -> ready node !t)
-      |> List.sort (fun a b ->
-             compare
-               (-Depgraph.height g a, a)
-               (-Depgraph.height g b, b))
-      |> List.iter (fun node -> if issue.(node) < 0 then try_place node);
-      if !remaining < before then progress := true
+    while !progress && !nlive > 0 do
+      let ready = ref 0 in
+      for i = 0 to !nlive - 1 do
+        let node = live.(i) in
+        if pending.(node) = 0 && earliest.(node) <= !t && unresolved_ok node
+        then begin
+          snapshot.(!ready) <- node;
+          incr ready
+        end
+      done;
+      for i = 0 to !ready - 1 do
+        try_place snapshot.(i)
+      done;
+      let kept = ref 0 in
+      for i = 0 to !nlive - 1 do
+        let node = live.(i) in
+        if issue.(node) < 0 then begin
+          live.(!kept) <- node;
+          incr kept
+        end
+      done;
+      progress := !kept < !nlive;
+      nlive := !kept
     done;
+    resolved := !resolved lor !newly;
+    newly := 0;
     incr t
   done;
   let length =
     Array.fold_left
-      (fun acc (x : Runit.uexit) -> max acc (issue.(ni + x.xid) + 1))
+      (fun acc (x : Runit.uexit) -> Int.max acc (issue.(ni + x.xid) + 1))
       1 u.Runit.exits
   in
   { unit_ = u; graph = g; issue; length }
@@ -138,59 +170,51 @@ let exit_cycle t xid = t.issue.(Depgraph.n_instrs t.graph + xid)
 
 let check t (model : Model.t) (machine : Machine_model.t) =
   let g = t.graph in
-  let ni = Depgraph.n_instrs g in
   let n = Depgraph.n_nodes g in
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
   (* edges *)
   for node = 0 to n - 1 do
-    List.iter
-      (fun (src, lat) ->
+    Depgraph.iter_in g node (fun src lat ->
         if t.issue.(src) + lat > t.issue.(node) then
           err "edge %d->%d (lat %d) violated: %d -> %d" src node lat
             t.issue.(src) t.issue.(node))
-      (Depgraph.in_edges g node)
   done;
-  (* resources per cycle *)
-  let by_cycle = Hashtbl.create 64 in
+  (* resources per cycle, counted from the issue array *)
+  let cycles = Array.fold_left Int.max (-1) t.issue + 1 in
+  let nclasses = Array.length classes in
+  let slots = Array.make cycles 0 and used = Array.make (cycles * nclasses) 0 in
+  let setc = Array.make cycles false and exit_ = Array.make cycles false in
   for node = 0 to n - 1 do
     let c = t.issue.(node) in
-    Hashtbl.replace by_cycle c (node :: Option.value (Hashtbl.find_opt by_cycle c) ~default:[])
+    if c < 0 then err "node %d unscheduled" node
+    else begin
+      if is_setc_node t.unit_ node then setc.(c) <- true;
+      if node >= Depgraph.n_instrs g then exit_.(c) <- true;
+      let k = demand model t.unit_ node in
+      if k >= 0 then begin
+        slots.(c) <- slots.(c) + 1;
+        used.((c * nclasses) + k) <- used.((c * nclasses) + k) + 1
+      end
+    end
   done;
-  Hashtbl.iter
-    (fun c nodes ->
-      let slots = ref 0 in
-      let counts = Hashtbl.create 4 in
-      let setc = ref false and exit_ = ref false in
-      List.iter
-        (fun node ->
-          let kind = node_kind t.unit_ ni node in
-          if is_setc_node kind then setc := true;
-          if is_exit_node kind then exit_ := true;
-          let consumes, klass = demand model kind in
-          if consumes then incr slots;
-          match klass with
-          | Some k ->
-              Hashtbl.replace counts k
-                (1 + Option.value (Hashtbl.find_opt counts k) ~default:0)
-          | None -> ())
-        nodes;
-      if !slots > machine.Machine_model.issue_width then
-        err "cycle %d: %d slots > issue width" c !slots;
-      Hashtbl.iter
-        (fun k cnt ->
-          if cnt > Machine_model.units_available machine k then
-            err "cycle %d: unit class over-subscribed" c)
-        counts;
-      if model.Model.executable && !setc && !exit_ then
-        err "cycle %d: Setc bundled with an exit" c)
-    by_cycle;
+  for c = 0 to cycles - 1 do
+    if slots.(c) > machine.Machine_model.issue_width then
+      err "cycle %d: %d slots > issue width" c slots.(c);
+    for k = 0 to nclasses - 1 do
+      if used.((c * nclasses) + k) > Machine_model.units_available machine classes.(k)
+      then err "cycle %d: unit class over-subscribed" c
+    done;
+    if model.Model.executable && setc.(c) && exit_.(c) then
+      err "cycle %d: Setc bundled with an exit" c
+  done;
   match !errors with [] -> Ok () | e :: _ -> Error e
 
 let emit t =
   let u = t.unit_ in
   let ni = Depgraph.n_instrs t.graph in
-  let bundles = Array.make t.length [] in
+  (* per bundle, ops and exits, each most recent first *)
+  let ops = Array.make t.length [] and exits = Array.make t.length [] in
   Array.iter
     (fun (i : Runit.uinstr) ->
       match i.op with
@@ -200,10 +224,10 @@ let emit t =
           (* A Setc scheduled after the last exit can never execute: every
              path has left the region. Drop it. *)
           if c < t.length then
-            bundles.(c) <-
+            ops.(c) <-
               Pcode.op ~shadow_srcs:(Depgraph.shadow_srcs t.graph i.uid) i.pred
                 i.op
-              :: bundles.(c))
+              :: ops.(c))
     u.Runit.instrs;
   Array.iter
     (fun (x : Runit.uexit) ->
@@ -213,18 +237,10 @@ let emit t =
         | Some l -> Pcode.exit_to x.pred l
         | None -> Pcode.exit_stop x.pred
       in
-      bundles.(c) <- bundles.(c) @ [ slot ])
+      exits.(c) <- slot :: exits.(c))
     u.Runit.exits;
   (* ops before exits inside each bundle, original insertion order *)
-  let code =
-    Array.map
-      (fun slots ->
-        let ops, exits =
-          List.partition (function Pcode.Op _ -> true | Pcode.Exit _ -> false) slots
-        in
-        List.rev ops @ exits)
-      bundles
-  in
+  let code = Array.mapi (fun c ops -> List.rev_append ops (List.rev exits.(c))) ops in
   {
     Pcode.name = u.Runit.header;
     code;

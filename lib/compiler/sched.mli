@@ -12,7 +12,20 @@
 
     An instruction of a [Buffered] class may issue while at most
     [max_spec_conds] of its predicate's conditions are still unresolved
-    (Figure 8's sweep). *)
+    (Figure 8's sweep).
+
+    The scheduler is a ready list over int arrays. Each node keeps the
+    count of its in-edges whose source is still unplaced and the
+    earliest cycle its placed sources allow; placing a node releases its
+    out-edges. The priority order (greater height first, then smaller
+    node index) is sorted once. Each cycle starts from the machine's
+    unit capacities and a mask of the conditions resolved before it
+    (their [Setc] issued in an earlier cycle). Within a cycle, each pass
+    first takes a snapshot of the nodes ready when it starts, in
+    priority order, and then places them; a zero-latency successor made
+    ready by a placement waits for the next pass, and passes repeat
+    until one places nothing. A unit still unplaced after 100,000
+    cycles fails with "no progress". *)
 
 module Machine_model = Psb_machine.Machine_model
 module Pcode = Psb_machine.Pcode
@@ -31,8 +44,10 @@ val exit_cycle : t -> int -> int
 (** Issue cycle of exit [xid]. *)
 
 val check : t -> Model.t -> Machine_model.t -> (unit, string) result
-(** Independent validator: every edge satisfied, resources respected,
-    Setc/exit separation, exits after their predicates. *)
+(** Independent validator, recomputed from the [issue] array alone:
+    every edge satisfied, every node placed, per-cycle slots and unit
+    classes within the machine's, Setc/exit separation, exits after
+    their predicates. *)
 
 val emit : t -> Pcode.region
 (** Predicated code for the unit (executable models only). *)

@@ -143,8 +143,10 @@ let compile p =
   end
 
 (* Relations on compiled predicates: mask tests when both sides fit one
-   word, the literal maps otherwise. *)
-let narrow p q = p.c_wide = None && q.c_wide = None
+   word, the literal maps otherwise. (A match, not [= None]: polymorphic
+   equality is a C call.) *)
+let narrow p q =
+  match (p.c_wide, q.c_wide) with None, None -> true | _ -> false
 
 let disjoint_c p q =
   if narrow p q then p.c_mask land q.c_mask land (p.c_want lxor q.c_want) <> 0

@@ -441,6 +441,267 @@ let prop_fatal_trace_fails =
                 (Printexc.to_string e))
         Model.all)
 
+(* ---------- schedule pins ----------
+
+   One MD5 over every unit's header, issue cycles and length, and (for
+   executable models) the emitted region text, which prints each op's
+   shadow reads. It covers the suite and 100 generated programs (half of
+   them with a nested loop), every model, four machines and both values
+   of each compile flag, so a rewrite of the dependence graph or the list
+   scheduler that moves a single op shows here. *)
+
+let pin_programs =
+  lazy
+    (List.map
+       (fun (w : Psb_workloads.Dsl.t) ->
+         let program = w.Psb_workloads.Dsl.program in
+         ( w.Psb_workloads.Dsl.name,
+           program,
+           snd
+             (Driver.profile_of program ~regs:w.Psb_workloads.Dsl.regs
+                ~mem:(w.Psb_workloads.Dsl.make_mem ())) ))
+       Psb_workloads.Suite.all
+    @ List.init 100 (fun i ->
+          let shape =
+            if i mod 2 = 0 then Psb_proptest.Gen.default_shape
+            else { Psb_proptest.Gen.default_shape with Psb_proptest.Gen.nesting = 2 }
+          in
+          let g = Psb_proptest.Gen.gen shape (Random.State.make [| 0x5c4ed; i |]) in
+          let program = g.Psb_proptest.Gen.program in
+          ( Printf.sprintf "gen%d" i,
+            program,
+            snd
+              (Driver.profile_of program ~regs:Psb_proptest.Gen.regs
+                 ~mem:(Psb_proptest.Gen.make_mem g)) )))
+
+let pin_machines =
+  [
+    ("base", Machine_model.base);
+    ("full4", Machine_model.full_issue ~width:4 ~max_spec_conds:4);
+    ("full8", Machine_model.full_issue ~width:8 ~max_spec_conds:8);
+    ("base-k1", { Machine_model.base with Machine_model.max_spec_conds = 1 });
+  ]
+
+(* every machine with the default flags, then the other three flag
+   pairs on the base machine *)
+let pin_configs =
+  List.map (fun (name, machine) -> (name, machine, true, false)) pin_machines
+  @ List.map
+      (fun (ss, acd) -> ("base", Machine_model.base, ss, acd))
+      [ (false, false); (true, true); (false, true) ]
+
+let schedule_pin_lines () =
+  List.concat_map
+    (fun (pname, program, profile) ->
+      let analysis = Driver.analyze program in
+      List.concat_map
+        (fun (model : Model.t) ->
+          List.map
+            (fun (mname, machine, single_shadow, avoid_commit_deps) ->
+              let b = Buffer.create 1024 in
+              Printf.bprintf b "%s %s %s ss=%b acd=%b" pname model.Model.name
+                mname single_shadow avoid_commit_deps;
+              (match
+                 Driver.compile ~analysis ~verify:false ~single_shadow
+                   ~avoid_commit_deps ~model ~machine ~profile program
+               with
+              | c ->
+                  Label.Map.iter
+                    (fun header (s : Sched.t) ->
+                      Printf.bprintf b "|%s:%d:" (Label.name header)
+                        s.Sched.length;
+                      Array.iter (Printf.bprintf b "%d,") s.Sched.issue)
+                    c.Driver.schedules;
+                  Option.iter
+                    (fun (code : Psb_machine.Pcode.t) ->
+                      List.iter
+                        (fun r ->
+                          Buffer.add_string b
+                            (Format.asprintf "|%a" Psb_machine.Pcode.pp_region r))
+                        code.Psb_machine.Pcode.regions)
+                    c.Driver.pcode
+              | exception e -> Printf.bprintf b " raised %s" (Printexc.to_string e));
+              Digest.to_hex (Digest.string (Buffer.contents b)))
+            pin_configs)
+        (Model.trace_pred_counter :: Model.all))
+    (Lazy.force pin_programs)
+
+let schedule_pin_digest = "2a620ad3819278bcb3730675546e2c4b"
+
+let test_schedule_pin () =
+  let lines = schedule_pin_lines () in
+  Alcotest.(check string)
+    (Printf.sprintf "digest of %d compiles" (List.length lines))
+    schedule_pin_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* ---------- unit memo ----------
+
+   Compiles that share an analysis form their units once per (params,
+   profile): the suite and 20 generated programs, each under its
+   training profile on the base machine. *)
+
+let sample_programs =
+  lazy
+    (List.map
+       (fun (w : Psb_workloads.Dsl.t) ->
+         let profile () =
+           snd
+             (Driver.profile_of w.Psb_workloads.Dsl.program
+                ~regs:w.Psb_workloads.Dsl.regs
+                ~mem:(w.Psb_workloads.Dsl.make_mem ()))
+         in
+         (w.Psb_workloads.Dsl.name, w.Psb_workloads.Dsl.program, profile))
+       (Psb_workloads.Suite.all
+       @ List.init 20 (fun i ->
+             Psb_proptest.Gen.to_dsl ~name:(Printf.sprintf "gen%d" i)
+               (Psb_proptest.Gen.gen Psb_proptest.Gen.default_shape
+                  (Random.State.make [| 0x3e30; i |])))))
+
+let executable_models = List.filter (fun (m : Model.t) -> m.Model.executable) Model.all
+
+let compile_unverified ?analysis ?(avoid_commit_deps = false)
+    ?(machine = Machine_model.base) ~profile program model =
+  Driver.compile ?analysis ~verify:false ~avoid_commit_deps ~model ~machine
+    ~profile program
+
+let test_memo_shares_units () =
+  List.iter
+    (fun (name, program, profile_of) ->
+      let profile = profile_of () in
+      let analysis = Driver.analyze program in
+      let units ?avoid_commit_deps ?machine ?(profile = profile) model =
+        (compile_unverified ~analysis ?avoid_commit_deps ?machine ~profile program
+           model)
+          .Driver.units
+      in
+      let shared = units Model.region_pred in
+      List.iter
+        (fun (m : Model.t) ->
+          check_bool
+            (Printf.sprintf "%s: %s shares region-pred's units" name m.Model.name)
+            true
+            (units m == shared))
+        [ Model.region_sched; Model.guarded; Model.region_pred ];
+      let apart what u =
+        check_bool (Printf.sprintf "%s: %s forms its own units" name what) true
+          (u != shared)
+      in
+      apart "trace-pred" (units Model.trace_pred);
+      (* the same training run again: an equal profile, another value *)
+      apart "another profile value" (units ~profile:(profile_of ()) Model.region_pred);
+      apart "another ccr_size"
+        (units
+           ~machine:{ Machine_model.base with Machine_model.ccr_size = 6 }
+           Model.region_pred);
+      apart "avoid_commit_deps" (units ~avoid_commit_deps:true Model.region_pred))
+    (Lazy.force sample_programs)
+
+let test_memo_equals_cold () =
+  List.iter
+    (fun (name, program, profile_of) ->
+      let profile = profile_of () in
+      let analysis = Driver.analyze program in
+      List.iter
+        (fun (m : Model.t) ->
+          check_bool
+            (Printf.sprintf "%s: memoised %s equals a cold compile" name m.Model.name)
+            true
+            (Driver.compiled_equal
+               (compile_unverified ~analysis ~profile program m)
+               (compile_unverified ~profile program m)))
+        executable_models)
+    (Lazy.force sample_programs)
+
+let test_memo_across_domains () =
+  Psb_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (name, program, profile_of) ->
+          let profile = profile_of () in
+          let sequential =
+            let analysis = Driver.analyze program in
+            List.map (compile_unverified ~analysis ~profile program) executable_models
+          in
+          let analysis = Driver.analyze program in
+          let parallel =
+            Psb_parallel.Pool.map_exn pool
+              (compile_unverified ~analysis ~profile program)
+              executable_models
+          in
+          List.iter2
+            (fun (m : Model.t) (a, b) ->
+              check_bool
+                (Printf.sprintf "%s: %s on the pool equals the sequential compile"
+                   name m.Model.name)
+                true (Driver.compiled_equal a b))
+            executable_models
+            (List.combine sequential parallel);
+          (* racing misses publish one map *)
+          let units m =
+            (List.assq m (List.combine executable_models parallel)).Driver.units
+          in
+          check_bool (name ^ ": one shared map after the race") true
+            (units Model.region_sched == units Model.region_pred
+            && units Model.guarded == units Model.region_pred))
+        (Lazy.force sample_programs))
+
+(* ---------- conditions past one machine word ----------
+
+   A unit whose condition indices all sit past the first word (each
+   shifted by [Pred.word_bits]) has only wide compiled predicates, so
+   the graph and the scheduler take their literal-map paths: the
+   schedule must be the one the mask paths give. *)
+
+let widen (u : Runit.t) =
+  let shift c = Cond.make (Cond.index c + Pred.word_bits) in
+  let pred p = Pred.rename shift p in
+  let op = function
+    | Instr.Setc s -> Instr.Setc { s with dst = shift s.dst }
+    | op -> op
+  in
+  {
+    u with
+    Runit.instrs =
+      Array.map
+        (fun (i : Runit.uinstr) ->
+          { i with Runit.op = op i.op; pred = pred i.pred; dep_pred = pred i.dep_pred })
+        u.Runit.instrs;
+    exits =
+      Array.map
+        (fun (x : Runit.uexit) ->
+          {
+            x with
+            Runit.pred = pred x.Runit.pred;
+            from_branch = Option.map shift x.Runit.from_branch;
+          })
+        u.Runit.exits;
+    setc_of_cond = Array.append (Array.make Pred.word_bits (-1)) u.Runit.setc_of_cond;
+    nconds = u.Runit.nconds + Pred.word_bits;
+  }
+
+let test_wide_conditions () =
+  List.iter
+    (fun (name, program, profile_of) ->
+      let profile = profile_of () in
+      List.iter
+        (fun (model : Model.t) ->
+          let c = compile_unverified ~profile program model in
+          Label.Map.iter
+            (fun header (s : Sched.t) ->
+              let wide =
+                Sched.schedule model machine ~single_shadow:true (widen s.Sched.unit_)
+              in
+              let ctx =
+                Printf.sprintf "%s %s %s" name model.Model.name (Label.name header)
+              in
+              check_bool (ctx ^ ": same issue cycles") true
+                (wide.Sched.issue = s.Sched.issue);
+              check_bool (ctx ^ ": validates") true
+                (Sched.check wide model machine = Ok ()))
+            c.Driver.schedules)
+        (Model.trace_pred_counter :: Model.all))
+    (Lazy.force sample_programs)
+
 (* ---------- model lookup (the CLI's -m conv) ---------- *)
 
 let test_model_find () =
@@ -489,6 +750,18 @@ let () =
         [
           Alcotest.test_case "all models valid" `Quick
             test_schedules_valid_all_models;
+          Alcotest.test_case "conditions past one word" `Quick
+            test_wide_conditions;
+        ] );
+      ( "sched-pins",
+        [ Alcotest.test_case "schedules pinned" `Quick test_schedule_pin ] );
+      ( "unit-memo",
+        [
+          Alcotest.test_case "shared by params and profile" `Quick
+            test_memo_shares_units;
+          Alcotest.test_case "memoised equals cold" `Quick test_memo_equals_cold;
+          Alcotest.test_case "shared across domains" `Quick
+            test_memo_across_domains;
         ] );
       ( "equivalence",
         [

@@ -387,6 +387,19 @@ let test_recovery_trace_pinned () =
     "trace digest" "b373e40a453af9b94838d17a355b99d2"
     (Digest.to_hex (Digest.string (Json.to_string (recovering_trace ()))))
 
+(* [psb trace] writes the compact form: it must parse to the same
+   document as the pretty one the pin above hashes. *)
+let test_recovery_trace_minified () =
+  let doc = recovering_trace () in
+  match
+    ( Json.parse (Json.to_string ~minify:true doc),
+      Json.parse (Json.to_string doc) )
+  with
+  | Ok compact, Ok pretty ->
+      check_bool "minified parses to the pretty document" true
+        (Json.equal compact pretty)
+  | Error e, _ | _, Error e -> Alcotest.failf "trace does not parse: %s" e
+
 (* ---------- the ring against the result record ---------- *)
 
 (* Every issued bundle, executed operation, stall and recovery episode
@@ -920,6 +933,8 @@ let () =
             test_accounting_under_recovery;
           Alcotest.test_case "recovering trace pinned" `Quick
             test_recovery_trace_pinned;
+          Alcotest.test_case "minified trace parses alike" `Quick
+            test_recovery_trace_minified;
         ] );
       ( "events",
         [

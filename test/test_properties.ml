@@ -273,6 +273,26 @@ let prop_cache_verify_flag_regression =
       in
       k true <> k false)
 
+(* Hits rest on content keys: a structurally equal copy of the program
+   (another value, whether rebuilt from the same blocks or parsed back
+   from its text) and a profile from another run of the same training
+   input key like the originals. *)
+let prop_cache_key_structural =
+  QCheck.Test.make ~name:"structurally equal inputs key equal" ~count:40
+    Gen_programs.arb_program (fun g ->
+      let program = g.Gen_programs.program in
+      let k ?(profile = profile_of g) p =
+        Compile_cache.key ~model:Model.region_pred ~machine ~single_shadow:true
+          ~avoid_commit_deps:false ~verify:true ~profile p
+      in
+      let profile = profile_of g in
+      let copy = Program.make ~entry:program.Program.entry program.Program.blocks in
+      let parsed = Asm.parse_exn (Asm.print program) in
+      copy != program && parsed != program
+      && k ~profile copy = k ~profile program
+      && k ~profile parsed = k ~profile program
+      && k program = k ~profile program)
+
 (* An analysis serves only the program value it was built from: a
    structurally equal copy is another program. *)
 let test_foreign_analysis_rejected () =
@@ -351,6 +371,7 @@ let () =
             prop_cache_keys_distinct;
             prop_cache_program_sensitivity;
             prop_cache_verify_flag_regression;
+            prop_cache_key_structural;
           ]
         @ [
             Alcotest.test_case "every machine field keys apart" `Quick
