@@ -19,7 +19,7 @@ doc:
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable results (Report schema v1) for archiving in CI.
+# Machine-readable results (Report schema v4) for archiving in CI.
 bench-json:
 	mkdir -p _artifacts
 	dune exec bench/main.exe -- --json > _artifacts/results.json

@@ -138,20 +138,16 @@ end
 
 (* ----- execution-kernel microbenches -----
 
-   Whole-workload simulation under the two execution kernels:
-   [sim/lowered] walks the flat structure-of-arrays form of
-   [Psb_machine.Lowered] (the default), [sim/tree] re-walks the
-   [Pcode.bundle] slot lists every cycle (the differential-testing
-   reference). The compile — and the lowering cached inside it — is
-   shared by both rows, so the delta is purely the per-cycle issue-phase
-   cost. [lower] prices the one-time lowering pass itself, to show it is
-   amortised after a handful of simulated cycles. *)
+   Whole-workload simulation: [sim/lowered] walks the flat
+   structure-of-arrays form of [Psb_machine.Lowered], cached inside the
+   compile, so the row prices the cycle loop alone. [lower] prices the
+   one-time lowering pass itself, to show it is amortised after a
+   handful of simulated cycles. *)
 module Lowered_bench = struct
   module Driver = Psb_compiler.Driver
   module Model = Psb_compiler.Model
   module Machine_model = Psb_machine.Machine_model
   module Lowered = Psb_machine.Lowered
-  module Vliw_sim = Psb_machine.Vliw_sim
   module Suite = Psb_workloads.Suite
   module Dsl = Psb_workloads.Dsl
 
@@ -167,19 +163,18 @@ module Lowered_bench = struct
        Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
          ~profile w.Dsl.program)
 
-  let run ?events kernel () =
+  let run ?events () =
     let w = Lazy.force w in
     ignore
-      (Driver.run_vliw ?events ~exec_kernel:kernel (Lazy.force compiled)
-         ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()))
+      (Driver.run_vliw ?events (Lazy.force compiled) ~regs:w.Dsl.regs
+         ~mem:(w.Dsl.make_mem ()))
 
   let tests () =
     let open Bechamel in
     let t name f = Test.make ~name (Staged.stage f) in
     Test.make_grouped ~name:"lowered"
       [
-        t "sim/lowered" (run Vliw_sim.Lowered);
-        t "sim/tree" (run Vliw_sim.Tree);
+        t "sim/lowered" run;
         t "lower" (fun () ->
             let c = Lazy.force compiled in
             match c.Driver.pcode with
@@ -255,7 +250,7 @@ module Events_bench = struct
         t "vliw" (fun () ->
             let ring = Lazy.force vliw_ring in
             Events.clear ring;
-            Lowered_bench.run ~events:ring Psb_machine.Vliw_sim.Lowered ());
+            Lowered_bench.run ~events:ring ());
       ]
 end
 
@@ -292,7 +287,7 @@ module Rob_bench = struct
             ignore
               (Interp.run ~record_trace:false ~regs:w.Dsl.regs
                  ~mem:(w.Dsl.make_mem ()) w.Dsl.program));
-        t "sim/vliw" (Lowered_bench.run Psb_machine.Vliw_sim.Lowered);
+        t "sim/vliw" Lowered_bench.run;
       ]
 end
 
@@ -465,7 +460,7 @@ end
    work), against a null formatter; [pred_kernel] times the
    per-cycle bitmask predicate evaluation; [events] times the structured
    event log against the machine hot paths; [lowered] times whole-workload
-   simulation under the lowered vs tree execution kernels; [rob] times the
+   VLIW simulation and the lowering pass; [rob] times the
    rival reorder-buffer backend against the scalar and VLIW simulators;
    [decoded] times the predecoded scalar form on both scalar backends
    (and the interpreter's tree kernel), plus the decode pass itself;

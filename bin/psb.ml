@@ -1061,14 +1061,14 @@ let fuzz_cmd =
         fmt
     in
     let inject =
-      match inject with
-      | Some s -> (
+      Option.map
+        (fun s ->
           match Psb_proptest.Inject.of_name s with
-          | Ok t -> Some t
+          | Ok t -> t
           | Error m ->
               Format.eprintf "psb fuzz: %s@." m;
               exit 2)
-      | None -> Psb_proptest.Inject.of_env ()
+        inject
     in
     match replay with
     | Some dir ->
@@ -1298,8 +1298,8 @@ let fuzz_cmd =
       & info [ "inject" ] ~docv:"BUG"
           ~doc:
             "Apply a deliberate miscompile before verify/run \
-             ($(b,sched-order)); defaults to \\$PSB_INJECT_BUG. The campaign \
-             must then find a counterexample — the harness's fire drill.")
+             ($(b,sched-order)). The campaign must then find a \
+             counterexample — the harness's fire drill.")
   in
   let only =
     Arg.(
@@ -1365,8 +1365,9 @@ let fuzz_cmd =
        ~doc:
          "Fuzz the whole pipeline: random programs through every stage \
           differential (interpreter/ROB/VLIW, the decoded-vs-tree \
-          interpreter and lowered-vs-tree VLIW kernels, verify-then-run, \
-          compile cache), shrinking failures to minimal counterexamples")
+          interpreter kernels, verify-then-run, the VLIW lowering's round \
+          trip, compile cache), shrinking failures to minimal \
+          counterexamples")
     Term.(
       const run $ trials $ seed $ jobs_arg $ corpus $ replay $ inject $ only
       $ no_shrink $ diamonds $ iters $ nesting $ alias_mask $ fault_rate

@@ -172,9 +172,10 @@ let add_machine b
    the lowered structure-of-arrays region form; v4: compiles carry the
    predecoded scalar form for the interpreter and ROB kernels; v5: they
    no longer do, it moved to [Driver.analysis]; v6: the lowered form
-   lost its per-slot source predicates), so a process mixing library
+   lost its per-slot source predicates; v7: and its per-slot source
+   instructions and source exit targets), so a process mixing library
    versions through a shared cache can never alias keys. *)
-let format_version = 6
+let format_version = 7
 
 let key ~model ~machine ~single_shadow ~avoid_commit_deps ~verify ~profile
     program =

@@ -148,9 +148,9 @@ let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
                   verification@.%a"
                  model.Model.name Psb_verify.Verify.pp report))
   | _ -> ());
-  (* Lower the verified regions to the flat threaded form the machine's
-     default execution kernel walks; cached alongside the pcode so every
-     cache hit skips the lowering too. *)
+  (* Lower the verified regions to the flat threaded form the machine
+     walks; cached alongside the pcode so every cache hit skips the
+     lowering too. *)
   let lowered =
     Option.map
       (fun code ->
@@ -202,12 +202,12 @@ let estimate_cycles c program ~block_trace =
   (Cycles.measure ~units:c.units ~schedules:c.schedules program ~block_trace)
     .Cycles.cycles
 
-let run_vliw ?regfile_mode ?exec_kernel ?events ?metrics c ~regs ~mem =
+let run_vliw ?regfile_mode ?events ?metrics c ~regs ~mem =
   match c.pcode with
   | None ->
       invalid_arg
         (Format.asprintf "Driver.run_vliw: model %s is not executable"
            c.model.Model.name)
   | Some code ->
-      Vliw_sim.run ?regfile_mode ?exec_kernel ?lowered:c.lowered
-        ?events ?metrics ~model:c.machine ~regs ~mem code
+      Vliw_sim.run ?regfile_mode ?lowered:c.lowered ?events ?metrics
+        ~model:c.machine ~regs ~mem code

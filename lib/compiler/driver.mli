@@ -119,7 +119,6 @@ val estimate_cycles : compiled -> Program.t -> block_trace:int array -> int
 
 val run_vliw :
   ?regfile_mode:Psb_machine.Regfile.mode ->
-  ?exec_kernel:Vliw_sim.exec_kernel ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
   compiled ->
@@ -127,9 +126,9 @@ val run_vliw :
   mem:Memory.t ->
   Vliw_sim.result
 (** Execute the compiled predicated code on the machine simulator;
-    [exec_kernel], [events] and [metrics] are passed through to
-    {!Vliw_sim.run}, along with the cached [lowered] form (so a
-    lowered-kernel run never re-lowers).
+    [regfile_mode], [events] and [metrics] are passed through to
+    {!Vliw_sim.run}, along with the cached [lowered] form (so a run
+    never re-lowers).
     @raise Invalid_argument if the model is not executable. *)
 
 val code_size : compiled -> int

@@ -21,10 +21,8 @@ type region = {
   op_s2_reg : int array;
   op_s2_imm : int array;
   op_s2_sh : bool array;
-  op_src : Pcode.pinstr array;
   ex_cpred : Pred.compiled array;
   ex_target : int array;
-  ex_tgt : Pcode.exit_target array;
 }
 
 type t = {
@@ -35,14 +33,6 @@ type t = {
   nregs : int;
   max_bundle_ops : int;
 }
-
-let dummy_pinstr =
-  {
-    Pcode.pred = Pred.always;
-    cpred = Pred.compiled_always;
-    op = Instr.Nop;
-    shadow_srcs = Reg.Set.empty;
-  }
 
 let lower_region ~machine ~region_index (r : Pcode.region) =
   let nbundles = Array.length r.Pcode.code in
@@ -69,10 +59,8 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
   let op_s2_reg = Array.make nops (-1) in
   let op_s2_imm = Array.make nops 0 in
   let op_s2_sh = Array.make nops false in
-  let op_src = Array.make nops dummy_pinstr in
   let ex_cpred = Array.make nexits Pred.compiled_always in
   let ex_target = Array.make nexits (-1) in
-  let ex_tgt = Array.make nexits Pcode.Stop in
   let oi = ref 0 and xi = ref 0 in
   Array.iteri
     (fun b bundle ->
@@ -99,7 +87,6 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
                     op_s2_reg.(i) <- -1;
                     op_s2_imm.(i) <- v
               in
-              op_src.(i) <- pi;
               op_cpred.(i) <- pi.Pcode.cpred;
               op_lat.(i) <- Machine_model.latency machine pi.Pcode.op;
               (match pi.Pcode.op with
@@ -147,7 +134,6 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
               let j = !xi in
               incr xi;
               ex_cpred.(j) <- cpred;
-              ex_tgt.(j) <- target;
               ex_target.(j) <-
                 (match target with
                 | Pcode.Stop -> -1
@@ -175,10 +161,8 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
     op_s2_reg;
     op_s2_imm;
     op_s2_sh;
-    op_src;
     ex_cpred;
     ex_target;
-    ex_tgt;
   }
 
 let count_regs (code : Pcode.t) =
@@ -237,3 +221,159 @@ let num_ops t =
 
 let num_exits t =
   Array.fold_left (fun acc r -> acc + Array.length r.ex_cpred) 0 t.regions
+
+(* ----- the round-trip check -----
+
+   The inverse of [compile]: raise every lowered row back to the slot it
+   stands for and compare it with the source. The tables are read only
+   after the bounds that index them are checked. *)
+
+exception Mismatch of string
+
+let check (t : t) =
+  let fail fmt = Format.kasprintf (fun m -> raise (Mismatch m)) fmt in
+  let sources = Array.of_list t.source.Pcode.regions in
+  let nregions = Array.length sources in
+  let names tidx l =
+    tidx >= 0 && tidx < nregions && Label.equal sources.(tidx).Pcode.name l
+  in
+  let nregs = ref 1 and widest = ref 0 in
+  (* operation row [i] against its source slot [pi]; [at] names the slot *)
+  let check_op lr ~at i (pi : Pcode.pinstr) =
+    let reg what k =
+      if k < 0 then fail "%s: %s is not a register" at what else Reg.make k
+    in
+    let opnd k imm = if k < 0 then Operand.Imm imm else Operand.Reg k in
+    let s1 = opnd lr.op_s1_reg.(i) lr.op_s1_imm.(i)
+    and s2 = opnd lr.op_s2_reg.(i) lr.op_s2_imm.(i)
+    and dst () = reg "dst" lr.op_dst.(i)
+    and base () = reg "base" lr.op_s1_reg.(i)
+    and off = lr.op_aux.(i)
+    and alu = lr.op_alu.(i)
+    and cmp = lr.op_cmp.(i) in
+    (* the op, and how many of the two source operands it has *)
+    let op, arity =
+      match lr.op_kind.(i) with
+      | Knop -> (Instr.Nop, 0)
+      | Kout -> (Instr.Out s1, 1)
+      | Kmov -> (Instr.Mov { dst = dst (); src = s1 }, 1)
+      | Kalu -> (Instr.Alu { op = alu; dst = dst (); a = s1; b = s2 }, 2)
+      | Kcmp -> (Instr.Cmp { op = cmp; dst = dst (); a = s1; b = s2 }, 2)
+      | Kload -> (Instr.Load { dst = dst (); base = base (); off }, 1)
+      | Kstore ->
+          let src = reg "data" lr.op_s2_reg.(i) in
+          (Instr.Store { src; base = base (); off }, 2)
+      | Ksetc ->
+          if off < 0 then fail "%s: condition %d" at off;
+          (Instr.Setc { dst = Cond.make off; op = cmp; a = s1; b = s2 }, 2)
+    in
+    if op <> pi.Pcode.op then
+      fail "%s: lowered %a, source %a" at Instr.pp_op op Instr.pp_op
+        pi.Pcode.op;
+    (* the walk reads both operand registers of every executed row *)
+    let operand k r sh =
+      if r >= 0 && k > arity then
+        fail "%s: operand %d r%d is not the op's" at k r;
+      if r >= 0 && sh <> Reg.Set.mem r pi.Pcode.shadow_srcs then
+        fail "%s: operand %d r%d shadow flag %b, source %b" at k r sh (not sh)
+    in
+    operand 1 lr.op_s1_reg.(i) lr.op_s1_sh.(i);
+    operand 2 lr.op_s2_reg.(i) lr.op_s2_sh.(i);
+    if not (Pred.equal_c lr.op_cpred.(i) pi.Pcode.cpred) then
+      fail "%s: predicate differs from the source slot's" at;
+    let lat = Machine_model.latency t.machine op in
+    if lr.op_lat.(i) <> lat then
+      fail "%s: latency %d, machine says %d" at lr.op_lat.(i) lat;
+    List.iter
+      (fun r -> nregs := max !nregs (Reg.index r + 1))
+      (Instr.defs op @ Instr.uses op)
+  in
+  let check_region (lr : region) =
+    let rn = Label.name lr.source.Pcode.name and code = lr.source.Pcode.code in
+    let nb = Array.length code in
+    if lr.nbundles <> nb then
+      fail "region %s: %d bundles lowered, source has %d" rn lr.nbundles nb;
+    let n = Array.length in
+    let nops = n lr.op_kind and nexits = n lr.ex_cpred in
+    let closed what (bounds : int array) total =
+      if n bounds <> nb + 1 || bounds.(0) <> 0 || bounds.(nb) <> total then
+        fail "region %s: %s do not run from 0 to %d" rn what total;
+      for b = 0 to nb - 1 do
+        if bounds.(b + 1) < bounds.(b) then
+          fail "region %s bundle %d: %s not monotone" rn b what
+      done
+    in
+    closed "op_bounds" lr.op_bounds nops;
+    closed "ex_bounds" lr.ex_bounds nexits;
+    if
+      List.exists (( <> ) nops)
+        [ n lr.op_cpred; n lr.op_lat; n lr.op_dst; n lr.op_aux; n lr.op_alu;
+          n lr.op_cmp; n lr.op_s1_reg; n lr.op_s1_imm; n lr.op_s1_sh;
+          n lr.op_s2_reg; n lr.op_s2_imm; n lr.op_s2_sh ]
+      || n lr.ex_target <> nexits || n lr.has_store <> nb
+    then fail "region %s: tables of different lengths" rn;
+    Array.iteri
+      (fun b bundle ->
+        let ops =
+          List.filter_map
+            (function Pcode.Op pi -> Some pi | Pcode.Exit _ -> None)
+            bundle
+        and exits =
+          List.filter_map
+            (function
+              | Pcode.Exit { cpred; target; _ } -> Some (cpred, target)
+              | Pcode.Op _ -> None)
+            bundle
+        in
+        let lo = lr.op_bounds.(b) and xlo = lr.ex_bounds.(b) in
+        let nb_ops = lr.op_bounds.(b + 1) - lo
+        and nb_exits = lr.ex_bounds.(b + 1) - xlo in
+        if nb_ops <> List.length ops || nb_exits <> List.length exits then
+          fail "region %s bundle %d: %d ops and %d exits lowered, source has \
+                %d and %d"
+            rn b nb_ops nb_exits (List.length ops) (List.length exits);
+        widest := max !widest nb_ops;
+        List.iteri
+          (fun j pi ->
+            check_op lr (lo + j) pi
+              ~at:(Printf.sprintf "region %s bundle %d op slot %d" rn b j))
+          ops;
+        let stores = List.exists (fun pi -> Instr.is_store pi.Pcode.op) ops in
+        if lr.has_store.(b) <> stores then
+          fail "region %s bundle %d: has_store %b, source %b" rn b
+            lr.has_store.(b) stores;
+        List.iteri
+          (fun j (cpred, target) ->
+            let at = Printf.sprintf "region %s bundle %d exit slot %d" rn b j in
+            let tidx = lr.ex_target.(xlo + j) in
+            if not (Pred.equal_c lr.ex_cpred.(xlo + j) cpred) then
+              fail "%s: predicate differs from the source exit's" at;
+            match target with
+            | Pcode.Stop ->
+                if tidx <> -1 then fail "%s: target %d for a stop" at tidx
+            | Pcode.To_region l ->
+                if not (names tidx l) then
+                  fail "%s: target %d, source exits to %a" at tidx Label.pp l)
+          exits)
+      code
+  in
+  try
+    if Array.length t.regions <> nregions then
+      fail "%d regions lowered, source has %d" (Array.length t.regions)
+        nregions;
+    Array.iteri
+      (fun i (lr : region) ->
+        if lr.source != sources.(i) then
+          fail "region %d: not lowered from source region %s" i
+            (Label.name sources.(i).Pcode.name);
+        check_region lr)
+      t.regions;
+    if not (names t.entry t.source.Pcode.entry) then
+      fail "entry %d does not index region %a" t.entry Label.pp
+        t.source.Pcode.entry;
+    if t.max_bundle_ops <> !widest then
+      fail "max_bundle_ops %d, source's widest bundle has %d ops"
+        t.max_bundle_ops !widest;
+    if t.nregs <> !nregs then fail "nregs %d, source needs %d" t.nregs !nregs;
+    Ok ()
+  with Mismatch m -> Error m

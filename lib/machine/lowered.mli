@@ -1,5 +1,5 @@
 (** Regions lowered to flat threaded code: the structure-of-arrays form
-    the machine's default execution kernel walks every cycle.
+    the machine walks every cycle.
 
     {!Pcode.t} is the right shape for the compiler — slots are variant
     trees, operands are symbolic, bundles are lists — but the simulator
@@ -16,8 +16,8 @@
     - preresolved operand descriptors: register index or immediate, with
       the shadow-source membership test ([.s] sourcing, §3.5) folded
       into a per-operand flag;
-    - the {!Psb_isa.Pred.compiled} mask per slot (shared with the tree
-      form — the same physical comparator the predicate kernel
+    - the {!Psb_isa.Pred.compiled} mask per slot (shared with the
+      slot — the same physical comparator the predicate kernel
       evaluates, and what shadow reads and store-buffer forwarding
       compare);
     - the issue latency from {!Machine_model.latency}, resolved at
@@ -26,11 +26,10 @@
       transition is an array read instead of {!Pcode.find_region}'s
       list search.
 
-    The lowering is purely representational: {!Vliw_sim} running the
-    lowered form must be cycle- and event-identical to the tree
-    reference (enforced by the differential suite and the fuzzer; see
-    [Vliw_sim.exec_kernel]). [op_src] keeps the originating {!Pcode.pinstr} per
-    operation for event emission and diagnostics. *)
+    The lowering is purely representational. {!check} is its inverse:
+    it raises every row back to a slot and compares it with the source,
+    so what {!Vliw_sim} walks is exactly the {!Pcode.t} it was given
+    (the fuzzer checks every lowering it runs). *)
 
 open Psb_isa
 
@@ -65,12 +64,9 @@ type region = {
       (** second source (operand [b], store data register) *)
   op_s2_imm : int array;
   op_s2_sh : bool array;
-  op_src : Pcode.pinstr array;
-      (** originating slot, for event emission and diagnostics *)
   ex_cpred : Pred.compiled array;
   ex_target : int array;
       (** exit target as an index into {!t.regions}; [-1] for [Stop] *)
-  ex_tgt : Pcode.exit_target array;  (** source form, for events *)
 }
 
 type t = {
@@ -80,7 +76,9 @@ type t = {
           form may only run on this model *)
   regions : region array;  (** in [source.regions] order *)
   entry : int;  (** index of the entry region *)
-  nregs : int;  (** [count_regs source] *)
+  nregs : int;
+      (** the register-file size the code requires: one past the highest
+          register any operation defines or uses (at least 1) *)
   max_bundle_ops : int;
       (** widest bundle's operation count — sizes the per-cycle decision
           scratch buffer *)
@@ -88,19 +86,27 @@ type t = {
 
 val compile : machine:Machine_model.t -> Pcode.t -> t
 (** Lower every region once. Pure; the result shares the [Pcode.t]'s
-    compiled predicates and slots (no predicate recompilation). Latency
+    compiled predicates (no predicate recompilation). Latency
     preresolution makes the result model-specific: running it on a
     machine other than [machine] is rejected by {!Vliw_sim.run}.
     @raise Invalid_argument if an exit names an undefined region (the
     same condition {!Pcode.make} validates). *)
-
-val count_regs : Pcode.t -> int
-(** The register-file size a program's code requires: one past the
-    highest register any operation defines or uses (at least 1). Both
-    execution kernels of {!Vliw_sim} size their register file with it. *)
 
 val num_ops : t -> int
 (** Total lowered operation slots (equals the [Op] slots of [source]). *)
 
 val num_exits : t -> int
 (** Total lowered exit slots (equals the [Exit] slots of [source]). *)
+
+val check : t -> (unit, string) result
+(** The round trip: raise every lowered region back to slot lists and
+    compare them with [source] and with {!Machine_model.latency}. It
+    checks region order and identity, [entry], [nbundles], that
+    [op_bounds]/[ex_bounds] are monotone and closed, and per bundle, in
+    slot order: the operation each row raises to, its shadow flags
+    (against the slot's [shadow_srcs]), predicate and latency, that no
+    row reads an operand its operation does not have, [has_store], and
+    each exit's predicate and target index; then [max_bundle_ops] and
+    [nregs]. The error names the first mismatch's place, e.g.
+    ["region head bundle 2 op slot 1: latency 3, machine says 2"]. It
+    shares no code with {!compile}. *)

@@ -10,11 +10,10 @@
     This tree-shaped form (bundles as slot lists, operands as variants)
     is the canonical interchange format: the compiler emits it
     ([Psb_compiler.Sched]), the static verifier analyses it
-    ([Psb_verify.Verify]), the text format round-trips it
-    ([Pcode_text], [.ppsb]), and the machine's reference execution
-    kernel walks it directly. For simulation throughput the machine
-    normally executes a flat structure-of-arrays lowering of it instead
-    — see {!Lowered} and [Vliw_sim.exec_kernel]. *)
+    ([Psb_verify.Verify]), and the text format round-trips it
+    ([Pcode_text], [.ppsb]). The machine does not walk it: it executes
+    a flat structure-of-arrays lowering of it, built once per compile,
+    which {!Lowered.check} raises back to this form — see {!Lowered}. *)
 
 open Psb_isa
 

@@ -206,22 +206,12 @@ exception Fuel_exhausted
 exception Cycle_done
 (* Ends the current cycle early (recovery initiation). *)
 
-type exec_kernel = Lowered | Tree
-
-(* Which representation the issue phase walks ([exec_kernel] resolved
-   to runtime state). [Elow] carries the lowered program and the lowered
-   image of the current region, kept in lock-step with [st.region]. *)
-type low_state = { lcode : Lowered.t; mutable lr : Lowered.region }
-
-type exec_repr = Etree | Elow of low_state
-
 type state = {
   model : Machine_model.t;
-  exec : exec_repr;
+  lcode : Lowered.t;
   events : Psb_obs.Events.t option;
   sb_hist : Psb_obs.Metrics.histogram option;
   bundle_hist : Psb_obs.Metrics.histogram option;
-  code : Pcode.t;
   dec : int array;
       (* per-slot issue decisions of the current bundle, sized to the
          widest bundle: 0 = squash, 1 = nonspec, 2 = spec *)
@@ -230,7 +220,7 @@ type state = {
   sb : Store_buffer.t;
   ccr : Ccr.t;
   mutable mode : mode;
-  mutable region : Pcode.region;
+  mutable lr : Lowered.region; (* current region; [lr.source]: its pcode *)
   mutable pc : int;
   mutable now : int;
   wbq : wbq;
@@ -361,14 +351,13 @@ let rec load_nonspec st ~addr ~cpred =
     if st.forwarded then v else load_nonspec st ~addr ~cpred
   end
 
-(* ----- execute stage, shared by both kernels -----
+(* ----- execute stage -----
 
-   Each kernel decodes its own representation down to the same decoded
-   operation: the [Lowered.kind] tag, the ALU/compare opcode, the source
-   operand values [a] and [b] (a load's base; a store's base and data),
-   [aux] (the address offset, or the condition index a [Setc] writes),
-   the destination register index, the latency and the compiled
-   predicate. From there on there is one copy of the §3 issue rule. *)
+   The issue phase hands over the decoded operation: the [Lowered.kind]
+   tag, the ALU/compare opcode, the source operand values [a] and [b] (a
+   load's base; a store's base and data), [aux] (the address offset, or
+   the condition index a [Setc] writes), the destination register index,
+   the latency and the compiled predicate. *)
 
 let schedule_reg st ~latency ~dst ~value ~cpred ~fault ~decided_seq
     ~has_addr ~addr =
@@ -661,17 +650,18 @@ let start_recovery st ~future =
   st.mode <- Recovery { future; epc = st.pc };
   st.pc <- 0
 
-(* Region-transition work common to both execution kernels: events,
+let region_name (lr : Lowered.region) = lr.Lowered.source.Pcode.name
+
+(* A region transition to region [tidx] ([-1]: stop): events,
    accounting, the writeback-drain interlock and the squash of leftover
-   speculative state. The caller then installs the next region (or
-   halts). *)
-let exit_prologue st (target : Pcode.exit_target) =
+   speculative state; then the halt, or the next region, which is an
+   array read. *)
+let take_exit st ~tidx =
   eev st Psb_obs.Events.Region_exit
-    ~a:(region_id st st.region.Pcode.name)
+    ~a:(region_id st (region_name st.lr))
     ~b:
-      (match target with
-      | Pcode.Stop -> -1
-      | Pcode.To_region l -> region_id st l);
+      (if tidx < 0 then -1
+       else region_id st (region_name st.lcode.Lowered.regions.(tidx)));
   st.region_transitions <- st.region_transitions + 1;
   let extra = flush_pending st ~allow_cond:false in
   st.acct_transition <-
@@ -686,49 +676,26 @@ let exit_prologue st (target : Pcode.exit_target) =
      region being left (closed-region property): squash it. *)
   Regfile.invalidate_spec st.rf;
   Store_buffer.invalidate_spec st.sb;
-  Ccr.reset st.ccr
-
-let exit_stop st =
-  drain_store_buffer st;
-  (try Store_buffer.drain_all st.sb st.mem
-   with Memory.Fault f ->
-     handle_or_abort st (Fault.Mem f);
-     Store_buffer.drain_all st.sb st.mem);
-  raise Halted_exn
-
-let take_exit st (target : Pcode.exit_target) =
-  exit_prologue st target;
-  match target with
-  | Pcode.Stop -> exit_stop st
-  | Pcode.To_region l ->
-      st.region <- Pcode.find_region st.code l;
-      eev st Psb_obs.Events.Region_enter ~a:(region_id st l) ~b:0;
-      st.pc <- 0
-
-(* Lowered transition: the fired exit carries its target's region index,
-   so entering the next region is an array read. [st.region] follows so
-   diagnostics and events name the right region. *)
-let take_exit_low st ls ~tidx (target : Pcode.exit_target) =
-  exit_prologue st target;
-  if tidx < 0 then exit_stop st
-  else begin
-    ls.lr <- ls.lcode.Lowered.regions.(tidx);
-    st.region <- ls.lr.Lowered.source;
-    eev st Psb_obs.Events.Region_enter
-      ~a:(region_id st st.region.Pcode.name)
-      ~b:0;
-    st.pc <- 0
-  end
+  Ccr.reset st.ccr;
+  if tidx < 0 then begin
+    drain_store_buffer st;
+    (try Store_buffer.drain_all st.sb st.mem
+     with Memory.Fault f ->
+       handle_or_abort st (Fault.Mem f);
+       Store_buffer.drain_all st.sb st.mem);
+    raise Halted_exn
+  end;
+  st.lr <- st.lcode.Lowered.regions.(tidx);
+  eev st Psb_obs.Events.Region_enter
+    ~a:(region_id st (region_name st.lr))
+    ~b:0;
+  st.pc <- 0
 
 (* ----- issue phase (stage 5 of the cycle) -----
 
-   Each kernel fetches and decodes its own representation: the tree
-   kernel walks the [Pcode] slot lists, the lowered kernel the flat
-   arrays of [Lowered]. The stall tests, the per-slot issue decisions,
-   the bundle bookkeeping, the execute stage and the exit test are
-   shared, so the kernels can only differ in what [Lowered.compile]
-   resolves ahead of time. The per-slot helpers are [@inline] so that
-   sharing them costs the lowered kernel no calls. *)
+   The walk over the flat arrays of [Lowered]: the store flag, operands,
+   latency and exit targets were resolved ahead of time, once per
+   region. *)
 
 let stall_sb st =
   (* structural hazard: a store cannot enter the full FIFO; bundles
@@ -753,171 +720,56 @@ let stall_conflict st =
     machine_error
       "shadow storage conflict deadlock (WAW commit dependence violated)"
 
-(* The stall tests, then fetch. Returns whether the bundle at [st.pc]
-   issues this cycle. *)
-let fetch st ~conflict ~has_store ~nbundles =
-  if
-    Store_buffer.length st.sb >= st.model.Machine_model.sb_capacity
-    && has_store
-  then (
-    stall_sb st;
-    false)
-  else if conflict then (
-    stall_conflict st;
-    false)
-  else begin
-    st.consecutive_stalls <- 0;
-    if st.pc >= nbundles then
-      machine_error "ran off the end of region %s (exits not exhaustive)"
-        (Label.name st.region.Pcode.name);
-    st.dyn_bundles <- st.dyn_bundles + 1;
-    true
-  end
-
-let recovering st = match st.mode with Recovery _ -> true | Normal -> false
-
-(* The one predicate evaluation of the bundle's [j]th operation slot. The
-   decision is made once, up front, so the bundle's events and accounting
-   can never disagree with what actually executed. *)
-let[@inline] decide st ~in_recovery j cpred =
-  st.dec.(j) <-
-    (match Ccr.evalc st.ccr cpred with
-    | Pred.False -> 0
-    | Pred.True -> if in_recovery then 0 else 1
-    | Pred.Unspec -> 2)
-
-(* Once all [nops] slots are decided: the bundle's event and histogram
-   sample. Returns the executed-slot count. *)
-let note_bundle st ~nops =
-  let nexec = ref 0 in
-  for j = 0 to nops - 1 do
-    if st.dec.(j) > 0 then incr nexec
-  done;
-  eev st Psb_obs.Events.Issue ~a:!nexec ~b:(nops - !nexec);
-  (match st.bundle_hist with
-  | Some h -> Psb_obs.Metrics.observe h (float_of_int !nexec)
-  | None -> ());
-  !nexec
-
-(* Slot [j]'s bookkeeping, in slot order: a squashed slot is counted, an
-   executed one counted and announced. Returns its decision. *)
-let[@inline] note_slot st j =
-  let d = st.dec.(j) in
-  if d = 0 then st.squashed_ops <- st.squashed_ops + 1
-  else begin
-    st.dyn_ops <- st.dyn_ops + 1;
-    eev st Psb_obs.Events.Op_issue ~a:st.pc
-      ~b:(if d = 2 then (2 * j) + 1 else 2 * j)
-  end;
-  d
-
-(* Exits are tested after the operations, in slot order, until one
-   fires: the first whose predicate is true. *)
-let[@inline] exit_fires st ~in_recovery cpred =
-  match Ccr.evalc st.ccr cpred with
-  | Pred.True ->
-      if in_recovery then machine_error "exit fired during recovery mode";
-      true
-  | Pred.False | Pred.Unspec -> false
-
-(* Charge the cycle to its accounting category and advance the PC. *)
-let end_bundle st ~in_recovery ~nexec ~fired =
-  st.kind <-
-    (if in_recovery then Krecovery
-     else if nexec > 0 || fired then Kuseful
-     else Ksquashed);
-  st.pc <- st.pc + 1
-
-(* Tree decode: operand values from the [Operand.t] variants, the
-   latency from the machine model. *)
-let issue_tree_op st ~spec (pi : Pcode.pinstr) ~latency =
-  let cpred = pi.Pcode.cpred in
-  let reg r =
-    Regfile.read st.rf r ~shadow:(Reg.Set.mem r pi.Pcode.shadow_srcs) ~cpred
-  in
-  let opnd = function Operand.Reg r -> reg r | Operand.Imm i -> i in
-  let go ?(alu = Opcode.Add) ?(cmp = Opcode.Eq) ?(aux = 0) ?(dst = -1) k a b =
-    execute st ~spec k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred
-  in
-  match pi.Pcode.op with
-  | Instr.Nop -> go Lowered.Knop 0 0
-  | Instr.Out o -> go Lowered.Kout (opnd o) 0
-  | Instr.Mov { dst; src } -> go Lowered.Kmov ~dst (opnd src) 0
-  | Instr.Alu { op; dst; a; b } ->
-      go Lowered.Kalu ~alu:op ~dst (opnd a) (opnd b)
-  | Instr.Cmp { op; dst; a; b } ->
-      go Lowered.Kcmp ~cmp:op ~dst (opnd a) (opnd b)
-  | Instr.Load { dst; base; off } -> go Lowered.Kload ~dst ~aux:off (reg base) 0
-  | Instr.Store { src; base; off } ->
-      go Lowered.Kstore ~aux:off (reg base) (reg src)
-  | Instr.Setc { dst; op; a; b } ->
-      go Lowered.Ksetc ~cmp:op ~aux:(Cond.index dst) (opnd a) (opnd b)
-
-let issue_tree st ~conflict =
-  let code = st.region.Pcode.code in
-  let has_store =
-    st.pc < Array.length code
-    && List.exists
-         (function
-           | Pcode.Op { op = Instr.Store _; _ } -> true
-           | Pcode.Op _ | Pcode.Exit _ -> false)
-         code.(st.pc)
-  in
-  if fetch st ~conflict ~has_store ~nbundles:(Array.length code) then begin
-    let bundle = code.(st.pc) in
-    let in_recovery = recovering st in
-    let ops =
-      List.filter_map
-        (function Pcode.Op pi -> Some pi | Pcode.Exit _ -> None)
-        bundle
-    in
-    List.iteri (fun j pi -> decide st ~in_recovery j pi.Pcode.cpred) ops;
-    let nexec = note_bundle st ~nops:(List.length ops) in
-    List.iteri
-      (fun j pi ->
-        let d = note_slot st j in
-        if d > 0 then
-          issue_tree_op st ~spec:(d = 2) pi
-            ~latency:(Machine_model.latency st.model pi.Pcode.op))
-      ops;
-    (* A Setc may share a bundle with an exit as long as that exit does
-       not fire (Figure 4 bundles them); if it fires, the pending
-       condition write is caught at the transition (flush_pending). *)
-    let target =
-      List.find_map
-        (function
-          | Pcode.Op _ -> None
-          | Pcode.Exit { cpred; target; _ } ->
-              if exit_fires st ~in_recovery cpred then Some target else None)
-        bundle
-    in
-    end_bundle st ~in_recovery ~nexec ~fired:(target <> None);
-    Option.iter (take_exit st) target
-  end
-
-(* Lowered operand fetch: a register (shadow version if flagged) or an
+(* Operand fetch: a register (shadow version if flagged) or an
    immediate. *)
 let[@inline] operand st ~cpred reg imm shadow =
   if reg >= 0 then Regfile.read st.rf reg ~shadow ~cpred else imm
 
-(* The lowered kernel: the same stages over the flat arrays, with the
-   store flag, operands, latency and exit targets resolved ahead of
-   time. *)
-let issue_low st ls ~conflict =
-  let lr = ls.lr in
+(* The stall tests, then the bundle at [st.pc]: decide every operation
+   slot, issue the executed ones in slot order, scan the exits, and
+   charge the cycle to its accounting category. *)
+let issue st ~conflict =
+  let lr = st.lr and pc = st.pc in
   let nbundles = lr.Lowered.nbundles in
-  let has_store = st.pc < nbundles && lr.Lowered.has_store.(st.pc) in
-  if fetch st ~conflict ~has_store ~nbundles then begin
-    let in_recovery = recovering st in
-    let lo = lr.Lowered.op_bounds.(st.pc)
-    and hi = lr.Lowered.op_bounds.(st.pc + 1) in
+  if
+    Store_buffer.length st.sb >= st.model.Machine_model.sb_capacity
+    && pc < nbundles && lr.Lowered.has_store.(pc)
+  then stall_sb st
+  else if conflict then stall_conflict st
+  else begin
+    st.consecutive_stalls <- 0;
+    if pc >= nbundles then
+      machine_error "ran off the end of region %s (exits not exhaustive)"
+        (Label.name (region_name lr));
+    st.dyn_bundles <- st.dyn_bundles + 1;
+    let in_recovery = match st.mode with Recovery _ -> true | Normal -> false in
+    let lo = lr.Lowered.op_bounds.(pc) and hi = lr.Lowered.op_bounds.(pc + 1) in
+    (* The one predicate evaluation per slot, made up front so that the
+       bundle's events and accounting can never disagree with what
+       executed. *)
+    let nexec = ref 0 in
     for i = lo to hi - 1 do
-      decide st ~in_recovery (i - lo) lr.Lowered.op_cpred.(i)
+      let d =
+        match Ccr.evalc st.ccr lr.Lowered.op_cpred.(i) with
+        | Pred.False -> 0
+        | Pred.True -> if in_recovery then 0 else 1
+        | Pred.Unspec -> 2
+      in
+      st.dec.(i - lo) <- d;
+      if d > 0 then incr nexec
     done;
-    let nexec = note_bundle st ~nops:(hi - lo) in
+    eev st Psb_obs.Events.Issue ~a:!nexec ~b:(hi - lo - !nexec);
+    (match st.bundle_hist with
+    | Some h -> Psb_obs.Metrics.observe h (float_of_int !nexec)
+    | None -> ());
     for i = lo to hi - 1 do
-      let d = note_slot st (i - lo) in
-      if d > 0 then begin
+      let j = i - lo in
+      let d = st.dec.(j) in
+      if d = 0 then st.squashed_ops <- st.squashed_ops + 1
+      else begin
+        st.dyn_ops <- st.dyn_ops + 1;
+        eev st Psb_obs.Events.Op_issue ~a:pc
+          ~b:(if d = 2 then (2 * j) + 1 else 2 * j);
         let cpred = lr.Lowered.op_cpred.(i) in
         execute st ~spec:(d = 2) lr.Lowered.op_kind.(i)
           ~alu:lr.Lowered.op_alu.(i) ~cmp:lr.Lowered.op_cmp.(i)
@@ -931,17 +783,26 @@ let issue_low st ls ~conflict =
           ~latency:lr.Lowered.op_lat.(i) ~cpred
       end
     done;
-    let fired = ref (-1) and j = ref lr.Lowered.ex_bounds.(st.pc) in
-    let xhi = lr.Lowered.ex_bounds.(st.pc + 1) in
-    while !fired < 0 && !j < xhi do
-      if exit_fires st ~in_recovery lr.Lowered.ex_cpred.(!j) then fired := !j;
-      incr j
+    (* Exits are tested after the operations, in slot order: the first
+       whose predicate is true fires. A Setc may share a bundle with an
+       exit that does not fire (Figure 4 bundles them); if it fires, the
+       pending condition write is caught at the transition. *)
+    let fired = ref (-1) and x = ref lr.Lowered.ex_bounds.(pc) in
+    let xhi = lr.Lowered.ex_bounds.(pc + 1) in
+    while !fired < 0 && !x < xhi do
+      (match Ccr.evalc st.ccr lr.Lowered.ex_cpred.(!x) with
+      | Pred.True ->
+          if in_recovery then machine_error "exit fired during recovery mode";
+          fired := !x
+      | Pred.False | Pred.Unspec -> ());
+      incr x
     done;
-    end_bundle st ~in_recovery ~nexec ~fired:(!fired >= 0);
-    if !fired >= 0 then
-      take_exit_low st ls
-        ~tidx:lr.Lowered.ex_target.(!fired)
-        lr.Lowered.ex_tgt.(!fired)
+    st.kind <-
+      (if in_recovery then Krecovery
+       else if !nexec > 0 || !fired >= 0 then Kuseful
+       else Ksquashed);
+    st.pc <- pc + 1;
+    if !fired >= 0 then take_exit st ~tidx:lr.Lowered.ex_target.(!fired)
   end
 
 let step st ~fuel =
@@ -1015,47 +876,30 @@ let step st ~fuel =
   note_sb_occupancy st;
   (* 4. Store buffer drains to the D-cache. *)
   if Store_buffer.length st.sb > 0 then drain_store_buffer st;
-  (* 5. Issue one bundle (unless stalled on a shadow-storage conflict),
-     through whichever execution kernel this run selected. *)
-  match st.exec with
-  | Etree -> issue_tree st ~conflict:!conflict
-  | Elow ls -> issue_low st ls ~conflict:!conflict
+  (* 5. Issue one bundle (unless stalled on a shadow-storage conflict). *)
+  issue st ~conflict:!conflict
 
 let default_fuel = 60_000_000
 
-let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
-    ?(exec_kernel = Lowered) ?lowered ?events ?metrics ~model ~regs
-    ~mem (code : Pcode.t) =
-  let exec, region0, nregs, width =
-    match exec_kernel with
-    | Tree ->
-        ( Etree,
-          Pcode.find_region code code.Pcode.entry,
-          Lowered.count_regs code,
-          Pcode.num_slots code (* bounds the widest bundle *) )
-    | Lowered ->
-        let low =
-          match lowered with
-          | Some (l : Lowered.t) ->
-              if l.Lowered.source != code then
-                invalid_arg
-                  "Vliw_sim.run: lowered form was compiled from a different \
-                   pcode";
-              if l.Lowered.machine <> model then
-                invalid_arg
-                  "Vliw_sim.run: lowered form was compiled for a different \
-                   machine model";
-              l
-          | None -> Lowered.compile ~machine:model code
-        in
-        let lr = low.Lowered.regions.(low.Lowered.entry) in
-        ( Elow { lcode = low; lr },
-          lr.Lowered.source,
-          low.Lowered.nregs,
-          low.Lowered.max_bundle_ops )
+let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single) ?lowered
+    ?events ?metrics ~model ~regs ~mem (code : Pcode.t) =
+  let lcode =
+    match lowered with
+    | Some (l : Lowered.t) ->
+        if l.Lowered.source != code then
+          invalid_arg
+            "Vliw_sim.run: lowered form was compiled from a different pcode";
+        if l.Lowered.machine <> model then
+          invalid_arg
+            "Vliw_sim.run: lowered form was compiled for a different machine \
+             model";
+        l
+    | None -> Lowered.compile ~machine:model code
   in
   let nregs =
-    List.fold_left (fun acc (r, _) -> max acc (Reg.index r + 1)) nregs regs
+    List.fold_left
+      (fun acc (r, _) -> max acc (Reg.index r + 1))
+      lcode.Lowered.nregs regs
   in
   let sb_hist =
     Option.map
@@ -1074,18 +918,17 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
   let st =
     {
       model;
-      exec;
+      lcode;
       events;
       sb_hist;
       bundle_hist;
-      code;
-      dec = Array.make width 0;
+      dec = Array.make lcode.Lowered.max_bundle_ops 0;
       mem;
       rf = Regfile.create ~mode:regfile_mode ?events ~nregs ();
       sb = Store_buffer.create ?events ();
       ccr = Ccr.create ~width:model.Machine_model.ccr_size;
       mode = Normal;
-      region = region0;
+      lr = lcode.Lowered.regions.(lcode.Lowered.entry);
       pc = 0;
       now = 0;
       wbq = wbq_create 16;
@@ -1120,9 +963,7 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
     }
   in
   List.iter (fun (r, v) -> Regfile.write_seq st.rf r v) regs;
-  eev st Psb_obs.Events.Region_enter
-    ~a:(region_id st st.region.Pcode.name)
-    ~b:0;
+  eev st Psb_obs.Events.Region_enter ~a:(region_id st (region_name st.lr)) ~b:0;
   let finish outcome =
     let breakdown =
       {

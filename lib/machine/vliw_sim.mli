@@ -99,22 +99,9 @@ exception Machine_error of string
     unspecified predicate, running off a region end, Setc bundled with an
     exit, ...). Indicates a compiler bug, not a program fault. *)
 
-type exec_kernel =
-  | Lowered  (** fetch and decode the flat {!Lowered} form — the default *)
-  | Tree
-      (** fetch and decode the {!Pcode.bundle} slot lists every cycle —
-          selected explicitly by tests, [Diff] and the bechamel [lowered]
-          group *)
-(** How the issue phase fetches and decodes. Both kernels hand the
-    decoded operation to one shared execute stage, so the tree kernel is
-    the reference for what {!Lowered.compile} resolves ahead of time:
-    operand registers and shadow flags, latencies, bundle bounds, store
-    flags and exit targets. *)
-
 val run :
   ?fuel:int ->
   ?regfile_mode:Regfile.mode ->
-  ?exec_kernel:exec_kernel ->
   ?lowered:Lowered.t ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
@@ -145,16 +132,15 @@ val run :
     ({!Ccr.evalc}), with the commit/squash tick gated by the CCR's dirty
     mask ({!Ccr.take_dirty}).
 
-    [exec_kernel] selects the issue phase's fetch and decode (default
-    [Lowered]). Both are cycle- and event-identical; [Tree] is the
-    differential-testing reference. Under [Lowered], [lowered] supplies
-    a pre-lowered form (e.g. from
-    the compile cache via [Psb_compiler.Driver]); when absent the code
-    is lowered on entry. The supplied form must have been built by
-    {!Lowered.compile} from this exact [Pcode.t] value and [model]
-    (@raise Invalid_argument otherwise) — callers that substitute a
-    different pcode, like the fuzzer's miscompile injection, must drop
-    the cached lowering. [lowered] is ignored under [Tree].
+    The issue phase walks the code's {!Lowered} form. [lowered]
+    supplies it ready-made (e.g. from the compile cache via
+    [Psb_compiler.Driver]); when absent the code is lowered on entry.
+    The supplied form must have been built by {!Lowered.compile} from
+    this exact [Pcode.t] value and [model] (@raise Invalid_argument
+    otherwise) — callers that substitute a different pcode, like the
+    fuzzer's miscompile injection, must lower it again. Whether a form
+    says what its source says is {!Lowered.check}'s question; the run
+    trusts it.
 
     [metrics] collects, under the [vliw_] prefix: a store-buffer
     occupancy histogram sampled every cycle ([vliw_sb_occupancy]), an

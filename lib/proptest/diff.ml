@@ -2,6 +2,7 @@ open Psb_isa
 open Psb_compiler
 module Machine_model = Psb_machine.Machine_model
 module Vliw_sim = Psb_machine.Vliw_sim
+module Lowered = Psb_machine.Lowered
 module Rob_sim = Psb_machine.Rob_sim
 module Verify = Psb_verify.Verify
 
@@ -122,17 +123,15 @@ let check_scalar_kernels (g : Gen.t) ~decoded =
       if not (Memory.equal mem_d mem_t) then
         fail "scalar-decoded-vs-tree" "final memory differs")
 
-let run_vliw ?exec_kernel (compiled : Driver.compiled) ~mem =
-  match compiled.Driver.pcode with
-  | None -> invalid_arg "Diff.run_vliw: model not executable"
-  | Some pcode ->
-      (* not [Driver.run_vliw]: injected miscompiles can loop forever, so
-         the machine needs a much shorter leash than its 60M default *)
-      Vliw_sim.run ~fuel:vliw_fuel ?exec_kernel ~model:compiled.Driver.machine
-        ~regs:Gen.regs ~mem pcode
+(* Runs the checked lowered form itself, on the code it was lowered
+   from. Not [Driver.run_vliw]: injected miscompiles can loop forever,
+   so the machine needs a much shorter leash than its 60M default. *)
+let run_vliw (lowered : Lowered.t) ~mem =
+  Vliw_sim.run ~fuel:vliw_fuel ~lowered ~model:lowered.Lowered.machine
+    ~regs:Gen.regs ~mem lowered.Lowered.source
 
-(* compile, verify, run and kernel identity, once per executable model;
-   returns the compile, before any injection *)
+(* compile, verify, lowering round trip and run, once per executable
+   model; returns the compile, before any injection *)
 let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
     scalar_mem profile (model : Model.t) =
   let m = model.Model.name in
@@ -146,7 +145,8 @@ let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
     match (inject, built.Driver.pcode) with
     | Some bug, Some pcode ->
         (* the cached lowering describes the uninjected pcode; keeping it
-           would mask the very miscompile we just planted *)
+           would mask the very miscompile we just planted, so the
+           lowering stage lowers the injected code *)
         {
           built with
           Driver.pcode = Some (Inject.apply bug pcode);
@@ -164,10 +164,25 @@ let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
           let report = Verify.run Machine_model.base pcode in
           if not (Verify.ok report) then
             fail (stage "verify") "%a" Verify.pp report);
+  (* the lowering must say what the verified pcode says: raised back to
+     slots it equals the source, latencies included; the machine then
+     runs this very value *)
+  let lowered =
+    staged (stage "lowering") (fun () ->
+        let lowered =
+          match (compiled.Driver.lowered, compiled.Driver.pcode) with
+          | Some l, _ -> l
+          | None, Some pcode ->
+              Lowered.compile ~machine:compiled.Driver.machine pcode
+          | None, None -> invalid_arg "Diff.check_model: model not executable"
+        in
+        match Lowered.check lowered with
+        | Ok () -> lowered
+        | Error e -> fail (stage "lowering") "%s" e)
+  in
   let vliw_mem = Gen.make_mem g in
   let vliw =
-    staged (stage "vliw-vs-scalar") (fun () ->
-        run_vliw compiled ~mem:vliw_mem)
+    staged (stage "vliw-vs-scalar") (fun () -> run_vliw lowered ~mem:vliw_mem)
   in
   staged (stage "vliw-vs-scalar") (fun () ->
       match scalar.Interp.outcome with
@@ -194,24 +209,6 @@ let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
             fail (stage "vliw-vs-scalar")
               "scalar recovered %d faults but vliw reported no recovery"
               scalar.Interp.faults_handled);
-  (* execution-kernel identity: the lowered structure-of-arrays walk
-     (what ran above, being the default) and the tree-walking reference
-     must return the same result record, stats and cycle accounting
-     included *)
-  staged (stage "lowered-vs-tree") (fun () ->
-      let tree =
-        run_vliw ~exec_kernel:Vliw_sim.Tree compiled ~mem:(Gen.make_mem g)
-      in
-      (* register maps compare by content, everything else structurally *)
-      if
-        not
-          ({ vliw with Vliw_sim.regs = tree.Vliw_sim.regs } = tree
-          && Reg.Map.equal Int.equal vliw.Vliw_sim.regs tree.Vliw_sim.regs)
-      then
-        fail (stage "lowered-vs-tree")
-          "lowered %d cycles / %a, tree %d cycles / %a" vliw.Vliw_sim.cycles
-          Interp.pp_outcome vliw.Vliw_sim.outcome tree.Vliw_sim.cycles
-          Interp.pp_outcome tree.Vliw_sim.outcome);
   built
 
 (* The flagship model's compile went through the trial's cache (its key

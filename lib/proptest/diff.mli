@@ -17,14 +17,13 @@
       cycle-accounting breakdown summing exactly to the cycle count;
     + for every executable {!Psb_compiler.Model}: compile (optionally
       with an {!Inject}ed miscompile), statically verify
-      ({!Psb_verify.Verify}), then run the predicated code on the VLIW
-      machine and compare against the scalar reference (exact for
-      halting runs; same-fatality for fatal traps; recovery episodes
-      must not be lost);
-    + the tree-walking execution kernel against the lowered
-      structure-of-arrays kernel ({!Psb_machine.Lowered}): the same
-      result record, final registers, stats and cycle breakdown
-      included;
+      ({!Psb_verify.Verify}), check the lowered form the machine will
+      walk ({!Psb_machine.Lowered.check}: raised back to slots, it
+      equals the verified code, latencies included; an injected
+      miscompile is lowered here afresh), then run that very form on
+      the VLIW machine and compare against the scalar reference (exact
+      for halting runs; same-fatality for fatal traps; recovery
+      episodes must not be lost);
     + the compile cache, on the flagship model only (the key covers
       the rest): its compile goes through a per-trial cache, a second
       lookup must return that very value, and one independent cold
@@ -40,8 +39,8 @@
 type failure = {
   stage : string;
       (** [decode], [interp], [scalar-decoded-vs-tree],
-          [rob-vs-interp], [profile], [compile], [verify], [vliw-vs-scalar],
-          [lowered-vs-tree], [cache], prefixed by the model name where
+          [rob-vs-interp], [profile], [compile], [verify], [lowering],
+          [vliw-vs-scalar], [cache], prefixed by the model name where
           model-specific *)
   detail : string;
 }

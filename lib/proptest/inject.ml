@@ -13,14 +13,6 @@ let of_name s =
         (Printf.sprintf "unknown injected bug %S (known: %s)" s
            (String.concat ", " (List.map name all)))
 
-let of_env () =
-  match Sys.getenv_opt "PSB_INJECT_BUG" with
-  | None | Some "" -> None
-  | Some s -> (
-      match of_name s with
-      | Ok t -> Some t
-      | Error m -> invalid_arg ("PSB_INJECT_BUG: " ^ m))
-
 let has_exit bundle =
   List.exists (function Pcode.Exit _ -> true | Pcode.Op _ -> false) bundle
 

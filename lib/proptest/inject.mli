@@ -17,9 +17,6 @@ type t =
 val all : t list
 val name : t -> string
 val of_name : string -> (t, string) result
-val of_env : unit -> t option
-(** Reads [PSB_INJECT_BUG] (e.g. [sched-order]); [None] when unset.
-    @raise Invalid_argument on an unknown kind name. *)
 
 val apply : t -> Pcode.t -> Pcode.t
 (** Pure: the input code (which may be shared via the compile cache) is

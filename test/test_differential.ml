@@ -10,6 +10,7 @@ open Psb_compiler
 module Machine_model = Psb_machine.Machine_model
 module Vliw_sim = Psb_machine.Vliw_sim
 module Rob_sim = Psb_machine.Rob_sim
+module Lowered = Psb_machine.Lowered
 
 open Gen_programs
 
@@ -240,62 +241,42 @@ let test_parallel_differential () =
     (Printf.sprintf "batch covered recovery episodes (%d cells)" recovered)
     true (recovered > 0)
 
-(* ----- execution-kernel identity -----
+(* ----- lowering round trip -----
 
-   The lowered structure-of-arrays kernel and the tree-walking reference
-   must be indistinguishable: lowering preresolves operands and compiles
-   dispatch, but may never change what issues, commits or squashes in
-   any cycle — cycles, outputs, the whole stats record, the cycle
-   breakdown and the full speculation event stream agree. *)
+   The machine walks the lowered form of the code it is given. Raised
+   back to slots, every compile's lowering must equal its pcode, with
+   the machine's latencies, on both machines the sweeps use. *)
 
-module Events = Psb_obs.Events
+let round_trip_machines =
+  [ Machine_model.base; Machine_model.full_issue ~width:8 ~max_spec_conds:8 ]
 
-(* [capacity] must hold a whole run: a wrapped ring fails [events_agree]
-   rather than comparing a suffix *)
-let run_both_exec_kernels ?capacity compiled ~regs ~mem_of =
-  let run exec_kernel =
-    let events = Events.create ?capacity () in
-    (Driver.run_vliw ~exec_kernel ~events compiled ~regs ~mem:(mem_of ()), events)
-  in
-  (run Vliw_sim.Lowered, run Vliw_sim.Tree)
+let lowering_of (c : Driver.compiled) =
+  match Lowered.check (Option.get c.Driver.lowered) with
+  | Ok () -> None
+  | Error e -> Some (c.Driver.model.Model.name ^ ": " ^ e)
 
-let event_list ring =
-  let acc = ref [] in
-  Events.iter ring (fun cycle kind a b -> acc := (cycle, kind, a, b) :: !acc);
-  List.rev !acc
-
-let events_agree a b =
-  Events.dropped a = 0 && Events.dropped b = 0 && event_list a = event_list b
-
-let kernels_agree ((a : Vliw_sim.result), ea) ((b : Vliw_sim.result), eb) =
-  outcomes_match a.Vliw_sim.outcome b.Vliw_sim.outcome
-  && a.Vliw_sim.output = b.Vliw_sim.output
-  && a.Vliw_sim.cycles = b.Vliw_sim.cycles
-  && a.Vliw_sim.stats = b.Vliw_sim.stats
-  && a.Vliw_sim.breakdown = b.Vliw_sim.breakdown
-  && events_agree ea eb
-
-let exec_kernel_identity =
-  QCheck.Test.make ~name:"lowered kernel = tree kernel (cycle-exact)"
-    ~count:120 arb_program (fun g ->
+let lowering_round_trip =
+  QCheck.Test.make ~name:"every compile's lowering round-trips" ~count:120
+    arb_program (fun g ->
       let scalar = Interp.run ~fuel:500_000 ~regs ~mem:(make_mem g) g.program in
       QCheck.assume (scalar.Interp.outcome <> Interp.Out_of_fuel);
       let _, profile = Driver.profile_of g.program ~regs ~mem:(make_mem g) in
-      let compiled =
-        Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
-          ~profile g.program
-      in
-      let ((low, _) as l), ((tree, _) as t) =
-        run_both_exec_kernels compiled ~regs ~mem_of:(fun () -> make_mem g)
-      in
-      if not (kernels_agree l t) then
-        QCheck.Test.fail_reportf
-          "kernels diverged: lowered %d cycles / %a, tree %d cycles / %a"
-          low.Vliw_sim.cycles Interp.pp_outcome low.Vliw_sim.outcome
-          tree.Vliw_sim.cycles Interp.pp_outcome tree.Vliw_sim.outcome;
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun model ->
+              match
+                lowering_of (Driver.compile ~model ~machine ~profile g.program)
+              with
+              | None -> ()
+              | Some e ->
+                  QCheck.Test.fail_reportf "%d-issue %s"
+                    machine.Machine_model.issue_width e)
+            executable_models)
+        round_trip_machines;
       true)
 
-let test_exec_kernel_suite_identity () =
+let test_lowering_suite_round_trip () =
   let open Psb_workloads in
   List.iter
     (fun (w : Dsl.t) ->
@@ -303,34 +284,17 @@ let test_exec_kernel_suite_identity () =
         Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
       in
       List.iter
-        (fun model ->
-          let compiled =
-            Driver.compile ~model ~machine:Machine_model.base ~profile
-              w.Dsl.program
-          in
-          let (low, low_ev), (tree, tree_ev) =
-            run_both_exec_kernels ~capacity:(1 lsl 19) compiled
-              ~regs:w.Dsl.regs ~mem_of:w.Dsl.make_mem
-          in
-          let name = w.Dsl.name ^ "/" ^ model.Model.name in
-          Alcotest.(check int) (name ^ " cycles") tree.Vliw_sim.cycles
-            low.Vliw_sim.cycles;
-          Alcotest.(check (list int))
-            (name ^ " output") tree.Vliw_sim.output low.Vliw_sim.output;
-          Alcotest.(check bool)
-            (name ^ " stats") true
-            (tree.Vliw_sim.stats = low.Vliw_sim.stats);
-          Alcotest.(check bool)
-            (name ^ " breakdown") true
-            (tree.Vliw_sim.breakdown = low.Vliw_sim.breakdown);
-          Alcotest.(check int)
-            (name ^ " events (ring never wrapped)")
-            0
-            (Events.dropped low_ev + Events.dropped tree_ev);
-          Alcotest.(check bool)
-            (name ^ " event stream") true
-            (event_list tree_ev = event_list low_ev))
-        executable_models)
+        (fun machine ->
+          List.iter
+            (fun model ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s/%s %d-issue" w.Dsl.name model.Model.name
+                   machine.Machine_model.issue_width)
+                None
+                (lowering_of
+                   (Driver.compile ~model ~machine ~profile w.Dsl.program)))
+            executable_models)
+        round_trip_machines)
     Suite.all
 
 (* ----- scalar-kernel identity -----
@@ -416,14 +380,14 @@ let () =
             differential Model.guarded;
             estimate_never_crashes;
             infinite_shadow_agrees;
-            exec_kernel_identity;
             scalar_kernel_identity;
             asm_roundtrip;
           ] );
-      ( "exec-kernel",
+      ( "lowering",
         [
-          Alcotest.test_case "whole suite cycle-exact (all models)" `Quick
-            test_exec_kernel_suite_identity;
+          Qc.to_alcotest lowering_round_trip;
+          Alcotest.test_case "whole suite x models x machines" `Quick
+            test_lowering_suite_round_trip;
         ] );
       ( "scalar-kernel",
         [

@@ -231,40 +231,20 @@ let timeline ~model pcode ring =
   Vliw_trace.iter_lines ~model pcode ring (fun c l -> acc := (c, l) :: !acc);
   List.rev !acc
 
-(* Every hand-written program runs on both execution kernels, the tree
-   reference on a copy of the memory. They must agree on the whole result
-   record, the final memory, the full event ring and the exception raised,
-   if any; the lowered run's result (or exception) is what the test sees. *)
-let run_pcode ?regs ?(mem_size = 256) ?mem pcode =
+(* Every hand-written program runs through a lowered form that first
+   passes the round-trip check, with a ring that holds the whole run. *)
+let run_pcode ?(machine = model) ?regs ?(mem_size = 256) ?mem pcode =
   let mem = match mem with Some m -> m | None -> Memory.create ~size:mem_size in
-  let regs = Option.value regs ~default:[] in
-  let run exec_kernel mem =
-    let events = Psb_obs.Events.create () in
-    let r =
-      try Ok (Vliw_sim.run ~model ~exec_kernel ~events ~regs ~mem pcode)
-      with e -> Error e
-    in
-    check_int "event ring never wrapped" 0 (Psb_obs.Events.dropped events);
-    (r, event_list events)
+  let lowered = Lowered.compile ~machine pcode in
+  Alcotest.(check (result unit string))
+    "lowering round trip" (Ok ()) (Lowered.check lowered);
+  let events = Psb_obs.Events.create () in
+  let r =
+    Vliw_sim.run ~model:machine ~lowered ~events
+      ~regs:(Option.value regs ~default:[]) ~mem pcode
   in
-  let tree_mem = Memory.copy mem in
-  let low, low_ev = run Vliw_sim.Lowered mem in
-  let tree, tree_ev = run Vliw_sim.Tree tree_mem in
-  check_bool "kernels: same final memory" true (Memory.equal mem tree_mem);
-  check_bool "kernels: same event ring" true (low_ev = tree_ev);
-  match (low, tree) with
-  | Ok l, Ok t ->
-      check_bool "kernels: same result record" true
-        ({ l with Vliw_sim.regs = t.Vliw_sim.regs } = t
-        && Reg.Map.equal Int.equal l.Vliw_sim.regs t.Vliw_sim.regs);
-      (l, mem)
-  | Error el, Error et ->
-      Alcotest.(check string)
-        "kernels: same exception" (Printexc.to_string et)
-        (Printexc.to_string el);
-      raise el
-  | Ok _, Error e | Error e, Ok _ ->
-      Alcotest.failf "kernels: only one raised %s" (Printexc.to_string e)
+  check_int "event ring never wrapped" 0 (Psb_obs.Events.dropped events);
+  (r, mem)
 
 let region name ?(sources = []) bundles =
   { Pcode.name = lbl name; code = Array.of_list bundles; source_blocks = sources }
@@ -473,6 +453,30 @@ let test_vliw_region_transition () =
   Alcotest.(check (list int)) "output" [ 0 ] res.Vliw_sim.output;
   check_int "one transition + final stop" 2
     res.Vliw_sim.stats.Vliw_sim.region_transitions
+
+(* Two exits of one bundle are both true: the first in slot order fires.
+   Compiled code gives a bundle's exits disjoint predicates, so nothing
+   else holds the exit scan to this rule. *)
+let test_vliw_first_true_exit () =
+  let taken l v = region l [ [ out (imm v) ]; [ Pcode.exit_stop Pred.always ] ] in
+  let pcode =
+    Pcode.make ~entry:(lbl "main")
+      [
+        region "main"
+          [
+            [ setc 0 Opcode.Lt (imm 1) (imm 2) ];
+            [ Pcode.op Pred.always Instr.Nop ];
+            [
+              Pcode.exit_to (p_true (cond 0)) (lbl "first");
+              Pcode.exit_to Pred.always (lbl "second");
+            ];
+          ];
+        taken "first" 1;
+        taken "second" 2;
+      ]
+  in
+  let res, _ = run_pcode pcode in
+  Alcotest.(check (list int)) "first true exit taken" [ 1 ] res.Vliw_sim.output
 
 let test_vliw_shadow_source_fetch () =
   (* A consumer reading the producer's speculative value via the shadow
@@ -1235,33 +1239,22 @@ let test_vliw_dirty_gating_same_cycle_conds () =
   check_int "commits" 1 res.Vliw_sim.stats.Vliw_sim.commits;
   check_int "squashes" 1 res.Vliw_sim.stats.Vliw_sim.squashes
 
-(* ---------- Region lowering (Vliw_sim.exec_kernel) ---------- *)
+(* ---------- Region lowering (Lowered) ---------- *)
 
-(* Cycle-exactness of the lowered structure-of-arrays kernel against the
-   tree reference on hand-written edge cases; the broad random coverage
-   lives in the differential suite and the fuzzer. *)
+(* Hand-written edge cases of the lowered walk, each held to the values
+   its run has always produced; the broad random coverage lives in the
+   differential suite and the fuzzer. *)
 
-let run_both_exec ?(machine = model) pcode =
-  let run kernel =
-    let mem = Memory.create ~size:256 in
-    (Vliw_sim.run ~model:machine ~exec_kernel:kernel ~regs:[] ~mem pcode, mem)
-  in
-  (run Vliw_sim.Lowered, run Vliw_sim.Tree)
-
-let check_exec_identical name ((low, lmem), (tree, tmem)) =
-  check_int (name ^ ": cycles") tree.Vliw_sim.cycles low.Vliw_sim.cycles;
-  Alcotest.(check (list int))
-    (name ^ ": output") tree.Vliw_sim.output low.Vliw_sim.output;
-  check_int (name ^ ": commits") tree.Vliw_sim.stats.Vliw_sim.commits
-    low.Vliw_sim.stats.Vliw_sim.commits;
-  check_int (name ^ ": squashes") tree.Vliw_sim.stats.Vliw_sim.squashes
-    low.Vliw_sim.stats.Vliw_sim.squashes;
-  check_int (name ^ ": sb stalls") tree.Vliw_sim.stats.Vliw_sim.sb_stall_cycles
-    low.Vliw_sim.stats.Vliw_sim.sb_stall_cycles;
-  check_int (name ^ ": conflict stalls")
-    tree.Vliw_sim.stats.Vliw_sim.conflict_stall_cycles
-    low.Vliw_sim.stats.Vliw_sim.conflict_stall_cycles;
-  check_bool (name ^ ": memory") true (Memory.equal tmem lmem)
+let check_pinned name (r : Vliw_sim.result) ~cycles ~output ~commits
+    ~squashes ~sb_stalls ~conflict_stalls =
+  let s = r.Vliw_sim.stats in
+  check_int (name ^ ": cycles") cycles r.Vliw_sim.cycles;
+  Alcotest.(check (list int)) (name ^ ": output") output r.Vliw_sim.output;
+  check_int (name ^ ": commits") commits s.Vliw_sim.commits;
+  check_int (name ^ ": squashes") squashes s.Vliw_sim.squashes;
+  check_int (name ^ ": sb stalls") sb_stalls s.Vliw_sim.sb_stall_cycles;
+  check_int (name ^ ": conflict stalls") conflict_stalls
+    s.Vliw_sim.conflict_stall_cycles
 
 let test_lowered_shape () =
   let pcode = Pcode.make ~entry:(lbl "main") [ diamond_region ~c0_true:true ] in
@@ -1300,7 +1293,8 @@ let test_lowered_exit_only_region () =
   let tail = low.Lowered.regions.(1) in
   check_int "no ops" 0 tail.Lowered.op_bounds.(tail.Lowered.nbundles);
   check_int "one exit" 1 tail.Lowered.ex_bounds.(tail.Lowered.nbundles);
-  check_exec_identical "exit-only" (run_both_exec pcode)
+  check_pinned "exit-only" (fst (run_pcode pcode)) ~cycles:4 ~output:[ 3 ]
+    ~commits:0 ~squashes:0 ~sb_stalls:0 ~conflict_stalls:0
 
 let test_lowered_single_op_region () =
   let pcode =
@@ -1309,11 +1303,12 @@ let test_lowered_single_op_region () =
   in
   let low = Lowered.compile ~machine:model pcode in
   check_int "one op" 1 (Lowered.num_ops low);
-  check_exec_identical "single-op" (run_both_exec pcode)
+  check_pinned "single-op" (fst (run_pcode pcode)) ~cycles:2 ~output:[ 42 ]
+    ~commits:0 ~squashes:0 ~sb_stalls:0 ~conflict_stalls:0
 
 let test_lowered_sb_capacity_identity () =
-  (* store burst against a tiny store buffer: the lowered kernel's
-     stall decision must fire on exactly the same cycles *)
+  (* store burst against a tiny store buffer: the stall decision fires on
+     the pinned cycle *)
   let burst =
     Pcode.make ~entry:(lbl "main")
       [
@@ -1336,8 +1331,9 @@ let test_lowered_sb_capacity_identity () =
       Machine_model.dcache_ports = 1;
     }
   in
-  let ((low, _), _) as both = run_both_exec ~machine:tiny burst in
-  check_exec_identical "sb-capacity" both;
+  let low, _ = run_pcode ~machine:tiny burst in
+  check_pinned "sb-capacity" low ~cycles:7 ~output:[ 1 ] ~commits:0 ~squashes:0
+    ~sb_stalls:1 ~conflict_stalls:0;
   check_bool "stall path actually exercised" true
     (low.Vliw_sim.stats.Vliw_sim.sb_stall_cycles > 0)
 
@@ -1359,10 +1355,58 @@ let test_lowered_shadow_conflict_identity () =
           ];
       ]
   in
-  let ((low, _), _) as both = run_both_exec pcode in
-  check_exec_identical "shadow-conflict" both;
+  let low, _ = run_pcode pcode in
+  check_pinned "shadow-conflict" low ~cycles:6 ~output:[ 111 ] ~commits:1
+    ~squashes:1 ~sb_stalls:0 ~conflict_stalls:1;
   check_bool "conflict path actually exercised" true
     (low.Vliw_sim.stats.Vliw_sim.shadow_conflicts >= 1)
+
+(* Negative fixtures for the round-trip check: a two-region program,
+   lowered afresh per case with one cell corrupted. Each error must name
+   the region and bundle of the corrupted cell. *)
+let round_trip_program () =
+  Pcode.make ~entry:(lbl "main")
+    [
+      region "main"
+        [
+          [ mov 1 (imm 4) ];
+          [ setc 0 Opcode.Lt (r 1) (imm 10) ];
+          [ load ~pred:(p_true (cond 0)) ~shadow:[ 1 ] 2 1 0 ];
+          [ store 1 1 8; Pcode.exit_to Pred.always (lbl "tail") ];
+        ];
+      region "tail" [ [ out (r 2); Pcode.exit_stop Pred.always ] ];
+    ]
+
+let test_lowered_check_rejects () =
+  let pcode = round_trip_program () in
+  let lower () = Lowered.compile ~machine:model pcode in
+  Alcotest.(check (result unit string))
+    "untouched lowering" (Ok ()) (Lowered.check (lower ()));
+  List.iter
+    (fun (what, place, corrupt) ->
+      let low = lower () in
+      corrupt low.Lowered.regions.(0);
+      match Lowered.check low with
+      | Ok () -> Alcotest.failf "%s: corrupted lowering accepted" what
+      | Error e ->
+          check_bool
+            (Printf.sprintf "%s: %S names %s" what e place)
+            true
+            (String.starts_with ~prefix:place e))
+    [
+      ("latency", "region main bundle 2 op slot 0",
+        fun lr -> lr.Lowered.op_lat.(2) <- lr.Lowered.op_lat.(2) + 1);
+      ("shadow flag", "region main bundle 2 op slot 0",
+        fun lr -> lr.Lowered.op_s1_sh.(2) <- false);
+      ("exit target", "region main bundle 3 exit slot 0",
+        fun lr -> lr.Lowered.ex_target.(0) <- 0);
+      ("has_store", "region main bundle 3",
+        fun lr -> lr.Lowered.has_store.(3) <- false);
+      ("operand register", "region main bundle 3 op slot 0",
+        fun lr -> lr.Lowered.op_s2_reg.(3) <- 2);
+      ("op_bounds", "region main bundle 1",
+        fun lr -> lr.Lowered.op_bounds.(2) <- 3);
+    ]
 
 let test_lowered_stale_form_rejected () =
   (* the machine must reject a cached lowering that was not built from
@@ -1585,10 +1629,10 @@ let prop_rob_matches_interp =
 
    Cycle-level results of both machines, recorded at a known-good
    commit. The differential stages compare architectural state only,
-   the two VLIW kernels share their execute stage and writeback queue,
-   and the ROB has no second implementation, so nothing else catches a
-   rewrite that moves a cycle. A change that alters timing on purpose
-   re-records both pins and says so in CHANGES.md. *)
+   and neither the VLIW nor the ROB has a second implementation, so
+   nothing else catches a rewrite that moves a cycle. A change that
+   alters timing on purpose re-records both pins and says so in
+   CHANGES.md. *)
 
 module Driver = Psb_compiler.Driver
 module Model = Psb_compiler.Model
@@ -1695,8 +1739,6 @@ let pin_shadow_modes =
     ("infinite-code-on-single", false, Regfile.Single);
   ]
 
-let pin_kernels = [ ("lowered", Vliw_sim.Lowered); ("tree", Vliw_sim.Tree) ]
-
 (* the suite, then generated programs from a fixed seed, half of them
    with a nested inner loop *)
 let pin_programs () =
@@ -1727,44 +1769,31 @@ let pin_lines () =
       let vliw =
         List.concat_map
           (fun (model : Model.t) ->
-            List.concat_map
+            List.map
               (fun (sname, single_shadow, regfile_mode) ->
-                let compiled =
-                  try
-                    Ok
-                      (Driver.compile ~verify:false ~single_shadow ~model
-                         ~machine:Machine_model.base ~profile program)
-                  with e -> Error (Printexc.to_string e)
+                let tag =
+                  Printf.sprintf "%s %s/%s" w.Dsl.name model.Model.name sname
                 in
-                List.map
-                  (fun (kname, exec_kernel) ->
-                    let tag =
-                      Printf.sprintf "%s %s/%s/%s" w.Dsl.name model.Model.name
-                        sname kname
-                    in
-                    match compiled with
-                    | Error e -> tag ^ " compile " ^ e
-                    | Ok c ->
-                        let pcode = Option.get c.Driver.pcode in
-                        let lowered =
-                          match exec_kernel with
-                          | Vliw_sim.Lowered -> c.Driver.lowered
-                          | Vliw_sim.Tree -> None
-                        in
-                        tag ^ " "
-                        ^ pin_guard (fun () ->
-                              pin_vliw
-                                (Vliw_sim.run ~fuel:2_000_000 ~regfile_mode
-                                   ~exec_kernel ?lowered ~model:c.Driver.machine
-                                   ~regs ~mem:(w.Dsl.make_mem ()) pcode)))
-                  pin_kernels)
+                match
+                  Driver.compile ~verify:false ~single_shadow ~model
+                    ~machine:Machine_model.base ~profile program
+                with
+                | exception e -> tag ^ " compile " ^ Printexc.to_string e
+                | c ->
+                    tag ^ " "
+                    ^ pin_guard (fun () ->
+                          pin_vliw
+                            (Vliw_sim.run ~fuel:2_000_000 ~regfile_mode
+                               ?lowered:c.Driver.lowered ~model:c.Driver.machine
+                               ~regs ~mem:(w.Dsl.make_mem ())
+                               (Option.get c.Driver.pcode))))
               pin_shadow_modes)
           (List.filter (fun (m : Model.t) -> m.Model.executable) Model.all)
       in
       rob @ vliw)
     (pin_programs ())
 
-let pinned_digest = "b6d35dfe284f7111b4b8aa10944cec25"
+let pinned_digest = "705d290212f04283f513d371139bc3f6"
 
 let test_pin_digest () =
   let lines = pin_lines () in
@@ -2148,6 +2177,8 @@ let () =
           Alcotest.test_case "squashed fault ignored" `Quick
             test_vliw_squashed_fault_ignored;
           Alcotest.test_case "region transition" `Quick test_vliw_region_transition;
+          Alcotest.test_case "first true exit fires" `Quick
+            test_vliw_first_true_exit;
           Alcotest.test_case "shadow source fetch" `Quick
             test_vliw_shadow_source_fetch;
           Alcotest.test_case "out of fuel" `Quick test_vliw_out_of_fuel;
@@ -2202,6 +2233,8 @@ let () =
             test_lowered_shadow_conflict_identity;
           Alcotest.test_case "stale form rejected" `Quick
             test_lowered_stale_form_rejected;
+          Alcotest.test_case "round trip rejects corruption" `Quick
+            test_lowered_check_rejects;
         ] );
       ( "hwcost",
         [
