@@ -1156,6 +1156,7 @@ let fuzz_cmd =
             | Some i -> (
                 let t0 = Unix.gettimeofday () in
                 let times : (string, float) Hashtbl.t = Hashtbl.create 8 in
+                let recoveries = Psb_proptest.Diff.no_recoveries () in
                 let finish counterexamples =
                   {
                     F.tested = 1;
@@ -1163,10 +1164,11 @@ let fuzz_cmd =
                     wall_s = Unix.gettimeofday () -. t0;
                     stage_seconds =
                       Hashtbl.fold (fun k v acc -> (k, v) :: acc) times [];
+                    recoveries = Array.to_list recoveries;
                   }
                 in
                 let g = F.gen_trial cfg i in
-                match Psb_proptest.Diff.check ?inject ~times g with
+                match Psb_proptest.Diff.check ?inject ~times ~recoveries g with
                 | Ok () -> finish []
                 | Error f ->
                     let g, f, steps =
@@ -1225,6 +1227,18 @@ let fuzz_cmd =
                     (List.map
                        (fun (k, v) -> (k, Float v))
                        outcome.F.stage_seconds) );
+                ( "recoveries",
+                  Obj
+                    (List.map
+                       (fun (r : Psb_proptest.Diff.recoveries) ->
+                         ( r.model,
+                           obj
+                             [
+                               ("halted", Int r.halted);
+                               ("fatal", Int r.fatal);
+                               ("faults_handled", Int r.faults_handled);
+                             ] ))
+                       outcome.F.recoveries) );
                 ( "counterexamples",
                   List
                     (List.map
@@ -1255,7 +1269,14 @@ let fuzz_cmd =
             List.iter
               (fun (k, v) -> Format.printf "  %-8s %8.3f@." k v)
               outcome.F.stage_seconds
-          end
+          end;
+          Format.printf
+            "trials whose vliw run recovered, by scalar outcome:@.";
+          List.iter
+            (fun (r : Psb_proptest.Diff.recoveries) ->
+              Format.printf "  %-16s halted %d, fatal %d, faults handled %d@."
+                r.model r.halted r.fatal r.faults_handled)
+            outcome.F.recoveries
         end;
         if outcome.F.counterexamples <> [] then exit 1
   in

@@ -202,12 +202,12 @@ let estimate_cycles c program ~block_trace =
   (Cycles.measure ~units:c.units ~schedules:c.schedules program ~block_trace)
     .Cycles.cycles
 
-let run_vliw ?regfile_mode ?events ?metrics c ~regs ~mem =
+let run_vliw ?fuel ?regfile_mode ?events ?metrics c ~regs ~mem =
   match c.pcode with
   | None ->
       invalid_arg
         (Format.asprintf "Driver.run_vliw: model %s is not executable"
            c.model.Model.name)
   | Some code ->
-      Vliw_sim.run ?regfile_mode ?lowered:c.lowered ?events ?metrics
+      Vliw_sim.run ?fuel ?regfile_mode ?lowered:c.lowered ?events ?metrics
         ~model:c.machine ~regs ~mem code

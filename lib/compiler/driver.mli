@@ -118,6 +118,7 @@ val estimate_cycles : compiled -> Program.t -> block_trace:int array -> int
     of a run stopped by a fault or out of fuel. *)
 
 val run_vliw :
+  ?fuel:int ->
   ?regfile_mode:Psb_machine.Regfile.mode ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
@@ -126,9 +127,9 @@ val run_vliw :
   mem:Memory.t ->
   Vliw_sim.result
 (** Execute the compiled predicated code on the machine simulator;
-    [regfile_mode], [events] and [metrics] are passed through to
-    {!Vliw_sim.run}, along with the cached [lowered] form (so a run
-    never re-lowers).
+    [fuel] (the cycle bound), [regfile_mode], [events] and [metrics] are
+    passed through to {!Vliw_sim.run}, along with the cached [lowered]
+    form (so a run never re-lowers).
     @raise Invalid_argument if the model is not executable. *)
 
 val code_size : compiled -> int

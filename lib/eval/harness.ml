@@ -10,6 +10,7 @@ type entry = {
   workload : Dsl.t;
   scalar : Interp.result;
   profile : Psb_cfg.Branch_predict.t;
+  memory : Memory.t;
 }
 
 (* One stored VLIW run per distinct (compiled code, entry, register-file
@@ -39,8 +40,9 @@ type t = {
 }
 
 let profile_workload (w : Dsl.t) =
+  let memory = w.Dsl.make_mem () in
   let scalar, profile =
-    Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+    Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:memory
   in
   (match scalar.Interp.outcome with
   | Interp.Halted -> ()
@@ -48,7 +50,7 @@ let profile_workload (w : Dsl.t) =
       failwith
         (Format.asprintf "Harness.create: %s did not halt (%a)" w.Dsl.name
            Interp.pp_outcome o));
-  { workload = w; scalar; profile }
+  { workload = w; scalar; profile; memory }
 
 let create ?(machine = Machine_model.base) ?(workloads = Suite.all) ?pool
     ?(verify = true) () =
@@ -94,6 +96,15 @@ let estimated_cycles t ?machine model e =
   Driver.estimate_cycles compiled e.workload.Dsl.program
     ~block_trace:e.scalar.Interp.block_trace
 
+(* A run's cycle leash, from the scalar run of the same program: the
+   largest VLIW/scalar cycle ratio a regeneration shows is 0.74 (li on
+   region-pred), so a run that needs [fuel_factor] times the scalar
+   cycles is looping. *)
+let fuel_factor = 8
+let fuel_floor = 100_000
+
+let vliw_fuel e = max fuel_floor (fuel_factor * scalar_cycles e)
+
 let measured t ?machine ?(single_shadow = true) ?regfile_mode ?events model e
     =
   let compiled = compile t ?machine ~single_shadow model e in
@@ -101,19 +112,21 @@ let measured t ?machine ?(single_shadow = true) ?regfile_mode ?events model e
   let r = t.runs in
   Atomic.incr r.requests;
   let run () =
+    let mem = e.workload.Dsl.make_mem () in
     let res =
-      Driver.run_vliw ~regfile_mode:mode ?events compiled
-        ~regs:e.workload.Dsl.regs ~mem:(e.workload.Dsl.make_mem ())
+      Driver.run_vliw ~fuel:(vliw_fuel e) ~regfile_mode:mode ?events compiled
+        ~regs:e.workload.Dsl.regs ~mem
     in
     Atomic.incr r.executed;
-    if
-      not
-        (res.Vliw_sim.outcome = Interp.Halted
-        && res.Vliw_sim.output = e.scalar.Interp.output)
-    then
+    let diverged what =
       failwith
-        (Format.asprintf "Harness.measured: %s/%s diverged from scalar"
-           e.workload.Dsl.name model.Model.name);
+        (Format.asprintf "Harness.measured: %s/%s diverged from scalar (%s)"
+           e.workload.Dsl.name model.Model.name what)
+    in
+    if res.Vliw_sim.outcome <> Interp.Halted then
+      diverged (Format.asprintf "%a" Interp.pp_outcome res.Vliw_sim.outcome);
+    if res.Vliw_sim.output <> e.scalar.Interp.output then diverged "output";
+    if not (Memory.equal mem e.memory) then diverged "final memory";
     res
   in
   (* called under the lock *)

@@ -33,6 +33,7 @@ type entry = {
   workload : Dsl.t;
   scalar : Interp.result;
   profile : Psb_cfg.Branch_predict.t;
+  memory : Memory.t;  (** the scalar run's final memory *)
 }
 
 type runs
@@ -95,9 +96,11 @@ val measured : t -> ?machine:Machine_model.t -> ?single_shadow:bool ->
   ?events:Psb_obs.Events.t -> Model.t -> entry ->
   Vliw_sim.result
 (** Run the compiled code on the machine simulator (executable models)
-    and fail unless it halts with the scalar reference's output.
-    [machine], [single_shadow] and [model] select the code as {!compile}
-    does.
+    and fail unless it halts with the scalar reference's output and
+    final memory. [machine], [single_shadow] and [model] select the code
+    as {!compile} does. The run's cycle bound is eight times the entry's
+    scalar cycles (at least 100,000), so code that loops fails as out of
+    fuel instead of running to the simulator's default.
 
     The harness keeps one result per (compiled code, entry,
     [regfile_mode]), an absent mode meaning [Single]: a later call for

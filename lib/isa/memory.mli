@@ -20,11 +20,13 @@ exception Fault of fault
 val page_size : int
 
 val create : size:int -> t
-(** All addresses [0 .. size-1] mapped. *)
+(** All addresses [0 .. size-1] mapped, every word [0].
+    @raise Invalid_argument if [size < 0]. *)
 
 val create_demand : size:int -> unmapped:(int * int) -> t
-(** [create_demand ~size ~unmapped:(lo, hi)]: pages intersecting
-    [lo .. hi-1] start unmapped and fault until {!handle_fault}. *)
+(** [create_demand ~size ~unmapped:(lo, hi)]: the pages from
+    [lo / page_size] to [(hi - 1) / page_size] start unmapped and fault
+    until {!handle_fault} (pages past [size] hold no address). *)
 
 val read : t -> int -> int
 (** @raise Fault on a bad or unmapped address. Unwritten mapped words
@@ -38,7 +40,8 @@ val peek : t -> int -> int
     out-of-range addresses read as [0]. *)
 
 val poke : t -> int -> int -> unit
-(** Backdoor write used to initialise workload data; maps the page. *)
+(** Backdoor write used to initialise workload data; maps the page.
+    @raise Invalid_argument if the address is outside [0 .. size-1]. *)
 
 val probe : t -> int -> fault option
 (** Check whether an access to [addr] would fault, without performing it
@@ -52,7 +55,10 @@ val handle_fault : t -> fault -> bool
 val is_fatal : fault -> bool
 val size : t -> int
 val copy : t -> t
+(** An independent memory with the same words and mapped pages. *)
+
 val equal : t -> t -> bool
-(** Same size and same contents of mapped words. *)
+(** Same size and the same words. Page state is ignored: an unmapped page
+    holds only zeros, as an unwritten word does. *)
 
 val pp_fault : Format.formatter -> fault -> unit

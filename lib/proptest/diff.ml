@@ -55,6 +55,44 @@ let pp_out l = String.concat "," (List.map string_of_int l)
 let executable_models =
   List.filter (fun (m : Model.t) -> m.Model.executable) Model.all
 
+type recoveries = { model : string; halted : int; fatal : int; faults_handled : int }
+
+let no_recoveries () =
+  Array.of_list
+    (List.map
+       (fun (m : Model.t) ->
+         { model = m.Model.name; halted = 0; fatal = 0; faults_handled = 0 })
+       executable_models)
+
+let add_recoveries ~into r =
+  Array.iteri
+    (fun i a ->
+      let b = r.(i) in
+      into.(i) <-
+        {
+          a with
+          halted = a.halted + b.halted;
+          fatal = a.fatal + b.fatal;
+          faults_handled = a.faults_handled + b.faults_handled;
+        })
+    into
+
+(* Model [i]'s VLIW run, counted: whether it entered recovery, under the
+   scalar outcome, and the faults it handled. *)
+let count_recovery counts i (scalar : Interp.result) (vliw : Vliw_sim.result) =
+  let c = counts.(i) in
+  let recovered = vliw.Vliw_sim.stats.Vliw_sim.recoveries > 0 in
+  let under outcome = Bool.to_int (recovered && outcome) in
+  counts.(i) <-
+    {
+      c with
+      halted = c.halted + under (scalar.Interp.outcome = Interp.Halted);
+      fatal =
+        c.fatal
+        + under (match scalar.Interp.outcome with Interp.Fatal _ -> true | _ -> false);
+      faults_handled = c.faults_handled + vliw.Vliw_sim.faults_handled;
+    }
+
 (* the out-of-order ROB backend must be architecturally
    byte-identical to the interpreter — outcome (same fatal fault),
    output, final registers, final memory and the handled-fault count;
@@ -131,7 +169,7 @@ let run_vliw (lowered : Lowered.t) ~mem =
     ~regs:Gen.regs ~mem lowered.Lowered.source
 
 (* compile, verify, lowering round trip and run, once per executable
-   model; returns the compile, before any injection *)
+   model; returns the compile, before any injection, and the run *)
 let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
     scalar_mem profile (model : Model.t) =
   let m = model.Model.name in
@@ -209,7 +247,7 @@ let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
             fail (stage "vliw-vs-scalar")
               "scalar recovered %d faults but vliw reported no recovery"
               scalar.Interp.faults_handled);
-  built
+  (built, vliw)
 
 (* The flagship model's compile went through the trial's cache (its key
    covers model, machine and options, so one model suffices per
@@ -228,7 +266,7 @@ let check_cache (g : Gen.t) ~analysis ~cache profile (cached : Driver.compiled)
       if not (Driver.compiled_equal cached (compile ())) then
         fail "cache" "cached compile differs structurally from a cold compile")
 
-let check ?inject ?times (g : Gen.t) =
+let check ?inject ?times ?recoveries (g : Gen.t) =
   try
     (* analyse once; every scalar and ROB stage below reuses the decoded
        form, and every compile the CFG and loop heads *)
@@ -261,15 +299,17 @@ let check ?inject ?times (g : Gen.t) =
       let flagship =
         timed times "models" (fun () ->
             List.fold_left
-              (fun kept (model : Model.t) ->
+              (fun (i, kept) (model : Model.t) ->
                 let flagship = model == Model.region_pred in
-                let compiled =
+                let compiled, vliw =
                   check_model ?inject
                     ?cache:(if flagship then Some cache else None)
                     ~analysis g scalar scalar_mem profile model
                 in
-                if flagship then Some compiled else kept)
-              None executable_models)
+                Option.iter (fun c -> count_recovery c i scalar vliw) recoveries;
+                (i + 1, if flagship then Some compiled else kept))
+              (0, None) executable_models
+            |> snd)
       in
       (match (inject, flagship) with
       | None, Some cached ->

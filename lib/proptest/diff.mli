@@ -47,9 +47,29 @@ type failure = {
 
 val pp_failure : failure -> string
 
+type recoveries = {
+  model : string;
+  halted : int;
+      (** trials whose VLIW run entered recovery and whose scalar run
+          halted *)
+  fatal : int;
+      (** trials whose VLIW run entered recovery and whose scalar run
+          stopped on a fatal fault *)
+  faults_handled : int;  (** summed over every trial's VLIW run *)
+}
+(** One executable model's count of runs that reached §3.5's recovery. *)
+
+val no_recoveries : unit -> recoveries array
+(** All zero, one element per executable model in {!Psb_compiler.Model.all}
+    order. *)
+
+val add_recoveries : into:recoveries array -> recoveries array -> unit
+(** Adds the second count to the first, model by model. *)
+
 val check :
   ?inject:Inject.t ->
   ?times:(string, float) Hashtbl.t ->
+  ?recoveries:recoveries array ->
   Gen.t ->
   (unit, failure) result
 (** Run the full stage chain on one program. With [inject], the bug is
@@ -61,4 +81,9 @@ val check :
     [scalar] (the [scalar-decoded-vs-tree] stage), [rob], [profile],
     [models], [cache]) — the fuzz driver sums these across
     trials for its throughput report. The table must not be shared
-    between domains; give each trial its own and merge. *)
+    between domains; give each trial its own and merge.
+
+    [recoveries] (from {!no_recoveries}) counts, per model, the VLIW run
+    the model stage already makes (no extra run), once the model's
+    checks pass. The same sharing rule holds. A trial whose scalar run
+    is out of fuel runs no model and counts nothing. *)

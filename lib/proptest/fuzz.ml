@@ -34,6 +34,7 @@ type outcome = {
   counterexamples : counterexample list;
   wall_s : float;
   stage_seconds : (string * float) list;
+  recoveries : Diff.recoveries list;
 }
 
 let trials_per_second o = if o.wall_s > 0. then float_of_int o.tested /. o.wall_s else 0.
@@ -78,8 +79,9 @@ let run_trial cfg i =
         Hashtbl.replace times name (prev +. Unix.gettimeofday () -. t0))
   in
   let g = bucket "gen" (fun () -> gen_trial cfg i) in
+  let recoveries = Diff.no_recoveries () in
   let cx =
-    match Diff.check ?inject:cfg.inject ~times g with
+    match Diff.check ?inject:cfg.inject ~times ~recoveries g with
     | Ok () -> None
     | Error f ->
         let g, f, steps =
@@ -96,7 +98,7 @@ let run_trial cfg i =
             cx_shrink_steps = steps;
           }
   in
-  (cx, Hashtbl.fold (fun k v acc -> (k, v) :: acc) times [])
+  (cx, Hashtbl.fold (fun k v acc -> (k, v) :: acc) times [], recoveries)
 
 let run ?pool ?on_progress cfg =
   let t_start = Unix.gettimeofday () in
@@ -104,6 +106,7 @@ let run ?pool ?on_progress cfg =
     match pool with Some p -> max 1 (4 * Pool.jobs p) | None -> 16
   in
   let tested = ref 0 and found = ref [] in
+  let recoveries = Diff.no_recoveries () in
   let stage_tbl : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let merge_times l =
     List.iter
@@ -119,10 +122,10 @@ let run ?pool ?on_progress cfg =
       (fun r ->
         incr tested;
         match r with
-        | Ok (None, times) -> merge_times times
-        | Ok (Some cx, times) ->
+        | Ok (cx, times, counts) ->
             merge_times times;
-            found := cx :: !found
+            Diff.add_recoveries ~into:recoveries counts;
+            Option.iter (fun cx -> found := cx :: !found) cx
         | Error (i, e) ->
             found :=
               {
@@ -172,6 +175,7 @@ let run ?pool ?on_progress cfg =
     counterexamples = List.rev !found;
     wall_s = Unix.gettimeofday () -. t_start;
     stage_seconds;
+    recoveries = Array.to_list recoveries;
   }
 
 let limits_fleet ?(n = 8) ?(shape = Gen.default_shape) ~seed () =

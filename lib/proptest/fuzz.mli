@@ -38,6 +38,10 @@ type outcome = {
       (** cumulative per-stage seconds summed across all trials, largest
           first — {!Diff.check}'s buckets plus [gen] and [shrink]. Under a
           pool this is cross-domain CPU time, so it can exceed [wall_s]. *)
+  recoveries : Diff.recoveries list;
+      (** per executable model, the trials whose VLIW run entered
+          recovery (by scalar outcome) and the faults it handled; shrink
+          runs are not counted *)
 }
 
 val trials_per_second : outcome -> float

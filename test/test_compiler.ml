@@ -160,7 +160,7 @@ let check_equivalent ?(name = "") model program ~regs ~mem_fn =
   let mem_scalar = mem_fn () in
   let scalar = Interp.run ~regs ~mem:mem_scalar program in
   let mem_vliw = mem_fn () in
-  let vliw = Driver.run_vliw compiled ~regs ~mem:mem_vliw in
+  let vliw = Leash.run_vliw compiled ~regs ~mem:mem_vliw in
   let ctx = name ^ ":" ^ model.Model.name in
   Alcotest.(check (list int)) (ctx ^ " output") scalar.Interp.output vliw.Vliw_sim.output;
   check_bool (ctx ^ " outcome matches") true
@@ -311,7 +311,7 @@ let test_infinite_shadow_equiv () =
   in
   let mem = Memory.create ~size:64 in
   let vliw =
-    Driver.run_vliw ~regfile_mode:Psb_machine.Regfile.Infinite compiled
+    Leash.run_vliw ~regfile_mode:Psb_machine.Regfile.Infinite compiled
       ~regs:[] ~mem
   in
   Alcotest.(check (list int)) "output" [ 330 ] vliw.Vliw_sim.output
@@ -326,7 +326,7 @@ let test_speedup_sane () =
   let mem_fn () = Memory.create ~size:64 in
   let scalar = Interp.run ~regs ~mem:(mem_fn ()) diamond_loop in
   let compiled = compile_with Model.region_pred diamond_loop ~regs ~mem_fn in
-  let vliw = Driver.run_vliw compiled ~regs ~mem:(mem_fn ()) in
+  let vliw = Leash.run_vliw compiled ~regs ~mem:(mem_fn ()) in
   check_bool "VLIW no slower than scalar" true
     (vliw.Vliw_sim.cycles <= scalar.Interp.cycles);
   let est =

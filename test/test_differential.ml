@@ -34,7 +34,7 @@ let differential model =
         Driver.compile ~model ~machine:Machine_model.base ~profile g.program
       in
       let vliw_mem = make_mem g in
-      let vliw = Driver.run_vliw compiled ~regs ~mem:vliw_mem in
+      let vliw = Leash.run_vliw compiled ~regs ~mem:vliw_mem in
       (* On a *fatal* trap only the fault itself is defined: the compiler
          may have hoisted independent stores/outputs above the faulting
          instruction (standard VLIW imprecision at fatal traps — the
@@ -99,7 +99,7 @@ let infinite_shadow_agrees =
       in
       let vliw_mem = make_mem g in
       let vliw =
-        Driver.run_vliw ~regfile_mode:Psb_machine.Regfile.Infinite compiled
+        Leash.run_vliw ~regfile_mode:Psb_machine.Regfile.Infinite compiled
           ~regs ~mem:vliw_mem
       in
       match scalar.Interp.outcome with
@@ -142,7 +142,7 @@ let run_cell (idx, g, (model : Model.t)) =
     Driver.compile ~model ~machine:Machine_model.base ~profile g.program
   in
   let vliw_mem = make_mem g in
-  let vliw = Driver.run_vliw compiled ~regs ~mem:vliw_mem in
+  let vliw = Leash.run_vliw compiled ~regs ~mem:vliw_mem in
   let ok, detail =
     match scalar.Interp.outcome with
     | Interp.Out_of_fuel -> (true, "skipped: out of fuel")

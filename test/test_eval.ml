@@ -286,6 +286,24 @@ let test_event_runs () =
         "every event run runs" n (Harness.run_stats h).Harness.runs)
     [ 2; 3 ]
 
+(* A run must also end with the scalar run's memory: an entry whose
+   stored memory differs in one word fails the run that matches it in
+   outcome and output. *)
+let test_measured_checks_memory () =
+  let h =
+    Harness.create ~workloads:[ Psb_workloads.Suite.find "compress" ] ()
+  in
+  let e = List.hd h.Harness.entries in
+  ignore (Harness.measured h Model.region_pred e);
+  let memory = Memory.copy e.Harness.memory in
+  Memory.poke memory 0 (Memory.peek memory 0 + 1);
+  Alcotest.check_raises "one poked word"
+    (Failure
+       "Harness.measured: compress/region-pred diverged from scalar (final \
+        memory)")
+    (fun () ->
+      ignore (Harness.measured h Model.region_pred { e with Harness.memory }))
+
 let test_limits () =
   let rows = Experiments.limits (Lazy.force h) in
   List.iter
@@ -428,15 +446,22 @@ let test_limits_high_registers () =
   check_bool "the loop's iterations overlap" true (low.Limits.oracle_ipc > 3.0);
   check_oracle ~what:"renamed" (limits_loop ~base_a:70 ~base_b:71)
 
-(* The replay allocates per program, not per dynamic op: a memory-free
-   loop allocates the same at 1k and at 100k iterations. *)
+(* The replay allocates per program, not per dynamic op: a loop that
+   loads a written word and stores one allocates the same at 1k and at
+   100k iterations. *)
 let test_limits_no_per_op_alloc () =
   let open Psb_workloads.Dsl in
   let program =
     Program.make ~entry:(lbl "head")
       [
         block "head"
-          [ add 3 (r 3) (r 1); sub 1 (r 1) (i 1); cmp 2 Opcode.Gt (r 1) (i 0) ]
+          [
+            add 3 (r 3) (r 1);
+            load 5 4 5;
+            store 1 4 6;
+            sub 1 (r 1) (i 1);
+            cmp 2 Opcode.Gt (r 1) (i 0);
+          ]
           (br 2 "head" "done");
         block "done" [ out (r 3) ] halt;
       ]
@@ -448,7 +473,11 @@ let test_limits_no_per_op_alloc () =
         description = "";
         program;
         regs = [ (reg 1, n) ];
-        make_mem = (fun () -> Memory.create ~size:16);
+        make_mem =
+          (fun () ->
+            let mem = Memory.create ~size:16 in
+            Memory.poke mem 5 9;
+            mem);
       }
     in
     let scalar = traced w in
@@ -457,7 +486,7 @@ let test_limits_no_per_op_alloc () =
     let row = Limits.analyze w ~scalar in
     let b1 = Gc.allocated_bytes () in
     Alcotest.(check int)
-      "every op replayed" ((3 * n) + 1) row.Limits.dyn_instrs;
+      "every op replayed" ((5 * n) + 1) row.Limits.dyn_instrs;
     (b1 -. b0) /. float_of_int (Sys.word_size / 8)
   in
   ignore (words 10);
@@ -717,6 +746,8 @@ let () =
             test_parallel_determinism;
           Alcotest.test_case "shared VLIW runs" `Slow test_shared_runs;
           Alcotest.test_case "event runs always run" `Quick test_event_runs;
+          Alcotest.test_case "final memory checked" `Quick
+            test_measured_checks_memory;
           Alcotest.test_case "regeneration pinned" `Slow
             test_regeneration_pinned;
         ] );

@@ -227,6 +227,184 @@ let test_memory_probe_equal () =
   Memory.poke m 10 5;
   check_bool "equal after same writes" true (Memory.equal m m2)
 
+let test_memory_poke_range () =
+  let m = Memory.create ~size:16 in
+  List.iter
+    (fun a ->
+      Alcotest.check_raises
+        (Printf.sprintf "poke at %d" a)
+        (Invalid_argument
+           (Printf.sprintf "Memory.poke: address %d outside 0 .. 15" a))
+        (fun () -> Memory.poke m a 1))
+    [ -1; 16 ];
+  check_bool "nothing stored" true (Memory.equal m (Memory.create ~size:16))
+
+(* The flat memory against the hash-table memory it replaced
+   ([Memory_oracle]): one random op sequence applied to two memories of
+   each, every result and raised fault compared, then every address's
+   [peek] and [probe]. Op addresses reach just past both ends; [Poke]
+   takes its address modulo the memory's size, since an out-of-range
+   poke raises in the flat memory and is stored by the oracle. *)
+
+type mem_spec = { size : int; demand : (int * int) option }
+
+type mem_op =
+  | Read of int * int (* memory 0 or 1, address *)
+  | Write of int * int * int
+  | Probe of int * int
+  | Fault_twice of int * int (* read; a fault is handled twice *)
+  | Peek of int * int
+  | Poke of int * int * int
+  | Copy of int (* the other memory becomes a copy of this one *)
+  | Fresh of mem_spec (* memory 1 starts again *)
+  | Equal
+
+type mem_result =
+  | Value of int
+  | Faulted of Memory.fault
+  | Handled of Memory.fault * bool * bool
+  | Probed of Memory.fault option
+  | Same of bool
+  | Done
+
+module type MEM = sig
+  type t
+
+  val create : size:int -> t
+  val create_demand : size:int -> unmapped:int * int -> t
+  val size : t -> int
+  val read : t -> int -> int
+  val write : t -> int -> int -> unit
+  val probe : t -> int -> Memory.fault option
+  val handle_fault : t -> Memory.fault -> bool
+  val peek : t -> int -> int
+  val poke : t -> int -> int -> unit
+  val copy : t -> t
+  val equal : t -> t -> bool
+end
+
+module Replay (M : MEM) = struct
+  let fresh s =
+    match s.demand with
+    | None -> M.create ~size:s.size
+    | Some r -> M.create_demand ~size:s.size ~unmapped:r
+
+  let run spec ops =
+    let mems = [| fresh spec; fresh spec |] in
+    let access f =
+      match f () with v -> Value v | exception Memory.Fault e -> Faulted e
+    in
+    let step = function
+      | Read (i, a) -> access (fun () -> M.read mems.(i) a)
+      | Write (i, a, v) ->
+          access (fun () ->
+              M.write mems.(i) a v;
+              v)
+      | Probe (i, a) -> Probed (M.probe mems.(i) a)
+      | Fault_twice (i, a) -> (
+          match M.read mems.(i) a with
+          | v -> Value v
+          | exception Memory.Fault e ->
+              let first = M.handle_fault mems.(i) e in
+              Handled (e, first, M.handle_fault mems.(i) e))
+      | Peek (i, a) -> Value (M.peek mems.(i) a)
+      | Poke (i, a, v) ->
+          let m = mems.(i) in
+          M.poke m (a mod M.size m) v;
+          Done
+      | Copy i ->
+          mems.(1 - i) <- M.copy mems.(i);
+          Done
+      | Fresh s ->
+          mems.(1) <- fresh s;
+          Done
+      | Equal -> Same (M.equal mems.(0) mems.(1))
+    in
+    let results = List.map step ops in
+    let final =
+      Array.to_list mems
+      |> List.concat_map (fun m ->
+             List.init (M.size m + 2) (fun k ->
+                 [ Value (M.peek m (k - 1)); Probed (M.probe m (k - 1)) ]))
+    in
+    results @ List.concat final
+end
+
+module Flat_replay = Replay (Memory)
+module Oracle_replay = Replay (Memory_oracle)
+
+let gen_mem_spec =
+  QCheck.Gen.(
+    let* size = oneof [ oneofl [ 1; 63; 64; 65; 128; 130 ]; int_range 1 300 ] in
+    let range lo hi_of =
+      let* lo = lo in
+      let+ hi = hi_of lo in
+      Some (lo, hi)
+    in
+    let+ demand =
+      frequency
+        [
+          (2, return None);
+          (3, range (int_range 0 size) (fun lo -> int_range lo size)) (* inside *);
+          ( 1,
+            range (int_range 0 (size - 1)) (fun _ ->
+                int_range (size + 1) (size + 200)) )
+          (* straddling the end *);
+          ( 1,
+            range (int_range size (size + 100)) (fun lo -> int_range lo (lo + 100))
+          )
+          (* past the end *);
+          (1, int_range 0 (size + 64) >|= fun a -> Some (a, a)) (* empty *);
+        ]
+    in
+    { size; demand })
+
+let gen_mem_case =
+  QCheck.Gen.(
+    let* spec = gen_mem_spec in
+    let addr = int_range (-2) (spec.size + 2) and which = int_range 0 1 in
+    let value = oneof [ return 0; int_range (-50) 50 ] in
+    let op =
+      frequency
+        [
+          (4, map2 (fun i a -> Read (i, a)) which addr);
+          (4, map3 (fun i a v -> Write (i, a, v)) which addr value);
+          (2, map2 (fun i a -> Probe (i, a)) which addr);
+          (2, map2 (fun i a -> Fault_twice (i, a)) which addr);
+          (2, map2 (fun i a -> Peek (i, a)) which addr);
+          (2, map3 (fun i a v -> Poke (i, a, v)) which nat value);
+          (1, map (fun i -> Copy i) which);
+          (1, map (fun s -> Fresh s) gen_mem_spec);
+          (2, return Equal);
+        ]
+    in
+    let+ ops = list_size (int_range 0 60) op in
+    (spec, ops))
+
+let pp_mem_spec { size; demand } =
+  match demand with
+  | None -> Printf.sprintf "create %d" size
+  | Some (lo, hi) -> Printf.sprintf "create_demand %d (%d, %d)" size lo hi
+
+let pp_mem_op = function
+  | Read (i, a) -> Printf.sprintf "read m%d %d" i a
+  | Write (i, a, v) -> Printf.sprintf "write m%d %d %d" i a v
+  | Probe (i, a) -> Printf.sprintf "probe m%d %d" i a
+  | Fault_twice (i, a) -> Printf.sprintf "fault-twice m%d %d" i a
+  | Peek (i, a) -> Printf.sprintf "peek m%d %d" i a
+  | Poke (i, a, v) -> Printf.sprintf "poke m%d %d %d" i a v
+  | Copy i -> Printf.sprintf "m%d := copy m%d" (1 - i) i
+  | Fresh s -> "m1 := " ^ pp_mem_spec s
+  | Equal -> "equal"
+
+let prop_memory_matches_oracle =
+  QCheck.Test.make ~name:"flat memory = hash-table oracle" ~count:500
+    (QCheck.make
+       ~print:(fun (spec, ops) ->
+         String.concat "; " (pp_mem_spec spec :: List.map pp_mem_op ops))
+       gen_mem_case)
+    (fun (spec, ops) -> Flat_replay.run spec ops = Oracle_replay.run spec ops)
+
 (* ---------- Interp ---------- *)
 
 (* sum = 10 + 20: straight-line program. *)
@@ -371,8 +549,9 @@ let test_interp_div_fault () =
 
 (* With the trace off and the decoded kernel, the interpreter's hot
    loop must not allocate per dynamic instruction or per block entered:
-   the same count-down loop run for 100x the iterations may not cost
-   meaningfully more minor words. The trace-on control run pins what a
+   the same count-down loop, which loads a written word and stores one,
+   run for 100x the iterations may not cost meaningfully more minor
+   words. The trace-on control run pins what a
    recorded trace costs: at least one word per block entered, and, as
    one growable int buffer trimmed once, at most four. It counts all
    allocation, since the buffer soon outgrows the minor heap; the minor
@@ -409,6 +588,8 @@ let test_interp_no_trace_no_alloc () =
                 a = Operand.reg (reg 1);
                 b = Operand.imm 0;
               };
+            Instr.Load { dst = reg 3; base = reg 4; off = 5 };
+            Instr.Store { src = reg 1; base = reg 4; off = 6 };
           ]
           (Instr.Br { src = reg 2; if_true = lbl "head"; if_false = lbl "done" });
         Program.block (lbl "done") [] Instr.Halt;
@@ -416,6 +597,7 @@ let test_interp_no_trace_no_alloc () =
   in
   let decoded = Decoded.of_program program in
   let mem = Memory.create ~size:16 in
+  Memory.poke mem 5 9;
   let go ~record_trace n =
     (* the no-allocation guarantee is specific to the flat form, the
        default kernel *)
@@ -692,6 +874,8 @@ let () =
           Alcotest.test_case "demand paging" `Quick test_memory_demand;
           Alcotest.test_case "page boundaries" `Quick test_memory_page_boundaries;
           Alcotest.test_case "probe/copy/equal" `Quick test_memory_probe_equal;
+          Alcotest.test_case "poke out of range" `Quick test_memory_poke_range;
+          Qc.to_alcotest prop_memory_matches_oracle;
         ] );
       ( "interp",
         [

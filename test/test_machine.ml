@@ -938,7 +938,7 @@ let test_vliw_widths_agree () =
           ~machine ~profile w.Dsl.program
       in
       let res =
-        Psb_compiler.Driver.run_vliw compiled ~regs:w.Dsl.regs
+        Leash.run_vliw compiled ~regs:w.Dsl.regs
           ~mem:(w.Dsl.make_mem ())
       in
       Alcotest.(check (list int))
@@ -979,7 +979,7 @@ let test_pcode_text_roundtrip () =
   | Ok code' ->
       Alcotest.(check string) "print/parse fixpoint" text (Pcode_text.print code');
       let res =
-        Vliw_sim.run ~model:Machine_model.base ~regs:w.Dsl.regs
+        Vliw_sim.run ~fuel:Leash.fuel ~model:Machine_model.base ~regs:w.Dsl.regs
           ~mem:(w.Dsl.make_mem ()) code'
       in
       Alcotest.(check (list int)) "parsed code runs identically"
@@ -1666,7 +1666,7 @@ let test_pin_suite_table () =
           Driver.compile ~model:Model.region_pred ~machine:Machine_model.base
             ~profile w.Dsl.program
         in
-        let v = Driver.run_vliw c ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) in
+        let v = Leash.run_vliw c ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) in
         let rs = r.Rob_sim.stats and vs = v.Vliw_sim.stats in
         ( w.Dsl.name,
           (r.Rob_sim.cycles, rs.Rob_sim.committed, rs.Rob_sim.mispredicts),
@@ -1783,7 +1783,7 @@ let pin_lines () =
                     tag ^ " "
                     ^ pin_guard (fun () ->
                           pin_vliw
-                            (Vliw_sim.run ~fuel:2_000_000 ~regfile_mode
+                            (Vliw_sim.run ~fuel:Leash.fuel ~regfile_mode
                                ?lowered:c.Driver.lowered ~model:c.Driver.machine
                                ~regs ~mem:(w.Dsl.make_mem ())
                                (Option.get c.Driver.pcode))))
@@ -1856,12 +1856,19 @@ done:
   halt
 |}
 
+(* The word [rob_loop] loads, written first: a load that finds a written
+   word must not allocate either. *)
+let loaded_mem () =
+  let mem = Memory.create ~size:16 in
+  Memory.poke mem 0 3;
+  mem
+
 let test_rob_no_alloc () =
   let decoded = Decoded.of_program rob_loop in
   let run n =
     Rob_sim.run ~decoded ~model:Machine_model.base
       ~regs:[ (reg 1, n) ]
-      ~mem:(Memory.create ~size:16) rob_loop
+      ~mem:(loaded_mem ()) rob_loop
   in
   let r = run 1_000 in
   check_bool "halts" true (r.Rob_sim.outcome = Interp.Halted);
@@ -1874,14 +1881,19 @@ let alu ?(pred = Pred.always) op d a b =
 
 (* One region that loops on itself while r1 counts down; the op in the
    second bundle is speculative when [spec] (its condition is written in
-   the same bundle, so it is unspecified at issue). *)
+   the same bundle, so it is unspecified at issue). The first bundle
+   loads the word [loaded_mem] writes, non-speculatively. *)
 let vliw_loop ~spec =
   let pred = if spec then p_true (cond 0) else Pred.always in
   Pcode.make ~entry:(lbl "loop")
     [
       region "loop"
         [
-          [ alu Opcode.Sub 1 (r 1) (imm 1); alu Opcode.Add 2 (r 2) (imm 3) ];
+          [
+            alu Opcode.Sub 1 (r 1) (imm 1);
+            alu Opcode.Add 2 (r 2) (imm 3);
+            Pcode.op Pred.always (Instr.Load { dst = reg 4; base = reg 0; off = 0 });
+          ];
           [ setc 0 Opcode.Gt (r 1) (imm 0); alu ~pred Opcode.Add 3 (r 3) (imm 1) ];
           [
             Pcode.exit_to (p_true (cond 0)) (lbl "loop");
@@ -1891,7 +1903,7 @@ let vliw_loop ~spec =
     ]
 
 let vliw_loop_run pcode n =
-  Vliw_sim.run ~model ~regs:[ (reg 1, n) ] ~mem:(Memory.create ~size:16) pcode
+  Vliw_sim.run ~model ~regs:[ (reg 1, n) ] ~mem:(loaded_mem ()) pcode
 
 let test_vliw_nonspec_no_alloc () =
   let pcode = vliw_loop ~spec:false in
@@ -1929,7 +1941,7 @@ let test_ring_attached_no_alloc () =
     check_flat name ~small:(words_per_run run 1_000)
       ~large:(words_per_run run 100_000)
   in
-  let regs n = [ (reg 1, n) ] and mem () = Memory.create ~size:16 in
+  let regs n = [ (reg 1, n) ] and mem = loaded_mem in
   let pcode = vliw_loop ~spec:false in
   flat "vliw with a ring" (fun n ->
       Vliw_sim.run ~events:ring ~model ~regs:(regs n) ~mem:(mem ()) pcode);

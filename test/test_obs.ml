@@ -31,7 +31,7 @@ let compile_workload (w : Dsl.t) (model : Model.t) =
 
 (* Compile [w] under [model] and run it with the given instrumentation. *)
 let run_workload ?events ?metrics (w : Dsl.t) (model : Model.t) =
-  Driver.run_vliw ?events ?metrics (compile_workload w model) ~regs:w.Dsl.regs
+  Leash.run_vliw ?events ?metrics (compile_workload w model) ~regs:w.Dsl.regs
     ~mem:(w.Dsl.make_mem ())
 
 (* A run recorded into a ring that holds all of it: the result, the ring
@@ -45,7 +45,7 @@ let traced ?regfile_mode ?ring (compiled : Driver.compiled) ~regs ~mem =
         r
     | None -> Events.create ~capacity:(1 lsl 20) ()
   in
-  let res = Driver.run_vliw ?regfile_mode ~events:ring compiled ~regs ~mem in
+  let res = Leash.run_vliw ?regfile_mode ~events:ring compiled ~regs ~mem in
   check_int "the ring held the whole run" 0 (Events.dropped ring);
   (res, ring, Option.get compiled.Driver.pcode)
 

@@ -196,7 +196,7 @@ let test_unroll_compiles () =
     Driver.compile ~model:Model.region_pred
       ~machine:Psb_machine.Machine_model.base ~profile program
   in
-  let vliw = Driver.run_vliw compiled ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) in
+  let vliw = Leash.run_vliw compiled ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) in
   Alcotest.(check (list int)) "unrolled output" scalar.Interp.output
     vliw.Psb_machine.Vliw_sim.output
 
@@ -240,7 +240,7 @@ let prop_optimized_still_compiles =
           ~machine:Psb_machine.Machine_model.base ~profile p
       in
       let m2 = Gen_programs.make_mem g in
-      let vliw = Driver.run_vliw compiled ~regs ~mem:m2 in
+      let vliw = Leash.run_vliw compiled ~regs ~mem:m2 in
       vliw.Psb_machine.Vliw_sim.outcome = Interp.Halted
       && vliw.Psb_machine.Vliw_sim.output = scalar.Interp.output
       && Memory.equal m1 m2)

@@ -370,7 +370,8 @@ let prop_shadow_overflow =
           Events.clear ring;
           let flagged =
             match
-              Vliw_sim.run ~events:ring ~model:machine ~regs:Gen_programs.regs
+              Vliw_sim.run ~fuel:Leash.fuel ~events:ring ~model:machine
+                ~regs:Gen_programs.regs
                 ~mem:(Gen_programs.make_mem g) code'
             with
             | res ->

@@ -85,7 +85,7 @@ let test_compiled_equivalence model () =
       in
       assert (Interp.equivalent scalar scalar2);
       let mem_vliw = w.Dsl.make_mem () in
-      let vliw = Driver.run_vliw compiled ~regs:w.Dsl.regs ~mem:mem_vliw in
+      let vliw = Leash.run_vliw compiled ~regs:w.Dsl.regs ~mem:mem_vliw in
       let ctx = w.Dsl.name ^ ":" ^ model.Model.name in
       Alcotest.(check (list int))
         (ctx ^ " output") scalar.Interp.output vliw.Vliw_sim.output;
