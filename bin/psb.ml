@@ -91,6 +91,12 @@ let require_executable (model : Model.t) =
     exit 1
   end
 
+(* The cycle bound of a VLIW run made beside the scalar run [scalar], so
+   that code which loops stops at the harness's leash instead of the
+   simulator's 60M-cycle default. *)
+let leash (scalar : Interp.result) =
+  Psb_eval.Harness.leash ~scalar_cycles:scalar.Interp.cycles
+
 (* The event ring a traced run records into: no suite run overflows it. *)
 let ring_capacity = 1 lsl 20
 
@@ -173,7 +179,10 @@ let sim_cmd =
       Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
     let compiled = Driver.compile ~model ~machine ~profile program in
-    let res = Driver.run_vliw compiled ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) in
+    let res =
+      Driver.run_vliw ~fuel:(leash scalar) compiled ~regs:w.Dsl.regs
+        ~mem:(w.Dsl.make_mem ())
+    in
     let s = res.Vliw_sim.stats in
     Format.printf "workload:      %s  (model %s)@." w.Dsl.name model.Model.name;
     Format.printf "outcome:       %a@." Interp.pp_outcome res.Vliw_sim.outcome;
@@ -313,13 +322,14 @@ let timeline_cmd =
   let run (w : Dsl.t) model limit =
     require_executable model;
     let machine = Machine_model.base in
-    let _, profile =
+    let scalar, profile =
       Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
     let compiled = Driver.compile ~model ~machine ~profile w.Dsl.program in
     let events = Psb_obs.Events.create ~capacity:ring_capacity () in
     let res =
-      Driver.run_vliw compiled ~events ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+      Driver.run_vliw ~fuel:(leash scalar) compiled ~events ~regs:w.Dsl.regs
+        ~mem:(w.Dsl.make_mem ())
     in
     if Psb_obs.Events.dropped events > 0 then
       Format.printf "... (event ring overflowed: the oldest %d events are lost)@."
@@ -351,13 +361,14 @@ let trace_cmd =
     require_executable model;
     let machine = machine_of_issue issue in
     let program = preoptimize opt w.Dsl.program in
-    let _, profile =
+    let scalar, profile =
       Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
     let compiled = Driver.compile ~model ~machine ~profile program in
     let events = Psb_obs.Events.create ~capacity:ring_capacity () in
     let res =
-      Driver.run_vliw compiled ~events ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+      Driver.run_vliw ~fuel:(leash scalar) compiled ~events ~regs:w.Dsl.regs
+        ~mem:(w.Dsl.make_mem ())
     in
     let sink =
       Vliw_trace.of_events ?limit ~model:machine
@@ -473,13 +484,14 @@ let speculate_cmd =
       exit 0
     end;
     require_executable model;
-    let _, profile =
+    let scalar, profile =
       Driver.profile_of program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
     in
     let compiled = Driver.compile ~model ~machine ~profile program in
     let events = Psb_obs.Events.create ~capacity () in
     let res =
-      Driver.run_vliw compiled ~events ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+      Driver.run_vliw ~fuel:(leash scalar) compiled ~events ~regs:w.Dsl.regs
+        ~mem:(w.Dsl.make_mem ())
     in
     let prof =
       Psb_obs.Spec_profile.of_events ~total_cycles:res.Vliw_sim.cycles events
@@ -639,8 +651,8 @@ let profile_cmd =
       if compiled.Driver.pcode = None then None
       else
         Some
-          (Driver.run_vliw compiled ~metrics ~regs:w.Dsl.regs
-             ~mem:(w.Dsl.make_mem ()))
+          (Driver.run_vliw ~fuel:(leash scalar) compiled ~metrics
+             ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()))
     in
     let hot = Trace.hot_blocks ~limit:10 trace in
     if json then begin
@@ -774,7 +786,8 @@ let speedup_cmd =
         let measured =
           if m.Model.executable then
             let r =
-              Driver.run_vliw compiled ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+              Driver.run_vliw ~fuel:(leash scalar) compiled ~regs:w.Dsl.regs
+                ~mem:(w.Dsl.make_mem ())
             in
             Format.asprintf " (measured %d, %.2fx)" r.Vliw_sim.cycles
               (float_of_int scalar.Interp.cycles /. float_of_int r.Vliw_sim.cycles)
@@ -814,7 +827,9 @@ let exec_cmd =
           let compiled =
             Driver.compile ~model ~machine:Machine_model.base ~profile program
           in
-          let vliw = Driver.run_vliw compiled ~regs:[] ~mem:(mem ()) in
+          let vliw =
+            Driver.run_vliw ~fuel:(leash scalar) compiled ~regs:[] ~mem:(mem ())
+          in
           Format.printf "%s: %a, %d cycles (%.2fx), output %s@."
             model.Model.name Interp.pp_outcome vliw.Vliw_sim.outcome
             vliw.Vliw_sim.cycles

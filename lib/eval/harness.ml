@@ -98,12 +98,10 @@ let estimated_cycles t ?machine model e =
 
 (* A run's cycle leash, from the scalar run of the same program: the
    largest VLIW/scalar cycle ratio a regeneration shows is 0.74 (li on
-   region-pred), so a run that needs [fuel_factor] times the scalar
-   cycles is looping. *)
-let fuel_factor = 8
-let fuel_floor = 100_000
-
-let vliw_fuel e = max fuel_floor (fuel_factor * scalar_cycles e)
+   region-pred), so a run that needs eight times the scalar cycles is
+   looping. *)
+let leash ~scalar_cycles = max 100_000 (8 * scalar_cycles)
+let vliw_fuel e = leash ~scalar_cycles:(scalar_cycles e)
 
 let measured t ?machine ?(single_shadow = true) ?regfile_mode ?events model e
     =

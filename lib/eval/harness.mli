@@ -91,6 +91,13 @@ val estimated_cycles :
   t -> ?machine:Machine_model.t -> Model.t -> entry -> int
 (** Trace-driven accounting on the model's schedules. *)
 
+val leash : scalar_cycles:int -> int
+(** The cycle bound of a VLIW run of a program whose scalar run took
+    [scalar_cycles]: eight times that, at least 100,000. No regeneration
+    run needs more than 0.74 times the scalar cycles, so a run that
+    reaches the bound is looping. {!measured} and every [psb] command
+    that makes a scalar run bound their VLIW runs by it. *)
+
 val measured : t -> ?machine:Machine_model.t -> ?single_shadow:bool ->
   ?regfile_mode:Psb_machine.Regfile.mode ->
   ?events:Psb_obs.Events.t -> Model.t -> entry ->

@@ -34,14 +34,17 @@ let map t p =
 
 (* Page numbers divide as the hash-table memory did (truncating), so a
    range or fault address maps to the same pages; pages that hold no
-   address of [0 .. size-1] are skipped. *)
+   address of [0 .. size-1] are skipped, and an empty range ([hi <= lo])
+   unmaps nothing. *)
 let create_demand ~size ~unmapped:(lo, hi) =
   let t = create ~size in
-  let last = min (Array.length t.mapped - 1) ((hi - 1) / page_size) in
-  for p = max 0 (lo / page_size) to last do
-    t.mapped.(p) <- false;
-    t.unmapped <- t.unmapped + 1
-  done;
+  if hi > lo then begin
+    let last = min (Array.length t.mapped - 1) ((hi - 1) / page_size) in
+    for p = max 0 (lo / page_size) to last do
+      t.mapped.(p) <- false;
+      t.unmapped <- t.unmapped + 1
+    done
+  end;
   t
 
 (* [addr] is in range when the test passes, so the shift is the page. *)

@@ -26,7 +26,8 @@ val create : size:int -> t
 val create_demand : size:int -> unmapped:(int * int) -> t
 (** [create_demand ~size ~unmapped:(lo, hi)]: the pages from
     [lo / page_size] to [(hi - 1) / page_size] start unmapped and fault
-    until {!handle_fault} (pages past [size] hold no address). *)
+    until {!handle_fault} (pages past [size] hold no address). An empty
+    range, [hi <= lo], unmaps nothing. *)
 
 val read : t -> int -> int
 (** @raise Fault on a bad or unmapped address. Unwritten mapped words

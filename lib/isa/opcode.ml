@@ -18,7 +18,10 @@ let eval_alu op a b =
   | Srl -> a lsr (b land 63)
   | Sra -> a asr (b land 63)
 
-let eval_cmp op a b =
+(* The operands are annotated so that the comparisons compile to int
+   instructions: unannotated, [eval_cmp] would be polymorphic and every
+   comparison a C call, whatever the interface says. *)
+let eval_cmp op (a : int) (b : int) =
   match op with
   | Eq -> a = b
   | Ne -> a <> b

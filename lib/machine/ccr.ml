@@ -154,6 +154,23 @@ let evalc t (cp : Pred.compiled) =
        with Exit -> ());
       !result
 
+let evalc_range t cps ~lo ~hi out =
+  for i = lo to hi - 1 do
+    out.(i - lo) <-
+      (match evalc t cps.(i) with
+      | Pred.False -> 0
+      | Pred.True -> 1
+      | Pred.Unspec -> 2)
+  done
+
+(* A top-level scan, not a local closure, so a call allocates nothing. *)
+let rec first_true t cps ~lo ~hi =
+  if lo >= hi then -1
+  else
+    match evalc t cps.(lo) with
+    | Pred.True -> lo
+    | Pred.False | Pred.Unspec -> first_true t cps ~lo:(lo + 1) ~hi
+
 let evals_mask t = t.evals_mask
 
 let all_specified t p =

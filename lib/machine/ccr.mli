@@ -46,6 +46,19 @@ val evalc : t -> Pred.compiled -> Pred.value
     width reads as unspecified (the compiler and verifier reject such
     predicates before they reach the machine). *)
 
+val evalc_range :
+  t -> Pred.compiled array -> lo:int -> hi:int -> int array -> unit
+(** [evalc_range t cps ~lo ~hi out] stores {!evalc} of each of
+    [cps.(lo .. hi-1)] into [out.(0 .. hi-lo-1)] as an int: [0] for
+    [False], [1] for [True], [2] for [Unspec]. A bundle's operation
+    predicates in one call; counts into {!evals_mask} as [hi - lo] calls
+    of {!evalc} would. *)
+
+val first_true : t -> Pred.compiled array -> lo:int -> hi:int -> int
+(** The first [i] in [lo .. hi-1] whose [cps.(i)] evaluates [True], or
+    [-1]: a bundle's exits in one call. Evaluates (and counts) the
+    predicates up to that one, as a scan with {!evalc} would. *)
+
 val all_specified : t -> Pred.t -> bool
 val all_specified_c : t -> Pred.compiled -> bool
 (** Mask form: [mask land specified = mask], per word. *)

@@ -9,24 +9,24 @@ type version = {
   seqno : int; (* issue order, newest wins on reads *)
 }
 
-(* A register's buffered speculative state. The Single model keeps its
-   one version in [single] ([none] when empty), so a buffered write costs
-   one record; the Infinite model keeps [versions], newest first. *)
-type entry = {
-  mutable seq : int;
-  mutable written : bool;
-  mutable single : version;
-  mutable versions : version list;
-}
-
-let none =
-  { value = 0; cpred = Pred.compiled_always; fault = None; seqno = -1 }
-
+(* The file is a set of flat banks indexed by register: [seq] and
+   [written] hold the sequential state. The Single model keeps its one
+   buffered version in the [s_*] banks, valid while [s_live], so a
+   buffered write allocates nothing; it stores the predicate and fault
+   pointers only when they change, which a loop rewriting a register
+   under the same predicate never does. [s_fault] is meaningful only
+   while [s_live]. The Infinite model keeps [versions], newest first. *)
 type t = {
   mode : mode;
   events : Psb_obs.Events.t option;
   mutable now : int; (* cycle stamp for emitted events, set by the sim *)
-  entries : entry array;
+  seq : int array;
+  written : bool array;
+  s_live : bool array;
+  s_value : int array;
+  s_cpred : Pred.compiled array;
+  s_fault : Fault.t option array;
+  versions : version list array;
   mutable conflicts : int;
   mutable spec_writes : int;
   mutable commits : int;
@@ -46,13 +46,18 @@ type t = {
 }
 
 let create ?(mode = Single) ?events ~nregs () =
+  let n = max nregs 1 in
   {
     mode;
     events;
     now = 0;
-    entries =
-      Array.init (max nregs 1) (fun _ ->
-          { seq = 0; written = false; single = none; versions = [] });
+    seq = Array.make n 0;
+    written = Array.make n false;
+    s_live = Array.make n false;
+    s_value = Array.make n 0;
+    s_cpred = Array.make n Pred.compiled_always;
+    s_fault = Array.make n None;
+    versions = Array.make n [];
     conflicts = 0;
     spec_writes = 0;
     commits = 0;
@@ -66,41 +71,42 @@ let create ?(mode = Single) ?events ~nregs () =
     tick_skipped = 0;
   }
 
-let nregs t = Array.length t.entries
+let nregs t = Array.length t.seq
 let mode t = t.mode
 let set_now t cycle = t.now <- cycle
+let values t = t.seq
 
 let ev t kind a b =
   match t.events with
   | None -> ()
   | Some e -> Psb_obs.Events.emit e ~cycle:t.now kind ~a ~b
-let entry t r = t.entries.(Reg.index r)
-let read_seq t r = (entry t r).seq
 
-(* The speculative version a reader with predicate [cpred] should see:
-   the newest version whose predicate is not on a mutually-exclusive
-   path, or [none]. In the Single model there is at most one version. *)
+let read_seq t r = t.seq.(r)
+
+let none = { value = 0; cpred = Pred.compiled_always; fault = None; seqno = -1 }
+
+(* The Infinite model's version a reader with predicate [cpred] should
+   see: the newest one whose predicate is not on a mutually-exclusive
+   path, or [none]. *)
 let rec pick_version vs cpred =
   match vs with
   | [] -> none
   | v :: rest -> if Pred.disjoint_c v.cpred cpred then pick_version rest cpred else v
 
-let pick e cpred =
-  let v = e.single in
-  if v != none then if Pred.disjoint_c v.cpred cpred then none else v
-  else pick_version e.versions cpred
-
 let read t r ~shadow ~cpred =
-  let e = entry t r in
-  if shadow then
-    let v = pick e cpred in
-    if v != none then v.value else e.seq
-  else e.seq
+  if not shadow then t.seq.(r)
+  else
+    match t.mode with
+    | Single ->
+        if t.s_live.(r) && not (Pred.disjoint_c t.s_cpred.(r) cpred) then t.s_value.(r)
+        else t.seq.(r)
+    | Infinite ->
+        let v = pick_version t.versions.(r) cpred in
+        if v != none then v.value else t.seq.(r)
 
 let write_seq t r v =
-  let e = entry t r in
-  e.seq <- v;
-  e.written <- true
+  t.seq.(r) <- v;
+  t.written.(r) <- true
 
 let count_fault = function Some _ -> 1 | None -> 0
 
@@ -134,16 +140,21 @@ let check_empty t =
     t.hi <- -1
   end
 
+(* The Single model's version of [r] becomes ([value], [cpred], [fault]). *)
+let store t r value cpred fault =
+  t.s_value.(r) <- value;
+  if t.s_cpred.(r) != cpred then t.s_cpred.(r) <- cpred;
+  if fault != None || t.s_fault.(r) != None then t.s_fault.(r) <- fault
+
 let write_spec t r value ~cpred ~fault =
-  let e = entry t r in
   t.spec_writes <- t.spec_writes + 1;
-  ev t Psb_obs.Events.Shadow_write (Reg.index r) value;
+  ev t Psb_obs.Events.Shadow_write r value;
   let seqno = t.next_seqno in
   t.next_seqno <- seqno + 1;
   match t.mode with
   | Infinite ->
       (* at most one version per predicate *)
-      let same, rest = split_same cpred e.versions in
+      let same, rest = split_same cpred t.versions.(r) in
       let fault =
         if same == none then fault
         else begin
@@ -152,24 +163,25 @@ let write_spec t r value ~cpred ~fault =
           merge_fault same.fault fault
         end
       in
-      e.versions <- { value; cpred; fault; seqno } :: rest;
-      note_live t (Reg.index r);
+      t.versions.(r) <- { value; cpred; fault; seqno } :: rest;
+      note_live t r;
       t.live <- t.live + 1;
       t.faults <- t.faults + count_fault fault;
       `Ok
   | Single ->
-      let v = e.single in
-      if v == none then begin
-        e.single <- { value; cpred; fault; seqno };
-        note_live t (Reg.index r);
+      if not t.s_live.(r) then begin
+        store t r value cpred fault;
+        t.s_live.(r) <- true;
+        note_live t r;
         t.live <- t.live + 1;
         t.faults <- t.faults + count_fault fault;
         `Ok
       end
-      else if Pred.equal_c v.cpred cpred then begin
-        let fault = merge_fault v.fault fault in
-        e.single <- { value; cpred; fault; seqno };
-        t.faults <- t.faults - count_fault v.fault + count_fault fault;
+      else if Pred.equal_c t.s_cpred.(r) cpred then begin
+        let old = t.s_fault.(r) in
+        let fault = merge_fault old fault in
+        store t r value cpred fault;
+        t.faults <- t.faults - count_fault old + count_fault fault;
         `Ok
       end
       else begin
@@ -177,102 +189,114 @@ let write_spec t r value ~cpred ~fault =
         `Conflict
       end
 
-let versions e = if e.single != none then [ e.single ] else e.versions
-
 let committing_exceptions t lookup =
   if t.faults = 0 then []
-  else
-    Array.to_seqi t.entries
-    |> Seq.concat_map (fun (i, e) ->
-           List.to_seq (versions e)
-           |> Seq.filter_map (fun v ->
-                  match v.fault with
-                  | Some f when Pred.eval (Pred.source v.cpred) lookup = Pred.True ->
-                      Some (Reg.make i, f)
-                  | Some _ | None -> None))
-    |> List.of_seq
+  else begin
+    let commits cpred = Pred.eval (Pred.source cpred) lookup = Pred.True in
+    let acc = ref [] in
+    for i = Array.length t.seq - 1 downto 0 do
+      match t.mode with
+      | Single -> (
+          if t.s_live.(i) then
+            match t.s_fault.(i) with
+            | Some f when commits t.s_cpred.(i) -> acc := (i, f) :: !acc
+            | Some _ | None -> ())
+      | Infinite ->
+          acc :=
+            List.fold_right
+              (fun v acc ->
+                match v.fault with
+                | Some f when commits v.cpred -> (i, f) :: acc
+                | Some _ | None -> acc)
+              t.versions.(i) !acc
+    done;
+    !acc
+  end
 
-(* Evaluate a version once. A version whose mask meets none of the
+(* Evaluate a version's predicate once. One whose mask meets none of the
    conditions written since the last tick ([dirty]) is still Unspec —
    the gating invariant: every buffered version was Unspec when last
    examined (speculative writes only buffer on Unspec), and only a write
    to a mentioned condition can change that. *)
-let decide t ccr ~dirty v =
-  if v.cpred.Pred.c_wide = None && v.cpred.Pred.c_mask land dirty = 0 then begin
-    t.tick_skipped <- t.tick_skipped + 1;
-    Pred.Unspec
-  end
-  else begin
-    t.tick_examined <- t.tick_examined + 1;
-    Ccr.evalc ccr v.cpred
-  end
+let decide t ccr ~dirty (cp : Pred.compiled) =
+  match cp.Pred.c_wide with
+  | None when cp.Pred.c_mask land dirty = 0 ->
+      t.tick_skipped <- t.tick_skipped + 1;
+      Pred.Unspec
+  | None | Some _ ->
+      t.tick_examined <- t.tick_examined + 1;
+      Ccr.evalc ccr cp
 
-let commit_value t idx e v =
-  assert (v.fault = None);
+let commit_value t idx fault value =
+  (match fault with Some _ -> assert false | None -> ());
   t.commits <- t.commits + 1;
-  ev t Psb_obs.Events.Shadow_commit idx v.value;
-  e.seq <- v.value;
-  e.written <- true
+  ev t Psb_obs.Events.Shadow_commit idx value;
+  write_seq t idx value
 
 (* The versions of one register in the Infinite model. Commits are
    processed oldest-first so that if several versions commit in one
    cycle (a possible WAW), the newest wins. *)
-let tick_versions t ccr ~dirty idx e =
+let tick_versions t ccr ~dirty idx =
   let committing = ref [] and keep_rev = ref [] in
   let squashed = ref 0 in
   List.iter
     (fun v ->
-      match decide t ccr ~dirty v with
+      match decide t ccr ~dirty v.cpred with
       | Pred.True -> committing := v :: !committing
       | Pred.False ->
           squashed := !squashed + 1;
           ev t Psb_obs.Events.Shadow_squash idx 0;
           t.faults <- t.faults - count_fault v.fault
       | Pred.Unspec -> keep_rev := v :: !keep_rev)
-    e.versions;
-  List.iter (commit_value t idx e)
-    (List.sort (fun a b -> compare a.seqno b.seqno) !committing);
+    t.versions.(idx);
+  List.iter
+    (fun v -> commit_value t idx v.fault v.value)
+    (List.sort (fun a b -> Int.compare a.seqno b.seqno) !committing);
   t.squashes <- t.squashes + !squashed;
   t.live <- t.live - List.length !committing - !squashed;
-  e.versions <- List.rev !keep_rev
+  t.versions.(idx) <- List.rev !keep_rev
 
 let tick ~dirty t ccr =
   if t.live > 0 then begin
-    for idx = t.lo to t.hi do
-      let e = t.entries.(idx) in
-      let v = e.single in
-      if v != none then begin
-        (* the Single model: decide in place, allocating nothing *)
-        match decide t ccr ~dirty v with
-        | Pred.Unspec -> ()
-        | Pred.True ->
-            commit_value t idx e v;
-            e.single <- none;
-            t.live <- t.live - 1
-        | Pred.False ->
-            t.squashes <- t.squashes + 1;
-            ev t Psb_obs.Events.Shadow_squash idx 0;
-            t.faults <- t.faults - count_fault v.fault;
-            e.single <- none;
-            t.live <- t.live - 1
-      end
-      else if e.versions <> [] then tick_versions t ccr ~dirty idx e
-    done;
+    (match t.mode with
+    | Single ->
+        (* decide in place, allocating nothing *)
+        for idx = t.lo to t.hi do
+          if t.s_live.(idx) then
+            match decide t ccr ~dirty t.s_cpred.(idx) with
+            | Pred.Unspec -> ()
+            | Pred.True ->
+                commit_value t idx t.s_fault.(idx) t.s_value.(idx);
+                t.s_live.(idx) <- false;
+                t.live <- t.live - 1
+            | Pred.False ->
+                t.squashes <- t.squashes + 1;
+                ev t Psb_obs.Events.Shadow_squash idx 0;
+                t.faults <- t.faults - count_fault t.s_fault.(idx);
+                t.s_live.(idx) <- false;
+                t.live <- t.live - 1
+        done
+    | Infinite ->
+        for idx = t.lo to t.hi do
+          match t.versions.(idx) with
+          | [] -> ()
+          | _ :: _ -> tick_versions t ccr ~dirty idx
+        done);
     check_empty t
   end
 
 let invalidate_spec t =
   if t.live > 0 then begin
     for idx = t.lo to t.hi do
-      let e = t.entries.(idx) in
-      if e.single != none then begin
+      if t.s_live.(idx) then begin
         ev t Psb_obs.Events.Shadow_squash idx 1;
-        e.single <- none
+        t.s_live.(idx) <- false
       end;
-      if e.versions <> [] then begin
-        List.iter (fun _ -> ev t Psb_obs.Events.Shadow_squash idx 1) e.versions;
-        e.versions <- []
-      end
+      match t.versions.(idx) with
+      | [] -> ()
+      | vs ->
+          List.iter (fun _ -> ev t Psb_obs.Events.Shadow_squash idx 1) vs;
+          t.versions.(idx) <- []
     done;
     t.live <- 0;
     t.faults <- 0;
@@ -289,14 +313,23 @@ let tick_examined t = t.tick_examined
 let tick_skipped t = t.tick_skipped
 
 let debug_recount t =
-  Array.fold_left
-    (fun (live, faults) e ->
-      let vs = versions e in
-      ( live + List.length vs,
-        faults + List.length (List.filter (fun v -> v.fault <> None) vs) ))
-    (0, 0) t.entries
+  let live = ref 0 and faults = ref 0 in
+  for i = 0 to Array.length t.seq - 1 do
+    if t.s_live.(i) then begin
+      incr live;
+      faults := !faults + count_fault t.s_fault.(i)
+    end;
+    List.iter
+      (fun v ->
+        incr live;
+        faults := !faults + count_fault v.fault)
+      t.versions.(i)
+  done;
+  (!live, !faults)
 
 let final_state t =
-  Array.to_seqi t.entries
-  |> Seq.filter (fun (_, e) -> e.written)
-  |> Seq.fold_left (fun m (i, e) -> Reg.Map.add (Reg.make i) e.seq m) Reg.Map.empty
+  let m = ref Reg.Map.empty in
+  for i = Array.length t.seq - 1 downto 0 do
+    if t.written.(i) then m := Reg.Map.add (Reg.make i) t.seq.(i) !m
+  done;
+  !m

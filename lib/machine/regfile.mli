@@ -10,10 +10,11 @@
     Two capacity models: [Single] (the paper's cost-reduced design — a
     second same-register speculative write with a different predicate is a
     {e storage conflict} and must stall, footnote 1) and [Infinite]
-    (the idealised design used to bound the cost of that choice). A
-    Single entry holds its one version in a field of its own, so a
-    buffered write costs one record and nothing else; the Infinite model
-    keeps a list of versions per register.
+    (the idealised design used to bound the cost of that choice). The
+    file is a set of flat banks indexed by register; the Single model
+    keeps its one version per register in banks of its own, so a
+    buffered write allocates nothing, and the Infinite model keeps a
+    list of versions per register.
 
     Buffered versions carry {e compiled} predicates
     ({!Psb_isa.Pred.compiled}); the per-cycle {!tick} evaluates them as
@@ -45,6 +46,11 @@ val set_now : t -> int -> unit
     simulator calls it once per cycle (only when events are attached). *)
 
 val read_seq : t -> Reg.t -> int
+
+val values : t -> int array
+(** The sequential values, indexed by register: the bank itself, not a
+    copy, so the machine's operand fetch reads an unflagged register
+    without a call. Only {!write_seq} and {!tick} write it. *)
 
 val read : t -> Reg.t -> shadow:bool -> cpred:Pred.compiled -> int
 (** Operand fetch. With [shadow:true] the speculative value is returned if

@@ -61,16 +61,32 @@ type result = {
 
 (* The reorder buffer keeps its entries in per-field banks indexed by
    slot, like the [rob_busy]/[rob_typ]/[rob_rno]/[rob_val] registers of a
-   hardware ROB. Entries are predecoded at dispatch into the dense class
-   tags of the {!Psb_isa.Decoded} form ([kind] is a [Decoded.k*] value, or
-   [branch_class]), so the per-cycle loops dispatch on ints and fetch
-   copies ints straight out of the flat arrays.
+   hardware ROB. An entry holds the dynamic facts only: its static fields
+   stay in the {!Psb_isa.Decoded} arrays, found through [e_ins], and its
+   [kind] is a [Decoded.k*] class tag (or [branch_class]), so the
+   per-cycle loops dispatch on ints.
 
-   An entry's state is an int: [st_waiting], [st_done], or (> 0) the
-   cycles left executing. Each operand is a pair of banks: the slot of
-   the producing entry it waits on ([-1] once ready) and its value. *)
+   An entry's state is an int: [st_waiting], [st_exec] or [st_done].
+   Each operand is a pair of banks: the slot of the producing entry it
+   waits on ([-1] once ready) and its value.
+
+   No cycle walks the buffer. Four structures, kept in step with the
+   entries, find the work:
+   - the ready list: the waiting entries whose operands are all ready,
+     oldest first, doubly linked through [r_next]/[r_prev];
+   - the completion wheel: the executing entries, in one bucket per
+     completion cycle modulo a power of two above the longest latency,
+     each bucket oldest first, linked through [x_next];
+   - the store queue: the live stores, oldest first, a ring of slots;
+   - the wakeup lists: per producing slot, the operands waiting on it,
+     doubly linked through nodes [2 * slot] (first operand) and
+     [2 * slot + 1] (second), so a squashed consumer unlinks its nodes
+     before its slot can be reused.
+   Squashes always take the youngest entries, so the ready list, the
+   buckets and the store queue lose a suffix. *)
 let st_waiting = -1
 let st_done = 0
+let st_exec = 1
 
 let op_classes =
   [| "alu"; "mov"; "load"; "store"; "cmp"; "setc"; "out"; "nop"; "branch" |]
@@ -106,6 +122,9 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
   let dcache_ports = model.Machine_model.dcache_ports in
   let int_latency = max 1 model.Machine_model.int_latency in
   let load_latency = max 1 model.Machine_model.load_latency in
+  (* the decoded form's arrays, read at dispatch, completion and commit *)
+  let op_bounds = d.Decoded.op_bounds and d_kind = d.Decoded.kind in
+  let d_dst = d.Decoded.dst and d_aux = d.Decoded.aux in
   (* architectural state — only commit touches it *)
   let arch = Array.make nregs 0 in
   let written = Array.make nregs false in
@@ -121,46 +140,63 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
      one bank per field *)
   let head = ref 0 in
   let count = ref 0 in
-  (* fetch sequence number: program order, wrong paths included *)
+  (* fetch sequence number: program order, wrong paths included, so
+     the age order of live entries *)
   let e_seq = Array.make size 0 in
   (* dynamic block-visit id, for commit-ordered region events *)
   let e_visit = Array.make size 0 in
-  (* decoded block index, and position in the block body (the
+  (* decoded block index *)
+  let e_blk = Array.make size 0 in
+  (* decoded op index; for a branch, one past its block's last op, so
+     [e_ins - op_bounds.(blk)] is always the position in the block (the
      fault-restart point) *)
-  let e_blk = Array.make size 0 and e_idx = Array.make size 0 in
+  let e_ins = Array.make size 0 in
   let e_kind = Array.make size 0 in
-  (* register index, condition index for setc; -1 *)
-  let e_dst = Array.make size 0 in
-  (* load/store offset *)
-  let e_aux = Array.make size 0 in
-  let e_alu = Array.make size Opcode.Add in
-  let e_cmp = Array.make size Opcode.Eq in
-  (* branch targets as block indices, and the prediction *)
-  let e_tt = Array.make size 0 and e_tf = Array.make size 0 in
+  (* the prediction of a branch *)
   let e_pred = Array.make size false in
   let e_state = Array.make size st_waiting in
   let e_result = Array.make size 0 in
-  (* resolved memory address; -1 until known *)
-  let e_addr = Array.make size (-1) in
-  let e_live = Array.make size false in
+  (* resolved memory address, set when a load or store completes *)
+  let e_addr = Array.make size 0 in
   (* buffered, raised only at commit; written only when an op faults *)
   let e_fault : Fault.t option array = Array.make size None in
   (* the operands *)
   let e_w1 = Array.make size (-1) and e_v1 = Array.make size 0 in
   let e_w2 = Array.make size (-1) and e_v2 = Array.make size 0 in
-  (* operands captured waiting on this entry; an upper bound once a
-     waiting consumer is squashed *)
-  let e_waiters = Array.make size 0 in
-  (* live entries waiting to issue, and executing *)
-  let nwait = ref 0 in
-  let nexec = ref 0 in
   (* slot of position [k < size] from the head, without a division *)
   let slot_at k =
     let s = !head + k in
     if s >= size then s - size else s
   in
+  (* the ready list *)
+  let r_next = Array.make size (-1) and r_prev = Array.make size (-1) in
+  let r_head = ref (-1) and r_tail = ref (-1) in
+  (* the completion wheel *)
+  let wheel =
+    let n = ref 1 in
+    while !n <= max int_latency load_latency do
+      n := 2 * !n
+    done;
+    !n
+  in
+  let wmask = wheel - 1 in
+  let x_head = Array.make wheel (-1) and x_tail = Array.make wheel (-1) in
+  let x_next = Array.make size (-1) in
+  (* the store queue *)
+  let sq = Array.make size 0 in
+  let sq_head = ref 0 and sq_n = ref 0 in
+  let sq_at k =
+    let s = !sq_head + k in
+    if s >= size then s - size else s
+  in
+  (* the wakeup lists *)
+  let w_head = Array.make size (-1) in
+  let n_next = Array.make (2 * size) (-1) in
+  let n_prev = Array.make (2 * size) (-1) in
   (* rename map: architectural register -> slot of the youngest live
-     producer, -1 when the architectural file holds the value *)
+     producer, -1 when the architectural file holds the value; commit,
+     the mispredict rebuild and the restart keep it pointing at live
+     entries only *)
   let rmap = Array.make nregs (-1) in
   (* fetch state *)
   let cur_blk = ref d.Decoded.entry in
@@ -172,20 +208,16 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
   let seq_counter = ref 0 in
   (* 2-bit saturating counter per branch block, initially weakly taken *)
   let pred_arr = Array.make (max 1 d.Decoded.nblocks) 2 in
-  (* function units per class, and those still free this cycle, indexed
-     by [unit_*] *)
-  let unit_alu = 0 and unit_br = 1 and unit_ld = 2 and unit_st = 3 in
-  let unit_count =
-    Array.map
-      (Machine_model.units_available model)
-      Machine_model.[| Alu_unit; Branch_unit; Load_unit; Store_unit |]
-  in
-  let units = Array.make 4 0 in
+  (* function units per class, and those still free this cycle *)
+  let n_alu = Machine_model.units_available model Machine_model.Alu_unit in
+  let n_br = Machine_model.units_available model Machine_model.Branch_unit in
+  let n_ld = Machine_model.units_available model Machine_model.Load_unit in
+  let n_st = Machine_model.units_available model Machine_model.Store_unit in
+  let free_alu = ref 0 and free_br = ref 0 in
+  let free_ld = ref 0 and free_st = ref 0 in
   (* statistics *)
   let fetched = ref 0 in
-  let committed = ref 0 in
   let squashed = ref 0 in
-  let branches = ref 0 in
   let mispredicts = ref 0 in
   let loads_forwarded = ref 0 in
   let squashed_faults = ref 0 in
@@ -210,6 +242,9 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     | None -> ()
     | Some e -> Events.emit e ~cycle:!now kind ~a ~b
   in
+  (* the per-entry sites test this first, so an untraced run makes no
+     call for an event *)
+  let traced = Option.is_some events in
   let region_id label =
     match events with
     | None -> -1
@@ -222,49 +257,132 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
           ~buckets:[ 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64. ])
       metrics
   in
+  (* ----- the lists ----- *)
+  (* Insert [slot] into the ready list by age; a dispatched entry is the
+     youngest, so it goes straight to the tail. *)
+  let ready_insert slot =
+    let s = e_seq.(slot) in
+    let p = ref !r_tail in
+    while !p >= 0 && e_seq.(!p) > s do
+      p := r_prev.(!p)
+    done;
+    let p = !p in
+    let nx = if p < 0 then !r_head else r_next.(p) in
+    r_prev.(slot) <- p;
+    r_next.(slot) <- nx;
+    if p < 0 then r_head := slot else r_next.(p) <- slot;
+    if nx < 0 then r_tail := slot else r_prev.(nx) <- slot
+  in
+  let ready_remove slot =
+    let p = r_prev.(slot) and nx = r_next.(slot) in
+    if p < 0 then r_head := nx else r_next.(p) <- nx;
+    if nx < 0 then r_tail := p else r_prev.(nx) <- p
+  in
+  (* Put [slot] in the bucket of cycle [due], by age. *)
+  let exec_insert slot due =
+    let b = due land wmask and s = e_seq.(slot) in
+    let t = x_tail.(b) in
+    x_next.(slot) <- -1;
+    if t < 0 then begin
+      x_head.(b) <- slot;
+      x_tail.(b) <- slot
+    end
+    else if e_seq.(t) < s then begin
+      x_next.(t) <- slot;
+      x_tail.(b) <- slot
+    end
+    else begin
+      let h = x_head.(b) in
+      if e_seq.(h) > s then begin
+        x_next.(slot) <- h;
+        x_head.(b) <- slot
+      end
+      else begin
+        let p = ref h in
+        while e_seq.(x_next.(!p)) < s do
+          p := x_next.(!p)
+        done;
+        x_next.(slot) <- x_next.(!p);
+        x_next.(!p) <- slot
+      end
+    end
+  in
+  (* Operand node [n] of a squashed consumer stops waiting on producer
+     [p]. *)
+  let unlink n p =
+    let pv = n_prev.(n) and nx = n_next.(n) in
+    if pv < 0 then w_head.(p) <- nx else n_next.(pv) <- nx;
+    if nx >= 0 then n_prev.(nx) <- pv
+  in
+  (* Drop every entry younger than sequence number [s] from the ready
+     list, the completion wheel and the store queue. *)
+  let truncate_lists s =
+    while !r_tail >= 0 && e_seq.(!r_tail) > s do
+      r_tail := r_prev.(!r_tail)
+    done;
+    if !r_tail < 0 then r_head := -1 else r_next.(!r_tail) <- -1;
+    for b = 0 to wmask do
+      let h = x_head.(b) in
+      if h >= 0 && e_seq.(x_tail.(b)) > s then
+        if e_seq.(h) > s then begin
+          x_head.(b) <- -1;
+          x_tail.(b) <- -1
+        end
+        else begin
+          let p = ref h in
+          while e_seq.(x_next.(!p)) <= s do
+            p := x_next.(!p)
+          done;
+          x_next.(!p) <- -1;
+          x_tail.(b) <- !p
+        end
+    done;
+    while !sq_n > 0 && e_seq.(sq.(sq_at (!sq_n - 1))) > s do
+      decr sq_n
+    done
+  in
   (* ----- dispatch ----- *)
-  (* Capture register [ri] into operand bank [w]/[v] of [slot]: the
-     value if it is available (architectural, or the producing entry has
-     completed), else the producing entry's slot. *)
-  let capture w v slot ri =
-    let s = rmap.(ri) in
-    if s >= 0 && e_live.(s) && e_state.(s) <> st_done then begin
+  (* Capture the source register [reg] (or, when [reg < 0], the
+     immediate [imm]) into operand [w]/[v] of [slot]: the value if it is
+     available (an immediate, architectural, or the producing entry has
+     completed), else the producing entry's slot, with wakeup node [n]
+     linked into that entry's list. *)
+  let capture w v n slot reg imm =
+    let s = if reg >= 0 then rmap.(reg) else -1 in
+    if s >= 0 && e_state.(s) <> st_done then begin
       w.(slot) <- s;
-      e_waiters.(s) <- e_waiters.(s) + 1
+      let h = w_head.(s) in
+      n_prev.(n) <- -1;
+      n_next.(n) <- h;
+      if h >= 0 then n_prev.(h) <- n;
+      w_head.(s) <- n
     end
     else begin
       w.(slot) <- -1;
-      v.(slot) <- (if s >= 0 && e_live.(s) then e_result.(s) else arch.(ri))
+      v.(slot) <-
+        (if reg < 0 then imm else if s >= 0 then e_result.(s) else arch.(reg))
     end
-  in
-  let ready w v slot x =
-    w.(slot) <- -1;
-    v.(slot) <- x
-  in
-  (* A register source [reg] or an immediate [imm]. *)
-  let capture_src w v slot reg imm =
-    if reg >= 0 then capture w v slot reg else ready w v slot imm
   in
   (* The tail slot's fields other than its operands, which the caller
      has already captured. *)
-  let push slot ~blk ~idx ~kind ~dst =
+  let push slot ~blk ~ins ~kind =
     e_seq.(slot) <- !seq_counter;
     e_visit.(slot) <- !cur_visit;
     e_blk.(slot) <- blk;
-    e_idx.(slot) <- idx;
+    e_ins.(slot) <- ins;
     e_kind.(slot) <- kind;
-    e_dst.(slot) <- dst;
     e_state.(slot) <- st_waiting;
-    incr nwait;
-    e_waiters.(slot) <- 0;
-    e_result.(slot) <- 0;
-    e_addr.(slot) <- -1;
-    e_live.(slot) <- true;
+    w_head.(slot) <- -1;
     if e_fault.(slot) != None then e_fault.(slot) <- None;
     incr seq_counter;
     incr count;
     incr fetched;
-    if has_reg_dst kind then rmap.(dst) <- slot
+    if has_reg_dst kind then rmap.(d_dst.(ins)) <- slot
+    else if kind = Decoded.kstore then begin
+      sq.(sq_at !sq_n) <- slot;
+      incr sq_n
+    end;
+    if e_w1.(slot) < 0 && e_w2.(slot) < 0 then ready_insert slot
   in
   let next_visit () =
     incr visit_counter;
@@ -281,37 +399,36 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
       let bi = !cur_blk in
       (* control reached a label missing from the program *)
       if bi < 0 then raise Not_found;
-      let lo = d.Decoded.op_bounds.(bi) in
-      let len = d.Decoded.op_bounds.(bi + 1) - lo in
-      if !cur_idx < len then
-        if !count >= size then begin
-          incr full_stalls;
-          budget := 0
+      let lo = op_bounds.(bi) in
+      let len = op_bounds.(bi + 1) - lo in
+      (* the block's ops, while the budget and the buffer last *)
+      while !budget > 0 && !cur_idx < len && !count < size do
+        let i = lo + !cur_idx in
+        let k = d_kind.(i) in
+        let slot = slot_at !count in
+        if k = Decoded.knop then begin
+          e_w1.(slot) <- -1;
+          e_w2.(slot) <- -1
         end
         else begin
-          let i = lo + !cur_idx in
-          let k = d.Decoded.kind.(i) in
-          let slot = slot_at !count in
-          if k = Decoded.knop then begin
-            ready e_w1 e_v1 slot 0;
-            ready e_w2 e_v2 slot 0
-          end
-          else begin
-            capture_src e_w1 e_v1 slot d.Decoded.s1_reg.(i)
-              d.Decoded.s1_imm.(i);
-            if k = Decoded.kmov || k = Decoded.kload || k = Decoded.kout then
-              ready e_w2 e_v2 slot 0
-            else
-              capture_src e_w2 e_v2 slot d.Decoded.s2_reg.(i)
-                d.Decoded.s2_imm.(i)
-          end;
-          e_aux.(slot) <- d.Decoded.aux.(i);
-          e_alu.(slot) <- d.Decoded.alu.(i);
-          e_cmp.(slot) <- d.Decoded.cmp.(i);
-          push slot ~blk:bi ~idx:!cur_idx ~kind:k ~dst:d.Decoded.dst.(i);
-          incr cur_idx;
-          decr budget
-        end
+          capture e_w1 e_v1 (2 * slot) slot d.Decoded.s1_reg.(i)
+            d.Decoded.s1_imm.(i);
+          if k = Decoded.kmov || k = Decoded.kload || k = Decoded.kout then
+            e_w2.(slot) <- -1
+          else
+            capture e_w2 e_v2 ((2 * slot) + 1) slot d.Decoded.s2_reg.(i)
+              d.Decoded.s2_imm.(i)
+        end;
+        push slot ~blk:bi ~ins:i ~kind:k;
+        incr cur_idx;
+        decr budget
+      done;
+      if !budget = 0 then ()
+      else if !cur_idx < len then begin
+        (* an op is left, so the buffer is full *)
+        incr full_stalls;
+        budget := 0
+      end
       else begin
         let tk = d.Decoded.term_kind.(bi) in
         if tk = Decoded.thalt then fetch_halted := true
@@ -327,17 +444,13 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
         end
         else begin
           let predicted = pred_arr.(bi) >= 2 in
-          let tt = d.Decoded.term_t.(bi) and tf = d.Decoded.term_f.(bi) in
           let slot = slot_at !count in
-          capture e_w1 e_v1 slot d.Decoded.term_src.(bi);
-          ready e_w2 e_v2 slot 0;
-          e_aux.(slot) <- 0;
-          e_tt.(slot) <- tt;
-          e_tf.(slot) <- tf;
+          capture e_w1 e_v1 (2 * slot) slot d.Decoded.term_src.(bi) 0;
+          e_w2.(slot) <- -1;
           e_pred.(slot) <- predicted;
-          push slot ~blk:bi ~idx:len ~kind:branch_class ~dst:(-1);
+          push slot ~blk:bi ~ins:(lo + len) ~kind:branch_class;
           decr budget;
-          goto (if predicted then tt else tf)
+          goto (if predicted then d.Decoded.term_t.(bi) else d.Decoded.term_f.(bi))
         end
       end
     done
@@ -346,60 +459,63 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     if !redirect_stall > 0 then decr redirect_stall else fetch ()
   in
   (* ----- completion ----- *)
-  (* A consumer is always younger than its producer, so the broadcast
-     starts after the producer's position [pos], and it stops once every
-     operand captured waiting on the producer has been found. *)
-  let broadcast pos slot v =
-    let left = ref e_waiters.(slot) and k = ref (pos + 1) in
-    while !left > 0 && !k < !count do
-      let c = slot_at !k in
-      if e_w1.(c) = slot then begin
-        ready e_w1 e_v1 c v;
-        decr left
+  (* The operands waiting on [slot] take its value [v]; a consumer whose
+     operands are now all ready joins the ready list. *)
+  let wake slot v =
+    let n = ref w_head.(slot) in
+    w_head.(slot) <- -1;
+    while !n >= 0 do
+      let c = !n lsr 1 in
+      if !n land 1 = 0 then begin
+        e_w1.(c) <- -1;
+        e_v1.(c) <- v
+      end
+      else begin
+        e_w2.(c) <- -1;
+        e_v2.(c) <- v
       end;
-      if e_w2.(c) = slot then begin
-        ready e_w2 e_v2 c v;
-        decr left
-      end;
-      incr k
+      if e_w1.(c) < 0 && e_w2.(c) < 0 then ready_insert c;
+      n := n_next.(!n)
     done
   in
   let squash_entry ~reason slot =
-    let n = e_state.(slot) in
-    if n = st_waiting then decr nwait else if n > 0 then decr nexec;
-    eev Events.Rob_squash ~a:e_seq.(slot) ~b:reason;
+    if e_state.(slot) = st_waiting then begin
+      if e_w1.(slot) >= 0 then unlink (2 * slot) e_w1.(slot);
+      if e_w2.(slot) >= 0 then unlink ((2 * slot) + 1) e_w2.(slot)
+    end;
+    if traced then eev Events.Rob_squash ~a:e_seq.(slot) ~b:reason;
     incr squashed;
     if e_fault.(slot) != None then incr squashed_faults
   in
-  (* Position of the youngest store strictly older than position [pos]
-     with a matching resolved address, or -1. *)
-  let forward_from_store pos addr =
-    let j = ref (pos - 1) in
-    while
-      !j >= 0
-      &&
-      let p = slot_at !j in
-      not
-        (e_kind.(p) = Decoded.kstore
-        && e_state.(p) = st_done
-        && e_addr.(p) = addr)
-    do
-      decr j
+  (* The youngest done store older than the load [slot] with the
+     resolved address [addr], or -1. *)
+  let forward_from_store slot addr =
+    let s = e_seq.(slot) in
+    let k = ref (!sq_n - 1) and found = ref (-1) in
+    while !found < 0 && !k >= 0 do
+      let p = sq.(sq_at !k) in
+      if
+        e_seq.(p) < s && e_state.(p) = st_done && e_addr.(p) = addr
+      then found := p;
+      decr k
     done;
-    !j
+    !found
   in
-  let mispredict_flush pos ~blk =
+  let mispredict_flush slot ~blk =
     incr mispredicts;
+    let pos =
+      let p = slot - !head in
+      if p < 0 then p + size else p
+    in
     for k = pos + 1 to !count - 1 do
-      let slot = slot_at k in
-      squash_entry ~reason:0 slot;
-      e_live.(slot) <- false
+      squash_entry ~reason:0 (slot_at k)
     done;
     count := pos + 1;
+    truncate_lists e_seq.(slot);
     Array.fill rmap 0 nregs (-1);
     for k = 0 to pos do
-      let slot = slot_at k in
-      if has_reg_dst e_kind.(slot) then rmap.(e_dst.(slot)) <- slot
+      let c = slot_at k in
+      if has_reg_dst e_kind.(c) then rmap.(d_dst.(e_ins.(c))) <- c
     done;
     cur_blk := blk;
     next_visit ();
@@ -412,116 +528,138 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     e_fault.(slot) <- Some f;
     eev Events.Fault_deferred ~a ~b:0
   in
-  let complete_entry ~pos ~slot =
+  let complete_entry slot =
     let kind = e_kind.(slot) in
-    let v1 = e_v1.(slot) and v2 = e_v2.(slot) in
+    let v1 = e_v1.(slot) in
+    e_state.(slot) <- st_done;
     if kind = branch_class then begin
       let taken = v1 <> 0 in
       e_result.(slot) <- (if taken then 1 else 0);
-      e_state.(slot) <- st_done;
       let blk = e_blk.(slot) in
       let c = pred_arr.(blk) in
-      pred_arr.(blk) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+      pred_arr.(blk) <-
+        (if taken then if c < 3 then c + 1 else 3 else if c > 0 then c - 1 else 0);
       if taken <> e_pred.(slot) then
-        mispredict_flush pos ~blk:(if taken then e_tt.(slot) else e_tf.(slot))
+        mispredict_flush slot
+          ~blk:(if taken then d.Decoded.term_t.(blk) else d.Decoded.term_f.(blk))
     end
     else begin
+      let i = e_ins.(slot) in
       (* dense dispatch on the Decoded class tags:
          0 alu, 1 mov, 2 load, 3 store, 4 cmp, 5 setc, 6 out, 7 nop *)
-      (match kind with
+      match kind with
       | 0 -> (
-          match Opcode.eval_alu e_alu.(slot) v1 v2 with
-          | r -> e_result.(slot) <- r
+          match Opcode.eval_alu d.Decoded.alu.(i) v1 e_v2.(slot) with
+          | r ->
+              e_result.(slot) <- r;
+              wake slot r
           | exception Opcode.Arithmetic_fault m ->
-              defer_fault slot (Fault.Arith m) ~a:(-1))
-      | 1 | 6 -> e_result.(slot) <- v1
+              defer_fault slot (Fault.Arith m) ~a:(-1);
+              wake slot 0)
+      | 1 ->
+          e_result.(slot) <- v1;
+          wake slot v1
+      | 6 -> e_result.(slot) <- v1
       | 4 | 5 ->
-          e_result.(slot) <-
-            (if Opcode.eval_cmp e_cmp.(slot) v1 v2 then 1 else 0)
-      | 2 -> (
-          let addr = v1 + e_aux.(slot) in
+          let r = if Opcode.eval_cmp d.Decoded.cmp.(i) v1 e_v2.(slot) then 1 else 0 in
+          e_result.(slot) <- r;
+          if kind = 4 then wake slot r
+      | 2 ->
+          let addr = v1 + d_aux.(i) in
           e_addr.(slot) <- addr;
-          let j = forward_from_store pos addr in
+          let j = forward_from_store slot addr in
           if j >= 0 then begin
-            e_result.(slot) <- e_result.(slot_at j);
+            e_result.(slot) <- e_result.(j);
             incr loads_forwarded
           end
-          else
+          else begin
             match Memory.read mem addr with
             | value -> e_result.(slot) <- value
-            | exception Memory.Fault f -> defer_fault slot (Fault.Mem f) ~a:addr)
+            | exception Memory.Fault f -> defer_fault slot (Fault.Mem f) ~a:addr
+          end;
+          wake slot e_result.(slot)
       | 3 -> (
-          let addr = v1 + e_aux.(slot) in
+          let addr = v1 + d_aux.(i) in
           e_addr.(slot) <- addr;
-          e_result.(slot) <- v2;
+          e_result.(slot) <- e_v2.(slot);
           match Memory.probe mem addr with
           | None -> ()
           | Some f ->
               e_fault.(slot) <- Some (Fault.Mem f);
               eev Events.Fault_deferred ~a:addr ~b:0)
-      | _ (* nop *) -> e_result.(slot) <- 0);
-      e_state.(slot) <- st_done;
-      if has_reg_dst kind then broadcast pos slot e_result.(slot)
+      | _ (* nop *) -> e_result.(slot) <- 0
     end
   in
-  (* Walks the buffer until it has seen every executing entry. *)
+  (* Completes the entries due this cycle, oldest first. A mispredict
+     empties the rest of the bucket: every entry in it is younger. *)
   let complete_cycle () =
-    let k = ref 0 and left = ref !nexec in
-    while (not !flush_cycle) && !left > 0 && !k < !count do
-      let slot = slot_at !k in
-      let n = e_state.(slot) in
-      if n > 0 then begin
-        decr left;
-        if n = 1 then begin
-          decr nexec;
-          complete_entry ~pos:!k ~slot
-        end
-        else e_state.(slot) <- n - 1
-      end;
-      incr k
+    let b = !now land wmask in
+    while x_head.(b) >= 0 do
+      let slot = x_head.(b) in
+      let nx = x_next.(slot) in
+      x_head.(b) <- nx;
+      if nx < 0 then x_tail.(b) <- -1;
+      complete_entry slot
     done
   in
   (* ----- issue ----- *)
-  (* Walks the buffer until it has seen every waiting entry: past the
-     last one, nothing can issue. *)
+  (* Sequence number of the oldest store not yet done, or [max_int]. *)
+  let oldest_pending_store () =
+    let k = ref 0 and r = ref max_int in
+    while !k < !sq_n do
+      let p = sq.(sq_at !k) in
+      if e_state.(p) <> st_done then begin
+        r := e_seq.(p);
+        k := !sq_n
+      end
+      else incr k
+    done;
+    !r
+  in
+  (* Walks the ready list, oldest first, until the units run out. *)
   let issue_cycle () =
-    Array.blit unit_count 0 units 0 4;
-    let pending_store = ref false in
-    let k = ref 0 and left = ref !nwait in
-    while !left > 0 && !k < !count do
-      let slot = slot_at !k in
-      incr k;
+    free_alu := n_alu;
+    free_br := n_br;
+    free_ld := n_ld;
+    free_st := n_st;
+    let left = ref (n_alu + n_br + n_ld + n_st) in
+    (* total store-queue disambiguation: a load waits until every older
+       store has resolved its address; found once per cycle, on the
+       first ready load *)
+    let pending = ref (-1) in
+    let s = ref !r_head in
+    while !s >= 0 && !left > 0 do
+      let slot = !s in
+      s := r_next.(slot);
       let kind = e_kind.(slot) in
-      if e_state.(slot) = st_waiting then begin
+      let free =
+        if kind = branch_class then free_br
+        else if kind = Decoded.kload then free_ld
+        else if kind = Decoded.kstore then free_st
+        else free_alu
+      in
+      if
+        !free > 0
+        && (kind <> Decoded.kload
+           ||
+           (if !pending < 0 then pending := oldest_pending_store ();
+            e_seq.(slot) < !pending))
+      then begin
+        decr free;
         decr left;
-        if e_w1.(slot) < 0 && e_w2.(slot) < 0 then begin
-          let u =
-            if kind = branch_class then unit_br
-            else if kind = Decoded.kload then unit_ld
-            else if kind = Decoded.kstore then unit_st
-            else unit_alu
-          in
-          (* total store-queue disambiguation: a load waits until every
-             older store has resolved its address *)
-          let blocked = kind = Decoded.kload && !pending_store in
-          if (not blocked) && units.(u) > 0 then begin
-            units.(u) <- units.(u) - 1;
-            decr nwait;
-            incr nexec;
-            e_state.(slot) <-
-              (if kind = Decoded.kload then load_latency else int_latency)
-          end
-        end
-      end;
-      if kind = Decoded.kstore && e_state.(slot) <> st_done then
-        pending_store := true
+        ready_remove slot;
+        e_state.(slot) <- st_exec;
+        exec_insert slot
+          (!now + if kind = Decoded.kload then load_latency else int_latency)
+      end
     done
   in
   (* ----- commit ----- *)
   let last_committed_visit = ref 0 in
   let restart_at slot =
     incr fault_restarts;
-    let blk = e_blk.(slot) and idx = e_idx.(slot) and visit = e_visit.(slot) in
+    let blk = e_blk.(slot) and visit = e_visit.(slot) in
+    let idx = e_ins.(slot) - op_bounds.(blk) in
     for k = 0 to !count - 1 do
       let p = slot_at k in
       (* the head's own fault was raised, not discarded *)
@@ -529,11 +667,15 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
         eev Events.Rob_squash ~a:e_seq.(p) ~b:1;
         incr squashed
       end
-      else squash_entry ~reason:1 p;
-      e_live.(p) <- false
+      else squash_entry ~reason:1 p
     done;
     count := 0;
     head := 0;
+    r_head := -1;
+    r_tail := -1;
+    Array.fill x_head 0 wheel (-1);
+    Array.fill x_tail 0 wheel (-1);
+    sq_n := 0;
     Array.fill rmap 0 nregs (-1);
     cur_blk := blk;
     cur_idx := idx;
@@ -581,31 +723,33 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
             else begin
               if e_visit.(slot) <> !last_committed_visit then begin
                 last_committed_visit := e_visit.(slot);
-                eev Events.Region_enter
-                  ~a:(region_id d.Decoded.labels.(e_blk.(slot)))
-                  ~b:0
+                if traced then
+                  eev Events.Region_enter
+                    ~a:(region_id d.Decoded.labels.(e_blk.(slot)))
+                    ~b:0
               end;
               let result = e_result.(slot) in
-              if kind = branch_class then incr branches
-              else if is_store then begin
+              if is_store then begin
                 Memory.write mem e_addr.(slot) result;
+                (* the oldest live store *)
+                sq_head := sq_at 1;
+                decr sq_n;
                 decr st_budget
               end
               else if kind = Decoded.kout then
                 output_rev := result :: !output_rev
-              else if kind = Decoded.ksetc then conds.(e_dst.(slot)) <- result <> 0
-              else if kind <> Decoded.knop then begin
+              else if kind = Decoded.ksetc then
+                conds.(d_dst.(e_ins.(slot))) <- result <> 0
+              else if has_reg_dst kind then begin
                 (* alu / mov / load / cmp: architectural writeback *)
-                let ri = e_dst.(slot) in
+                let ri = d_dst.(e_ins.(slot)) in
                 arch.(ri) <- result;
                 written.(ri) <- true;
                 if rmap.(ri) = slot then rmap.(ri) <- -1
               end;
               class_counts.(kind) <- class_counts.(kind) + 1;
-              eev Events.Rob_commit ~a:e_seq.(slot) ~b:slot;
-              incr committed;
+              if traced then eev Events.Rob_commit ~a:e_seq.(slot) ~b:slot;
               incr ncommitted;
-              e_live.(slot) <- false;
               head := slot_at 1;
               decr count;
               decr budget
@@ -619,6 +763,8 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     (kind = Decoded.kload || kind = Decoded.kstore) && e_state.(!head) <> st_done
   in
   let finish outcome =
+    (* every retired entry was counted in its class *)
+    let committed = Array.fold_left ( + ) 0 class_counts in
     let breakdown =
       {
         rb_fault = !acct_fault;
@@ -634,7 +780,7 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     | Some m ->
         let c name v = Metrics.inc (Metrics.counter m name) ~by:v in
         c "rob_cycles_total" !now;
-        c "rob_dyn_instrs" !committed;
+        c "rob_dyn_instrs" committed;
         c "rob_fetched" !fetched;
         c "rob_squashed_entries" !squashed;
         c "rob_mispredicts" !mispredicts;
@@ -666,15 +812,15 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
       outcome;
       output = List.rev !output_rev;
       cycles = !now;
-      dyn_instrs = !committed;
+      dyn_instrs = committed;
       regs = final_regs;
       faults_handled = !faults_handled;
       stats =
         {
           fetched = !fetched;
-          committed = !committed;
+          committed;
           squashed = !squashed;
-          branches = !branches;
+          branches = class_counts.(branch_class);
           mispredicts = !mispredicts;
           loads_forwarded = !loads_forwarded;
           squashed_faults = !squashed_faults;

@@ -7,9 +7,8 @@
     following the compact hardware blueprint cited in ROADMAP
     ([elgron-eon__eonv/commit.v]) — a head/tail circular buffer, a
     per-architectural-register rename map ([rmap], valid bits [rrob]),
-    completion notification that broadcasts results to waiting
-    consumers, and exceptions held in entries and raised only at
-    commit.
+    completion notification that wakes the consumers waiting on a
+    result, and exceptions held in entries and raised only at commit.
 
     Per cycle, in order:
 
@@ -20,14 +19,14 @@
       entry is raised here: recoverable faults (demand paging) are
       handled, the whole buffer is flushed and fetch restarts at the
       faulting instruction; fatal faults end the run.
-    + {e complete}: executing entries count down their latency; on
-      completion the result is computed (loads forward from the
+    + {e complete}: the entries whose latency ends this cycle complete,
+      oldest first. The result is computed (loads forward from the
       youngest older store to the same address, else read the D-cache;
-      faults are buffered in the entry, never raised), and broadcast to
-      entries waiting on this slot. A resolved branch that disagrees
+      faults are buffered in the entry, never raised) and handed to the
+      operands waiting on the entry. A resolved branch that disagrees
       with its prediction squashes all younger entries, rebuilds the
       rename map from the survivors and redirects fetch.
-    + {e issue}: waiting entries whose operands are all ready begin
+    + {e issue}: ready entries (waiting, every operand ready) begin
       executing, oldest first, bounded by the per-class function-unit
       counts; a load additionally waits until every older store has
       resolved its address (total store-queue disambiguation).
@@ -39,16 +38,29 @@
 
     The buffer keeps its entries in per-field int banks indexed by slot,
     like the [rob_busy]/[rob_typ]/[rob_rno]/[rob_val] registers of a
-    hardware ROB: fetch sequence number, block visit, block and body
-    index, class tag, destination, offset, ALU and compare opcodes, both
-    branch targets, the prediction, a state ([waiting], [done] or the
-    cycles left executing), result, address and a live flag; each operand
-    is a pair of banks, the producing slot it waits on ([-1] once ready)
-    and its value. A buffered fault goes in an option bank written only
-    when an entry faults. So dispatch, issue, completion and commit
-    allocate nothing per cycle or per instruction, and a completion
-    broadcasts only to entries younger than the producer, since a
-    consumer always is. Per-run set-up is O([rob_size] + registers +
+    hardware ROB. An entry holds only what dispatch learns: fetch
+    sequence number, block visit, block, the index of its op in the
+    {!Psb_isa.Decoded} arrays (which hold the static fields: offset,
+    opcodes, destination, branch targets), class tag, prediction, a state
+    (waiting, executing or done), result and address (an entry is live
+    while it sits between the head and the tail); each operand is a pair of banks, the producing slot it waits on ([-1] once
+    ready) and its value. A buffered fault goes in an option bank written
+    only when an entry faults.
+
+    No stage walks the buffer. Four structures find each stage's work:
+    an age-ordered {e ready list} of the waiting entries whose operands
+    are ready, which issue walks until the units run out; a {e completion
+    wheel}, one age-ordered bucket of executing entries per completion
+    cycle (modulo a power of two above the longest latency); a {e store
+    queue} of the live stores in age order, which answers both whether a
+    load must wait for an older store and which store it forwards from;
+    and per-entry {e wakeup lists} of the operands waiting on it, so a
+    completion visits only its own consumers. A squashed consumer
+    unlinks its operands from its producers' lists before its slot can
+    be reused, and since a squash always takes the youngest entries, the
+    ready list, the buckets and the store queue each lose a suffix. So
+    dispatch, issue, completion and commit allocate nothing per cycle or
+    per instruction. Per-run set-up is O([rob_size] + registers +
     blocks).
 
     Because stores, outputs and faults only touch architectural state

@@ -95,7 +95,7 @@ let grow t =
 
 let is_live_spec e = e.spec && e.valid
 
-let count_fault e = if e.fault <> None then 1 else 0
+let count_fault e = match e.fault with Some _ -> 1 | None -> 0
 
 let append t ~addr ~value ~cpred ~spec ~fault =
   if t.count = Array.length t.buf then grow t;
@@ -118,7 +118,7 @@ let tick ~dirty t ccr =
         let value =
           if
             e.examined
-            && e.cpred.Pred.c_wide = None
+            && (match e.cpred.Pred.c_wide with None -> true | Some _ -> false)
             && e.cpred.Pred.c_mask land dirty = 0
           then begin
             t.tick_skipped <- t.tick_skipped + 1;
@@ -132,7 +132,7 @@ let tick ~dirty t ccr =
         in
         match value with
         | Pred.True ->
-            assert (e.fault = None);
+            assert (count_fault e = 0);
             t.commits <- t.commits + 1;
             ev t Psb_obs.Events.Sb_commit e.addr 0;
             e.spec <- false;
@@ -270,7 +270,7 @@ let debug_recount t =
     let e = nth t i in
     if is_live_spec e then begin
       incr spec;
-      if e.fault <> None then incr faults
+      faults := !faults + count_fault e
     end
   done;
   (len, !spec, !faults)

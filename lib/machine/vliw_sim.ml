@@ -72,18 +72,30 @@ let machine_error fmt = Format.kasprintf (fun s -> raise (Machine_error s)) fmt
    from the tail; the pending depth is a few items, so inserts stay
    cheap, and nothing is allocated once the banks are big enough. Each
    item is one of four kinds:
-   - a register write: [dst], [value], [cpred], the buffered [fault],
-     [flag] = decided sequential at issue, and the load address [addr]
-     when [has_addr] (a buffered load exception is re-executed when it
-     turns out to be committed and recoverable);
+   - a register write: [dst], [value], [op] (the issuing operation's
+     index in the current region, which names its predicate), flag bits
+     [wb_flag] = decided sequential at issue, [wb_has_addr] (a load: the
+     address [addr], so that a buffered load exception is re-executed
+     when it turns out to be committed and recoverable) and [wb_faulted]
+     (the buffered exception is in [fault]);
    - a condition write: [dst] the condition, [value] 0 or 1;
-   - a store: [addr], [value], [cpred], [flag] = speculative, [fault];
-   - an output: [value]. *)
+   - a store: [addr], [value], [op], [wb_flag] = speculative,
+     [wb_faulted] and [fault];
+   - an output: [value].
+   Every pending item was issued in the current region: a transition
+   and a recovery start drain the queue first. So an item names its
+   predicate by operation index, and the banks hold no pointer but the
+   fault, which is written and copied only when there is one. *)
 
 let wb_reg = 0
 let wb_cond = 1
 let wb_store = 2
 let wb_out = 3
+
+(* flag bits of [w_bits] *)
+let wb_flag = 1
+let wb_has_addr = 2
+let wb_faulted = 4
 
 type wbq = {
   mutable head : int;
@@ -95,11 +107,12 @@ type wbq = {
   mutable w_dst : int array;
   mutable w_value : int array;
   mutable w_addr : int array;
-  mutable w_flag : bool array;
-  mutable w_has_addr : bool array;
-  mutable w_cpred : Pred.compiled array;
-  mutable w_fault : Fault.t option array;
+  mutable w_op : int array;
+  mutable w_bits : int array;
+  mutable w_fault : Fault.t array;
 }
+
+let no_fault = Fault.Arith ""
 
 let wbq_create cap =
   {
@@ -112,10 +125,9 @@ let wbq_create cap =
     w_dst = Array.make cap 0;
     w_value = Array.make cap 0;
     w_addr = Array.make cap 0;
-    w_flag = Array.make cap false;
-    w_has_addr = Array.make cap false;
-    w_cpred = Array.make cap Pred.compiled_always;
-    w_fault = Array.make cap None;
+    w_op = Array.make cap 0;
+    w_bits = Array.make cap 0;
+    w_fault = Array.make cap no_fault;
   }
 
 (* Copy the item at physical slot [src] of [q] to slot [dst] of [q']. *)
@@ -126,10 +138,10 @@ let wbq_copy q src q' dst =
   q'.w_dst.(dst) <- q.w_dst.(src);
   q'.w_value.(dst) <- q.w_value.(src);
   q'.w_addr.(dst) <- q.w_addr.(src);
-  q'.w_flag.(dst) <- q.w_flag.(src);
-  q'.w_has_addr.(dst) <- q.w_has_addr.(src);
-  q'.w_cpred.(dst) <- q.w_cpred.(src);
-  q'.w_fault.(dst) <- q.w_fault.(src)
+  q'.w_op.(dst) <- q.w_op.(src);
+  let bits = q.w_bits.(src) in
+  q'.w_bits.(dst) <- bits;
+  if bits land wb_faulted <> 0 then q'.w_fault.(dst) <- q.w_fault.(src)
 
 let wbq_move q ~dst ~src = wbq_copy q src q dst
 
@@ -146,9 +158,8 @@ let wbq_grow q =
   q.w_dst <- fresh.w_dst;
   q.w_value <- fresh.w_value;
   q.w_addr <- fresh.w_addr;
-  q.w_flag <- fresh.w_flag;
-  q.w_has_addr <- fresh.w_has_addr;
-  q.w_cpred <- fresh.w_cpred;
+  q.w_op <- fresh.w_op;
+  q.w_bits <- fresh.w_bits;
   q.w_fault <- fresh.w_fault
 
 (* Open a slot for an item keyed ([due], [order]) at its sorted
@@ -192,6 +203,10 @@ let wbq_requeue q p ~due =
   wbq_move q ~dst:p' ~src:p;
   q.w_due.(p') <- due
 
+(* The buffered exception of the item at slot [p], if any. *)
+let wbq_fault q p =
+  if q.w_bits.(p) land wb_faulted <> 0 then Some q.w_fault.(p) else None
+
 type mode = Normal | Recovery of { future : Ccr.t; epc : int }
 
 (* Category of the cycle currently being simulated; bumped into the
@@ -217,6 +232,7 @@ type state = {
          widest bundle: 0 = squash, 1 = nonspec, 2 = spec *)
   mem : Memory.t;
   rf : Regfile.t;
+  seq : int array; (* [Regfile.values rf] *)
   sb : Store_buffer.t;
   ccr : Ccr.t;
   mutable mode : mode;
@@ -320,7 +336,11 @@ let handle_or_abort st fault =
    the caller) and [st.fault], with [st.forwarded] telling whether the
    value came from a store whose own exception is buffered. *)
 let load_access st ~addr ~cpred =
-  match Store_buffer.forward st.sb ~addr ~load_cpred:cpred st.ccr with
+  match
+    (* an empty buffer forwards nothing: skip the search's call *)
+    if Store_buffer.length st.sb = 0 then `Miss
+    else Store_buffer.forward st.sb ~addr ~load_cpred:cpred st.ccr
+  with
   | `Hit ->
       (match Store_buffer.forwarded_fault st.sb with
       | None -> ()
@@ -353,39 +373,47 @@ let rec load_nonspec st ~addr ~cpred =
 
 (* ----- execute stage -----
 
-   The issue phase hands over the decoded operation: the [Lowered.kind]
-   tag, the ALU/compare opcode, the source operand values [a] and [b] (a
-   load's base; a store's base and data), [aux] (the address offset, or
-   the condition index a [Setc] writes), the destination register index,
-   the latency and the compiled predicate. *)
+   The issue phase hands over the operation's index [i] in the current
+   region [lr], whose flat arrays hold its kind, opcodes, offset or
+   condition ([op_aux]), destination, latency and predicate, and the
+   source operand values [a] and [b] (a load's base; a store's base and
+   data). *)
 
-let schedule_reg st ~latency ~dst ~value ~cpred ~fault ~decided_seq
-    ~has_addr ~addr =
+let schedule_reg st ~latency ~dst ~value ~op ~fault ~decided_seq ~has_addr
+    ~addr =
   let q = st.wbq in
   let p = wbq_slot q ~due:(st.now + latency) ~order:st.next_order in
   st.next_order <- st.next_order + 1;
   q.w_kind.(p) <- wb_reg;
   q.w_dst.(p) <- dst;
   q.w_value.(p) <- value;
-  q.w_flag.(p) <- decided_seq;
   (* a write decided sequential at issue needs nothing more *)
-  if not decided_seq then begin
-    q.w_cpred.(p) <- cpred;
-    q.w_fault.(p) <- fault;
-    q.w_has_addr.(p) <- has_addr;
-    q.w_addr.(p) <- addr
+  if decided_seq then q.w_bits.(p) <- wb_flag
+  else begin
+    q.w_op.(p) <- op;
+    q.w_addr.(p) <- addr;
+    let bits = if has_addr then wb_has_addr else 0 in
+    match fault with
+    | None -> q.w_bits.(p) <- bits
+    | Some f ->
+        q.w_bits.(p) <- bits lor wb_faulted;
+        q.w_fault.(p) <- f
   end
 
-let schedule_store st ~latency ~addr ~value ~cpred ~spec ~fault =
+let schedule_store st ~latency ~addr ~value ~op ~spec ~fault =
   let q = st.wbq in
   let p = wbq_slot q ~due:(st.now + latency) ~order:st.next_order in
   st.next_order <- st.next_order + 1;
   q.w_kind.(p) <- wb_store;
   q.w_addr.(p) <- addr;
   q.w_value.(p) <- value;
-  q.w_cpred.(p) <- cpred;
-  q.w_flag.(p) <- spec;
-  q.w_fault.(p) <- fault
+  q.w_op.(p) <- op;
+  let bits = if spec then wb_flag else 0 in
+  match fault with
+  | None -> q.w_bits.(p) <- bits
+  | Some f ->
+      q.w_bits.(p) <- bits lor wb_faulted;
+      q.w_fault.(p) <- f
 
 let schedule_simple st ~latency kind ~dst ~value =
   let q = st.wbq in
@@ -397,49 +425,55 @@ let schedule_simple st ~latency kind ~dst ~value =
 
 (* Compute a Mov/ALU/Cmp/Load value; a fault is reported in
    [st.faulted] and [st.fault]. *)
-let compute st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~cpred =
+let compute st (lr : Lowered.region) i (k : Lowered.kind) ~a ~b =
   st.faulted <- false;
   match k with
   | Lowered.Kalu -> (
-      match Opcode.eval_alu alu a b with
+      match Opcode.eval_alu lr.Lowered.op_alu.(i) a b with
       | v -> v
       | exception Opcode.Arithmetic_fault m ->
           st.faulted <- true;
           st.fault <- Fault.Arith m;
           0)
   | Lowered.Kmov -> a
-  | Lowered.Kload -> load_access st ~addr:(a + aux) ~cpred
-  | Lowered.Kcmp -> if Opcode.eval_cmp cmp a b then 1 else 0
+  | Lowered.Kload ->
+      load_access st ~addr:(a + lr.Lowered.op_aux.(i))
+        ~cpred:lr.Lowered.op_cpred.(i)
+  | Lowered.Kcmp -> if Opcode.eval_cmp lr.Lowered.op_cmp.(i) a b then 1 else 0
   | Lowered.Knop | Lowered.Kout | Lowered.Ksetc | Lowered.Kstore ->
       assert false (* handled by the callers *)
 
-(* Issue one operation whose predicate evaluated True: execute
+(* Issue operation [i] of [lr], whose predicate evaluated True: execute
    non-speculatively. *)
-let issue_nonspec st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~dst ~latency
-    ~cpred =
-  match k with
+let issue_nonspec st (lr : Lowered.region) i ~a ~b =
+  let latency = lr.Lowered.op_lat.(i) in
+  match lr.Lowered.op_kind.(i) with
   | Lowered.Knop -> ()
   | Lowered.Kout -> schedule_simple st ~latency wb_out ~dst:0 ~value:a
   | Lowered.Ksetc ->
-      schedule_simple st ~latency wb_cond ~dst:aux
-        ~value:(if Opcode.eval_cmp cmp a b then 1 else 0)
+      schedule_simple st ~latency wb_cond ~dst:lr.Lowered.op_aux.(i)
+        ~value:(if Opcode.eval_cmp lr.Lowered.op_cmp.(i) a b then 1 else 0)
   | Lowered.Kstore ->
-      schedule_store st ~latency ~addr:(a + aux) ~value:b ~cpred ~spec:false
-        ~fault:None
-  | Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload ->
-      let v = compute st k ~alu ~cmp ~a ~b ~aux ~cpred in
+      schedule_store st ~latency ~addr:(a + lr.Lowered.op_aux.(i)) ~value:b
+        ~op:i ~spec:false ~fault:None
+  | (Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload) as k ->
+      let v = compute st lr i k ~a ~b in
       let value =
         if not st.faulted then v
         else begin
           (* an arithmetic fault with a true predicate is fatal *)
           handle_or_abort st st.fault;
-          if k <> Lowered.Kload then assert false
-          else if st.forwarded then v
-          else load_nonspec st ~addr:(a + aux) ~cpred
+          match k with
+          | Lowered.Kload ->
+              if st.forwarded then v
+              else
+                load_nonspec st ~addr:(a + lr.Lowered.op_aux.(i))
+                  ~cpred:lr.Lowered.op_cpred.(i)
+          | _ -> assert false
         end
       in
-      schedule_reg st ~latency ~dst ~value ~cpred ~fault:None
-        ~decided_seq:true ~has_addr:false ~addr:0
+      schedule_reg st ~latency ~dst:lr.Lowered.op_dst.(i) ~value ~op:i
+        ~fault:None ~decided_seq:true ~has_addr:false ~addr:0
 
 (* What a speculative fault will turn into: in recovery mode the future
    condition decides (true → handled now, false → ignored, unspecified →
@@ -449,12 +483,12 @@ let future_value st cpred =
   | Normal -> Pred.Unspec
   | Recovery { future; _ } -> Ccr.evalc future cpred
 
-(* Resolve the fault [compute] reported for a speculative Mov/ALU/Cmp/
-   Load issue and schedule its register write. [v] is the value
-   [compute] returned (meaningful only for a forwarded load). *)
-let resolve_fault st (k : Lowered.kind) ~a ~aux ~dst ~latency ~cpred f v =
-  let is_load = k = Lowered.Kload in
-  let addr = a + aux in
+(* Resolve the fault [compute] reported for the speculative Mov/ALU/Cmp/
+   Load issue of operation [i] and schedule its register write. [v] is
+   the value [compute] returned (meaningful only for a forwarded load). *)
+let resolve_fault st (lr : Lowered.region) i (k : Lowered.kind) ~a f v =
+  let is_load = match k with Lowered.Kload -> true | _ -> false in
+  let addr = a + lr.Lowered.op_aux.(i) and cpred = lr.Lowered.op_cpred.(i) in
   let value, fault =
     match future_value st cpred with
     | Pred.Unspec ->
@@ -469,27 +503,26 @@ let resolve_fault st (k : Lowered.kind) ~a ~aux ~dst ~latency ~cpred f v =
         else if forwarded then (v, None)
         else (load_nonspec st ~addr ~cpred, None)
   in
-  schedule_reg st ~latency ~dst ~value ~cpred ~fault ~decided_seq:false
-    ~has_addr:is_load ~addr
+  schedule_reg st ~latency:lr.Lowered.op_lat.(i) ~dst:lr.Lowered.op_dst.(i)
+    ~value ~op:i ~fault ~decided_seq:false ~has_addr:is_load ~addr
 
-(* Issue one operation whose predicate is unspecified: execute
+(* Issue operation [i] of [lr], whose predicate is unspecified: execute
    speculatively. *)
-let issue_spec st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~dst ~latency
-    ~cpred =
+let issue_spec st (lr : Lowered.region) i ~a ~b =
   st.spec_ops <- st.spec_ops + 1;
-  match k with
+  match lr.Lowered.op_kind.(i) with
   | Lowered.Knop -> ()
   | Lowered.Kout ->
       machine_error "side-effecting Out issued with an unspecified predicate"
   | Lowered.Ksetc ->
       machine_error "Setc issued with an unspecified predicate (must be alw)"
   | Lowered.Kstore ->
-      let addr = a + aux in
+      let addr = a + lr.Lowered.op_aux.(i) in
       let fault =
         match Memory.probe st.mem addr with
         | None -> None
         | Some f -> (
-            match future_value st cpred with
+            match future_value st lr.Lowered.op_cpred.(i) with
             | Pred.Unspec ->
                 eev st Psb_obs.Events.Fault_deferred ~a:addr ~b:0;
                 Some (Fault.Mem f)
@@ -498,17 +531,15 @@ let issue_spec st (k : Lowered.kind) ~alu ~cmp ~a ~b ~aux ~dst ~latency
                 handle_or_abort st (Fault.Mem f);
                 None)
       in
-      schedule_store st ~latency ~addr ~value:b ~cpred ~spec:true ~fault
-  | Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload -> (
-      let v = compute st k ~alu ~cmp ~a ~b ~aux ~cpred in
-      if st.faulted then resolve_fault st k ~a ~aux ~dst ~latency ~cpred st.fault v
+      schedule_store st ~latency:lr.Lowered.op_lat.(i) ~addr ~value:b ~op:i
+        ~spec:true ~fault
+  | (Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload) as k ->
+      let v = compute st lr i k ~a ~b in
+      if st.faulted then resolve_fault st lr i k ~a st.fault v
       else
-        schedule_reg st ~latency ~dst ~value:v ~cpred ~fault:None
-          ~decided_seq:false ~has_addr:false ~addr:0)
-
-let[@inline] execute st ~spec k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred =
-  if spec then issue_spec st k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred
-  else issue_nonspec st k ~alu ~cmp ~a ~b ~aux ~dst ~latency ~cpred
+        schedule_reg st ~latency:lr.Lowered.op_lat.(i)
+          ~dst:lr.Lowered.op_dst.(i) ~value:v ~op:i ~fault:None
+          ~decided_seq:false ~has_addr:false ~addr:0
 
 let push_cond st c v =
   if st.cw_n = Array.length st.cw_cond then begin
@@ -539,17 +570,19 @@ let apply_wb st p =
   end
   else if k = wb_store then begin
     Store_buffer.append st.sb ~addr:q.w_addr.(p) ~value:q.w_value.(p)
-      ~cpred:q.w_cpred.(p) ~spec:q.w_flag.(p) ~fault:q.w_fault.(p);
+      ~cpred:st.lr.Lowered.op_cpred.(q.w_op.(p))
+      ~spec:(q.w_bits.(p) land wb_flag <> 0)
+      ~fault:(wbq_fault q p);
     `Ok
   end
   else
-    let dst = q.w_dst.(p) in
-    if q.w_flag.(p) then begin
+    let dst = q.w_dst.(p) and bits = q.w_bits.(p) in
+    if bits land wb_flag <> 0 then begin
       Regfile.write_seq st.rf dst q.w_value.(p);
       `Ok
     end
     else
-      let cpred = q.w_cpred.(p) in
+      let cpred = st.lr.Lowered.op_cpred.(q.w_op.(p)) in
       match Ccr.evalc st.ccr cpred with
       | Pred.False ->
           st.wb_squashes <- st.wb_squashes + 1;
@@ -559,18 +592,19 @@ let apply_wb st p =
              surfacing here is a committed exception caught before
              buffering: handle it like a normal exception. *)
           let value =
-            match q.w_fault.(p) with
-            | None -> q.w_value.(p)
-            | Some f ->
-                let has_addr = q.w_has_addr.(p) and addr = q.w_addr.(p) in
-                handle_or_abort st f;
-                if has_addr then load_nonspec st ~addr ~cpred else assert false
+            if bits land wb_faulted = 0 then q.w_value.(p)
+            else begin
+              let addr = q.w_addr.(p) in
+              handle_or_abort st q.w_fault.(p);
+              if bits land wb_has_addr <> 0 then load_nonspec st ~addr ~cpred
+              else assert false
+            end
           in
           Regfile.write_seq st.rf dst value;
           `Ok
       | Pred.Unspec ->
           Regfile.write_spec st.rf dst q.w_value.(p) ~cpred
-            ~fault:q.w_fault.(p)
+            ~fault:(wbq_fault q p)
 
 (* A condition's value under the pending writes, the newest first. *)
 let rec lookup_pending st c i =
@@ -603,7 +637,7 @@ let flush_pending st ~allow_cond =
   let q = st.wbq in
   if q.n = 0 then 0
   else begin
-    let last_due = max st.now q.w_due.((q.head + q.n - 1) land q.mask) in
+    let last_due = q.w_due.((q.head + q.n - 1) land q.mask) in
     st.cw_n <- 0;
     while q.n > 0 do
       (* a conflict is dead: speculative state is about to be squashed *)
@@ -615,7 +649,7 @@ let flush_pending st ~allow_cond =
       Ccr.set st.ccr st.cw_cond.(i) st.cw_val.(i)
     done;
     st.cw_n <- 0;
-    max 0 (last_due - st.now)
+    if last_due > st.now then last_due - st.now else 0
   end
 
 let start_recovery st ~future =
@@ -629,10 +663,8 @@ let start_recovery st ~future =
   let kept = ref 0 in
   for i = 0 to q.n - 1 do
     let p = (q.head + i) land q.mask in
-    let k = q.w_kind.(p) in
-    let spec =
-      (k = wb_reg && not q.w_flag.(p)) || (k = wb_store && q.w_flag.(p))
-    in
+    let k = q.w_kind.(p) and sq = q.w_bits.(p) land wb_flag <> 0 in
+    let spec = (k = wb_reg && not sq) || (k = wb_store && sq) in
     if not spec then begin
       wbq_move q ~dst:((q.head + !kept) land q.mask) ~src:p;
       incr kept
@@ -723,7 +755,9 @@ let stall_conflict st =
 (* Operand fetch: a register (shadow version if flagged) or an
    immediate. *)
 let[@inline] operand st ~cpred reg imm shadow =
-  if reg >= 0 then Regfile.read st.rf reg ~shadow ~cpred else imm
+  if reg < 0 then imm
+  else if shadow then Regfile.read st.rf reg ~shadow ~cpred
+  else st.seq.(reg)
 
 (* The stall tests, then the bundle at [st.pc]: decide every operation
    slot, issue the executed ones in slot order, scan the exits, and
@@ -732,8 +766,8 @@ let issue st ~conflict =
   let lr = st.lr and pc = st.pc in
   let nbundles = lr.Lowered.nbundles in
   if
-    Store_buffer.length st.sb >= st.model.Machine_model.sb_capacity
-    && pc < nbundles && lr.Lowered.has_store.(pc)
+    pc < nbundles && lr.Lowered.has_store.(pc)
+    && Store_buffer.length st.sb >= st.model.Machine_model.sb_capacity
   then stall_sb st
   else if conflict then stall_conflict st
   else begin
@@ -746,17 +780,14 @@ let issue st ~conflict =
     let lo = lr.Lowered.op_bounds.(pc) and hi = lr.Lowered.op_bounds.(pc + 1) in
     (* The one predicate evaluation per slot, made up front so that the
        bundle's events and accounting can never disagree with what
-       executed. *)
+       executed: 0 = squash, 1 = non-speculative, 2 = speculative. *)
+    let dec = st.dec in
+    Ccr.evalc_range st.ccr lr.Lowered.op_cpred ~lo ~hi dec;
     let nexec = ref 0 in
-    for i = lo to hi - 1 do
-      let d =
-        match Ccr.evalc st.ccr lr.Lowered.op_cpred.(i) with
-        | Pred.False -> 0
-        | Pred.True -> if in_recovery then 0 else 1
-        | Pred.Unspec -> 2
-      in
-      st.dec.(i - lo) <- d;
-      if d > 0 then incr nexec
+    for j = 0 to hi - lo - 1 do
+      let d = dec.(j) in
+      if d = 1 && in_recovery then dec.(j) <- 0
+      else if d > 0 then incr nexec
     done;
     eev st Psb_obs.Events.Issue ~a:!nexec ~b:(hi - lo - !nexec);
     (match st.bundle_hist with
@@ -764,45 +795,39 @@ let issue st ~conflict =
     | None -> ());
     for i = lo to hi - 1 do
       let j = i - lo in
-      let d = st.dec.(j) in
+      let d = dec.(j) in
       if d = 0 then st.squashed_ops <- st.squashed_ops + 1
       else begin
         st.dyn_ops <- st.dyn_ops + 1;
         eev st Psb_obs.Events.Op_issue ~a:pc
           ~b:(if d = 2 then (2 * j) + 1 else 2 * j);
         let cpred = lr.Lowered.op_cpred.(i) in
-        execute st ~spec:(d = 2) lr.Lowered.op_kind.(i)
-          ~alu:lr.Lowered.op_alu.(i) ~cmp:lr.Lowered.op_cmp.(i)
-          ~a:
-            (operand st ~cpred lr.Lowered.op_s1_reg.(i)
-               lr.Lowered.op_s1_imm.(i) lr.Lowered.op_s1_sh.(i))
-          ~b:
-            (operand st ~cpred lr.Lowered.op_s2_reg.(i)
-               lr.Lowered.op_s2_imm.(i) lr.Lowered.op_s2_sh.(i))
-          ~aux:lr.Lowered.op_aux.(i) ~dst:lr.Lowered.op_dst.(i)
-          ~latency:lr.Lowered.op_lat.(i) ~cpred
+        let a =
+          operand st ~cpred lr.Lowered.op_s1_reg.(i) lr.Lowered.op_s1_imm.(i)
+            lr.Lowered.op_s1_sh.(i)
+        and b =
+          operand st ~cpred lr.Lowered.op_s2_reg.(i) lr.Lowered.op_s2_imm.(i)
+            lr.Lowered.op_s2_sh.(i)
+        in
+        if d = 2 then issue_spec st lr i ~a ~b else issue_nonspec st lr i ~a ~b
       end
     done;
     (* Exits are tested after the operations, in slot order: the first
        whose predicate is true fires. A Setc may share a bundle with an
        exit that does not fire (Figure 4 bundles them); if it fires, the
        pending condition write is caught at the transition. *)
-    let fired = ref (-1) and x = ref lr.Lowered.ex_bounds.(pc) in
-    let xhi = lr.Lowered.ex_bounds.(pc + 1) in
-    while !fired < 0 && !x < xhi do
-      (match Ccr.evalc st.ccr lr.Lowered.ex_cpred.(!x) with
-      | Pred.True ->
-          if in_recovery then machine_error "exit fired during recovery mode";
-          fired := !x
-      | Pred.False | Pred.Unspec -> ());
-      incr x
-    done;
+    let fired =
+      Ccr.first_true st.ccr lr.Lowered.ex_cpred ~lo:lr.Lowered.ex_bounds.(pc)
+        ~hi:lr.Lowered.ex_bounds.(pc + 1)
+    in
+    if fired >= 0 && in_recovery then
+      machine_error "exit fired during recovery mode";
     st.kind <-
       (if in_recovery then Krecovery
-       else if !nexec > 0 || !fired >= 0 then Kuseful
+       else if !nexec > 0 || fired >= 0 then Kuseful
        else Ksquashed);
     st.pc <- pc + 1;
-    if !fired >= 0 then take_exit st ~tidx:lr.Lowered.ex_target.(!fired)
+    if fired >= 0 then take_exit st ~tidx:lr.Lowered.ex_target.(fired)
   end
 
 let step st ~fuel =
@@ -869,8 +894,8 @@ let step st ~fuel =
   (* 3. Commit/squash the buffered speculative state, gated by the
      conditions written since the previous tick. *)
   let dirty = Ccr.take_dirty st.ccr in
-  Regfile.tick ~dirty st.rf st.ccr;
-  Store_buffer.tick ~dirty st.sb st.ccr;
+  if Regfile.has_spec st.rf then Regfile.tick ~dirty st.rf st.ccr;
+  if Store_buffer.has_spec st.sb then Store_buffer.tick ~dirty st.sb st.ccr;
   (* Sample occupancy after commit/squash but before the drain — this is
      the point where buffered state held across the cycle is visible. *)
   note_sb_occupancy st;
@@ -915,6 +940,7 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single) ?lowered
           ~buckets:[ 0.; 1.; 2.; 3.; 4.; 6.; 8.; 16. ])
       metrics
   in
+  let rf = Regfile.create ~mode:regfile_mode ?events ~nregs () in
   let st =
     {
       model;
@@ -924,7 +950,8 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single) ?lowered
       bundle_hist;
       dec = Array.make lcode.Lowered.max_bundle_ops 0;
       mem;
-      rf = Regfile.create ~mode:regfile_mode ?events ~nregs ();
+      rf;
+      seq = Regfile.values rf;
       sb = Store_buffer.create ?events ();
       ccr = Ccr.create ~width:model.Machine_model.ccr_size;
       mode = Normal;

@@ -23,15 +23,17 @@
     belongs to untaken paths.
 
     The cycle loop allocates nothing per simulated cycle or per
-    non-speculative operation. In-flight writebacks sit in one queue of
-    flat banks kept sorted by (due cycle, issue order), so the items due
-    this cycle are a prefix applied in that order; a speculative
-    register write that meets an occupied shadow entry is requeued for
-    the next cycle with its issue order kept, and stalls issue. One
-    cycle's condition writes sit in a preallocated array. An issue
-    reports a fault out of band, in the machine state, rather than in a
-    result box. What still allocates is one record per buffered
-    speculative register write and one per store-buffer entry. *)
+    operation. In-flight writebacks sit in one queue of flat int banks
+    kept sorted by (due cycle, issue order), so the items due this
+    cycle are a prefix applied in that order; an item names its
+    predicate by the issuing operation's index in the current region,
+    and a speculative register write that meets an occupied shadow
+    entry is requeued for the next cycle with its issue order kept, and
+    stalls issue. One cycle's condition writes sit in a preallocated
+    array. An issue reports a fault out of band, in the machine state,
+    rather than in a result box. What still allocates is one record per
+    store-buffer entry (and per buffered version in the [Infinite]
+    shadow model). *)
 
 open Psb_isa
 

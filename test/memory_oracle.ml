@@ -19,10 +19,10 @@ let create ~size = { size; data = Hashtbl.create 256; unmapped = Hashtbl.create 
 
 let create_demand ~size ~unmapped:(lo, hi) =
   let t = create ~size in
-  let first = lo / page_size and last = (hi - 1) / page_size in
-  for p = first to last do
-    Hashtbl.replace t.unmapped p ()
-  done;
+  if hi > lo then
+    for p = lo / page_size to (hi - 1) / page_size do
+      Hashtbl.replace t.unmapped p ()
+    done;
   t
 
 let check t addr =

@@ -216,6 +216,15 @@ let test_memory_page_boundaries () =
   | _ -> Alcotest.fail "second page still unmapped"
   | exception Memory.Fault (Memory.Unmapped 128) -> ())
 
+(* An empty range unmaps nothing, wherever it sits in its page. *)
+let test_memory_demand_empty_range () =
+  let m = Memory.create_demand ~size:512 ~unmapped:(10, 10) in
+  check_int "word 0 of (10, 10)" 0 (Memory.read m 0);
+  check_int "word 10 of (10, 10)" 0 (Memory.read m 10);
+  let m = Memory.create_demand ~size:512 ~unmapped:(100, 70) in
+  check_bool "nothing of (100, 70) faults" true
+    (List.for_all (fun a -> Memory.probe m a = None) (List.init 512 Fun.id))
+
 let test_memory_probe_equal () =
   let m = Memory.create_demand ~size:512 ~unmapped:(64, 128) in
   check_bool "probe unmapped" true (Memory.probe m 70 <> None);
@@ -872,6 +881,8 @@ let () =
         [
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
           Alcotest.test_case "demand paging" `Quick test_memory_demand;
+          Alcotest.test_case "empty demand range" `Quick
+            test_memory_demand_empty_range;
           Alcotest.test_case "page boundaries" `Quick test_memory_page_boundaries;
           Alcotest.test_case "probe/copy/equal" `Quick test_memory_probe_equal;
           Alcotest.test_case "poke out of range" `Quick test_memory_poke_range;
