@@ -1,57 +1,70 @@
 open Psb_isa
 
-type source =
-  | Profile of Trace.t
-  | Heuristic of Dominance.t
+(* Per block index: the predicted direction, its confidence, and the
+   probability of each successor position ([Cfg.succs_at]'s order). *)
+type t = {
+  cfg : Cfg.t;
+  predicted : bool array;
+  confidence : float array;
+  probs : float array array;
+}
 
-type t = { cfg : Cfg.t; source : source }
+(* [source i if_true] gives branch block [i]'s predicted direction, its
+   confidence and the probability that it goes to [if_true]. *)
+let tabulate cfg source =
+  let n = Cfg.nblocks cfg in
+  let predicted = Array.make n true and confidence = Array.make n 1.0 in
+  let probs =
+    Array.init n (fun i ->
+        match (Cfg.block_at cfg i).Program.term with
+        | Instr.Br { if_true; if_false; _ } ->
+            let pred, conf, p_true = source i if_true in
+            predicted.(i) <- pred;
+            confidence.(i) <- conf;
+            (* A branch can target the same label on both arms: each
+               position holds the label's summed probability. *)
+            let prob dst =
+              let p = ref 0.0 in
+              if Label.equal dst if_true then p := !p +. p_true;
+              if Label.equal dst if_false then p := !p +. (1.0 -. p_true);
+              !p
+            in
+            [| prob if_true; prob if_false |]
+        | Instr.Jmp _ -> [| 1.0 |]
+        | Instr.Halt -> [||])
+  in
+  { cfg; predicted; confidence; probs }
 
-let of_trace cfg trace = { cfg; source = Profile trace }
-let heuristic cfg dom = { cfg; source = Heuristic dom }
+let of_trace cfg trace =
+  tabulate cfg (fun i _ ->
+      let l = Cfg.label cfg i in
+      let pred = Trace.predict trace l in
+      match Trace.taken_fraction trace l with
+      | Some f -> (pred, (if pred then f else 1.0 -. f), f)
+      | None -> (pred, 0.5, 0.5))
 
-let branch_of t l =
-  match (Cfg.block t.cfg l).Program.term with
-  | Instr.Br { src; if_true; if_false } -> Some (src, if_true, if_false)
-  | Instr.Jmp _ | Instr.Halt -> None
+(* Backward-taken heuristic: predict the successor that is a loop head
+   dominating this block (a back edge). *)
+let heuristic cfg dom =
+  tabulate cfg (fun i if_true ->
+      let pred = Dominance.dominates_at dom (Cfg.index cfg if_true) i in
+      (pred, 0.6, if pred then 0.6 else 0.4))
 
-let predict t l =
-  match branch_of t l with
-  | None -> true
-  | Some (_, if_true, _) -> (
-      match t.source with
-      | Profile trace -> Trace.predict trace l
-      | Heuristic dom ->
-          (* Backward-taken heuristic: predict the successor that is a loop
-             head dominating this block (a back edge). *)
-          Dominance.dominates dom if_true l)
-
-let confidence t l =
-  match branch_of t l with
-  | None -> 1.0
-  | Some _ -> (
-      match t.source with
-      | Profile trace -> (
-          match Trace.taken_fraction trace l with
-          | Some f -> if predict t l then f else 1.0 -. f
-          | None -> 0.5)
-      | Heuristic _ -> 0.6)
+let cfg t = t.cfg
+let predict_at t i = t.predicted.(i)
+let edge_probability_at t i pos = t.probs.(i).(pos)
+let predict t l = t.predicted.(Cfg.index t.cfg l)
+let confidence t l = t.confidence.(Cfg.index t.cfg l)
 
 let edge_probability t src dst =
-  match branch_of t src with
-  | None ->
-      if List.exists (Label.equal dst) (Cfg.succs t.cfg src) then 1.0 else 0.0
-  | Some (_, if_true, if_false) ->
-      let p_true =
-        match t.source with
-        | Profile trace ->
-            Option.value (Trace.taken_fraction trace src) ~default:0.5
-        | Heuristic _ -> if predict t src then 0.6 else 0.4
-      in
-      (* A branch can target the same label on both arms. *)
-      let p = ref 0.0 in
-      if Label.equal dst if_true then p := !p +. p_true;
-      if Label.equal dst if_false then p := !p +. (1.0 -. p_true);
-      !p
+  let i = Cfg.index t.cfg src in
+  let succs = Cfg.succs_at t.cfg i in
+  let rec find pos =
+    if pos >= Array.length succs then 0.0
+    else if Label.equal (Cfg.label t.cfg succs.(pos)) dst then t.probs.(i).(pos)
+    else find (pos + 1)
+  in
+  find 0
 
 let fingerprint b t =
   (* Everything the compiler can observe of a profile — per reachable
@@ -64,24 +77,23 @@ let fingerprint b t =
      encoding is injective. *)
   let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
   let add_float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
-  let add_label l =
-    let s = Label.name l in
+  let add_label i =
+    let s = Label.name (Cfg.label t.cfg i) in
     add_int (String.length s);
     Buffer.add_string b s
   in
-  let blocks = Cfg.blocks t.cfg in
-  add_int (List.length blocks);
-  List.iter
-    (fun (blk : Program.block) ->
-      let l = blk.Program.label in
-      add_label l;
-      Buffer.add_char b (if predict t l then 'T' else 'F');
-      add_float (confidence t l);
-      let succs = Program.successors blk in
-      add_int (List.length succs);
-      List.iter
-        (fun s ->
+  let rpo = Cfg.rpo_order t.cfg in
+  add_int (Array.length rpo);
+  Array.iter
+    (fun i ->
+      add_label i;
+      Buffer.add_char b (if t.predicted.(i) then 'T' else 'F');
+      add_float t.confidence.(i);
+      let succs = Cfg.succs_at t.cfg i in
+      add_int (Array.length succs);
+      Array.iteri
+        (fun pos s ->
           add_label s;
-          add_float (edge_probability t l s))
+          add_float t.probs.(i).(pos))
         succs)
-    blocks
+    rpo

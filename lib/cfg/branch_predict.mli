@@ -3,7 +3,12 @@
     The paper drives trace formation, region growth and the boosting model
     with static (profile-based) prediction. With a profile we predict the
     majority direction; without one we fall back to the classic
-    backward-taken/forward-not-taken heuristic. *)
+    backward-taken/forward-not-taken heuristic.
+
+    A predictor is tabulated once, when it is made: per block index
+    ({!Cfg.index}) the predicted direction, its confidence and the
+    probability of each successor position ({!Cfg.succs_at}); every
+    query, and {!fingerprint}, reads those tables. *)
 
 open Psb_isa
 
@@ -11,6 +16,19 @@ type t
 
 val of_trace : Cfg.t -> Trace.t -> t
 val heuristic : Cfg.t -> Dominance.t -> t
+
+val cfg : t -> Cfg.t
+(** The CFG the predictor was tabulated over. *)
+
+val predict_at : t -> int -> bool
+(** {!predict} by block index. *)
+
+val edge_probability_at : t -> int -> int -> float
+(** [edge_probability_at t i pos]: the probability that control leaving
+    block [i] goes to its successor at position [pos] of
+    {!Cfg.succs_at}. A branch whose two arms name one block holds the
+    summed probability at both positions, as {!edge_probability} gives
+    it. *)
 
 val predict : t -> Label.t -> bool
 (** Predicted direction of the branch terminating block [l]

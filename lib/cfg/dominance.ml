@@ -1,71 +1,56 @@
-open Psb_isa
-
 type t = {
   cfg : Cfg.t;
-  dom : Label.Set.t Label.Map.t; (* block -> its dominators *)
+  idom : int array; (* RPO position -> its immediate dominator's; 0 for the entry *)
 }
 
-(* Iterative set-based dataflow: dom(b) = {b} ∪ ⋂ dom(preds b). Graphs here
-   are small (tens of blocks), so the simple algorithm is the right one. *)
+(* Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm"
+   (2001), over reverse post-order positions: a dominator always sits
+   earlier in the order, so two fingers climb the idom tree until they
+   meet. *)
 let compute cfg =
-  let nodes = Cfg.rpo cfg and entry = Cfg.entry cfg in
-  let all = List.fold_left (fun s l -> Label.Set.add l s) Label.Set.empty nodes in
-  let init =
-    List.fold_left
-      (fun m l ->
-        Label.Map.add l
-          (if Label.equal l entry then Label.Set.singleton l else all)
-          m)
-      Label.Map.empty nodes
+  let rpo = Cfg.rpo_order cfg in
+  let n = Array.length rpo in
+  let idom = Array.make n (-1) in
+  if n > 0 then idom.(0) <- 0;
+  let rec intersect a b =
+    if a = b then a
+    else if a > b then intersect idom.(a) b
+    else intersect a idom.(b)
   in
-  let step m =
-    List.fold_left
-      (fun (m, changed) l ->
-        if Label.equal l entry then (m, changed)
-        else
-          let meet =
-            match Cfg.preds cfg l with
-            | [] -> Label.Set.singleton l
-            | p :: rest ->
-                List.fold_left
-                  (fun acc q -> Label.Set.inter acc (Label.Map.find q m))
-                  (Label.Map.find p m) rest
-          in
-          let s = Label.Set.add l meet in
-          if Label.Set.equal s (Label.Map.find l m) then (m, changed)
-          else (Label.Map.add l s m, true))
-      (m, false) nodes
-  in
-  let rec fixpoint m =
-    let m, changed = step m in
-    if changed then fixpoint m else m
-  in
-  { cfg; dom = fixpoint init }
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for p = 1 to n - 1 do
+      let meet =
+        Array.fold_left
+          (fun acc q ->
+            let q = Cfg.rpo_pos cfg q in
+            if idom.(q) < 0 then acc else if acc < 0 then q else intersect q acc)
+          (-1) (Cfg.preds_at cfg rpo.(p))
+      in
+      if idom.(p) <> meet then begin
+        idom.(p) <- meet;
+        changed := true
+      end
+    done
+  done;
+  { cfg; idom }
+
+let dominates_at t a b =
+  let pa = Cfg.rpo_pos t.cfg a and pb = Cfg.rpo_pos t.cfg b in
+  let rec climb p = p = pa || (p > pa && climb t.idom.(p)) in
+  pa >= 0 && pb >= 0 && climb pb
+
+let idom_at t b =
+  let p = Cfg.rpo_pos t.cfg b in
+  if p <= 0 then None else Some (Cfg.rpo_order t.cfg).(t.idom.(p))
 
 let dominates t a b =
-  match Label.Map.find_opt b t.dom with
-  | Some s -> Label.Set.mem a s
-  | None -> false
+  match (Cfg.index t.cfg a, Cfg.index t.cfg b) with
+  | a, b -> dominates_at t a b
+  | exception Not_found -> false
 
 let idom t b =
-  match Label.Map.find_opt b t.dom with
-  | None -> None
-  | Some s ->
-      let strict = Label.Set.remove b s in
-      (* The immediate dominator is the strict dominator dominated by all
-         other strict dominators. *)
-      Label.Set.fold
-        (fun cand acc ->
-          match acc with
-          | Some best when dominates t cand best -> acc
-          | _ when Label.Set.for_all (fun d -> dominates t d cand) strict ->
-              Some cand
-          | _ -> acc)
-        strict None
-
-let dominance_frontier t b =
-  List.filter
-    (fun y ->
-      (not (dominates t b y && not (Label.equal b y)))
-      && List.exists (fun p -> dominates t b p) (Cfg.preds t.cfg y))
-    (Cfg.rpo t.cfg)
+  match Cfg.index t.cfg b with
+  | b -> Option.map (Cfg.label t.cfg) (idom_at t b)
+  | exception Not_found -> None

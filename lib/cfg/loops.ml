@@ -2,42 +2,58 @@ open Psb_isa
 
 type loop = { head : Label.t; body : Label.Set.t }
 
-let back_edges cfg dom =
-  List.concat_map
-    (fun l ->
-      List.filter_map
-        (fun s -> if Dominance.dominates dom s l then Some (l, s) else None)
-        (Cfg.succs cfg l))
-    (Cfg.rpo cfg)
+(* [f src head] for every back edge (an edge whose target dominates its
+   source), sources in reverse post-order, each source's successors in
+   order. *)
+let iter_back_edges cfg dom f =
+  Array.iter
+    (fun i ->
+      Array.iter
+        (fun s -> if Dominance.dominates_at dom s i then f i s)
+        (Cfg.succs_at cfg i))
+    (Cfg.rpo_order cfg)
 
-(* Natural loop of back edge (src, head): head plus all nodes that reach
-   src without passing through head. *)
-let loop_body cfg (src, head) =
-  let body = ref (Label.Set.add head Label.Set.empty) in
-  let rec pull l =
-    if not (Label.Set.mem l !body) then begin
-      body := Label.Set.add l !body;
-      List.iter pull (Cfg.preds cfg l)
-    end
-  in
-  pull src;
-  !body
+let heads cfg dom =
+  let flags = Array.make (Cfg.nblocks cfg) false in
+  iter_back_edges cfg dom (fun _ head -> flags.(head) <- true);
+  flags
 
+let in_rpo_order cfg f =
+  Array.fold_right
+    (fun i acc -> match f i with Some x -> x :: acc | None -> acc)
+    (Cfg.rpo_order cfg) []
+
+let loop_heads cfg dom =
+  let flags = heads cfg dom in
+  in_rpo_order cfg (fun i -> if flags.(i) then Some (Cfg.label cfg i) else None)
+
+(* The natural loop of back edge (src, head) is head plus every block
+   that reaches src without passing through head; one head's loops
+   share a body, and a pull stops at a block already in it, whose
+   ancestors short of the head are in it too. *)
 let natural_loops cfg dom =
-  let edges = back_edges cfg dom in
-  let by_head = Hashtbl.create 8 in
-  List.iter
-    (fun ((_, head) as e) ->
-      let body = loop_body cfg e in
-      let cur =
-        Option.value (Hashtbl.find_opt by_head head) ~default:Label.Set.empty
+  let n = Cfg.nblocks cfg in
+  let bodies = Array.make n [||] in
+  iter_back_edges cfg dom (fun src head ->
+      if Array.length bodies.(head) = 0 then begin
+        bodies.(head) <- Array.make n false;
+        bodies.(head).(head) <- true
+      end;
+      let body = bodies.(head) in
+      let rec pull l =
+        if not body.(l) then begin
+          body.(l) <- true;
+          Array.iter pull (Cfg.preds_at cfg l)
+        end
       in
-      Hashtbl.replace by_head head (Label.Set.union cur body))
-    edges;
-  List.filter_map
-    (fun l ->
-      Option.map (fun body -> { head = l; body }) (Hashtbl.find_opt by_head l))
-    (Cfg.rpo cfg)
+      pull src);
+  in_rpo_order cfg (fun head ->
+      if Array.length bodies.(head) = 0 then None
+      else
+        let body = ref Label.Set.empty in
+        Array.iteri
+          (fun i inside -> if inside then body := Label.Set.add (Cfg.label cfg i) !body)
+          bodies.(head);
+        Some { head = Cfg.label cfg head; body = !body })
 
-let loop_heads cfg dom = List.map (fun l -> l.head) (natural_loops cfg dom)
 let in_loop loop l = Label.Set.mem l loop.body

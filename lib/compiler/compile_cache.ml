@@ -173,9 +173,10 @@ let add_machine b
    predecoded scalar form for the interpreter and ROB kernels; v5: they
    no longer do, it moved to [Driver.analysis]; v6: the lowered form
    lost its per-slot source predicates; v7: and its per-slot source
-   instructions and source exit targets), so a process mixing library
-   versions through a shared cache can never alias keys. *)
-let format_version = 7
+   instructions and source exit targets; v8: a unit's steps are a flat
+   int array), so a process mixing library versions through a shared
+   cache can never alias keys. *)
+let format_version = 8
 
 let key ~model ~machine ~single_shadow ~avoid_commit_deps ~verify ~profile
     program =

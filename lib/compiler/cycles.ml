@@ -6,13 +6,6 @@ type t = {
   exits_taken : (Label.t * int) list;
 }
 
-(* A step of the flat table: a copy id ([>= 0]), an exit as the
-   complement of its cost ([lnot (exit_cycle + 1)], [< -1]), or
-   [missing]. *)
-let missing = min_int
-
-let dir_slot = function Runit.Dtrue -> 0 | Runit.Dfalse -> 1 | Runit.Djmp -> 2
-
 let measure ~units ~schedules program ~block_trace:trace =
   let d = Decoded.of_program program in
   let nb = d.Decoded.nblocks in
@@ -22,37 +15,23 @@ let measure ~units ~schedules program ~block_trace:trace =
         invalid_arg
           (Printf.sprintf "Cycles.measure: block index %d outside the program" b))
     trace;
-  (* Flatten the units once. Units are numbered in header order and
-     their copies consecutively from [first_copy.(k)]; copy [c]'s steps
-     sit at [3 * c + dir_slot dir]. *)
+  (* Units are numbered in header order. Each unit's flat [steps] table
+     is read as it is: copy [c]'s steps sit at [3 * c + dir]. *)
   let us = Array.of_list (Label.Map.bindings units) in
   let nu = Array.length us in
-  let first_copy = Array.make (nu + 1) 0 in
-  Array.iteri
-    (fun k (_, (u : Runit.t)) ->
-      first_copy.(k + 1) <- first_copy.(k) + Array.length u.Runit.copies)
-    us;
   let unit_of = Array.make nb (-1) in
-  let copy_block = Array.make first_copy.(nu) (-1) in
-  let steps = Array.make (3 * first_copy.(nu)) missing in
-  Array.iteri
-    (fun k (header, (u : Runit.t)) ->
-      let sched = Label.Map.find header schedules in
-      let base = first_copy.(k) in
-      let hb = Decoded.block_index d header in
-      if hb >= 0 then unit_of.(hb) <- k;
-      Array.iteri
-        (fun cid (c : Runit.copy) ->
-          copy_block.(base + cid) <- Decoded.block_index d c.Runit.label)
-        u.Runit.copies;
-      Hashtbl.iter
-        (fun (cid, dir) step ->
-          steps.((3 * (base + cid)) + dir_slot dir) <-
-            (match step with
-            | Runit.Goto c -> c
-            | Runit.Take_exit xid -> lnot (Sched.exit_cycle sched xid + 1)))
-        u.Runit.steps)
-    us;
+  let steps = Array.map (fun (_, (u : Runit.t)) -> u.Runit.steps) us in
+  let scheds = Array.map (fun (header, _) -> Label.Map.find header schedules) us in
+  let copy_block =
+    Array.mapi
+      (fun k (header, (u : Runit.t)) ->
+        let hb = Decoded.block_index d header in
+        if hb >= 0 then unit_of.(hb) <- k;
+        Array.map
+          (fun (c : Runit.copy) -> Decoded.block_index d c.Runit.label)
+          u.Runit.copies)
+      us
+  in
   let labels = d.Decoded.labels in
   let term_kind = d.Decoded.term_kind
   and term_t = d.Decoded.term_t
@@ -67,16 +46,16 @@ let measure ~units ~schedules program ~block_trace:trace =
           the trace of a halted run)"
          Label.pp (fst us.(k)) Label.pp labels.(b))
   in
-  (* Walk unit [k]'s copies along the recorded path from global copy
-     [c]; the visit ends at the exit the trace takes. *)
+  (* Walk unit [k]'s copies along the recorded path from copy [c]; the
+     visit ends at the exit the trace takes. *)
   let rec walk k c =
     let p = !pos in
-    let b = copy_block.(c) in
+    let b = copy_block.(k).(c) in
     if b <> trace.(p) then
       failwith
         (Format.asprintf "Cycles.measure: unit %a expected %a, trace has %a"
            Label.pp (fst us.(k)) Label.pp
-           (snd us.(k)).Runit.copies.(c - first_copy.(k)).Runit.label
+           (snd us.(k)).Runit.copies.(c).Runit.label
            Label.pp labels.(trace.(p)));
     let dir =
       if term_kind.(b) <> Decoded.tbr then 2
@@ -85,15 +64,15 @@ let measure ~units ~schedules program ~block_trace:trace =
       else if trace.(p + 1) = term_f.(b) then 1
       else failwith "Cycles.measure: trace does not follow the branch"
     in
-    let s = steps.((3 * c) + dir) in
+    let s = steps.(k).((3 * c) + dir) in
     if s >= 0 then begin
       if p + 1 >= n then ends_inside k b;
       pos := p + 1;
-      walk k (first_copy.(k) + s)
+      walk k s
     end
-    else if s = missing then failwith "Cycles.measure: missing step"
+    else if s = Runit.no_step then failwith "Cycles.measure: missing step"
     else begin
-      cycles := !cycles + lnot s;
+      cycles := !cycles + Sched.exit_cycle scheds.(k) (lnot s) + 1;
       pos := p + 1
     end
   in
@@ -104,7 +83,7 @@ let measure ~units ~schedules program ~block_trace:trace =
         (Format.asprintf "Cycles.measure: no unit for %a" Label.pp
            labels.(trace.(!pos)));
     visits.(k) <- visits.(k) + 1;
-    walk k first_copy.(k)
+    walk k 0
   done;
   let exits_taken = ref [] in
   for k = nu - 1 downto 0 do

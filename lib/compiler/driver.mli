@@ -78,7 +78,9 @@ val compile :
   Program.t ->
   compiled
 (** @raise Invalid_argument if [analysis] was built from another
-    program value (physical equality, as {!Psb_isa.Decoded.check_source}).
+    program value (physical equality, as {!Psb_isa.Decoded.check_source}),
+    or if [profile] was tabulated over another program value's CFG
+    ({!Runit.build_all}).
     @raise Failure if any unit schedule fails validation, or — for
     executable models, unless [verify:false] — if the emitted predicated
     code fails the static speculation-safety verifier

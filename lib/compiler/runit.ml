@@ -23,12 +23,15 @@ type uexit = {
 type copy = { cid : int; label : Label.t; pred : Pred.t }
 type step = Goto of int | Take_exit of int
 
+let dir_index = function Dtrue -> 0 | Dfalse -> 1 | Djmp -> 2
+let no_step = min_int
+
 type t = {
   header : Label.t;
   instrs : uinstr array;
   exits : uexit array;
   copies : copy array;
-  steps : (int * dir, step) Hashtbl.t;
+  steps : int array;
   setc_of_cond : int array;
   nconds : int;
 }
@@ -55,99 +58,104 @@ let default_params ~scope ~max_conds ?(fuse_compare = false)
     avoid_commit_deps;
   }
 
-(* ----- Phase 1: candidate labels and in-unit edges ----- *)
+(* ----- Phase 1: candidate blocks and in-unit edges -----
 
-let successor_edges (b : Program.block) =
-  match b.Program.term with
-  | Instr.Br { if_true; if_false; _ } ->
-      [ (Dtrue, if_true); (Dfalse, if_false) ]
-  | Instr.Jmp l -> [ (Djmp, l) ]
-  | Instr.Halt -> []
+   Blocks are CFG indices. An edge is a block's successor position
+   ([Cfg.succs_at]: a branch's [if_true] at 0 and [if_false] at 1, a
+   jump's target at 0); per-edge flags sit at [3 * block + dir_index]. *)
 
-(* For traces, the single direction we follow out of a block. *)
-let chosen_dir cfg bp label =
-  match (Cfg.block cfg label).Program.term with
-  | Instr.Br _ -> if Branch_predict.predict bp label then Dtrue else Dfalse
-  | Instr.Jmp _ -> Djmp
-  | Instr.Halt -> Djmp
+let dir_of_pos succs pos =
+  if Array.length succs = 1 then Djmp else if pos = 0 then Dtrue else Dfalse
+
+let edge_slot block succs pos = (3 * block) + dir_index (dir_of_pos succs pos)
+
+let is_branch cfg i =
+  match (Cfg.block_at cfg i).Program.term with
+  | Instr.Br _ -> true
+  | Instr.Jmp _ | Instr.Halt -> false
 
 let grow_candidates params cfg bp ~header ~avoid =
-  let candidates = ref (Label.Set.singleton header) in
-  let edge_ok : (Label.t * dir, unit) Hashtbl.t = Hashtbl.create 16 in
+  let n = Cfg.nblocks cfg in
+  let candidates = Array.make n false and ncandidates = ref 1 in
+  candidates.(header) <- true;
+  let edge_ok = Array.make (3 * n) false in
   let branch_count = ref 0 in
-  let count_branch l =
-    match (Cfg.block cfg l).Program.term with
-    | Instr.Br _ -> incr branch_count
-    | Instr.Jmp _ | Instr.Halt -> ()
-  in
+  let count_branch i = if is_branch cfg i then incr branch_count in
   count_branch header;
   let may_add dst =
-    (not (Label.Set.mem dst !candidates))
-    && (not (Label.Set.mem dst avoid))
-    && (not (Label.equal dst header))
-    && Label.Set.cardinal !candidates < params.max_blocks
-    &&
-    match (Cfg.block cfg dst).Program.term with
-    | Instr.Br _ -> !branch_count < params.max_conds
-    | Instr.Jmp _ | Instr.Halt -> true
+    (not candidates.(dst))
+    && (not avoid.(dst))
+    && dst <> header
+    && !ncandidates < params.max_blocks
+    && ((not (is_branch cfg dst)) || !branch_count < params.max_conds)
+  in
+  let add slot dst =
+    candidates.(dst) <- true;
+    incr ncandidates;
+    count_branch dst;
+    edge_ok.(slot) <- true
   in
   (match params.scope with
   | Model.Trace ->
-      (* Follow the predicted path while allowed. *)
+      (* Follow the predicted path while allowed; joining the trace
+         again would create a side entrance. *)
       let rec follow l =
-        let d = chosen_dir cfg bp l in
-        match List.assoc_opt d (successor_edges (Cfg.block cfg l)) with
-        | None -> ()
-        | Some dst ->
-            if may_add dst then begin
-              candidates := Label.Set.add dst !candidates;
-              count_branch dst;
-              Hashtbl.replace edge_ok (l, d) ();
-              follow dst
-            end
-            else if Label.Set.mem dst !candidates then
-              (* joining the trace again would create a side entrance *) ()
+        let succs = Cfg.succs_at cfg l in
+        let pos =
+          if Array.length succs = 2 && not (Branch_predict.predict_at bp l) then 1
+          else 0
+        in
+        if pos < Array.length succs then begin
+          let dst = succs.(pos) in
+          if may_add dst then begin
+            add (edge_slot l succs pos) dst;
+            follow dst
+          end
+        end
       in
       follow header
   | Model.Region ->
       (* BFS; an edge is beneficial if static prediction gives it enough
          probability (§3.3: a heuristic function of static branch
-         prediction drives region growth). *)
-      let queue = Queue.create () in
-      Queue.add header queue;
-      while not (Queue.is_empty queue) do
-        let src = Queue.pop queue in
-        List.iter
-          (fun (d, dst) ->
-            let p = Branch_predict.edge_probability bp src dst in
-            if p >= params.grow_threshold then
-              if Label.Set.mem dst !candidates then
-                Hashtbl.replace edge_ok (src, d) ()
+         prediction drives region growth). A block is queued once, when
+         it becomes a candidate. *)
+      let queue = Array.make n header and head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let src = queue.(!head) in
+        incr head;
+        let succs = Cfg.succs_at cfg src in
+        Array.iteri
+          (fun pos dst ->
+            if Branch_predict.edge_probability_at bp src pos >= params.grow_threshold
+            then
+              if candidates.(dst) then edge_ok.(edge_slot src succs pos) <- true
               else if may_add dst then begin
-                candidates := Label.Set.add dst !candidates;
-                count_branch dst;
-                Hashtbl.replace edge_ok (src, d) ();
-                Queue.add dst queue
+                add (edge_slot src succs pos) dst;
+                queue.(!tail) <- dst;
+                incr tail
               end)
-          (successor_edges (Cfg.block cfg src))
+          succs
       done);
-  (!candidates, edge_ok)
+  (candidates, edge_ok)
 
 (* Topological order of the candidate subgraph from the header; edges that
-   would close a cycle are removed from [edge_ok] (they become exits). *)
+   would close a cycle are cleared in [edge_ok] (they become exits). *)
 let topo_candidates cfg header candidates edge_ok =
-  let visited = Hashtbl.create 16 and on_stack = Hashtbl.create 16 in
+  let n = Cfg.nblocks cfg in
+  let visited = Array.make n false and on_stack = Array.make n false in
   let order = ref [] in
   let rec dfs l =
-    Hashtbl.replace visited l ();
-    Hashtbl.replace on_stack l ();
-    List.iter
-      (fun (d, dst) ->
-        if Hashtbl.mem edge_ok (l, d) && Label.Set.mem dst candidates then
-          if Hashtbl.mem on_stack dst then Hashtbl.remove edge_ok (l, d)
-          else if not (Hashtbl.mem visited dst) then dfs dst)
-      (successor_edges (Cfg.block cfg l));
-    Hashtbl.remove on_stack l;
+    visited.(l) <- true;
+    on_stack.(l) <- true;
+    let succs = Cfg.succs_at cfg l in
+    Array.iteri
+      (fun pos dst ->
+        let e = edge_slot l succs pos in
+        if edge_ok.(e) && candidates.(dst) then
+          if on_stack.(dst) then edge_ok.(e) <- false
+          else if not visited.(dst) then dfs dst)
+      succs;
+    on_stack.(l) <- false;
     order := l :: !order
   in
   dfs header;
@@ -240,22 +248,37 @@ let uses_before_def body =
     ([], []) body
   |> fst
 
-let build params cfg bp ~header ~avoid =
+(* The unit headed by block [header], and the blocks its exits target
+   (with repeats). *)
+let build_at params cfg bp ~header ~avoid =
   let candidates, edge_ok = grow_candidates params cfg bp ~header ~avoid in
   let topo = topo_candidates cfg header candidates edge_ok in
   (* registers any candidate block reads before (re)defining them — the
      potential downstream consumers of a merged join's ambiguity *)
   let candidate_uses =
-    Label.Set.fold
-      (fun l acc ->
-        List.fold_left
-          (fun acc r -> Reg.Set.add r acc)
-          acc
-          (uses_before_def (Cfg.block cfg l).Program.body))
-      candidates Reg.Set.empty
+    lazy
+      (let acc = ref Reg.Set.empty in
+       Array.iteri
+         (fun i inside ->
+           if inside then
+             List.iter
+               (fun r -> acc := Reg.Set.add r !acc)
+               (uses_before_def (Cfg.block_at cfg i).Program.body))
+         candidates;
+       !acc)
   in
   let instrs = ref [] and exits = ref [] and copies = ref [] in
-  let steps = Hashtbl.create 32 in
+  let targets = ref [] in
+  let steps = ref (Array.make (3 * List.length topo) no_step) in
+  let set_step cid d s =
+    let k = (3 * cid) + dir_index d in
+    if k >= Array.length !steps then begin
+      let grown = Array.make (max (k + 1) (2 * Array.length !steps)) no_step in
+      Array.blit !steps 0 grown 0 (Array.length !steps);
+      steps := grown
+    end;
+    !steps.(k) <- s
+  in
   let setcs = ref [] in
   let next_uid = ref 0 and next_xid = ref 0 and next_cid = ref 0 in
   let next_cond = ref 0 and seq = ref 0 in
@@ -266,39 +289,37 @@ let build params cfg bp ~header ~avoid =
     instrs := { uid; op; pred; dep_pred; seq = fresh_seq () } :: !instrs;
     uid
   in
-  let add_exit ~pred ~target ~from_branch =
+  (* an exit from copy [cid] in direction [d] to block [target] ([-1]:
+     program halt) *)
+  let exit_step cid d ~pred ~target ~from_branch =
     let xid = !next_xid in
     incr next_xid;
-    exits := { xid; pred; target; from_branch; seq = fresh_seq () } :: !exits;
-    xid
+    let label = if target < 0 then None else Some (Cfg.label cfg target) in
+    if target >= 0 then targets := target :: !targets;
+    exits := { xid; pred; target = label; from_branch; seq = fresh_seq () } :: !exits;
+    set_step cid d (lnot xid)
   in
-  (* pending in-edges per label: (from_cid, dir, pred, from_branch) list *)
-  let pending : (Label.t, (int * dir * Pred.t * Cond.t option) list) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let push_pending l e =
-    Hashtbl.replace pending l
-      (e :: Option.value (Hashtbl.find_opt pending l) ~default:[])
-  in
-  let emit_copy label pred in_edges =
+  (* pending in-edges per block: (from_cid, dir, pred, from_branch) list *)
+  let pending = Array.make (Cfg.nblocks cfg) [] in
+  let emit_copy i pred in_edges =
     let cid = !next_cid in
     incr next_cid;
-    copies := { cid; label; pred } :: !copies;
-    List.iter (fun (from, d, _, _) -> Hashtbl.replace steps (from, d) (Goto cid)) in_edges;
-    let b = Cfg.block cfg label in
+    let b = Cfg.block_at cfg i in
+    copies := { cid; label = b.Program.label; pred } :: !copies;
+    List.iter (fun (from, d, _, _) -> set_step from d cid) in_edges;
     List.iter (fun op -> ignore (add_instr op ~pred ~dep_pred:pred)) b.Program.body;
-    (match b.Program.term with
-    | Instr.Halt ->
-        let xid = add_exit ~pred ~target:None ~from_branch:None in
-        Hashtbl.replace steps (cid, Djmp) (Take_exit xid)
-    | Instr.Jmp l ->
-        if Hashtbl.mem edge_ok (label, Djmp) && Label.Set.mem l candidates then
-          push_pending l (cid, Djmp, pred, None)
-        else begin
-          let xid = add_exit ~pred ~target:(Some l) ~from_branch:None in
-          Hashtbl.replace steps (cid, Djmp) (Take_exit xid)
-        end
-    | Instr.Br { src; if_true; if_false } ->
+    let succs = Cfg.succs_at cfg i in
+    (* the arm at successor position [pos], under [pred] *)
+    let arm pos pred from_branch =
+      let d = dir_of_pos succs pos and dst = succs.(pos) in
+      if edge_ok.((3 * i) + dir_index d) && candidates.(dst) then
+        pending.(dst) <- (cid, d, pred, from_branch) :: pending.(dst)
+      else exit_step cid d ~pred ~target:dst ~from_branch
+    in
+    match b.Program.term with
+    | Instr.Halt -> exit_step cid Djmp ~pred ~target:(-1) ~from_branch:None
+    | Instr.Jmp _ -> arm 0 pred None
+    | Instr.Br { src; _ } ->
         let c = Cond.make !next_cond in
         incr next_cond;
         let setc_op =
@@ -313,31 +334,22 @@ let build params cfg bp ~header ~avoid =
         in
         let uid = add_instr setc_op ~pred:Pred.always ~dep_pred:pred in
         setcs := uid :: !setcs;
-        List.iter
-          (fun (d, tgt, value) ->
-            let pred' = Pred.conj pred c value in
-            if Hashtbl.mem edge_ok (label, d) && Label.Set.mem tgt candidates
-            then push_pending tgt (cid, d, pred', Some c)
-            else begin
-              let xid = add_exit ~pred:pred' ~target:(Some tgt) ~from_branch:(Some c) in
-              Hashtbl.replace steps (cid, d) (Take_exit xid)
-            end)
-          [ (Dtrue, if_true, true); (Dfalse, if_false, false) ])
+        arm 0 (Pred.conj pred c true) (Some c);
+        arm 1 (Pred.conj pred c false) (Some c)
   in
-  let demote label in_edges =
+  let demote i in_edges =
     List.iter
       (fun (from, d, pred, from_branch) ->
-        let xid = add_exit ~pred ~target:(Some label) ~from_branch in
-        Hashtbl.replace steps (from, d) (Take_exit xid))
+        exit_step from d ~pred ~target:i ~from_branch)
       in_edges
   in
   List.iter
-    (fun label ->
-      if Label.equal label header then emit_copy label Pred.always []
+    (fun i ->
+      if i = header then emit_copy i Pred.always []
       else
-        match Hashtbl.find_opt pending label with
-        | None -> () (* unreachable within the unit (upstream was demoted) *)
-        | Some in_edges ->
+        match pending.(i) with
+        | [] -> () (* unreachable within the unit (upstream was demoted) *)
+        | in_edges ->
             let raw_groups =
               List.map (fun ((_, _, p, _) as e) -> (p, [ e ])) in_edges
             in
@@ -353,12 +365,12 @@ let build params cfg bp ~header ~avoid =
               then begin
                 let commit_dep_under merged =
                   List.exists
-                    (fun (i : uinstr) ->
+                    (fun (u : uinstr) ->
                       List.exists
-                        (fun r -> Reg.Set.mem r candidate_uses)
-                        (Instr.defs i.op)
-                      && (not (Pred.disjoint i.dep_pred merged))
-                      && not (Pred.implies merged i.dep_pred))
+                        (fun r -> Reg.Set.mem r (Lazy.force candidate_uses))
+                        (Instr.defs u.op)
+                      && (not (Pred.disjoint u.dep_pred merged))
+                      && not (Pred.implies merged u.dep_pred))
                     !instrs
                 in
                 if List.exists (fun (m, _) -> commit_dep_under m) groups then
@@ -376,50 +388,74 @@ let build params cfg bp ~header ~avoid =
               end
               else groups
             in
-            let is_branch =
-              match (Cfg.block cfg label).Program.term with
-              | Instr.Br _ -> true
-              | Instr.Jmp _ | Instr.Halt -> false
-            in
-            let conds_needed = if is_branch then List.length groups else 0 in
+            let conds_needed = if is_branch cfg i then List.length groups else 0 in
             if
               List.length groups > params.max_copies_per_block
               || !next_cond + conds_needed > params.max_conds
-            then demote label in_edges
+            then demote i in_edges
             else
-              List.iter (fun (pred, es) -> emit_copy label pred es) groups)
+              List.iter (fun (pred, es) -> emit_copy i pred es) groups)
     topo;
-  {
-    header;
-    instrs = Array.of_list (List.rev !instrs);
-    exits = Array.of_list (List.rev !exits);
-    copies = Array.of_list (List.rev !copies);
-    steps;
-    setc_of_cond = Array.of_list (List.rev !setcs);
-    nconds = !next_cond;
-  }
+  let ncopies = !next_cid in
+  ( {
+      header = Cfg.label cfg header;
+      instrs = Array.of_list (List.rev !instrs);
+      exits = Array.of_list (List.rev !exits);
+      copies = Array.of_list (List.rev !copies);
+      steps =
+        (if Array.length !steps = 3 * ncopies then !steps
+         else Array.sub !steps 0 (3 * ncopies));
+      setc_of_cond = Array.of_list (List.rev !setcs);
+      nconds = !next_cond;
+    },
+    !targets )
+
+(* A profile tabulated over another program's CFG would index the wrong
+   blocks. *)
+let check_profile cfg bp =
+  if Cfg.program (Branch_predict.cfg bp) != Cfg.program cfg then
+    invalid_arg "Runit: profile built from another program's CFG"
+
+let flags cfg labels =
+  let f = Array.make (Cfg.nblocks cfg) false in
+  List.iter
+    (fun l -> match Cfg.index cfg l with i -> f.(i) <- true | exception Not_found -> ())
+    labels;
+  f
+
+let build params cfg bp ~header ~avoid =
+  check_profile cfg bp;
+  fst
+    (build_at params cfg bp ~header:(Cfg.index cfg header)
+       ~avoid:(flags cfg (Label.Set.elements avoid)))
+
+let step t cid d =
+  let k = (3 * cid) + dir_index d in
+  if cid < 0 || k >= Array.length t.steps || t.steps.(k) = no_step then None
+  else if t.steps.(k) >= 0 then Some (Goto t.steps.(k))
+  else Some (Take_exit (lnot t.steps.(k)))
 
 let exit_targets t =
   Array.to_list t.exits
   |> List.filter_map (fun e -> e.target)
   |> List.sort_uniq Label.compare
 
+(* A unit depends only on its header and the avoid set, so the order in
+   which headers are reached does not matter. *)
 let build_all params cfg bp ~loop_heads ~entry =
-  let avoid =
-    List.fold_left (fun s l -> Label.Set.add l s) (Label.Set.singleton entry)
-      loop_heads
-  in
+  check_profile cfg bp;
+  let avoid = flags cfg (entry :: loop_heads) in
+  let built = Array.make (Cfg.nblocks cfg) false in
   let units = ref Label.Map.empty in
-  let work = Queue.create () in
-  Queue.add entry work;
-  while not (Queue.is_empty work) do
-    let h = Queue.pop work in
-    if not (Label.Map.mem h !units) then begin
-      let u = build params cfg bp ~header:h ~avoid in
-      units := Label.Map.add h u !units;
-      List.iter (fun tgt -> Queue.add tgt work) (exit_targets u)
+  let rec visit h =
+    if not built.(h) then begin
+      built.(h) <- true;
+      let u, targets = build_at params cfg bp ~header:h ~avoid in
+      units := Label.Map.add u.header u !units;
+      List.iter visit targets
     end
-  done;
+  in
+  visit (Cfg.index cfg entry);
   !units
 
 let setc_uid t c =

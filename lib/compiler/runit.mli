@@ -50,7 +50,11 @@ type t = {
   instrs : uinstr array;
   exits : uexit array;
   copies : copy array;  (** copy 0 is the header *)
-  steps : (int * dir, step) Hashtbl.t;
+  steps : int array;
+      (** where control goes from copy [cid] in direction [d], flat at
+          [3 * cid + dir_index d]: the next copy's id ([Goto], [>= 0]), an
+          exit as [lnot xid] ([Take_exit], [< 0]), or {!no_step} for a
+          direction the copy's block does not have. See {!step}. *)
   setc_of_cond : int array;
       (** uid of each condition's [Setc], indexed by {!Psb_isa.Cond.index}
           (a unit numbers its conditions [0 .. nconds - 1]) *)
@@ -75,6 +79,14 @@ type params = {
           dependence. Costs duplication, buys scheduling freedom. *)
 }
 
+val dir_index : dir -> int
+(** [Dtrue] 0, [Dfalse] 1, [Djmp] 2: a direction's offset in [steps]. *)
+
+val no_step : int
+
+val step : t -> int -> dir -> step option
+(** [step t cid d]: [steps] decoded; [None] where there is no step. *)
+
 val default_params :
   scope:Model.scope ->
   max_conds:int ->
@@ -92,7 +104,10 @@ val build :
   t
 (** [avoid] is the set of labels that must not be swallowed (headers of
     other units, loop heads). The unit's exits may target labels in
-    [avoid] or any label outside the unit. *)
+    [avoid] or any label outside the unit.
+    @raise Invalid_argument if the profile was tabulated over the CFG of
+    another program value ({!Psb_cfg.Branch_predict.cfg}; programs
+    compare physically). *)
 
 val exit_targets : t -> Label.t list
 (** Labels this unit can exit to (deduplicated). *)
@@ -106,7 +121,11 @@ val build_all :
   t Label.Map.t
 (** Cover the program: build a unit for the entry and then for every exit
     target, until closed. Loop heads bound unit growth (speculative state
-    is closed within one loop body). *)
+    is closed within one loop body). Formation runs over the CFG's block
+    indices ({!Psb_cfg.Cfg.index}): candidates, the avoid set, in-unit
+    edges, DFS marks and pending join edges are arrays, and the profile
+    is read from its tables.
+    @raise Invalid_argument as {!build}. *)
 
 val setc_uid : t -> Cond.t -> int
 val pp : Format.formatter -> t -> unit

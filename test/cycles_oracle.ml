@@ -1,7 +1,7 @@
 (* The reference the flat [Cycles.measure] is compared against: the
    label-walking replay it replaced, which finds each dynamic block by
-   label, matches branch arms by [Label.equal] and looks each step up in
-   the unit's [(copy, direction)] table. It takes the same index trace
+   label, matches branch arms by [Label.equal] and looks each step up
+   through [Runit.step]. It takes the same index trace
    and turns it into labels first. *)
 
 open Psb_isa
@@ -45,7 +45,7 @@ let measure ~units ~schedules program ~block_trace =
             else if Label.equal trace.(!pos + 1) if_false then Runit.Dfalse
             else failwith "Cycles.measure: trace does not follow the branch"
       in
-      match Hashtbl.find_opt u.Runit.steps (cid, dir) with
+      match Runit.step u cid dir with
       | None -> failwith "Cycles.measure: missing step"
       | Some (Runit.Goto cid') ->
           incr pos;

@@ -151,6 +151,154 @@ let prop_taken_fraction_recount =
           Trace.taken_fraction trace b.Program.label = recount b.Program.label)
         program.Program.blocks)
 
+(* ---------- the indexed front end against its label-set oracle ----------
+
+   For a program: the CFG's reverse post-order and every block's
+   predecessors, [dominates] on every pair of blocks, [idom] per block,
+   the loop heads (as a list and as [Loops.heads] flags) and the natural
+   loops' bodies, each equal to [Dominance_oracle]'s, order included.
+   [None] when all agree, else the first disagreement. *)
+let oracle_disagreement program =
+  let cfg = Cfg.of_program program in
+  let dom = Dominance.compute cfg in
+  let o = Dominance_oracle.compute program in
+  let labels = Program.labels program in
+  let names ls = String.concat "," (List.map Label.name ls) in
+  let opt = function Some l -> Label.name l | None -> "-" in
+  let first f xs = List.find_map f xs in
+  let heads = Loops.heads cfg dom in
+  let loops =
+    List.map
+      (fun (l : Loops.loop) -> (l.Loops.head, Label.Set.elements l.Loops.body))
+      (Loops.natural_loops cfg dom)
+  and oracle_loops =
+    List.map
+      (fun (h, body) -> (h, Label.Set.elements body))
+      (Dominance_oracle.natural_loops o)
+  in
+  if Cfg.rpo cfg <> Dominance_oracle.rpo o then
+    Some
+      (Printf.sprintf "rpo [%s], oracle [%s]" (names (Cfg.rpo cfg))
+         (names (Dominance_oracle.rpo o)))
+  else
+    first
+      (fun f -> f ())
+      [
+        (fun () ->
+          first
+            (fun l ->
+              if Cfg.preds cfg l = Dominance_oracle.preds o l then None
+              else
+                Some
+                  (Printf.sprintf "preds %s: [%s], oracle [%s]" l
+                     (names (Cfg.preds cfg l))
+                     (names (Dominance_oracle.preds o l))))
+            labels);
+        (fun () ->
+          first
+            (fun l ->
+              if Dominance.idom dom l = Dominance_oracle.idom o l then None
+              else
+                Some
+                  (Printf.sprintf "idom %s: %s, oracle %s" l
+                     (opt (Dominance.idom dom l))
+                     (opt (Dominance_oracle.idom o l))))
+            labels);
+        (fun () ->
+          first
+            (fun a ->
+              first
+                (fun b ->
+                  let d = Dominance.dominates dom a b in
+                  if d = Dominance_oracle.dominates o a b then None
+                  else Some (Printf.sprintf "dominates %s %s: %b, oracle %b" a b d (not d)))
+                labels)
+            labels);
+        (fun () ->
+          let lh = Loops.loop_heads cfg dom and oh = Dominance_oracle.loop_heads o in
+          if lh = oh then None
+          else Some (Printf.sprintf "loop heads [%s], oracle [%s]" (names lh) (names oh)));
+        (fun () ->
+          first
+            (fun l ->
+              let flagged = heads.(Cfg.index cfg l)
+              and head = List.mem l (Dominance_oracle.loop_heads o) in
+              if flagged = head then None
+              else Some (Printf.sprintf "heads %s: %b, oracle %b" l flagged head))
+            labels);
+        (fun () ->
+          if loops = oracle_loops then None
+          else
+            Some
+              (String.concat "; "
+                 (List.map
+                    (fun (h, body) -> Printf.sprintf "%s:{%s}" h (names body))
+                    loops)
+              ^ " vs oracle "
+              ^ String.concat "; "
+                  (List.map
+                     (fun (h, body) -> Printf.sprintf "%s:{%s}" h (names body))
+                     oracle_loops)));
+      ]
+
+let oracle_prop name arb program_of =
+  QCheck.Test.make ~name ~count:150 arb (fun x ->
+      match oracle_disagreement (program_of x) with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "%s" d)
+
+(* Arbitrary control flow over up to 12 blocks: any block may jump or
+   branch to any other (the entry included), so the graphs are
+   irreducible, have unreachable blocks and branches with both arms on
+   one block, which the structured generator never draws. *)
+let arb_cfg =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 12 >>= fun n ->
+      let target = map (Printf.sprintf "b%d") (int_bound (n - 1)) in
+      let term =
+        frequency
+          [
+            (1, return Instr.Halt);
+            (3, map (fun l -> Instr.Jmp l) target);
+            ( 5,
+              map2
+                (fun t f -> Instr.Br { src = reg 1; if_true = t; if_false = f })
+                target target );
+          ]
+      in
+      map
+        (fun terms ->
+          Program.make ~entry:(lbl "b0")
+            (List.mapi (fun i t -> Program.block (Printf.sprintf "b%d" i) [] t) terms))
+        (list_repeat n term))
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Program.pp) gen
+
+let nested = { Gen_programs.default_shape with Gen_programs.nesting = 2 }
+
+let prop_oracle_default =
+  oracle_prop "generated programs agree with the oracle" (Gen_programs.arb ())
+    (fun g -> g.Gen_programs.program)
+
+let prop_oracle_nested =
+  oracle_prop "nested programs agree with the oracle"
+    (Gen_programs.arb ~shape:nested ())
+    (fun g -> g.Gen_programs.program)
+
+let prop_oracle_arbitrary =
+  oracle_prop "arbitrary control flow agrees with the oracle" arb_cfg Fun.id
+
+let test_oracle_suite () =
+  List.iter
+    (fun (name, program) ->
+      Alcotest.(check (option string)) name None (oracle_disagreement program))
+    (("diamond_loop", diamond_loop)
+    :: List.map
+         (fun (w : Psb_workloads.Dsl.t) ->
+           (w.Psb_workloads.Dsl.name, w.Psb_workloads.Dsl.program))
+         Psb_workloads.Suite.all)
+
 let () =
   Alcotest.run "cfg"
     [
@@ -166,6 +314,13 @@ let () =
           Alcotest.test_case "live before" `Quick test_live_before;
         ] );
       ("loops", [ Alcotest.test_case "natural loops" `Quick test_loops ]);
+      ( "oracle",
+        [
+          Alcotest.test_case "suite agrees with the oracle" `Quick test_oracle_suite;
+          Qc.to_alcotest prop_oracle_default;
+          Qc.to_alcotest prop_oracle_nested;
+          Qc.to_alcotest prop_oracle_arbitrary;
+        ] );
       ( "branch-predict",
         [
           Alcotest.test_case "profile" `Quick test_branch_predict_profile;

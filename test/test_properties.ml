@@ -86,7 +86,7 @@ let prop_steps_total =
                  | Instr.Jmp _ | Instr.Halt -> [ Runit.Djmp ]
                in
                List.for_all
-                 (fun d -> Hashtbl.mem u.Runit.steps (c.Runit.cid, d))
+                 (fun d -> Runit.step u c.Runit.cid d <> None)
                  dirs)
              u.Runit.copies))
 
