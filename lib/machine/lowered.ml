@@ -238,10 +238,11 @@ let check (t : t) =
     tidx >= 0 && tidx < nregions && Label.equal sources.(tidx).Pcode.name l
   in
   let nregs = ref 1 and widest = ref 0 in
-  (* operation row [i] against its source slot [pi]; [at] names the slot *)
+  (* operation row [i] against its source slot [pi]; [at ()] names the
+     slot, formatted only when a check fails *)
   let check_op lr ~at i (pi : Pcode.pinstr) =
     let reg what k =
-      if k < 0 then fail "%s: %s is not a register" at what else Reg.make k
+      if k < 0 then fail "%s: %s is not a register" (at ()) what else Reg.make k
     in
     let opnd k imm = if k < 0 then Operand.Imm imm else Operand.Reg k in
     let s1 = opnd lr.op_s1_reg.(i) lr.op_s1_imm.(i)
@@ -264,29 +265,30 @@ let check (t : t) =
           let src = reg "data" lr.op_s2_reg.(i) in
           (Instr.Store { src; base = base (); off }, 2)
       | Ksetc ->
-          if off < 0 then fail "%s: condition %d" at off;
+          if off < 0 then fail "%s: condition %d" (at ()) off;
           (Instr.Setc { dst = Cond.make off; op = cmp; a = s1; b = s2 }, 2)
     in
     if op <> pi.Pcode.op then
-      fail "%s: lowered %a, source %a" at Instr.pp_op op Instr.pp_op
+      fail "%s: lowered %a, source %a" (at ()) Instr.pp_op op Instr.pp_op
         pi.Pcode.op;
     (* the walk reads both operand registers of every executed row *)
     let operand k r sh =
       if r >= 0 && k > arity then
-        fail "%s: operand %d r%d is not the op's" at k r;
+        fail "%s: operand %d r%d is not the op's" (at ()) k r;
       if r >= 0 && sh <> Reg.Set.mem r pi.Pcode.shadow_srcs then
-        fail "%s: operand %d r%d shadow flag %b, source %b" at k r sh (not sh)
+        fail "%s: operand %d r%d shadow flag %b, source %b" (at ()) k r sh
+          (not sh)
     in
     operand 1 lr.op_s1_reg.(i) lr.op_s1_sh.(i);
     operand 2 lr.op_s2_reg.(i) lr.op_s2_sh.(i);
     if not (Pred.equal_c lr.op_cpred.(i) pi.Pcode.cpred) then
-      fail "%s: predicate differs from the source slot's" at;
+      fail "%s: predicate differs from the source slot's" (at ());
     let lat = Machine_model.latency t.machine op in
     if lr.op_lat.(i) <> lat then
-      fail "%s: latency %d, machine says %d" at lr.op_lat.(i) lat;
-    List.iter
-      (fun r -> nregs := max !nregs (Reg.index r + 1))
-      (Instr.defs op @ Instr.uses op)
+      fail "%s: latency %d, machine says %d" (at ()) lr.op_lat.(i) lat;
+    let see r = nregs := max !nregs (Reg.index r + 1) in
+    List.iter see (Instr.defs op);
+    List.iter see (Instr.uses op)
   in
   let check_region (lr : region) =
     let rn = Label.name lr.source.Pcode.name and code = lr.source.Pcode.code in
@@ -314,47 +316,56 @@ let check (t : t) =
     then fail "region %s: tables of different lengths" rn;
     Array.iteri
       (fun b bundle ->
-        let ops =
-          List.filter_map
-            (function Pcode.Op pi -> Some pi | Pcode.Exit _ -> None)
-            bundle
-        and exits =
-          List.filter_map
-            (function
-              | Pcode.Exit { cpred; target; _ } -> Some (cpred, target)
-              | Pcode.Op _ -> None)
-            bundle
-        in
+        let nops = ref 0 and nexits = ref 0 and stores = ref false in
+        List.iter
+          (function
+            | Pcode.Op pi ->
+                incr nops;
+                if Instr.is_store pi.Pcode.op then stores := true
+            | Pcode.Exit _ -> incr nexits)
+          bundle;
         let lo = lr.op_bounds.(b) and xlo = lr.ex_bounds.(b) in
         let nb_ops = lr.op_bounds.(b + 1) - lo
         and nb_exits = lr.ex_bounds.(b + 1) - xlo in
-        if nb_ops <> List.length ops || nb_exits <> List.length exits then
+        if nb_ops <> !nops || nb_exits <> !nexits then
           fail "region %s bundle %d: %d ops and %d exits lowered, source has \
                 %d and %d"
-            rn b nb_ops nb_exits (List.length ops) (List.length exits);
+            rn b nb_ops nb_exits !nops !nexits;
         widest := max !widest nb_ops;
-        List.iteri
-          (fun j pi ->
-            check_op lr (lo + j) pi
-              ~at:(Printf.sprintf "region %s bundle %d op slot %d" rn b j))
-          ops;
-        let stores = List.exists (fun pi -> Instr.is_store pi.Pcode.op) ops in
-        if lr.has_store.(b) <> stores then
+        let j = ref 0 in
+        List.iter
+          (function
+            | Pcode.Op pi ->
+                let slot = !j in
+                check_op lr (lo + slot) pi ~at:(fun () ->
+                    Printf.sprintf "region %s bundle %d op slot %d" rn b slot);
+                incr j
+            | Pcode.Exit _ -> ())
+          bundle;
+        if lr.has_store.(b) <> !stores then
           fail "region %s bundle %d: has_store %b, source %b" rn b
-            lr.has_store.(b) stores;
-        List.iteri
-          (fun j (cpred, target) ->
-            let at = Printf.sprintf "region %s bundle %d exit slot %d" rn b j in
-            let tidx = lr.ex_target.(xlo + j) in
-            if not (Pred.equal_c lr.ex_cpred.(xlo + j) cpred) then
-              fail "%s: predicate differs from the source exit's" at;
-            match target with
-            | Pcode.Stop ->
-                if tidx <> -1 then fail "%s: target %d for a stop" at tidx
-            | Pcode.To_region l ->
-                if not (names tidx l) then
-                  fail "%s: target %d, source exits to %a" at tidx Label.pp l)
-          exits)
+            lr.has_store.(b) !stores;
+        let j = ref 0 in
+        List.iter
+          (function
+            | Pcode.Op _ -> ()
+            | Pcode.Exit { cpred; target; _ } ->
+                let slot = !j in
+                let at () =
+                  Printf.sprintf "region %s bundle %d exit slot %d" rn b slot
+                in
+                let tidx = lr.ex_target.(xlo + slot) in
+                if not (Pred.equal_c lr.ex_cpred.(xlo + slot) cpred) then
+                  fail "%s: predicate differs from the source exit's" (at ());
+                (match target with
+                | Pcode.Stop ->
+                    if tidx <> -1 then fail "%s: target %d for a stop" (at ()) tidx
+                | Pcode.To_region l ->
+                    if not (names tidx l) then
+                      fail "%s: target %d, source exits to %a" (at ()) tidx
+                        Label.pp l);
+                incr j)
+          bundle)
       code
   in
   try
