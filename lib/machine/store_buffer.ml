@@ -199,12 +199,17 @@ let drain_all t mem =
     invalid_arg "Store_buffer.drain_all: speculative entries remain"
 
 (* Search youngest → oldest, from position [i], among valid entries with
-   the address. *)
+   the address. Only a speculative entry is skipped for a predicate
+   disjoint from the load's: a committed one is memory that has not
+   drained yet, and its predicate may date from a region since left,
+   whose conditions were reset and renumbered. *)
 let rec search t ~addr ~load_cpred ccr i =
   if i < 0 then `Miss
   else
     let e = nth t i in
-    if (not (e.valid && e.addr = addr)) || Pred.disjoint_c e.cpred load_cpred
+    if
+      (not (e.valid && e.addr = addr))
+      || (e.spec && Pred.disjoint_c e.cpred load_cpred)
     then search t ~addr ~load_cpred ccr (i - 1)
     else if (not e.spec) || Pred.implies_c load_cpred e.cpred then hit t e
     else

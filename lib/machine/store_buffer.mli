@@ -67,10 +67,12 @@ val forward :
   t -> addr:int -> load_cpred:Pred.compiled -> Ccr.t ->
   [ `Hit | `Miss | `Commit_dependence ]
 (** Store-to-load forwarding. Searches youngest → oldest among valid
-    entries with the same address: entries on mutually exclusive paths
-    (disjoint predicates) or already-squashed entries are skipped; an entry
-    the load is control-dependent on (its predicate implied by the load's,
-    or already true) forwards its value. An unresolved entry that may or
+    entries with the same address: speculative entries on mutually
+    exclusive paths (disjoint predicates) or already-squashed entries are
+    skipped; a committed entry forwards its value whatever its predicate,
+    which may name conditions of a region since left; an entry the load
+    is control-dependent on (its predicate implied by the load's, or
+    already true) forwards its value. An unresolved entry that may or
     may not be on the load's path is a {e commit dependence}
     (§4.2.2) — the scheduler must have prevented it, so the machine
     reports it as an error. Predicates are compared by mask

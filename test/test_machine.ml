@@ -454,6 +454,39 @@ let test_vliw_region_transition () =
   check_int "one transition + final stop" 2
     res.Vliw_sim.stats.Vliw_sim.region_transitions
 
+(* A committed store that has not drained yet is memory: its predicate
+   was written in a region since left, whose conditions were reset and
+   renumbered at the transition, so a load in the next region reads it
+   whatever the load's own predicate. Region a commits [100] <- 5 under
+   c1 behind a store still speculative on c0, which holds the buffer
+   until c0 resolves in bundle 6; region b loads [100] under !c1 in its
+   first bundle, where its own c1 is not yet set, and then resolves c1
+   false, so the load commits. *)
+let test_vliw_committed_store_outlives_region () =
+  let pcode =
+    Pcode_text.parse_exn
+      {|entry a
+region a:
+  (0) alw ? r9 = 100 || alw ? r5 = 5 || alw ? r8 = 200
+  (1) c0 ? store r8+0 = r5 || alw ? c1 = 0 < 1
+  (2) c1 ? store r8+1 = r5 || alw ? r3 = 0
+  (3) c1 ? store r8+2 = r5 || alw ? r3 = 0
+  (4) c1 ? store r8+3 = r5 || alw ? r3 = 0
+  (5) c1 ? store r8+4 = r5 || alw ? r3 = 0
+  (6) c1 ? store r9+0 = r5 || alw ? c0 = 1 < 0
+  (7) alw ? j b
+region b:
+  (0) !c1 ? r4 = load r9+0 || alw ? c1 = 1 < 0
+  (1) alw ? r6 = 0
+  (2) alw ? r6 = 0
+  (3) !c1 ? out r4 || alw ? halt
+|}
+  in
+  let res, mem = run_pcode pcode in
+  check_bool "halted" true (res.Vliw_sim.outcome = Interp.Halted);
+  Alcotest.(check (list int)) "output" [ 5 ] res.Vliw_sim.output;
+  check_int "memory" 5 (Memory.peek mem 100)
+
 (* Two exits of one bundle are both true: the first in slot order fires.
    Compiled code gives a bundle's exits disjoint predicates, so nothing
    else holds the exit scan to this rule. *)
@@ -2251,6 +2284,8 @@ let () =
           Alcotest.test_case "squashed fault ignored" `Quick
             test_vliw_squashed_fault_ignored;
           Alcotest.test_case "region transition" `Quick test_vliw_region_transition;
+          Alcotest.test_case "committed store outlives its region" `Quick
+            test_vliw_committed_store_outlives_region;
           Alcotest.test_case "first true exit fires" `Quick
             test_vliw_first_true_exit;
           Alcotest.test_case "shadow source fetch" `Quick
