@@ -402,7 +402,10 @@ end
    the four executable models sharing it (region-pred through a fresh
    cache), one cache lookup (a hit) and one cold compile, all
    unverified. The profiles are taken once, outside the timed run.
-   [key] times one cache key of the first program. *)
+   [front] times the front end alone on the same programs: per program
+   one analysis and the two unit formations a trial's models make
+   (region scope, shared by three models, and trace scope). [key] times
+   one cache key of the first program. *)
 module Compile_bench = struct
   module Driver = Psb_compiler.Driver
   module Model = Psb_compiler.Model
@@ -439,6 +442,26 @@ module Compile_bench = struct
     ignore (compile ~cache ~analysis Model.region_pred);
     ignore (compile Model.region_pred)
 
+  (* the unit-formation params of region-pred and trace-pred on the
+     bench machine, as [Driver.compile] derives them *)
+  let front_params =
+    List.map
+      (fun (m : Model.t) ->
+        Psb_compiler.Runit.default_params ~scope:m.Model.scope
+          ~max_conds:machine.Machine_model.ccr_size
+          ~fuse_compare:m.Model.branch_elim ())
+      [ Model.region_pred; Model.trace_pred ]
+
+  let front (program, profile) =
+    let analysis = Driver.analyze program in
+    List.iter
+      (fun params ->
+        ignore
+          (Psb_compiler.Runit.build_all params analysis.Driver.cfg profile
+             ~loop_heads:analysis.Driver.loop_heads
+             ~entry:program.Psb_isa.Program.entry))
+      front_params
+
   let key () =
     let program, profile = List.hd (Lazy.force programs) in
     Compile_cache.key ~model:Model.region_pred ~machine ~single_shadow:true
@@ -450,6 +473,7 @@ module Compile_bench = struct
     Test.make_grouped ~name:"compile"
       [
         t "trial" (fun () -> List.iter trial (Lazy.force programs));
+        t "front" (fun () -> List.iter front (Lazy.force programs));
         t "key" (fun () -> ignore (key ()));
       ]
 end
@@ -466,7 +490,8 @@ end
    (and the interpreter's tree kernel), plus the decode pass itself;
    [estimate] times the trace-driven cycle estimate and the profile run
    it replays; [limits] times the limit study's replay of a traced
-   run; [compile] times a fuzz trial's compiles and one cache key. *)
+   run; [compile] times a fuzz trial's compiles, its compile front end
+   and one cache key. *)
 let bench_groups : (string * (unit -> Bechamel.Test.t)) list =
   [
     ( "experiments",
