@@ -876,6 +876,31 @@ let test_scalar_fib_equivalence () =
         (res.Vliw_sim.output = scalar.Interp.output))
     executable_models
 
+(* The scalar machine's counters as [psb profile] prints them: per-class
+   operation counts, memory accesses, cycles and instructions. The
+   generated programs trap often, so runs that stop inside a block are
+   counted too. *)
+let test_scalar_metrics_pinned () =
+  let module Gen = Psb_proptest.Gen in
+  let generated =
+    List.init 100 (fun i ->
+        Gen.to_dsl ~name:(Printf.sprintf "gen%d" i)
+          (Gen.gen
+             { Gen.default_shape with Gen.fault_prob = 0.3 }
+             (Random.State.make [| 0x5ca1; 3; i |])))
+  in
+  let dump (w : Dsl.t) =
+    let metrics = Metrics.create () in
+    ignore
+      (Psb_machine.Scalar_sim.run ~metrics ~regs:w.Dsl.regs
+         ~mem:(w.Dsl.make_mem ()) w.Dsl.program);
+    Format.asprintf "%s@.%a" w.Dsl.name Metrics.pp metrics
+  in
+  let text = String.concat "" (List.map dump (workloads @ generated)) in
+  Alcotest.(check string) "digest of the scalar counters"
+    "168eaf1c5442ea578a656b5aa61df22f"
+    (Digest.to_hex (Digest.string text))
+
 let () =
   Alcotest.run "obs"
     [
@@ -955,5 +980,7 @@ let () =
             test_vliw_metrics_agree;
           Alcotest.test_case "fib scalar equivalence" `Quick
             test_scalar_fib_equivalence;
+          Alcotest.test_case "scalar counters pinned" `Quick
+            test_scalar_metrics_pinned;
         ] );
     ]
