@@ -294,8 +294,7 @@ end
 (* ----- predecode microbenches -----
 
    Whole-workload cost of the predecoded flat walk ([Decoded.of_program])
-   on both scalar backends, the interpreter's tree-walking reference
-   kernel for comparison, and the one-time decode itself. The decoded
+   on both scalar backends, and the one-time decode itself. The decoded
    rows price the per-instruction array walk — the hot loop of every
    profile run and every fuzz trial — so a slow-down gates like any
    other kernel. Traces are off: these rows measure the kernel, not the
@@ -311,19 +310,16 @@ module Decoded_bench = struct
   let w = lazy (Suite.find "compress")
   let decoded = lazy (Decoded.of_program (Lazy.force w).Dsl.program)
 
-  let interp kernel () =
-    let w = Lazy.force w in
-    ignore
-      (Interp.run ~record_trace:false ~kernel ~decoded:(Lazy.force decoded)
-         ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) w.Dsl.program)
-
   let tests () =
     let open Bechamel in
     let t name f = Test.make ~name (Staged.stage f) in
     Test.make_grouped ~name:"decoded"
       [
-        t "interp/decoded" (interp Interp.Decoded);
-        t "interp/tree" (interp Interp.Tree);
+        t "interp/decoded" (fun () ->
+            let w = Lazy.force w in
+            ignore
+              (Interp.run ~record_trace:false ~decoded:(Lazy.force decoded)
+                 ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()) w.Dsl.program));
         t "rob/decoded" (fun () ->
             let w = Lazy.force w in
             ignore

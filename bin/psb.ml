@@ -1400,8 +1400,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Fuzz the whole pipeline: random programs through every stage \
-          differential (interpreter/ROB/VLIW, the decoded-vs-tree \
-          interpreter kernels, verify-then-run, the VLIW lowering's round \
+          differential (the decoded form's round trip, \
+          interpreter/ROB/VLIW, verify-then-run, the VLIW lowering's round \
           trip, compile cache), shrinking failures to minimal \
           counterexamples")
     Term.(

@@ -21,10 +21,7 @@ type env = {
   mutable trace : int array; (* blocks entered; the first [trace_len] count *)
   mutable trace_len : int;
   mutable faults_handled : int;
-  mutable last_load_dst : Reg.t option; (* for the load-use interlock *)
 }
-
-let reg_value env r = env.regs.(Reg.index r)
 
 (* Append a block index to the trace, doubling the buffer when full. *)
 let record env bi =
@@ -37,74 +34,26 @@ let record env bi =
   env.trace.(n) <- bi;
   env.trace_len <- n + 1
 
-let set_reg env r v =
-  env.regs.(Reg.index r) <- v;
-  env.written.(Reg.index r) <- true
-
-let operand_value env = function
-  | Operand.Reg r -> reg_value env r
-  | Operand.Imm i -> i
-
 exception Stop of Fault.t
-
-(* Execute one operation, retrying after recoverable faults (the "OS"
-   maps the demand page and the access restarts). *)
-let rec exec_op env op =
-  try
-    match op with
-    | Instr.Alu { op; dst; a; b } ->
-        let v =
-          try Opcode.eval_alu op (operand_value env a) (operand_value env b)
-          with Opcode.Arithmetic_fault m -> raise (Stop (Fault.Arith m))
-        in
-        set_reg env dst v
-    | Instr.Mov { dst; src } -> set_reg env dst (operand_value env src)
-    | Instr.Cmp { op; dst; a; b } ->
-        let v =
-          Opcode.eval_cmp op (operand_value env a) (operand_value env b)
-        in
-        set_reg env dst (if v then 1 else 0)
-    | Instr.Load { dst; base; off } ->
-        set_reg env dst (Memory.read env.mem (reg_value env base + off))
-    | Instr.Store { src; base; off } ->
-        Memory.write env.mem (reg_value env base + off) (reg_value env src)
-    | Instr.Setc { dst; op; a; b } ->
-        env.conds.(Cond.index dst) <-
-          Opcode.eval_cmp op (operand_value env a) (operand_value env b)
-    | Instr.Out o -> env.output_rev <- operand_value env o :: env.output_rev
-    | Instr.Nop -> ()
-  with Memory.Fault f ->
-    if Memory.is_fatal f then raise (Stop (Fault.Mem f))
-    else begin
-      assert (Memory.handle_fault env.mem f);
-      env.faults_handled <- env.faults_handled + 1;
-      exec_op env op
-    end
-
-let charge env op =
-  env.dyn_instrs <- env.dyn_instrs + 1;
-  env.cycles <- env.cycles + 1;
-  (match env.last_load_dst with
-  | Some r when List.exists (Reg.equal r) (Instr.uses op) ->
-      env.cycles <- env.cycles + 1
-  | Some _ | None -> ());
-  env.last_load_dst <- (match op with Instr.Load { dst; _ } -> Some dst | _ -> None)
 
 let default_fuel = 30_000_000
 
-type kernel = Decoded | Tree
-
-let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
-    ?decoded ?observer ?on_block ~regs ~mem program =
-  let nregs = max 1 (Program.max_reg program + 1) in
-  let nregs =
-    List.fold_left (fun m (r, _) -> max m (Reg.index r + 1)) nregs regs
+let run ?(fuel = default_fuel) ?(record_trace = true) ?decoded ?on_block ~regs
+    ~mem program =
+  let d =
+    match decoded with
+    | Some d ->
+        Decoded.check_source d program;
+        d
+    | None -> Decoded.of_program program
   in
-  let nconds = max 1 (Program.max_cond program + 1) in
+  let nregs =
+    List.fold_left (fun m (r, _) -> max m (Reg.index r + 1)) d.Decoded.nregs regs
+  in
   let env =
     {
       regs = Array.make nregs 0;
-      conds = Array.make nconds false;
+      conds = Array.make d.Decoded.nconds false;
       written = Array.make nregs false;
       mem;
       output_rev = [];
@@ -113,10 +62,13 @@ let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
       trace = [||];
       trace_len = 0;
       faults_handled = 0;
-      last_load_dst = None;
     }
   in
-  List.iter (fun (r, v) -> set_reg env r v) regs;
+  List.iter
+    (fun (r, v) ->
+      env.regs.(Reg.index r) <- v;
+      env.written.(Reg.index r) <- true)
+    regs;
   let finish outcome =
     let final_regs =
       Array.to_seqi env.regs
@@ -135,167 +87,98 @@ let run ?(fuel = default_fuel) ?(record_trace = true) ?(kernel = Decoded)
       faults_handled = env.faults_handled;
     }
   in
-  (* ----- tree kernel: walk the block lists, match the variants -----
-     Each label resolves through one per-run table to its position in
-     [program.blocks] (the first block of that name, as [Program.find])
-     and its block. *)
-  let run_tree () =
-    let blocks = Hashtbl.create 64 in
-    List.iteri
-      (fun i (b : Program.block) ->
-        if not (Hashtbl.mem blocks b.Program.label) then
-          Hashtbl.add blocks b.Program.label (i, b))
-      program.Program.blocks;
-    let rec run_block label =
-      if env.dyn_instrs > fuel then finish Out_of_fuel
-      else begin
-        let bi, b = Hashtbl.find blocks label in
-        if record_trace then record env bi;
-        (match on_block with None -> () | Some f -> f env.cycles label);
-        List.iter
-          (fun op ->
-            charge env op;
-            (match observer with
-            | None -> ()
-            | Some f ->
-                let addr =
-                  match op with
-                  | Instr.Load { base; off; _ } -> Some (reg_value env base + off)
-                  | Instr.Store { base; off; _ } -> Some (reg_value env base + off)
-                  | _ -> None
-                in
-                f op addr);
-            exec_op env op)
-          b.Program.body;
-        env.dyn_instrs <- env.dyn_instrs + 1;
-        env.cycles <- env.cycles + 1;
-        env.last_load_dst <- None;
-        match b.Program.term with
-        | Instr.Halt -> finish Halted
-        | Instr.Jmp l -> run_block l
-        | Instr.Br { src; if_true; if_false } ->
-            run_block (if reg_value env src <> 0 then if_true else if_false)
-      end
-    in
-    run_block program.Program.entry
+  let regs = env.regs and conds = env.conds and written = env.written in
+  let kind = d.Decoded.kind
+  and dst = d.Decoded.dst
+  and aux = d.Decoded.aux
+  and alu = d.Decoded.alu
+  and cmp = d.Decoded.cmp
+  and s1_reg = d.Decoded.s1_reg
+  and s1_imm = d.Decoded.s1_imm
+  and s2_reg = d.Decoded.s2_reg
+  and s2_imm = d.Decoded.s2_imm
+  and op_bounds = d.Decoded.op_bounds
+  and labels = d.Decoded.labels in
+  (* last-load destination register index; -1 = none *)
+  let lld = ref (-1) in
+  let s1 i = (let r = s1_reg.(i) in if r >= 0 then regs.(r) else s1_imm.(i))
+  and s2 i = (let r = s2_reg.(i) in if r >= 0 then regs.(r) else s2_imm.(i)) in
+  (* a recoverable fault is handled (the "OS" maps the demand page) and
+     the access retried *)
+  let handle f =
+    if Memory.is_fatal f then raise (Stop (Fault.Mem f));
+    assert (Memory.handle_fault env.mem f);
+    env.faults_handled <- env.faults_handled + 1
   in
-  (* ----- decoded kernel: walk the flat arrays -----
-     Cycle accounting, trace/observer/hook ordering, fuel-check position
-     and fault semantics mirror the tree path exactly (the differential
-     stack pins the two kernels identical on every fuzz trial). *)
-  let run_decoded (d : Decoded.t) =
-    let regs = env.regs and conds = env.conds and written = env.written in
-    let kind = d.Decoded.kind
-    and dst = d.Decoded.dst
-    and aux = d.Decoded.aux
-    and alu = d.Decoded.alu
-    and cmp = d.Decoded.cmp
-    and s1_reg = d.Decoded.s1_reg
-    and s1_imm = d.Decoded.s1_imm
-    and s2_reg = d.Decoded.s2_reg
-    and s2_imm = d.Decoded.s2_imm
-    and op_bounds = d.Decoded.op_bounds
-    and labels = d.Decoded.labels in
-    (* last-load destination register index; -1 = none *)
-    let lld = ref (-1) in
-    let s1 i = (let r = s1_reg.(i) in if r >= 0 then regs.(r) else s1_imm.(i))
-    and s2 i = (let r = s2_reg.(i) in if r >= 0 then regs.(r) else s2_imm.(i)) in
-    let rec mem_read addr =
-      match Memory.read env.mem addr with
-      | v -> v
-      | exception Memory.Fault f ->
-          if Memory.is_fatal f then raise (Stop (Fault.Mem f))
-          else begin
-            assert (Memory.handle_fault env.mem f);
-            env.faults_handled <- env.faults_handled + 1;
-            mem_read addr
-          end
-    in
-    let rec mem_write addr v =
-      match Memory.write env.mem addr v with
-      | () -> ()
-      | exception Memory.Fault f ->
-          if Memory.is_fatal f then raise (Stop (Fault.Mem f))
-          else begin
-            assert (Memory.handle_fault env.mem f);
-            env.faults_handled <- env.faults_handled + 1;
-            mem_write addr v
-          end
-    in
-    let step i =
-      let k = kind.(i) in
-      (* charge: 1 cycle, +1 when this op uses the last load's dst *)
+  let rec mem_read addr =
+    match Memory.read env.mem addr with
+    | v -> v
+    | exception Memory.Fault f ->
+        handle f;
+        mem_read addr
+  in
+  let rec mem_write addr v =
+    match Memory.write env.mem addr v with
+    | () -> ()
+    | exception Memory.Fault f ->
+        handle f;
+        mem_write addr v
+  in
+  let step i =
+    let k = kind.(i) in
+    (* charge: 1 cycle, +1 when this op uses the last load's dst *)
+    env.dyn_instrs <- env.dyn_instrs + 1;
+    env.cycles <- env.cycles + 1;
+    let l = !lld in
+    if l >= 0 && (s1_reg.(i) = l || s2_reg.(i) = l) then
+      env.cycles <- env.cycles + 1;
+    lld := (if k = 2 (* kload *) then dst.(i) else -1);
+    match k with
+    | 0 (* kalu *) ->
+        let v =
+          try Opcode.eval_alu alu.(i) (s1 i) (s2 i)
+          with Opcode.Arithmetic_fault m -> raise (Stop (Fault.Arith m))
+        in
+        regs.(dst.(i)) <- v;
+        written.(dst.(i)) <- true
+    | 1 (* kmov *) ->
+        regs.(dst.(i)) <- s1 i;
+        written.(dst.(i)) <- true
+    | 2 (* kload *) ->
+        regs.(dst.(i)) <- mem_read (regs.(s1_reg.(i)) + aux.(i));
+        written.(dst.(i)) <- true
+    | 3 (* kstore *) -> mem_write (regs.(s1_reg.(i)) + aux.(i)) regs.(s2_reg.(i))
+    | 4 (* kcmp *) ->
+        regs.(dst.(i)) <- (if Opcode.eval_cmp cmp.(i) (s1 i) (s2 i) then 1 else 0);
+        written.(dst.(i)) <- true
+    | 5 (* ksetc *) -> conds.(dst.(i)) <- Opcode.eval_cmp cmp.(i) (s1 i) (s2 i)
+    | 6 (* kout *) -> env.output_rev <- s1 i :: env.output_rev
+    | _ (* knop *) -> ()
+  in
+  (* fuel is sampled at block entry, so a block entered in budget runs to
+     its terminator; the terminator takes a cycle and ends any load-use
+     interlock *)
+  let rec run_block bi =
+    if env.dyn_instrs > fuel then finish Out_of_fuel
+    else begin
+      if record_trace then record env bi;
+      (match on_block with None -> () | Some f -> f env.cycles labels.(bi));
+      for i = op_bounds.(bi) to op_bounds.(bi + 1) - 1 do
+        step i
+      done;
       env.dyn_instrs <- env.dyn_instrs + 1;
       env.cycles <- env.cycles + 1;
-      let l = !lld in
-      if l >= 0 && (s1_reg.(i) = l || s2_reg.(i) = l) then
-        env.cycles <- env.cycles + 1;
-      lld := (if k = 2 (* kload *) then dst.(i) else -1);
-      (match observer with
-      | None -> ()
-      | Some f ->
-          let addr =
-            if k = 2 || k = 3 then Some (regs.(s1_reg.(i)) + aux.(i)) else None
-          in
-          f d.Decoded.ops.(i) addr);
-      match k with
-      | 0 (* kalu *) ->
-          let v =
-            try Opcode.eval_alu alu.(i) (s1 i) (s2 i)
-            with Opcode.Arithmetic_fault m -> raise (Stop (Fault.Arith m))
-          in
-          regs.(dst.(i)) <- v;
-          written.(dst.(i)) <- true
-      | 1 (* kmov *) ->
-          regs.(dst.(i)) <- s1 i;
-          written.(dst.(i)) <- true
-      | 2 (* kload *) ->
-          regs.(dst.(i)) <- mem_read (regs.(s1_reg.(i)) + aux.(i));
-          written.(dst.(i)) <- true
-      | 3 (* kstore *) -> mem_write (regs.(s1_reg.(i)) + aux.(i)) regs.(s2_reg.(i))
-      | 4 (* kcmp *) ->
-          regs.(dst.(i)) <- (if Opcode.eval_cmp cmp.(i) (s1 i) (s2 i) then 1 else 0);
-          written.(dst.(i)) <- true
-      | 5 (* ksetc *) -> conds.(dst.(i)) <- Opcode.eval_cmp cmp.(i) (s1 i) (s2 i)
-      | 6 (* kout *) -> env.output_rev <- s1 i :: env.output_rev
-      | _ (* knop *) -> ()
-    in
-    let rec run_block bi =
-      if env.dyn_instrs > fuel then finish Out_of_fuel
-      else if bi < 0 then raise Not_found (* parity with the tree path's find *)
-      else begin
-        if record_trace then record env bi;
-        (match on_block with None -> () | Some f -> f env.cycles labels.(bi));
-        let hi = op_bounds.(bi + 1) in
-        for i = op_bounds.(bi) to hi - 1 do
-          step i
-        done;
-        env.dyn_instrs <- env.dyn_instrs + 1;
-        env.cycles <- env.cycles + 1;
-        lld := -1;
-        let tk = d.Decoded.term_kind.(bi) in
-        if tk = 0 (* thalt *) then finish Halted
-        else if tk = 1 (* tjmp *) then run_block d.Decoded.term_t.(bi)
-        else
-          run_block
-            (if regs.(d.Decoded.term_src.(bi)) <> 0 then d.Decoded.term_t.(bi)
-             else d.Decoded.term_f.(bi))
-      end
-    in
-    run_block d.Decoded.entry
+      lld := -1;
+      let tk = d.Decoded.term_kind.(bi) in
+      if tk = 0 (* thalt *) then finish Halted
+      else if tk = 1 (* tjmp *) then run_block d.Decoded.term_t.(bi)
+      else
+        run_block
+          (if regs.(d.Decoded.term_src.(bi)) <> 0 then d.Decoded.term_t.(bi)
+           else d.Decoded.term_f.(bi))
+    end
   in
-  (match decoded with
-  | Some d -> Decoded.check_source d program
-  | None -> ());
-  try
-    match kernel with
-    | Tree -> run_tree ()
-    | Decoded ->
-        let d =
-          match decoded with Some d -> d | None -> Decoded.of_program program
-        in
-        run_decoded d
-  with Stop f -> finish (Fatal f)
+  try run_block d.Decoded.entry with Stop f -> finish (Fatal f)
 
 let equivalent a b =
   a.outcome = b.outcome && a.output = b.output && Reg.Map.equal Int.equal a.regs b.regs

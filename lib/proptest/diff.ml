@@ -125,42 +125,6 @@ let check_rob (g : Gen.t) ~decoded (reference : Interp.result) ref_mem =
         fail "rob-vs-interp" "breakdown sums to %d but cycles = %d" bd
           r.cycles)
 
-(* the two interpreter kernels must agree on everything the
-   result carries — cycles, dynamic instructions, block trace, faults *)
-let check_scalar_kernels (g : Gen.t) ~decoded =
-  staged "scalar-decoded-vs-tree" (fun () ->
-      let mem_d = Gen.make_mem g in
-      let d =
-        Interp.run ~fuel:scalar_fuel ~kernel:Interp.Decoded ~decoded
-          ~regs:Gen.regs ~mem:mem_d g.Gen.program
-      in
-      let mem_t = Gen.make_mem g in
-      let t =
-        Interp.run ~fuel:scalar_fuel ~kernel:Interp.Tree ~regs:Gen.regs
-          ~mem:mem_t g.Gen.program
-      in
-      if not (outcomes_match d.Interp.outcome t.Interp.outcome) then
-        fail "scalar-decoded-vs-tree" "decoded %a, tree %a" Interp.pp_outcome
-          d.Interp.outcome Interp.pp_outcome t.Interp.outcome;
-      if d.Interp.output <> t.Interp.output then
-        fail "scalar-decoded-vs-tree" "output %s vs %s" (pp_out d.Interp.output)
-          (pp_out t.Interp.output);
-      if d.Interp.cycles <> t.Interp.cycles then
-        fail "scalar-decoded-vs-tree" "cycles %d vs %d" d.Interp.cycles
-          t.Interp.cycles;
-      if d.Interp.dyn_instrs <> t.Interp.dyn_instrs then
-        fail "scalar-decoded-vs-tree" "dyn_instrs %d vs %d" d.Interp.dyn_instrs
-          t.Interp.dyn_instrs;
-      if d.Interp.block_trace <> t.Interp.block_trace then
-        fail "scalar-decoded-vs-tree" "block traces differ";
-      if not (Reg.Map.equal Int.equal d.Interp.regs t.Interp.regs) then
-        fail "scalar-decoded-vs-tree" "final registers differ";
-      if d.Interp.faults_handled <> t.Interp.faults_handled then
-        fail "scalar-decoded-vs-tree" "faults handled %d vs %d"
-          d.Interp.faults_handled t.Interp.faults_handled;
-      if not (Memory.equal mem_d mem_t) then
-        fail "scalar-decoded-vs-tree" "final memory differs")
-
 (* Runs the checked lowered form itself, on the code it was lowered
    from. Not [Driver.run_vliw]: injected miscompiles can loop forever,
    so the machine needs a much shorter leash than its 60M default. *)
@@ -275,23 +239,29 @@ let check ?inject ?times ?recoveries (g : Gen.t) =
           staged "decode" (fun () -> Driver.analyze g.Gen.program))
     in
     let decoded = analysis.Driver.decoded in
+    (* the form every scalar and ROB run walks must say what the
+       program says *)
+    timed times "scalar" (fun () ->
+        staged "decode" (fun () ->
+            match Decoded.check decoded with
+            | Ok () -> ()
+            | Error e -> fail "decode" "%s" e));
     let scalar_mem = Gen.make_mem g in
     let scalar =
       timed times "interp" (fun () ->
           staged "interp" (fun () ->
-              Interp.run ~fuel:scalar_fuel ~record_trace:false ~decoded
-                ~regs:Gen.regs ~mem:scalar_mem g.Gen.program))
+              Interp.run ~fuel:scalar_fuel ~decoded ~regs:Gen.regs
+                ~mem:scalar_mem g.Gen.program))
     in
     if scalar.Interp.outcome = Interp.Out_of_fuel then Ok ()
     else begin
-      timed times "scalar" (fun () -> check_scalar_kernels g ~decoded);
       timed times "rob" (fun () -> check_rob g ~decoded scalar scalar_mem);
+      (* the training profile is the reference run's own block trace *)
       let profile =
         timed times "profile" (fun () ->
             staged "profile" (fun () ->
-                snd
-                  (Driver.profile_of g.Gen.program ~regs:Gen.regs
-                     ~mem:(Gen.make_mem g))))
+                Driver.Branch_predict.of_trace analysis.Driver.cfg
+                  (Trace.of_result g.Gen.program scalar)))
       in
       let cache = Compile_cache.create () in
       (* only the flagship's compile outlives its own checks: holding

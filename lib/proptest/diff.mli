@@ -3,14 +3,14 @@
     One generated program, every stage boundary checked. The program is
     analysed once ({!Psb_compiler.Driver.analyze}): its decoded form is
     shared by every scalar and ROB stage below, and its CFG and loop
-    heads by every compile. A trial runs five cold compiles: one per
-    executable model (four), plus one independent compile in the cache
-    stage. The reference is the interpreter ({!Psb_isa.Interp}) on its
-    default decoded kernel:
+    heads by every compile. A trial runs the interpreter
+    ({!Psb_isa.Interp}) once, as the reference: its block trace is also
+    the training profile every compile reads, tabulated over the
+    analysis's CFG. A trial runs five cold compiles: one per executable
+    model (four), plus one independent compile in the cache stage.
 
-    + the decoded interpreter kernel against the tree-walking one —
-      outcome, output, cycles, dynamic instructions, block trace, final
-      registers, handled-fault count and final memory, all exact;
+    + the decoded form raised back to the program
+      ({!Psb_isa.Decoded.check}) before any run walks it;
     + the reference against the out-of-order reorder-buffer backend
       ({!Psb_machine.Rob_sim}) — outcome (same fatal fault), output,
       final registers, final memory, handled-fault count, and the
@@ -38,10 +38,10 @@
 
 type failure = {
   stage : string;
-      (** [decode], [interp], [scalar-decoded-vs-tree],
-          [rob-vs-interp], [profile], [compile], [verify], [lowering],
-          [vliw-vs-scalar], [cache], prefixed by the model name where
-          model-specific *)
+      (** [decode] (the analysis and the decoded form's round trip),
+          [interp], [rob-vs-interp], [profile], [compile], [verify],
+          [lowering], [vliw-vs-scalar], [cache], prefixed by the model
+          name where model-specific *)
   detail : string;
 }
 
@@ -77,9 +77,10 @@ val check :
     and run stages — a healthy harness must then return [Error].
 
     [times] accumulates coarse per-stage wall-clock seconds into the
-    given table (buckets: [decode] (the whole analysis), [interp],
-    [scalar] (the [scalar-decoded-vs-tree] stage), [rob], [profile],
-    [models], [cache]) — the fuzz driver sums these across
+    given table (buckets: [decode] (the whole analysis), [scalar] (the
+    decoded form's round trip), [interp] (the reference run), [rob],
+    [profile] (tabulating the reference run's trace), [models],
+    [cache]) — the fuzz driver sums these across
     trials for its throughput report. The table must not be shared
     between domains; give each trial its own and merge.
 

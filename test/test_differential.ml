@@ -299,10 +299,11 @@ let test_lowering_suite_round_trip () =
 
 (* ----- scalar-kernel identity -----
 
-   The interpreter's predecoded flat kernel ([Decoded.of_program]) and
-   its tree-walking reference must be indistinguishable: decoding
-   preresolves operands and branch targets, but may never change
-   semantics, cycle charging, traces or fault handling. *)
+   The interpreter's walk over the predecoded form ([Decoded.of_program])
+   and the tree walk it replaced ([Interp_oracle]) must be
+   indistinguishable: decoding preresolves operands and branch targets,
+   but may never change semantics, cycle charging, traces or fault
+   handling. *)
 
 let scalar_results_agree (a : Interp.result) (b : Interp.result) =
   outcomes_match a.Interp.outcome b.Interp.outcome
@@ -314,12 +315,9 @@ let scalar_results_agree (a : Interp.result) (b : Interp.result) =
   && a.Interp.faults_handled = b.Interp.faults_handled
 
 let run_both_scalar_kernels ~decoded ~regs ~mem_of program =
-  let run kernel mem =
-    Interp.run ~fuel:500_000 ~kernel ~decoded ~regs ~mem program
-  in
   let dec_mem = mem_of () and tree_mem = mem_of () in
-  ( (run Interp.Decoded dec_mem, dec_mem),
-    (run Interp.Tree tree_mem, tree_mem) )
+  ( (Interp.run ~fuel:500_000 ~decoded ~regs ~mem:dec_mem program, dec_mem),
+    (Interp_oracle.run ~fuel:500_000 ~regs ~mem:tree_mem program, tree_mem) )
 
 let scalar_kernel_identity =
   QCheck.Test.make ~name:"decoded interp = tree interp (cycle-exact)"

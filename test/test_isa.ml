@@ -762,6 +762,60 @@ let test_trace_non_successor_pair () =
         (fun () -> ignore (Trace.of_blocks p [| index "head"; bad |])))
     [ nblocks; -1 ]
 
+(* ---------- Decoded ---------- *)
+
+(* Each corruption of a fresh decoded form is one the walks would act
+   on; the round trip must name the block, and the op where there is
+   one. *)
+let test_decoded_check_rejects () =
+  let p =
+    Asm.parse_exn
+      {|
+entry head
+head:
+  r2 = r1 < 3
+  br r2 ? body : done
+body:
+  store r1+0 = r3
+  r4 = load r1+0
+  r1 = add r1 1
+  jmp head
+done:
+  out r4
+  halt
+|}
+  in
+  Alcotest.(check (result unit string)) "a fresh form round-trips" (Ok ())
+    (Decoded.check (Decoded.of_program p));
+  let rejects what ~place corrupt =
+    let d = Decoded.of_program p in
+    let block l = Decoded.block_index d (lbl l) in
+    corrupt d block (fun l j -> d.Decoded.op_bounds.(block l) + j);
+    match Decoded.check d with
+    | Ok () -> Alcotest.failf "%s: accepted" what
+    | Error e ->
+        if not (String.starts_with ~prefix:(place ^ ":") e) then
+          Alcotest.failf "%s: %S does not begin with %s" what e place
+  in
+  rejects "branch arms swapped" ~place:"block head" (fun d block _ ->
+      let bi = block "head" in
+      let t = d.Decoded.term_t.(bi) in
+      d.Decoded.term_t.(bi) <- d.Decoded.term_f.(bi);
+      d.Decoded.term_f.(bi) <- t);
+  rejects "store data read from its base" ~place:"block body op 0"
+    (fun d _ op -> d.Decoded.s2_reg.(op "body" 0) <- d.Decoded.s1_reg.(op "body" 0));
+  rejects "op bound off by one" ~place:"block body" (fun d block _ ->
+      let bi = block "body" + 1 in
+      d.Decoded.op_bounds.(bi) <- d.Decoded.op_bounds.(bi) - 1);
+  rejects "an operand the load lacks" ~place:"block body op 1" (fun d _ op ->
+      d.Decoded.s2_reg.(op "body" 1) <- 4);
+  rejects "load flag cleared" ~place:"block body op 1" (fun d _ op ->
+      d.Decoded.is_load.(op "body" 1) <- false);
+  rejects "another opcode" ~place:"block body op 2" (fun d _ op ->
+      d.Decoded.alu.(op "body" 2) <- Opcode.Sub);
+  rejects "ops entry replaced" ~place:"block done op 0" (fun d _ op ->
+      d.Decoded.ops.(op "done" 0) <- Instr.Nop)
+
 let test_program_validation () =
   Alcotest.check_raises "undefined target"
     (Invalid_argument "Program.make: undefined target nowhere in block e")
@@ -909,6 +963,11 @@ let () =
         ] );
       ( "program",
         [ Alcotest.test_case "validation" `Quick test_program_validation ] );
+      ( "decoded",
+        [
+          Alcotest.test_case "round trip rejects corruption" `Quick
+            test_decoded_check_rejects;
+        ] );
       ( "asm",
         [
           Alcotest.test_case "round trip" `Quick test_asm_roundtrip_manual;
