@@ -18,7 +18,12 @@ val run :
 (** [metrics] collects per-class dynamic instruction counters
     ([scalar_ops{class=alu|load|...}]), memory-access and cycle totals —
     the same registry the VLIW machine and the compiler report into, so
-    one dump covers a whole compile-and-run pipeline.
+    one dump covers a whole compile-and-run pipeline. The class and
+    memory-access counts are each block's class counts times the block
+    trace (the last block of a fatal run counts the ops up to the
+    faulting one), so the run records its trace; the returned
+    [block_trace] still follows [record_trace]. A class that never ran
+    gets no counter.
 
     [events] records one [Region_enter] per block entered (the scalar
     machine never speculates, so its stream is just the block
