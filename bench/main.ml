@@ -74,7 +74,7 @@ let run_all () =
 
 (* ----- pred_kernel microbenches -----
 
-   Per-cycle predicate evaluation with the compiled bitmask kernel, on
+   Per-cycle predicate evaluation with the ternary-mask kernel, on
    the two structures that re-evaluate predicates every cycle
    (register-file versions, store-buffer entries). All predicates
    mention only unspecified conditions so every tick stays Unspec and
@@ -100,7 +100,7 @@ module Pred_bench = struct
        for i = 0 to entries - 1 do
          match
            Regfile.write_spec rf (Reg.make i) i
-             ~cpred:(Pred.compile (pred i)) ~fault:None
+             ~pred:(pred i) ~fault:None
          with
          | `Ok -> ()
          | `Conflict -> assert false
@@ -112,7 +112,7 @@ module Pred_bench = struct
       (let sb = Store_buffer.create () in
        for i = 0 to entries - 1 do
          Store_buffer.append sb ~addr:i ~value:i
-           ~cpred:(Pred.compile (pred i)) ~spec:true ~fault:None
+           ~pred:(pred i) ~spec:true ~fault:None
        done;
        sb)
 
@@ -124,11 +124,10 @@ module Pred_bench = struct
     and sb_tick ~dirty () =
       Store_buffer.tick ~dirty (Lazy.force sb) (Lazy.force ccr)
     in
-    let cp = lazy (Pred.compile (pred 0)) in
+    let p = pred 0 in
     Test.make_grouped ~name:"pred_kernel"
       [
-        t "eval/mask" (fun () ->
-            ignore (Ccr.evalc (Lazy.force ccr) (Lazy.force cp)));
+        t "eval/mask" (fun () -> ignore (Ccr.evalc (Lazy.force ccr) p));
         t "rf_tick/mask" (rf_tick ~dirty:(-1));
         t "rf_tick/mask_gated" (rf_tick ~dirty:0);
         t "sb_tick/mask" (sb_tick ~dirty:(-1));
@@ -208,8 +207,7 @@ module Events_bench = struct
     for i = 0 to Pred_bench.entries - 1 do
       match
         Regfile.write_spec rf (Reg.make i) i
-          ~cpred:(Pred.compile (Pred_bench.pred i))
-          ~fault:None
+          ~pred:(Pred_bench.pred i) ~fault:None
       with
       | `Ok -> ()
       | `Conflict -> assert false
@@ -220,8 +218,7 @@ module Events_bench = struct
     let sb = Store_buffer.create ?events () in
     for i = 0 to Pred_bench.entries - 1 do
       Store_buffer.append sb ~addr:i ~value:i
-        ~cpred:(Pred.compile (Pred_bench.pred i))
-        ~spec:true ~fault:None
+        ~pred:(Pred_bench.pred i) ~spec:true ~fault:None
     done;
     sb
 

@@ -861,6 +861,12 @@ let pexec_cmd =
         Format.printf "parse error: %s@." m;
         exit 1
     | Ok code ->
+        let model = Machine_model.base in
+        (match Pcode.check_resources model code with
+        | Ok () -> ()
+        | Error m ->
+            Format.printf "resource error: %s@." m;
+            exit 1);
         let mem = Memory.create ~size:4096 in
         (* modest default inputs so Figure-4-style files have data *)
         Memory.poke mem 40 5;
@@ -873,9 +879,14 @@ let pexec_cmd =
             (Psb_isa.Reg.make 8, 64);
           ]
         in
-        let model = Machine_model.base in
         let events = Psb_obs.Events.create ~capacity:ring_capacity () in
-        let res = Vliw_sim.run ~events ~model ~regs ~mem code in
+        let res =
+          match Vliw_sim.run ~events ~model ~regs ~mem code with
+          | res -> res
+          | exception Vliw_sim.Machine_error m ->
+              Format.printf "machine error: %s@." m;
+              exit 1
+        in
         Format.printf "outcome: %a in %d cycles, output %s@." Interp.pp_outcome
           res.Vliw_sim.outcome res.Vliw_sim.cycles
           (String.concat " " (List.map string_of_int res.Vliw_sim.output));

@@ -174,9 +174,11 @@ let add_machine b
    no longer do, it moved to [Driver.analysis]; v6: the lowered form
    lost its per-slot source predicates; v7: and its per-slot source
    instructions and source exit targets; v8: a unit's steps are a flat
-   int array), so a process mixing library versions through a shared
-   cache can never alias keys. *)
-let format_version = 8
+   int array; v9: a predicate is its ternary mask alone, and pcode slots
+   and the lowered form hold it in place of a compiled twin), so a
+   process mixing library versions through a shared cache can never
+   alias keys. *)
+let format_version = 9
 
 let key ~model ~machine ~single_shadow ~avoid_commit_deps ~verify ~profile
     program =

@@ -158,28 +158,20 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
   in
   let add_edge src dst lat = if src <> dst then push e src dst lat in
   let lat = Array.map (fun (i : Runit.uinstr) -> Machine_model.latency machine i.op) instrs in
-  let pred = Array.map (fun (i : Runit.uinstr) -> Pred.compile i.pred) instrs in
-  let dep = Array.map (fun (i : Runit.uinstr) -> Pred.compile i.dep_pred) instrs in
-  let xpred = Array.map (fun (x : Runit.uexit) -> Pred.compile x.pred) exits in
+  let pred k = instrs.(k).Runit.pred and dep k = instrs.(k).Runit.dep_pred in
   let is_setc k = match instrs.(k).Runit.op with Instr.Setc _ -> true | _ -> false in
   (* edges from the condition-set instruction of every condition [p]
      names, in condition order *)
-  let cond_edges_to dst_node (p : Pred.compiled) lat =
-    match p.Pred.c_wide with
-    | None ->
-        let m = ref p.Pred.c_mask and c = ref 0 in
-        while !m <> 0 do
-          if !m land 1 = 1 then add_edge (Runit.setc_uid u (Cond.make !c)) dst_node lat;
-          m := !m lsr 1;
-          incr c
-        done
-    | Some _ ->
-        Pred.iter_conds
-          (fun c _ -> add_edge (Runit.setc_uid u c) dst_node lat)
-          (Pred.source p)
+  let cond_edges_to dst_node (p : Pred.t) lat =
+    let m = ref p.Pred.mask and c = ref 0 in
+    while !m <> 0 do
+      if !m land 1 = 1 then add_edge (Runit.setc_uid u (Cond.make !c)) dst_node lat;
+      m := !m lsr 1;
+      incr c
+    done
   in
   (* not on mutually exclusive paths *)
-  let compatible i j = not (Pred.disjoint_c dep.(i) dep.(j)) in
+  let compatible i j = not (Pred.disjoint (dep i) (dep j)) in
   let def = Array.map (fun (i : Runit.uinstr) -> def_reg i.op) instrs in
   let u1 = Array.map (fun (i : Runit.uinstr) -> use1 i.op) instrs in
   let u2 = Array.map (fun (i : Runit.uinstr) -> use2 i.op) instrs in
@@ -208,7 +200,7 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
         if compatible i j then begin
           any := true;
           latest := i;
-          if not (Pred.implies_c dep.(j) dep.(i)) then mixed := true
+          if not (Pred.implies (dep j) (dep i)) then mixed := true
         end;
         incr k
       done;
@@ -220,7 +212,7 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
             if !mixed then
               (* commit dependence: wait until every producer's predicate
                  resolves, then read the sequential state *)
-              cond_edges_to j pred.(i) 1
+              cond_edges_to j (pred i) 1
           end
         done;
         (* the latest producer wins; fetch from the shadow state if it
@@ -251,12 +243,12 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
             let compatible = compatible i j in
             (* WAW *)
             if compatible then add_edge i j 1;
-            let pi = instrs.(i).Runit.pred and pj = instrs.(j).Runit.pred in
+            let pi = pred i and pj = pred j in
             if
               model.Model.executable
               && (not (Pred.is_always pi))
               && (not (Pred.is_always pj))
-              && not (Pred.equal_c pred.(i) pred.(j))
+              && not (Pred.equal pi pj)
             then
               if compatible then
                 (* Commit-order hazard: if both writes can be live
@@ -266,13 +258,13 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
                    strictly after the cycle in which the earlier predicate
                    resolves (writebacks apply before the commit tick
                    within a cycle). *)
-                cond_edges_to j pred.(i) (2 - lat.(j))
+                cond_edges_to j pi (2 - lat.(j))
               else if single_shadow then
                 (* Mutually exclusive writes never both commit, but a
                    single shadow entry cannot hold both pending versions
                    (fn. 1): serialise to avoid the storage conflict
                    stall. *)
-                cond_edges_to j pred.(i) (1 - lat.(j))
+                cond_edges_to j pi (1 - lat.(j))
           end
         end
       done
@@ -344,7 +336,7 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
             (* store → load: forwarding needs the entry appended; a
                partially overlapping store is a commit dependence *)
             add_edge i j 1;
-            if not (Pred.implies_c dep.(j) dep.(i)) then cond_edges_to j pred.(i) 1
+            if not (Pred.implies (dep j) (dep i)) then cond_edges_to j (pred i) 1
         | false, true -> add_edge i j 0 (* load → store WAR *)
         | true, true -> add_edge i j 1 (* store order *)
     done
@@ -366,8 +358,8 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
     if not (is_setc j) then
       match Model.spec_class_of model instrs.(j).Runit.op with
       | Model.Buffered -> ()
-      | Model.No_spec -> cond_edges_to j pred.(j) 1
-      | Model.Squash w -> cond_edges_to j pred.(j) (1 - w)
+      | Model.No_spec -> cond_edges_to j (pred j) 1
+      | Model.Squash w -> cond_edges_to j (pred j) (1 - w)
   done;
   (* --- branches in non-predicated models execute sequentially; so do
      condition-set instructions under counter-type predicates (§4.2.1) --- *)
@@ -375,7 +367,7 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
     chain is_setc;
     (* a branch retires its block: it waits for its own path conditions *)
     for s = 0 to ni - 1 do
-      if is_setc s then cond_edges_to s dep.(s) 1
+      if is_setc s then cond_edges_to s (dep s) 1
     done
   end;
   (* --- exits --- *)
@@ -388,7 +380,7 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
          than the branches that guard its path resolve (same cycle as the
          last of them — branches redirect at execute under the BTB
          assumption). *)
-      cond_edges_to xnode xpred.(x.xid) (if model.Model.branch_elim then 1 else 0);
+      cond_edges_to xnode x.Runit.pred (if model.Model.branch_elim then 1 else 0);
       (* completion: everything on a path that leaves through this exit
          must have issued when the exit fires *)
       for k = 0 to ni - 1 do
@@ -396,7 +388,7 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
         if
           i.Runit.seq < x.seq && (not (is_setc k))
           && (match i.Runit.op with Instr.Nop -> false | _ -> true)
-          && not (Pred.disjoint_c dep.(k) xpred.(x.xid))
+          && not (Pred.disjoint (dep k) x.Runit.pred)
         then add_edge k xnode 0
       done)
     exits;

@@ -46,13 +46,14 @@ val n_nodes : t -> int
 
 val build :
   Model.t -> Machine_model.t -> single_shadow:bool -> Runit.t -> t
-(** Every predicate of the unit is compiled to mask form once
-    ({!Psb_isa.Pred.compile}), so "on compatible paths", "implies" and
-    "equal" are a few word operations; a condition's [Setc] is found by
-    index ({!Runit.setc_uid}); symbolic addresses live in one register
-    environment updated in place; heights are computed in decreasing
-    [seq] by merging the instruction and exit orders. The edge rules are
-    mirrored by the static verifier ([Psb_verify.Verify]). *)
+(** The unit's predicates are ternary masks ({!Psb_isa.Pred.t}), so
+    "on compatible paths", "implies" and "equal" are a few word
+    operations on the predicates as the unit holds them; a condition's
+    [Setc] is found by index ({!Runit.setc_uid}); symbolic addresses
+    live in one register environment updated in place; heights are
+    computed in decreasing [seq] by merging the instruction and exit
+    orders. The edge rules are mirrored by the static verifier
+    ([Psb_verify.Verify]). *)
 
 val in_degree : t -> int -> int
 (** Number of in-edges of a node (parallel edges counted apart). *)

@@ -25,9 +25,9 @@ let code_size c =
           acc + Array.length u.Runit.instrs + Array.length u.Runit.exits)
         c.units 0
 
-(* [=] on pcode compares representations (predicate maps are balanced
-   trees), which is exact here: compiling is deterministic, so equal
-   compiles build their maps by the same insertions. *)
+(* [=] on pcode compares representations (shadow-source sets are
+   balanced trees), which is exact here: compiling is deterministic, so
+   equal compiles build their sets by the same insertions. *)
 let compiled_equal a b =
   code_size a = code_size b
   && Label.Map.equal
@@ -182,6 +182,12 @@ let compile ?metrics ?cache ?analysis ?(single_shadow = true)
   | Some a when a.program != program ->
       invalid_arg "Driver.compile: analysis built from a different program"
   | _ -> ());
+  if machine.Machine_model.ccr_size > Pred.word_bits then
+    invalid_arg
+      (Printf.sprintf
+         "Driver.compile: ccr_size %d is past the %d conditions a predicate \
+          can name"
+         machine.Machine_model.ccr_size Pred.word_bits);
   let build () =
     let analysis =
       match analysis with Some a -> a | None -> analyze ?metrics program

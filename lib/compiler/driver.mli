@@ -36,9 +36,8 @@ type analysis = private {
   cfg : Cfg.t;
   loop_heads : Label.t list;
   decoded : Decoded.t;
-      (** the program predecoded to the flat form the interpreter (by
-          default) and the ROB walk ({!Psb_isa.Decoded}); compiles do
-          not read it *)
+      (** the program predecoded to the flat form the interpreter and
+          the ROB walk ({!Psb_isa.Decoded}); compiles do not read it *)
   unit_memo : unit_memo;
       (** Units formed once per ({!Runit.params}, profile): the params
           compare structurally and the profile physically, so the
@@ -79,8 +78,9 @@ val compile :
   compiled
 (** @raise Invalid_argument if [analysis] was built from another
     program value (physical equality, as {!Psb_isa.Decoded.check_source}),
-    or if [profile] was tabulated over another program value's CFG
-    ({!Runit.build_all}).
+    if [profile] was tabulated over another program value's CFG
+    ({!Runit.build_all}), or if [machine]'s [ccr_size] is past
+    {!Psb_isa.Pred.word_bits}, the conditions a predicate can name.
     @raise Failure if any unit schedule fails validation, or — for
     executable models, unless [verify:false] — if the emitted predicated
     code fails the static speculation-safety verifier

@@ -50,31 +50,19 @@ let schedule (model : Model.t) (machine : Machine_model.t) ~single_shadow u =
   let pending = Array.init n (Depgraph.in_degree g) in
   let earliest = Array.make n 0 in
   let cls = Array.init n (demand model u) in
-  let preds =
-    Array.map (fun (i : Runit.uinstr) -> Pred.compile i.Runit.pred) u.Runit.instrs
-  in
   let k =
     match model.Model.cond_limit with
     | None -> machine.Machine_model.max_spec_conds
     | Some l -> Int.min l machine.Machine_model.max_spec_conds
   in
   (* Conditions visible at the current cycle (their Setc issued in an
-     earlier one): a mask over the first [word_bits] conditions, and per
-     condition the cycle it becomes visible, for wide predicates. *)
+     earlier one), as a mask. *)
   let resolved = ref 0 and newly = ref 0 in
-  let visible_at = Array.make u.Runit.nconds max_int in
   let t = ref 0 in
   let unresolved_ok node =
     node >= ni
-    ||
-    let p = preds.(node) in
-    match p.Pred.c_wide with
-    | None -> popcount (p.Pred.c_mask land lnot !resolved) <= k
-    | Some _ ->
-        Pred.count_conds
-          (fun c -> visible_at.(Cond.index c) > !t)
-          (Pred.source p)
-        <= k
+    || popcount (u.Runit.instrs.(node).Runit.pred.Pred.mask land lnot !resolved)
+       <= k
   in
   (* unplaced nodes in priority order: critical-path height, then index *)
   let live = Array.init n Fun.id in
@@ -106,10 +94,7 @@ let schedule (model : Model.t) (machine : Machine_model.t) ~single_shadow u =
       end;
       if setc then begin
         (match u.Runit.instrs.(node).Runit.op with
-        | Instr.Setc { dst; _ } ->
-            let ci = Cond.index dst in
-            if ci < Pred.word_bits then newly := !newly lor (1 lsl ci);
-            visible_at.(ci) <- !t + 1
+        | Instr.Setc { dst; _ } -> newly := !newly lor (1 lsl Cond.index dst)
         | _ -> ());
         has_setc := true
       end;

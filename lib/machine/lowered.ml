@@ -9,7 +9,7 @@ type region = {
   ex_bounds : int array;
   has_store : bool array;
   op_kind : kind array;
-  op_cpred : Pred.compiled array;
+  op_pred : Pred.t array;
   op_lat : int array;
   op_dst : int array;
   op_aux : int array;
@@ -21,7 +21,7 @@ type region = {
   op_s2_reg : int array;
   op_s2_imm : int array;
   op_s2_sh : bool array;
-  ex_cpred : Pred.compiled array;
+  ex_pred : Pred.t array;
   ex_target : int array;
 }
 
@@ -47,7 +47,7 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
   let ex_bounds = Array.make (nbundles + 1) 0 in
   let has_store = Array.make nbundles false in
   let op_kind = Array.make nops Knop in
-  let op_cpred = Array.make nops Pred.compiled_always in
+  let op_pred = Array.make nops Pred.always in
   let op_lat = Array.make nops 0 in
   let op_dst = Array.make nops (-1) in
   let op_aux = Array.make nops 0 in
@@ -59,7 +59,7 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
   let op_s2_reg = Array.make nops (-1) in
   let op_s2_imm = Array.make nops 0 in
   let op_s2_sh = Array.make nops false in
-  let ex_cpred = Array.make nexits Pred.compiled_always in
+  let ex_pred = Array.make nexits Pred.always in
   let ex_target = Array.make nexits (-1) in
   let oi = ref 0 and xi = ref 0 in
   Array.iteri
@@ -87,7 +87,7 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
                     op_s2_reg.(i) <- -1;
                     op_s2_imm.(i) <- v
               in
-              op_cpred.(i) <- pi.Pcode.cpred;
+              op_pred.(i) <- pi.Pcode.pred;
               op_lat.(i) <- Machine_model.latency machine pi.Pcode.op;
               (match pi.Pcode.op with
               | Instr.Nop -> op_kind.(i) <- Knop
@@ -130,10 +130,10 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
                   op_aux.(i) <- Cond.index dst;
                   s1 a;
                   s2 b)
-          | Pcode.Exit { cpred; target; _ } ->
+          | Pcode.Exit { pred; target } ->
               let j = !xi in
               incr xi;
-              ex_cpred.(j) <- cpred;
+              ex_pred.(j) <- pred;
               ex_target.(j) <-
                 (match target with
                 | Pcode.Stop -> -1
@@ -149,7 +149,7 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
     ex_bounds;
     has_store;
     op_kind;
-    op_cpred;
+    op_pred;
     op_lat;
     op_dst;
     op_aux;
@@ -161,7 +161,7 @@ let lower_region ~machine ~region_index (r : Pcode.region) =
     op_s2_reg;
     op_s2_imm;
     op_s2_sh;
-    ex_cpred;
+    ex_pred;
     ex_target;
   }
 
@@ -220,7 +220,7 @@ let num_ops t =
   Array.fold_left (fun acc r -> acc + Array.length r.op_kind) 0 t.regions
 
 let num_exits t =
-  Array.fold_left (fun acc r -> acc + Array.length r.ex_cpred) 0 t.regions
+  Array.fold_left (fun acc r -> acc + Array.length r.ex_pred) 0 t.regions
 
 (* ----- the round-trip check -----
 
@@ -281,7 +281,7 @@ let check (t : t) =
     in
     operand 1 lr.op_s1_reg.(i) lr.op_s1_sh.(i);
     operand 2 lr.op_s2_reg.(i) lr.op_s2_sh.(i);
-    if not (Pred.equal_c lr.op_cpred.(i) pi.Pcode.cpred) then
+    if not (Pred.equal lr.op_pred.(i) pi.Pcode.pred) then
       fail "%s: predicate differs from the source slot's" (at ());
     let lat = Machine_model.latency t.machine op in
     if lr.op_lat.(i) <> lat then
@@ -296,7 +296,7 @@ let check (t : t) =
     if lr.nbundles <> nb then
       fail "region %s: %d bundles lowered, source has %d" rn lr.nbundles nb;
     let n = Array.length in
-    let nops = n lr.op_kind and nexits = n lr.ex_cpred in
+    let nops = n lr.op_kind and nexits = n lr.ex_pred in
     let closed what (bounds : int array) total =
       if n bounds <> nb + 1 || bounds.(0) <> 0 || bounds.(nb) <> total then
         fail "region %s: %s do not run from 0 to %d" rn what total;
@@ -309,7 +309,7 @@ let check (t : t) =
     closed "ex_bounds" lr.ex_bounds nexits;
     if
       List.exists (( <> ) nops)
-        [ n lr.op_cpred; n lr.op_lat; n lr.op_dst; n lr.op_aux; n lr.op_alu;
+        [ n lr.op_pred; n lr.op_lat; n lr.op_dst; n lr.op_aux; n lr.op_alu;
           n lr.op_cmp; n lr.op_s1_reg; n lr.op_s1_imm; n lr.op_s1_sh;
           n lr.op_s2_reg; n lr.op_s2_imm; n lr.op_s2_sh ]
       || n lr.ex_target <> nexits || n lr.has_store <> nb
@@ -349,13 +349,13 @@ let check (t : t) =
         List.iter
           (function
             | Pcode.Op _ -> ()
-            | Pcode.Exit { cpred; target; _ } ->
+            | Pcode.Exit { pred; target } ->
                 let slot = !j in
                 let at () =
                   Printf.sprintf "region %s bundle %d exit slot %d" rn b slot
                 in
                 let tidx = lr.ex_target.(xlo + slot) in
-                if not (Pred.equal_c lr.ex_cpred.(xlo + slot) cpred) then
+                if not (Pred.equal lr.ex_pred.(xlo + slot) pred) then
                   fail "%s: predicate differs from the source exit's" (at ());
                 (match target with
                 | Pcode.Stop ->

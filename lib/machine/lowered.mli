@@ -16,10 +16,9 @@
     - preresolved operand descriptors: register index or immediate, with
       the shadow-source membership test ([.s] sourcing, §3.5) folded
       into a per-operand flag;
-    - the {!Psb_isa.Pred.compiled} mask per slot (shared with the
-      slot — the same physical comparator the predicate kernel
-      evaluates, and what shadow reads and store-buffer forwarding
-      compare);
+    - the slot's {!Psb_isa.Pred.t} (shared with the slot — the ternary
+      mask the predicate kernel evaluates, and what shadow reads and
+      store-buffer forwarding compare);
     - the issue latency from {!Machine_model.latency}, resolved at
       lowering time;
     - exit targets preresolved to region {e indices}, so a region
@@ -47,7 +46,7 @@ type region = {
       (** per bundle: whether any slot is a store (the store-buffer
           structural-hazard test, precomputed) *)
   op_kind : kind array;
-  op_cpred : Pred.compiled array;  (** compiled predicate per operation *)
+  op_pred : Pred.t array;  (** predicate per operation *)
   op_lat : int array;  (** {!Machine_model.latency}, preresolved *)
   op_dst : int array;  (** destination register index; [-1] if none *)
   op_aux : int array;
@@ -64,7 +63,7 @@ type region = {
       (** second source (operand [b], store data register) *)
   op_s2_imm : int array;
   op_s2_sh : bool array;
-  ex_cpred : Pred.compiled array;
+  ex_pred : Pred.t array;
   ex_target : int array;
       (** exit target as an index into {!t.regions}; [-1] for [Stop] *)
 }
@@ -86,7 +85,7 @@ type t = {
 
 val compile : machine:Machine_model.t -> Pcode.t -> t
 (** Lower every region once. Pure; the result shares the [Pcode.t]'s
-    compiled predicates (no predicate recompilation). Latency
+    predicates. Latency
     preresolution makes the result model-specific: running it on a
     machine other than [machine] is rejected by {!Vliw_sim.run}.
     @raise Invalid_argument if an exit names an undefined region (the

@@ -2,7 +2,6 @@ open Psb_isa
 
 type pinstr = {
   pred : Pred.t;
-  cpred : Pred.compiled;
   op : Instr.op;
   shadow_srcs : Reg.Set.t;
 }
@@ -11,7 +10,7 @@ type exit_target = To_region of Label.t | Stop
 
 type slot =
   | Op of pinstr
-  | Exit of { pred : Pred.t; cpred : Pred.compiled; target : exit_target }
+  | Exit of { pred : Pred.t; target : exit_target }
 
 type bundle = slot list
 
@@ -23,22 +22,10 @@ type region = {
 
 type t = { entry : Label.t; regions : region list }
 
-(* Predicates compile to their mask form once, here, when a slot is
-   built — the software analogue of loading a region's ternary vectors
-   into the per-entry comparators. *)
-let op ?(shadow_srcs = Reg.Set.empty) pred op =
-  Op { pred; cpred = Pred.compile pred; op; shadow_srcs }
-
-let exit_to pred l =
-  Exit { pred; cpred = Pred.compile pred; target = To_region l }
-
-let exit_stop pred = Exit { pred; cpred = Pred.compile pred; target = Stop }
-
+let op ?(shadow_srcs = Reg.Set.empty) pred op = Op { pred; op; shadow_srcs }
+let exit_to pred l = Exit { pred; target = To_region l }
+let exit_stop pred = Exit { pred; target = Stop }
 let slot_pred = function Op { pred; _ } -> pred | Exit { pred; _ } -> pred
-
-let slot_cpred = function
-  | Op { cpred; _ } -> cpred
-  | Exit { cpred; _ } -> cpred
 
 (* The last bundle must offer a way out. The exits of a region need not
    include an always-exit: as in Figure 4, a set of predicated exits whose
@@ -129,17 +116,28 @@ let check_resources model t =
           (Format.asprintf "region %a bundle %d exceeds function units"
              Label.pp r.name i)
       else
+        let ccr = model.M.ccr_size in
         let bad_pred =
-          List.exists
-            (fun s ->
-              not (Pred.compiled_fits ~width:model.M.ccr_size (slot_cpred s)))
+          List.exists (fun s -> not (Pred.fits ~width:ccr (slot_pred s))) bundle
+        and bad_setc =
+          List.find_map
+            (function
+              | Op { op = Instr.Setc { dst; _ }; _ } when Cond.index dst >= ccr ->
+                  Some dst
+              | Op _ | Exit _ -> None)
             bundle
         in
         if bad_pred then
           Error
             (Format.asprintf "region %a bundle %d predicate beyond CCR width"
                Label.pp r.name i)
-        else Ok ()
+        else
+          match bad_setc with
+          | Some c ->
+              Error
+                (Format.asprintf "region %a bundle %d sets %a beyond CCR width"
+                   Label.pp r.name i Cond.pp c)
+          | None -> Ok ()
     in
     Array.to_seqi r.code
     |> Seq.fold_left

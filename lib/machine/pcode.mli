@@ -19,9 +19,6 @@ open Psb_isa
 
 type pinstr = {
   pred : Pred.t;
-  cpred : Pred.compiled;
-      (** [pred] compiled to mask form, once, at slot construction — what
-          the machine's per-cycle paths evaluate *)
   op : Instr.op;
   shadow_srcs : Reg.Set.t;
       (** source registers the instruction fetches from the speculative
@@ -33,7 +30,7 @@ type exit_target = To_region of Label.t | Stop
 
 type slot =
   | Op of pinstr
-  | Exit of { pred : Pred.t; cpred : Pred.compiled; target : exit_target }
+  | Exit of { pred : Pred.t; target : exit_target }
 
 type bundle = slot list
 
@@ -47,9 +44,8 @@ type region = {
 type t = { entry : Label.t; regions : region list }
 
 val op : ?shadow_srcs:Reg.Set.t -> Pred.t -> Instr.op -> slot
-(** Operation slot under a predicate; compiles the predicate to mask
-    form once, here. [shadow_srcs] (default empty) marks which source
-    registers read the speculative version. *)
+(** Operation slot under a predicate. [shadow_srcs] (default empty)
+    marks which source registers read the speculative version. *)
 
 val exit_to : Pred.t -> Label.t -> slot
 (** Predicated region exit transferring control to the named region. *)
@@ -87,12 +83,10 @@ val num_bundles : t -> int
 val slot_pred : slot -> Pred.t
 (** The predicate of either slot form. *)
 
-val slot_cpred : slot -> Pred.compiled
-(** The compiled mask of either slot form. *)
-
 val check_resources : Machine_model.t -> t -> (unit, string) result
 (** Every bundle must fit the machine's issue width and function units,
-    and every predicate must fit the CCR. *)
+    every predicate must fit the CCR, and every [Setc] must write a
+    condition inside it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Full listing in [.ppsb] syntax (parseable by [Pcode_text]); also the

@@ -4,7 +4,7 @@ type mode = Single | Infinite
 
 type version = {
   value : int;
-  cpred : Pred.compiled;
+  pred : Pred.t;
   fault : Fault.t option;
   seqno : int; (* issue order, newest wins on reads *)
 }
@@ -24,7 +24,7 @@ type t = {
   written : bool array;
   s_live : bool array;
   s_value : int array;
-  s_cpred : Pred.compiled array;
+  s_pred : Pred.t array;
   s_fault : Fault.t option array;
   versions : version list array;
   mutable conflicts : int;
@@ -55,7 +55,7 @@ let create ?(mode = Single) ?events ~nregs () =
     written = Array.make n false;
     s_live = Array.make n false;
     s_value = Array.make n 0;
-    s_cpred = Array.make n Pred.compiled_always;
+    s_pred = Array.make n Pred.always;
     s_fault = Array.make n None;
     versions = Array.make n [];
     conflicts = 0;
@@ -83,25 +83,25 @@ let ev t kind a b =
 
 let read_seq t r = t.seq.(r)
 
-let none = { value = 0; cpred = Pred.compiled_always; fault = None; seqno = -1 }
+let none = { value = 0; pred = Pred.always; fault = None; seqno = -1 }
 
-(* The Infinite model's version a reader with predicate [cpred] should
+(* The Infinite model's version a reader with predicate [pred] should
    see: the newest one whose predicate is not on a mutually-exclusive
    path, or [none]. *)
-let rec pick_version vs cpred =
+let rec pick_version vs pred =
   match vs with
   | [] -> none
-  | v :: rest -> if Pred.disjoint_c v.cpred cpred then pick_version rest cpred else v
+  | v :: rest -> if Pred.disjoint v.pred pred then pick_version rest pred else v
 
-let read t r ~shadow ~cpred =
+let read t r ~shadow ~pred =
   if not shadow then t.seq.(r)
   else
     match t.mode with
     | Single ->
-        if t.s_live.(r) && not (Pred.disjoint_c t.s_cpred.(r) cpred) then t.s_value.(r)
+        if t.s_live.(r) && not (Pred.disjoint t.s_pred.(r) pred) then t.s_value.(r)
         else t.seq.(r)
     | Infinite ->
-        let v = pick_version t.versions.(r) cpred in
+        let v = pick_version t.versions.(r) pred in
         if v != none then v.value else t.seq.(r)
 
 let write_seq t r v =
@@ -120,12 +120,12 @@ let count_fault = function Some _ -> 1 | None -> 0
 let merge_fault old_fault fault =
   match old_fault with Some _ -> old_fault | None -> fault
 
-let rec split_same cpred = function
+let rec split_same pred = function
   | [] -> (none, [])
   | v :: rest ->
-      if Pred.equal_c v.cpred cpred then (v, rest)
+      if Pred.equal v.pred pred then (v, rest)
       else
-        let same, rest' = split_same cpred rest in
+        let same, rest' = split_same pred rest in
         (same, v :: rest')
 
 (* Widen [lo .. hi] to cover register [i]. *)
@@ -140,13 +140,13 @@ let check_empty t =
     t.hi <- -1
   end
 
-(* The Single model's version of [r] becomes ([value], [cpred], [fault]). *)
-let store t r value cpred fault =
+(* The Single model's version of [r] becomes ([value], [pred], [fault]). *)
+let store t r value pred fault =
   t.s_value.(r) <- value;
-  if t.s_cpred.(r) != cpred then t.s_cpred.(r) <- cpred;
+  if t.s_pred.(r) != pred then t.s_pred.(r) <- pred;
   if fault != None || t.s_fault.(r) != None then t.s_fault.(r) <- fault
 
-let write_spec t r value ~cpred ~fault =
+let write_spec t r value ~pred ~fault =
   t.spec_writes <- t.spec_writes + 1;
   ev t Psb_obs.Events.Shadow_write r value;
   let seqno = t.next_seqno in
@@ -154,7 +154,7 @@ let write_spec t r value ~cpred ~fault =
   match t.mode with
   | Infinite ->
       (* at most one version per predicate *)
-      let same, rest = split_same cpred t.versions.(r) in
+      let same, rest = split_same pred t.versions.(r) in
       let fault =
         if same == none then fault
         else begin
@@ -163,24 +163,24 @@ let write_spec t r value ~cpred ~fault =
           merge_fault same.fault fault
         end
       in
-      t.versions.(r) <- { value; cpred; fault; seqno } :: rest;
+      t.versions.(r) <- { value; pred; fault; seqno } :: rest;
       note_live t r;
       t.live <- t.live + 1;
       t.faults <- t.faults + count_fault fault;
       `Ok
   | Single ->
       if not t.s_live.(r) then begin
-        store t r value cpred fault;
+        store t r value pred fault;
         t.s_live.(r) <- true;
         note_live t r;
         t.live <- t.live + 1;
         t.faults <- t.faults + count_fault fault;
         `Ok
       end
-      else if Pred.equal_c t.s_cpred.(r) cpred then begin
+      else if Pred.equal t.s_pred.(r) pred then begin
         let old = t.s_fault.(r) in
         let fault = merge_fault old fault in
-        store t r value cpred fault;
+        store t r value pred fault;
         t.faults <- t.faults - count_fault old + count_fault fault;
         `Ok
       end
@@ -192,21 +192,21 @@ let write_spec t r value ~cpred ~fault =
 let committing_exceptions t lookup =
   if t.faults = 0 then []
   else begin
-    let commits cpred = Pred.eval (Pred.source cpred) lookup = Pred.True in
+    let commits pred = Pred.eval pred lookup = Pred.True in
     let acc = ref [] in
     for i = Array.length t.seq - 1 downto 0 do
       match t.mode with
       | Single -> (
           if t.s_live.(i) then
             match t.s_fault.(i) with
-            | Some f when commits t.s_cpred.(i) -> acc := (i, f) :: !acc
+            | Some f when commits t.s_pred.(i) -> acc := (i, f) :: !acc
             | Some _ | None -> ())
       | Infinite ->
           acc :=
             List.fold_right
               (fun v acc ->
                 match v.fault with
-                | Some f when commits v.cpred -> (i, f) :: acc
+                | Some f when commits v.pred -> (i, f) :: acc
                 | Some _ | None -> acc)
               t.versions.(i) !acc
     done;
@@ -218,14 +218,15 @@ let committing_exceptions t lookup =
    the gating invariant: every buffered version was Unspec when last
    examined (speculative writes only buffer on Unspec), and only a write
    to a mentioned condition can change that. *)
-let decide t ccr ~dirty (cp : Pred.compiled) =
-  match cp.Pred.c_wide with
-  | None when cp.Pred.c_mask land dirty = 0 ->
-      t.tick_skipped <- t.tick_skipped + 1;
-      Pred.Unspec
-  | None | Some _ ->
-      t.tick_examined <- t.tick_examined + 1;
-      Ccr.evalc ccr cp
+let decide t ccr ~dirty (p : Pred.t) =
+  if p.Pred.mask land dirty = 0 then begin
+    t.tick_skipped <- t.tick_skipped + 1;
+    Pred.Unspec
+  end
+  else begin
+    t.tick_examined <- t.tick_examined + 1;
+    Ccr.evalc ccr p
+  end
 
 let commit_value t idx fault value =
   (match fault with Some _ -> assert false | None -> ());
@@ -241,7 +242,7 @@ let tick_versions t ccr ~dirty idx =
   let squashed = ref 0 in
   List.iter
     (fun v ->
-      match decide t ccr ~dirty v.cpred with
+      match decide t ccr ~dirty v.pred with
       | Pred.True -> committing := v :: !committing
       | Pred.False ->
           squashed := !squashed + 1;
@@ -263,7 +264,7 @@ let tick ~dirty t ccr =
         (* decide in place, allocating nothing *)
         for idx = t.lo to t.hi do
           if t.s_live.(idx) then
-            match decide t ccr ~dirty t.s_cpred.(idx) with
+            match decide t ccr ~dirty t.s_pred.(idx) with
             | Pred.Unspec -> ()
             | Pred.True ->
                 commit_value t idx t.s_fault.(idx) t.s_value.(idx);

@@ -16,13 +16,13 @@
     buffered write allocates nothing, and the Infinite model keeps a
     list of versions per register.
 
-    Buffered versions carry {e compiled} predicates
-    ({!Psb_isa.Pred.compiled}); the per-cycle {!tick} evaluates them as
-    bitmasks against the packed {!Ccr} — the software mirror of the
-    paper's per-entry predicate hardware — and can skip entries whose
-    masks do not intersect the conditions written since the last tick.
-    Reads and writes compare predicates by mask as well
-    ({!Psb_isa.Pred.disjoint_c}, {!Psb_isa.Pred.equal_c}). *)
+    Buffered versions carry their predicates' ternary masks
+    ({!Psb_isa.Pred.t}); the per-cycle {!tick} evaluates them against
+    the packed {!Ccr} — the software mirror of the paper's per-entry
+    predicate hardware — and can skip entries whose masks do not
+    intersect the conditions written since the last tick. Reads and
+    writes compare predicates by mask as well ({!Psb_isa.Pred.disjoint},
+    {!Psb_isa.Pred.equal}). *)
 
 open Psb_isa
 
@@ -52,20 +52,20 @@ val values : t -> int array
     copy, so the machine's operand fetch reads an unflagged register
     without a call. Only {!write_seq} and {!tick} write it. *)
 
-val read : t -> Reg.t -> shadow:bool -> cpred:Pred.compiled -> int
+val read : t -> Reg.t -> shadow:bool -> pred:Pred.t -> int
 (** Operand fetch. With [shadow:true] the speculative value is returned if
     valid, falling back to the sequential register otherwise (the §3.5
-    operand-fetch fix). [cpred] is the reader's compiled predicate, used
-    in the [Infinite] model to pick the matching speculative version: the
-    newest one not disjoint from it ({!Psb_isa.Pred.disjoint_c}, a mask
+    operand-fetch fix). [pred] is the reader's predicate, used in the
+    [Infinite] model to pick the matching speculative version: the
+    newest one not disjoint from it ({!Psb_isa.Pred.disjoint}, a mask
     test). *)
 
 val write_seq : t -> Reg.t -> int -> unit
 
 val write_spec :
-  t -> Reg.t -> int -> cpred:Pred.compiled -> fault:Fault.t option ->
+  t -> Reg.t -> int -> pred:Pred.t -> fault:Fault.t option ->
   [ `Ok | `Conflict ]
-(** Speculative write: buffer the value with its (compiled) predicate;
+(** Speculative write: buffer the value with its predicate;
     sets V, and E when [fault] is given. [`Conflict] (single-shadow model
     only) when a valid speculative value with a different predicate
     already occupies the entry — the machine must stall the writer. *)
@@ -87,8 +87,8 @@ val tick : dirty:int -> t -> Ccr.t -> unit
     What happened reaches the [events] ring, one event per version in
     register order. In the Single model the tick allocates nothing.
 
-    [dirty] is the word-0 bitmask of conditions written since the last
-    tick ([-1]: everything dirty), as {!Ccr.take_dirty} returns it. A
+    [dirty] is the bitmask of conditions written since the last tick
+    ([-1]: everything dirty), as {!Ccr.take_dirty} returns it. A
     version whose mask does not intersect [dirty] is still [Unspec] — it
     was Unspec when buffered or last examined and none of its conditions
     changed — and is skipped without evaluation. *)

@@ -3,7 +3,7 @@ open Psb_isa
 type entry = {
   addr : int;
   value : int;
-  cpred : Pred.compiled;
+  pred : Pred.t;
   mutable spec : bool; (* W *)
   mutable valid : bool; (* V *)
   mutable examined : bool;
@@ -45,7 +45,7 @@ let dummy =
   {
     addr = 0;
     value = 0;
-    cpred = Pred.compiled_always;
+    pred = Pred.always;
     spec = false;
     valid = false;
     examined = true;
@@ -97,9 +97,9 @@ let is_live_spec e = e.spec && e.valid
 
 let count_fault e = match e.fault with Some _ -> 1 | None -> 0
 
-let append t ~addr ~value ~cpred ~spec ~fault =
+let append t ~addr ~value ~pred ~spec ~fault =
   if t.count = Array.length t.buf then grow t;
-  let e = { addr; value; cpred; spec; valid = true; examined = false; fault } in
+  let e = { addr; value; pred; spec; valid = true; examined = false; fault } in
   t.buf.(wrap t (t.head + t.count)) <- e;
   t.count <- t.count + 1;
   ev t Psb_obs.Events.Sb_append addr (if spec then 1 else 0);
@@ -116,18 +116,14 @@ let tick ~dirty t ccr =
       let e = nth t i in
       if is_live_spec e then begin
         let value =
-          if
-            e.examined
-            && (match e.cpred.Pred.c_wide with None -> true | Some _ -> false)
-            && e.cpred.Pred.c_mask land dirty = 0
-          then begin
+          if e.examined && e.pred.Pred.mask land dirty = 0 then begin
             t.tick_skipped <- t.tick_skipped + 1;
             Pred.Unspec
           end
           else begin
             t.tick_examined <- t.tick_examined + 1;
             e.examined <- true;
-            Ccr.evalc ccr e.cpred
+            Ccr.evalc ccr e.pred
           end
         in
         match value with
@@ -156,8 +152,7 @@ let committing_exceptions t lookup =
       let e = nth t i in
       match e.fault with
       | Some f
-        when is_live_spec e && Pred.eval (Pred.source e.cpred) lookup = Pred.True
-        ->
+        when is_live_spec e && Pred.eval e.pred lookup = Pred.True ->
           acc := f :: !acc
       | Some _ | None -> ()
     done;
@@ -203,19 +198,19 @@ let drain_all t mem =
    disjoint from the load's: a committed one is memory that has not
    drained yet, and its predicate may date from a region since left,
    whose conditions were reset and renumbered. *)
-let rec search t ~addr ~load_cpred ccr i =
+let rec search t ~addr ~load_pred ccr i =
   if i < 0 then `Miss
   else
     let e = nth t i in
     if
       (not (e.valid && e.addr = addr))
-      || (e.spec && Pred.disjoint_c e.cpred load_cpred)
-    then search t ~addr ~load_cpred ccr (i - 1)
-    else if (not e.spec) || Pred.implies_c load_cpred e.cpred then hit t e
+      || (e.spec && Pred.disjoint e.pred load_pred)
+    then search t ~addr ~load_pred ccr (i - 1)
+    else if (not e.spec) || Pred.implies load_pred e.pred then hit t e
     else
-      match Ccr.evalc ccr e.cpred with
+      match Ccr.evalc ccr e.pred with
       | Pred.True -> hit t e
-      | Pred.False -> search t ~addr ~load_cpred ccr (i - 1)
+      | Pred.False -> search t ~addr ~load_pred ccr (i - 1)
       | Pred.Unspec -> `Commit_dependence
 
 and hit t e =
@@ -224,8 +219,8 @@ and hit t e =
   t.fwd_fault <- e.fault;
   `Hit
 
-let forward t ~addr ~load_cpred ccr =
-  search t ~addr ~load_cpred ccr (t.count - 1)
+let forward t ~addr ~load_pred ccr =
+  search t ~addr ~load_pred ccr (t.count - 1)
 
 let forwarded_value t = t.fwd_value
 let forwarded_fault t = t.fwd_fault

@@ -10,8 +10,8 @@
     The FIFO is a growable ring of entry records: an append allocates
     the one record, appends are O(1) amortised, and the per-cycle {!tick},
     {!forward}, {!drain} and {!invalidate_spec} walk the ring evaluating
-    {e compiled} predicates ({!Psb_isa.Pred.compiled}) against the packed
-    {!Ccr} without allocating. *)
+    predicate masks ({!Psb_isa.Pred.t}) against the packed {!Ccr} without
+    allocating. *)
 
 open Psb_isa
 
@@ -30,7 +30,7 @@ val set_now : t -> int -> unit
     simulator calls it once per cycle (only when events are attached). *)
 
 val append :
-  t -> addr:int -> value:int -> cpred:Pred.compiled -> spec:bool ->
+  t -> addr:int -> value:int -> pred:Pred.t -> spec:bool ->
   fault:Fault.t option -> unit
 
 val tick : dirty:int -> t -> Ccr.t -> unit
@@ -38,8 +38,8 @@ val tick : dirty:int -> t -> Ccr.t -> unit
     buffer order, each reaching the [events] ring. The tick allocates
     nothing.
 
-    [dirty] is the word-0 bitmask of conditions written since the last
-    tick ([-1]: everything dirty), as {!Ccr.take_dirty} returns it; an
+    [dirty] is the bitmask of conditions written since the last tick
+    ([-1]: everything dirty), as {!Ccr.take_dirty} returns it; an
     entry already examined once whose mask does not intersect [dirty] is
     still [Unspec] and is skipped without evaluation. A fresh entry is
     always examined on its first tick — unlike register versions, a
@@ -64,7 +64,7 @@ val drain_all : t -> Memory.t -> unit
     @raise Invalid_argument if speculative entries remain. *)
 
 val forward :
-  t -> addr:int -> load_cpred:Pred.compiled -> Ccr.t ->
+  t -> addr:int -> load_pred:Pred.t -> Ccr.t ->
   [ `Hit | `Miss | `Commit_dependence ]
 (** Store-to-load forwarding. Searches youngest → oldest among valid
     entries with the same address: speculative entries on mutually
@@ -76,7 +76,7 @@ val forward :
     may not be on the load's path is a {e commit dependence}
     (§4.2.2) — the scheduler must have prevented it, so the machine
     reports it as an error. Predicates are compared by mask
-    ({!Psb_isa.Pred.disjoint_c}, {!Psb_isa.Pred.implies_c}).
+    ({!Psb_isa.Pred.disjoint}, {!Psb_isa.Pred.implies}).
 
     A [`Hit] leaves the forwarded value and the entry's buffered
     exception in {!forwarded_value} and {!forwarded_fault}, so a search

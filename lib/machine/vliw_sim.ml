@@ -335,11 +335,11 @@ let handle_or_abort st fault =
    Returns the value; a fault is reported in [st.faulted] (cleared by
    the caller) and [st.fault], with [st.forwarded] telling whether the
    value came from a store whose own exception is buffered. *)
-let load_access st ~addr ~cpred =
+let load_access st ~addr ~pred =
   match
     (* an empty buffer forwards nothing: skip the search's call *)
     if Store_buffer.length st.sb = 0 then `Miss
-    else Store_buffer.forward st.sb ~addr ~load_cpred:cpred st.ccr
+    else Store_buffer.forward st.sb ~addr ~load_pred:pred st.ccr
   with
   | `Hit ->
       (match Store_buffer.forwarded_fault st.sb with
@@ -361,14 +361,14 @@ let load_access st ~addr ~cpred =
           0)
 
 (* Non-speculative load: faults are handled on the spot (or abort). *)
-let rec load_nonspec st ~addr ~cpred =
+let rec load_nonspec st ~addr ~pred =
   st.faulted <- false;
-  let v = load_access st ~addr ~cpred in
+  let v = load_access st ~addr ~pred in
   if not st.faulted then v
   else begin
     handle_or_abort st st.fault;
     (* the forwarded store's page is mapped now *)
-    if st.forwarded then v else load_nonspec st ~addr ~cpred
+    if st.forwarded then v else load_nonspec st ~addr ~pred
   end
 
 (* ----- execute stage -----
@@ -438,7 +438,7 @@ let compute st (lr : Lowered.region) i (k : Lowered.kind) ~a ~b =
   | Lowered.Kmov -> a
   | Lowered.Kload ->
       load_access st ~addr:(a + lr.Lowered.op_aux.(i))
-        ~cpred:lr.Lowered.op_cpred.(i)
+        ~pred:lr.Lowered.op_pred.(i)
   | Lowered.Kcmp -> if Opcode.eval_cmp lr.Lowered.op_cmp.(i) a b then 1 else 0
   | Lowered.Knop | Lowered.Kout | Lowered.Ksetc | Lowered.Kstore ->
       assert false (* handled by the callers *)
@@ -468,7 +468,7 @@ let issue_nonspec st (lr : Lowered.region) i ~a ~b =
               if st.forwarded then v
               else
                 load_nonspec st ~addr:(a + lr.Lowered.op_aux.(i))
-                  ~cpred:lr.Lowered.op_cpred.(i)
+                  ~pred:lr.Lowered.op_pred.(i)
           | _ -> assert false
         end
       in
@@ -478,19 +478,19 @@ let issue_nonspec st (lr : Lowered.region) i ~a ~b =
 (* What a speculative fault will turn into: in recovery mode the future
    condition decides (true → handled now, false → ignored, unspecified →
    buffered again); in normal mode it is buffered. *)
-let future_value st cpred =
+let future_value st pred =
   match st.mode with
   | Normal -> Pred.Unspec
-  | Recovery { future; _ } -> Ccr.evalc future cpred
+  | Recovery { future; _ } -> Ccr.evalc future pred
 
 (* Resolve the fault [compute] reported for the speculative Mov/ALU/Cmp/
    Load issue of operation [i] and schedule its register write. [v] is
    the value [compute] returned (meaningful only for a forwarded load). *)
 let resolve_fault st (lr : Lowered.region) i (k : Lowered.kind) ~a f v =
   let is_load = match k with Lowered.Kload -> true | _ -> false in
-  let addr = a + lr.Lowered.op_aux.(i) and cpred = lr.Lowered.op_cpred.(i) in
+  let addr = a + lr.Lowered.op_aux.(i) and pred = lr.Lowered.op_pred.(i) in
   let value, fault =
-    match future_value st cpred with
+    match future_value st pred with
     | Pred.Unspec ->
         eev st Psb_obs.Events.Fault_deferred ~a:(if is_load then addr else -1)
           ~b:0;
@@ -501,7 +501,7 @@ let resolve_fault st (lr : Lowered.region) i (k : Lowered.kind) ~a f v =
         handle_or_abort st f;
         if not is_load then (0, None)
         else if forwarded then (v, None)
-        else (load_nonspec st ~addr ~cpred, None)
+        else (load_nonspec st ~addr ~pred, None)
   in
   schedule_reg st ~latency:lr.Lowered.op_lat.(i) ~dst:lr.Lowered.op_dst.(i)
     ~value ~op:i ~fault ~decided_seq:false ~has_addr:is_load ~addr
@@ -522,7 +522,7 @@ let issue_spec st (lr : Lowered.region) i ~a ~b =
         match Memory.probe st.mem addr with
         | None -> None
         | Some f -> (
-            match future_value st lr.Lowered.op_cpred.(i) with
+            match future_value st lr.Lowered.op_pred.(i) with
             | Pred.Unspec ->
                 eev st Psb_obs.Events.Fault_deferred ~a:addr ~b:0;
                 Some (Fault.Mem f)
@@ -570,7 +570,7 @@ let apply_wb st p =
   end
   else if k = wb_store then begin
     Store_buffer.append st.sb ~addr:q.w_addr.(p) ~value:q.w_value.(p)
-      ~cpred:st.lr.Lowered.op_cpred.(q.w_op.(p))
+      ~pred:st.lr.Lowered.op_pred.(q.w_op.(p))
       ~spec:(q.w_bits.(p) land wb_flag <> 0)
       ~fault:(wbq_fault q p);
     `Ok
@@ -582,8 +582,8 @@ let apply_wb st p =
       `Ok
     end
     else
-      let cpred = st.lr.Lowered.op_cpred.(q.w_op.(p)) in
-      match Ccr.evalc st.ccr cpred with
+      let pred = st.lr.Lowered.op_pred.(q.w_op.(p)) in
+      match Ccr.evalc st.ccr pred with
       | Pred.False ->
           st.wb_squashes <- st.wb_squashes + 1;
           `Ok (* squashed in flight *)
@@ -596,14 +596,14 @@ let apply_wb st p =
             else begin
               let addr = q.w_addr.(p) in
               handle_or_abort st q.w_fault.(p);
-              if bits land wb_has_addr <> 0 then load_nonspec st ~addr ~cpred
+              if bits land wb_has_addr <> 0 then load_nonspec st ~addr ~pred
               else assert false
             end
           in
           Regfile.write_seq st.rf dst value;
           `Ok
       | Pred.Unspec ->
-          Regfile.write_spec st.rf dst q.w_value.(p) ~cpred
+          Regfile.write_spec st.rf dst q.w_value.(p) ~pred
             ~fault:(wbq_fault q p)
 
 (* A condition's value under the pending writes, the newest first. *)
@@ -754,9 +754,9 @@ let stall_conflict st =
 
 (* Operand fetch: a register (shadow version if flagged) or an
    immediate. *)
-let[@inline] operand st ~cpred reg imm shadow =
+let[@inline] operand st ~pred reg imm shadow =
   if reg < 0 then imm
-  else if shadow then Regfile.read st.rf reg ~shadow ~cpred
+  else if shadow then Regfile.read st.rf reg ~shadow ~pred
   else st.seq.(reg)
 
 (* The stall tests, then the bundle at [st.pc]: decide every operation
@@ -782,7 +782,7 @@ let issue st ~conflict =
        bundle's events and accounting can never disagree with what
        executed: 0 = squash, 1 = non-speculative, 2 = speculative. *)
     let dec = st.dec in
-    Ccr.evalc_range st.ccr lr.Lowered.op_cpred ~lo ~hi dec;
+    Ccr.evalc_range st.ccr lr.Lowered.op_pred ~lo ~hi dec;
     let nexec = ref 0 in
     for j = 0 to hi - lo - 1 do
       let d = dec.(j) in
@@ -801,12 +801,12 @@ let issue st ~conflict =
         st.dyn_ops <- st.dyn_ops + 1;
         eev st Psb_obs.Events.Op_issue ~a:pc
           ~b:(if d = 2 then (2 * j) + 1 else 2 * j);
-        let cpred = lr.Lowered.op_cpred.(i) in
+        let pred = lr.Lowered.op_pred.(i) in
         let a =
-          operand st ~cpred lr.Lowered.op_s1_reg.(i) lr.Lowered.op_s1_imm.(i)
+          operand st ~pred lr.Lowered.op_s1_reg.(i) lr.Lowered.op_s1_imm.(i)
             lr.Lowered.op_s1_sh.(i)
         and b =
-          operand st ~cpred lr.Lowered.op_s2_reg.(i) lr.Lowered.op_s2_imm.(i)
+          operand st ~pred lr.Lowered.op_s2_reg.(i) lr.Lowered.op_s2_imm.(i)
             lr.Lowered.op_s2_sh.(i)
         in
         if d = 2 then issue_spec st lr i ~a ~b else issue_nonspec st lr i ~a ~b
@@ -817,7 +817,7 @@ let issue st ~conflict =
        exit that does not fire (Figure 4 bundles them); if it fires, the
        pending condition write is caught at the transition. *)
     let fired =
-      Ccr.first_true st.ccr lr.Lowered.ex_cpred ~lo:lr.Lowered.ex_bounds.(pc)
+      Ccr.first_true st.ccr lr.Lowered.ex_pred ~lo:lr.Lowered.ex_bounds.(pc)
         ~hi:lr.Lowered.ex_bounds.(pc + 1)
     in
     if fired >= 0 && in_recovery then
@@ -864,8 +864,8 @@ let step st ~fuel =
   | Some future ->
       assert (st.cw_n = 0);
       if
-        Regfile.committing_exceptions st.rf (Ccr.lookup future) <> []
-        || Store_buffer.committing_exceptions st.sb (Ccr.lookup future) <> []
+        Regfile.committing_exceptions st.rf (Ccr.get future) <> []
+        || Store_buffer.committing_exceptions st.sb (Ccr.get future) <> []
       then machine_error "detection while leaving recovery";
       Ccr.assign st.ccr ~from:future
   | None ->

@@ -122,10 +122,10 @@ let verify_region ~single_shadow machine (r : Pcode.region) =
   let reported_missing = Hashtbl.create 4 in
   let check_pred_conds b s slot =
     let p = Pcode.slot_pred slot in
-    (* The compiled mask answers the CCR-width question for the whole
-       predicate at once; the per-condition scan below only has to name
-       offenders when it says no. *)
-    let fits = Pred.compiled_fits ~width:ccr (Pcode.slot_cpred slot) in
+    (* The mask answers the CCR-width question for the whole predicate at
+       once; the per-condition scan below only has to name offenders when
+       it says no. *)
+    let fits = Pred.fits ~width:ccr p in
     Pred.iter_conds
       (fun c _ ->
         if (not fits) && Cond.index c >= ccr then

@@ -778,62 +778,30 @@ let test_memo_across_domains () =
             && units Model.guarded == units Model.region_pred))
         (Lazy.force sample_programs))
 
-(* ---------- conditions past one machine word ----------
+(* ---------- the conditions a predicate can name ----------
 
-   A unit whose condition indices all sit past the first word (each
-   shifted by [Pred.word_bits]) has only wide compiled predicates, so
-   the graph and the scheduler take their literal-map paths: the
-   schedule must be the one the mask paths give. *)
+   A predicate names conditions c0 .. c(word_bits - 1), so a machine
+   with more CCR entries is refused up front, before unit formation
+   could number a condition past the word; one with exactly that many
+   compiles. *)
 
-let widen (u : Runit.t) =
-  let shift c = Cond.make (Cond.index c + Pred.word_bits) in
-  let pred p = Pred.rename shift p in
-  let op = function
-    | Instr.Setc s -> Instr.Setc { s with dst = shift s.dst }
-    | op -> op
+let test_ccr_past_word () =
+  let profile =
+    snd (Driver.profile_of diamond_loop ~regs:[] ~mem:(Memory.create ~size:64))
   in
-  {
-    u with
-    Runit.instrs =
-      Array.map
-        (fun (i : Runit.uinstr) ->
-          { i with Runit.op = op i.op; pred = pred i.pred; dep_pred = pred i.dep_pred })
-        u.Runit.instrs;
-    exits =
-      Array.map
-        (fun (x : Runit.uexit) ->
-          {
-            x with
-            Runit.pred = pred x.Runit.pred;
-            from_branch = Option.map shift x.Runit.from_branch;
-          })
-        u.Runit.exits;
-    setc_of_cond = Array.append (Array.make Pred.word_bits (-1)) u.Runit.setc_of_cond;
-    nconds = u.Runit.nconds + Pred.word_bits;
-  }
-
-let test_wide_conditions () =
-  List.iter
-    (fun (name, program, profile_of) ->
-      let profile = profile_of () in
-      List.iter
-        (fun (model : Model.t) ->
-          let c = compile_unverified ~profile program model in
-          Label.Map.iter
-            (fun header (s : Sched.t) ->
-              let wide =
-                Sched.schedule model machine ~single_shadow:true (widen s.Sched.unit_)
-              in
-              let ctx =
-                Printf.sprintf "%s %s %s" name model.Model.name (Label.name header)
-              in
-              check_bool (ctx ^ ": same issue cycles") true
-                (wide.Sched.issue = s.Sched.issue);
-              check_bool (ctx ^ ": validates") true
-                (Sched.check wide model machine = Ok ()))
-            c.Driver.schedules)
-        (Model.trace_pred_counter :: Model.all))
-    (Lazy.force sample_programs)
+  let compile ccr_size =
+    Driver.compile ~model:Model.region_pred
+      ~machine:{ machine with Machine_model.ccr_size }
+      ~profile diamond_loop
+  in
+  ignore (compile Pred.word_bits);
+  Alcotest.check_raises "ccr_size past the word"
+    (Invalid_argument
+       (Printf.sprintf
+          "Driver.compile: ccr_size %d is past the %d conditions a predicate \
+           can name"
+          (Pred.word_bits + 1) Pred.word_bits))
+    (fun () -> ignore (compile (Pred.word_bits + 1)))
 
 (* ---------- model lookup (the CLI's -m conv) ---------- *)
 
@@ -884,8 +852,8 @@ let () =
         [
           Alcotest.test_case "all models valid" `Quick
             test_schedules_valid_all_models;
-          Alcotest.test_case "conditions past one word" `Quick
-            test_wide_conditions;
+          Alcotest.test_case "ccr_size past the predicate word" `Quick
+            test_ccr_past_word;
         ] );
       ( "sched-pins",
         [

@@ -26,16 +26,31 @@ let test_pred_eval () =
   check_bool "both needed" true (Pred.eval p (mk Pred.T Pred.U) = Pred.Unspec);
   check_bool "true" true (Pred.eval p (mk Pred.T Pred.F) = Pred.True);
   check_bool "false" true (Pred.eval p (mk Pred.T Pred.T) = Pred.False);
-  (* paper hardware rule vs early-false rule *)
   check_bool "paper rule: unspec wins" true
-    (Pred.eval p (mk Pred.U Pred.T) = Pred.Unspec);
-  check_bool "early-false rule" true
-    (Pred.eval_early_false p (mk Pred.U Pred.T) = Pred.False)
+    (Pred.eval p (mk Pred.U Pred.T) = Pred.Unspec)
 
 let test_pred_contradiction () =
   Alcotest.check_raises "contradictory literal"
     (Invalid_argument "Pred.conj: contradictory literal on c1") (fun () ->
       ignore (Pred.of_list [ (cond 1, true); (cond 1, false) ]))
+
+(* The last condition of the word is the sign bit, and the literal walk
+   must stop after it. The next condition is refused. *)
+let test_pred_word_boundary () =
+  let top = Pred.word_bits - 1 in
+  let p = Pred.conj Pred.always (cond top) false in
+  check_bool "top condition kept" true (Pred.requires p (cond top) = Some false);
+  Pred.iter_conds
+    (fun c v ->
+      if c <> top || v then Alcotest.failf "walk reached %a=%b" Cond.pp c v)
+    p;
+  Alcotest.(check string) "top condition printed"
+    (Printf.sprintf "!c%d" top) (Format.asprintf "%a" Pred.pp p);
+  Alcotest.check_raises "first condition past the word"
+    (Invalid_argument
+       (Printf.sprintf "Pred.conj: c%d is past the predicate word (c0..c%d)"
+          Pred.word_bits top))
+    (fun () -> ignore (Pred.conj p (cond Pred.word_bits) true))
 
 let test_pred_implies_disjoint () =
   let p = Pred.of_list [ (cond 0, true); (cond 1, true) ] in
@@ -52,17 +67,6 @@ let test_pred_vector () =
   Alcotest.(check string) "encoding" "101X" (Pred.to_vector ~width:4 p);
   Alcotest.(check string) "don't care" "1XXX"
     (Pred.to_vector ~width:4 (Pred.of_list [ (cond 0, true) ]))
-
-let test_pred_rename () =
-  let p = Pred.of_list [ (cond 5, true); (cond 9, false) ] in
-  let q = Pred.rename (fun c -> cond (if Cond.index c = 5 then 1 else 2)) p in
-  check_bool "requires c1 true" true (Pred.requires q (cond 1) = Some true);
-  check_bool "requires !c2" true (Pred.requires q (cond 2) = Some false);
-  check_bool "old names gone" true (Pred.requires q (cond 5) = None);
-  (* A renaming that merges opposite literals must be rejected. *)
-  Alcotest.check_raises "merging rename rejected"
-    (Invalid_argument "Pred.conj: contradictory literal on c0") (fun () ->
-      ignore (Pred.rename (fun _ -> cond 0) p))
 
 (* qcheck generators *)
 
@@ -97,14 +101,6 @@ let prop_eval_monotone =
       | Pred.Unspec, _ -> true
       | _ -> false)
 
-let prop_eval_agrees_when_specified =
-  QCheck.Test.make ~name:"paper rule = early-false rule when fully specified"
-    ~count:500
-    (QCheck.pair arb_pred (QCheck.make gen_ccr_fn))
-    (fun (p, lookup) ->
-      let lookup c = match lookup c with Pred.U -> Pred.F | v -> v in
-      Pred.eval p lookup = Pred.eval_early_false p lookup)
-
 let prop_implies_semantics =
   QCheck.Test.make ~name:"implies is semantic implication" ~count:500
     (QCheck.triple arb_pred arb_pred (QCheck.make gen_ccr_fn))
@@ -122,27 +118,97 @@ let prop_disjoint_semantics =
       (not (Pred.disjoint p q))
       || not (Pred.eval p lookup = Pred.True && Pred.eval q lookup = Pred.True))
 
-(* The compiled relations agree with the literal-map ones, on narrow
-   predicates (mask tests) and on predicates reaching past one word
-   (the fallback). *)
-let prop_compiled_relations =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_bound 4)
-        (pair (oneofl [ 0; 1; 2; 3; Pred.word_bits - 1; Pred.word_bits ]) bool)
-      >|= fun lits ->
-      List.fold_left
-        (fun p (c, v) ->
-          match Pred.conj p (cond c) v with p' -> p' | exception _ -> p)
-        Pred.always lits)
+(* The mask encoding against the literal-map oracle: random literal
+   lists over both ends of the word (c0-c7 and the top seven, the last
+   being the sign bit) and, now and then, the first condition past it.
+   The walk order is checked literal by literal before anything else
+   walks the mask, so a walk that runs past the word fails at its first
+   extra literal. *)
+let prop_pred_matches_oracle =
+  let top = Pred.word_bits - 1 in
+  let lits =
+    let c =
+      QCheck.Gen.(
+        frequency
+          [ (8, int_bound 7); (8, int_range (top - 6) top); (1, return (top + 1)) ])
+    in
+    QCheck.Gen.(list_size (int_bound 6) (pair c bool))
   in
-  let arb = QCheck.make ~print:(Format.asprintf "%a" Pred.pp) gen in
-  QCheck.Test.make ~name:"compiled relations = literal-map relations"
-    ~count:1000 (QCheck.pair arb arb) (fun (p, q) ->
-      let cp = Pred.compile p and cq = Pred.compile q in
-      Pred.disjoint_c cp cq = Pred.disjoint p q
-      && Pred.implies_c cp cq = Pred.implies p q
-      && Pred.equal_c cp cq = Pred.equal p q)
+  let states =
+    QCheck.Gen.(array_size (return Pred.word_bits) (oneofl Pred.[ T; F; U ]))
+  in
+  let print (l1, l2, st, width) =
+    let lits l =
+      String.concat " " (List.map (fun (c, v) -> Printf.sprintf "c%d=%b" c v) l)
+    and ccr =
+      String.concat ""
+        (Array.to_list
+           (Array.map (function Pred.T -> "1" | Pred.F -> "0" | Pred.U -> "X") st))
+    in
+    Printf.sprintf "p: [%s]  q: [%s]  width %d  ccr %s" (lits l1) (lits l2) width
+      ccr
+  in
+  let result f x =
+    match f x with v -> Ok v | exception Invalid_argument m -> Error m
+  in
+  QCheck.Test.make ~name:"mask encoding = literal-map oracle" ~count:2000
+    (QCheck.make ~print
+       QCheck.Gen.(quad lits lits states (int_bound (Pred.word_bits + 1))))
+    (fun (l1, l2, st, width) ->
+      let lookup c = st.(Cond.index c) in
+      (* the literals in condition order, streamed: a mismatch ends the
+         walk at once *)
+      let walks_like p o =
+        let rest = ref (Pred_oracle.literals o) in
+        Pred.iter_conds
+          (fun c v ->
+            match !rest with
+            | (c', v') :: tl when Cond.equal c c' && v = v' -> rest := tl
+            | _ -> QCheck.Test.fail_reportf "walk reached %a=%b" Cond.pp c v)
+          p;
+        !rest = []
+      in
+      let unary p o =
+        walks_like p o
+        && Pred.literals p = Pred_oracle.literals o
+        && Pred.fold_conds (fun c v acc -> (c, v) :: acc) p []
+           = List.rev (Pred_oracle.literals o)
+        && Cond.Set.equal (Pred.conds p) (Pred_oracle.conds o)
+        && Pred.is_always p = Pred_oracle.is_always o
+        && Pred.arity p = Pred_oracle.arity o
+        && List.for_all
+             (fun c -> Pred.requires p (cond c) = Pred_oracle.requires o (cond c))
+             (List.init (Pred.word_bits + 2) Fun.id)
+        && Pred.count_conds (fun c -> lookup c = Pred.U) p
+           = Pred_oracle.count_conds (fun c -> lookup c = Pred.U) o
+        && List.for_all
+             (fun c ->
+               match (result (Pred.flip p) c, result (Pred_oracle.flip o) c) with
+               | Ok p', Ok o' -> Pred.literals p' = Pred_oracle.literals o'
+               | Error m, Error m' -> m = m'
+               | Ok _, Error _ | Error _, Ok _ -> false)
+             (List.map cond [ 0; 1; top - 1; top ]
+             @ List.map fst (Pred_oracle.literals o))
+        && Pred.eval p lookup = Pred_oracle.eval o lookup
+        && Pred.fits ~width p = Pred_oracle.fits ~width o
+        && result (Pred.to_vector ~width) p
+           = result (Pred_oracle.to_vector ~width) o
+        && Format.asprintf "%a" Pred.pp p = Format.asprintf "%a" Pred_oracle.pp o
+      in
+      match
+        ( (result Pred.of_list l1, result Pred_oracle.of_list l1),
+          (result Pred.of_list l2, result Pred_oracle.of_list l2) )
+      with
+      | (Ok p, Ok o), (Ok q, Ok r) ->
+          unary p o && unary q r
+          && Pred.implies p q = Pred_oracle.implies o r
+          && Pred.implies q p = Pred_oracle.implies r o
+          && Pred.disjoint p q = Pred_oracle.disjoint o r
+          && Pred.equal p q = Pred_oracle.equal o r
+      | (Ok p, Ok o), (Error m, Error m') | (Error m, Error m'), (Ok p, Ok o) ->
+          m = m' && unary p o
+      | (Error m, Error m'), (Error n, Error n') -> m = m' && n = n'
+      | _ -> false)
 
 (* ---------- Opcode ---------- *)
 
@@ -914,17 +980,16 @@ let () =
           Alcotest.test_case "always" `Quick test_pred_always;
           Alcotest.test_case "eval" `Quick test_pred_eval;
           Alcotest.test_case "contradiction" `Quick test_pred_contradiction;
+          Alcotest.test_case "word boundary" `Quick test_pred_word_boundary;
           Alcotest.test_case "implies/disjoint" `Quick test_pred_implies_disjoint;
           Alcotest.test_case "vector encoding" `Quick test_pred_vector;
-          Alcotest.test_case "rename" `Quick test_pred_rename;
         ] );
       qsuite "pred-props"
         [
           prop_eval_monotone;
-          prop_eval_agrees_when_specified;
           prop_implies_semantics;
           prop_disjoint_semantics;
-          prop_compiled_relations;
+          prop_pred_matches_oracle;
         ];
       ( "opcode",
         [

@@ -44,11 +44,17 @@ let test_ccr_basic () =
   check_bool "c0 true" true (Ccr.get ccr (cond 0) = Pred.T);
   check_bool "c2 false" true (Ccr.get ccr (cond 2) = Pred.F);
   Ccr.reset ccr;
-  check_bool "reset" true (Ccr.get ccr (cond 0) = Pred.U)
+  check_bool "reset" true (Ccr.get ccr (cond 0) = Pred.U);
+  ignore (Ccr.create ~width:Pred.word_bits);
+  Alcotest.check_raises "width past the predicate word"
+    (Invalid_argument
+       (Printf.sprintf "Ccr.create: width %d is past Pred.word_bits (%d)"
+          (Pred.word_bits + 1) Pred.word_bits))
+    (fun () -> ignore (Ccr.create ~width:(Pred.word_bits + 1)))
 
 let test_ccr_eval () =
   let ccr = Ccr.create ~width:4 in
-  let p = Pred.compile (Pred.of_list [ (cond 0, true); (cond 1, false) ]) in
+  let p = Pred.of_list [ (cond 0, true); (cond 1, false) ] in
   check_bool "unspec" true (Ccr.evalc ccr p = Pred.Unspec);
   Ccr.set ccr (cond 0) true;
   (* paper rule: still unspecified while c1 is unset *)
@@ -73,10 +79,10 @@ let test_regfile_commit () =
   Regfile.write_seq rf (reg 0) 10;
   let p = p_true (cond 0) in
   check_bool "spec write ok" true
-    (Regfile.write_spec rf (reg 0) 99 ~cpred:(Pred.compile p) ~fault:None = `Ok);
+    (Regfile.write_spec rf (reg 0) 99 ~pred:p ~fault:None = `Ok);
   check_int "seq unchanged" 10 (Regfile.read_seq rf (reg 0));
   check_int "shadow read" 99
-    (Regfile.read rf (reg 0) ~shadow:true ~cpred:(Pred.compile p));
+    (Regfile.read rf (reg 0) ~shadow:true ~pred:p);
   check_rf_counters rf;
   Regfile.tick ~dirty:(-1) rf (ccr_with [ (0, true) ]);
   check_int "committed" 99 (Regfile.read_seq rf (reg 0));
@@ -88,7 +94,7 @@ let test_regfile_squash () =
   Regfile.write_seq rf (reg 1) 7;
   ignore
     (Regfile.write_spec rf (reg 1) 42
-       ~cpred:(Pred.compile (p_true (cond 0)))
+       ~pred:(p_true (cond 0))
        ~fault:None);
   Regfile.tick ~dirty:(-1) rf (ccr_with [ (0, false) ]);
   check_int "squashed: seq intact" 7 (Regfile.read_seq rf (reg 1));
@@ -100,29 +106,27 @@ let test_regfile_shadow_fallback () =
   let rf = Regfile.create ~nregs:4 () in
   Regfile.write_seq rf (reg 2) 5;
   check_int "fallback" 5
-    (Regfile.read rf (reg 2) ~shadow:true ~cpred:Pred.compiled_always)
+    (Regfile.read rf (reg 2) ~shadow:true ~pred:Pred.always)
 
 let test_regfile_conflict () =
   let rf = Regfile.create ~nregs:4 () in
-  let c0 = Pred.compile (p_true (cond 0))
-  and c1 = Pred.compile (p_true (cond 1)) in
+  let c0 = p_true (cond 0) and c1 = p_true (cond 1) in
   check_bool "first ok" true
-    (Regfile.write_spec rf (reg 0) 1 ~cpred:c0 ~fault:None = `Ok);
+    (Regfile.write_spec rf (reg 0) 1 ~pred:c0 ~fault:None = `Ok);
   check_bool "different pred conflicts" true
-    (Regfile.write_spec rf (reg 0) 2 ~cpred:c1 ~fault:None = `Conflict);
+    (Regfile.write_spec rf (reg 0) 2 ~pred:c1 ~fault:None = `Conflict);
   check_bool "same pred overwrites" true
-    (Regfile.write_spec rf (reg 0) 3 ~cpred:c0 ~fault:None = `Ok);
+    (Regfile.write_spec rf (reg 0) 3 ~pred:c0 ~fault:None = `Ok);
   check_int "conflict counted" 1 (Regfile.conflicts rf);
   check_rf_counters rf
 
 let test_regfile_infinite_mode () =
   let rf = Regfile.create ~mode:Regfile.Infinite ~nregs:4 () in
-  let c0 = Pred.compile (p_true (cond 0))
-  and c1 = Pred.compile (p_true (cond 1)) in
+  let c0 = p_true (cond 0) and c1 = p_true (cond 1) in
   check_bool "first ok" true
-    (Regfile.write_spec rf (reg 0) 1 ~cpred:c0 ~fault:None = `Ok);
+    (Regfile.write_spec rf (reg 0) 1 ~pred:c0 ~fault:None = `Ok);
   check_bool "second ok too" true
-    (Regfile.write_spec rf (reg 0) 2 ~cpred:c1 ~fault:None = `Ok);
+    (Regfile.write_spec rf (reg 0) 2 ~pred:c1 ~fault:None = `Ok);
   check_int "no conflicts" 0 (Regfile.conflicts rf);
   (* c0 true, c1 false: version 1 commits, version 2 squashes. *)
   Regfile.tick ~dirty:(-1) rf (ccr_with [ (0, true); (1, false) ]);
@@ -133,7 +137,7 @@ let test_regfile_exception_buffering () =
   let f = Fault.Mem (Memory.Unmapped 100) in
   let p = p_true (cond 0) in
   ignore
-    (Regfile.write_spec rf (reg 3) 0 ~cpred:(Pred.compile p) ~fault:(Some f));
+    (Regfile.write_spec rf (reg 3) 0 ~pred:p ~fault:(Some f));
   check_rf_counters rf;
   check_int "no detection while unspec" 0
     (List.length (Regfile.committing_exceptions rf (fun _ -> Pred.U)));
@@ -147,9 +151,9 @@ let test_regfile_exception_buffering () =
 let test_sb_fifo_drain () =
   let sb = Store_buffer.create () in
   let mem = Memory.create ~size:64 in
-  Store_buffer.append sb ~addr:1 ~value:11 ~cpred:Pred.compiled_always
+  Store_buffer.append sb ~addr:1 ~value:11 ~pred:Pred.always
     ~spec:false ~fault:None;
-  Store_buffer.append sb ~addr:2 ~value:22 ~cpred:Pred.compiled_always
+  Store_buffer.append sb ~addr:2 ~value:22 ~pred:Pred.always
     ~spec:false ~fault:None;
   check_sb_counters sb;
   check_int "drain limited" 1 (Store_buffer.drain sb ~max:1 mem);
@@ -162,9 +166,9 @@ let test_sb_spec_blocks_drain () =
   let sb = Store_buffer.create () in
   let mem = Memory.create ~size:64 in
   Store_buffer.append sb ~addr:1 ~value:1
-    ~cpred:(Pred.compile (p_true (cond 0)))
+    ~pred:(p_true (cond 0))
     ~spec:true ~fault:None;
-  Store_buffer.append sb ~addr:2 ~value:2 ~cpred:Pred.compiled_always
+  Store_buffer.append sb ~addr:2 ~value:2 ~pred:Pred.always
     ~spec:false ~fault:None;
   check_int "speculative head blocks" 0 (Store_buffer.drain sb ~max:8 mem);
   check_sb_counters sb;
@@ -177,7 +181,7 @@ let test_sb_squash () =
   let sb = Store_buffer.create () in
   let mem = Memory.create ~size:64 in
   Store_buffer.append sb ~addr:1 ~value:1
-    ~cpred:(Pred.compile (p_true (cond 0)))
+    ~pred:(p_true (cond 0))
     ~spec:true ~fault:None;
   Store_buffer.tick ~dirty:(-1) sb (ccr_with [ (0, false) ]);
   check_sb_counters sb;
@@ -187,21 +191,21 @@ let test_sb_squash () =
 
 let test_sb_forwarding () =
   let sb = Store_buffer.create () in
-  let p0 = Pred.compile (p_true (cond 0)) in
-  let not_p0 = Pred.compile (Pred.of_list [ (cond 0, false) ]) in
+  let p0 = p_true (cond 0) in
+  let not_p0 = Pred.of_list [ (cond 0, false) ] in
   let unspec = ccr_with [] in
-  let forward load_cpred =
-    match Store_buffer.forward sb ~addr:5 ~load_cpred unspec with
+  let forward load_pred =
+    match Store_buffer.forward sb ~addr:5 ~load_pred unspec with
     | `Hit ->
         `Hit (Store_buffer.forwarded_value sb, Store_buffer.forwarded_fault sb)
     | (`Miss | `Commit_dependence) as r -> r
   in
-  Store_buffer.append sb ~addr:5 ~value:50 ~cpred:Pred.compiled_always
+  Store_buffer.append sb ~addr:5 ~value:50 ~pred:Pred.always
     ~spec:false ~fault:None;
-  (match forward Pred.compiled_always with
+  (match forward Pred.always with
   | `Hit (50, None) -> ()
   | _ -> Alcotest.fail "expected hit from non-speculative entry");
-  Store_buffer.append sb ~addr:5 ~value:60 ~cpred:p0 ~spec:true ~fault:None;
+  Store_buffer.append sb ~addr:5 ~value:60 ~pred:p0 ~spec:true ~fault:None;
   (* A load on the opposite path skips the speculative entry. *)
   (match forward not_p0 with
   | `Hit (50, None) -> ()
@@ -211,7 +215,7 @@ let test_sb_forwarding () =
   | `Hit (60, None) -> ()
   | _ -> Alcotest.fail "implied speculative entry must forward");
   (* An unrelated load with an unresolved store is a commit dependence. *)
-  (match forward Pred.compiled_always with
+  (match forward Pred.always with
   | `Commit_dependence -> ()
   | _ -> Alcotest.fail "expected commit-dependence report")
 
@@ -1034,22 +1038,9 @@ let test_pcode_text_errors () =
 
 (* ---------- Predicate kernel: mask eval = Pred.eval ---------- *)
 
-(* Random predicates whose condition indices straddle the word boundary
-   ([Pred.word_bits] = [Sys.int_size]), so both the single-word mask path
-   and the multi-word fallback are exercised. *)
-let boundary_conds =
-  [
-    0;
-    1;
-    5;
-    30;
-    Pred.word_bits - 2;
-    Pred.word_bits - 1;
-    Pred.word_bits;
-    Pred.word_bits + 1;
-    Pred.word_bits + 17;
-    100;
-  ]
+(* Random predicates over both ends of the word: the low conditions real
+   CCRs use and the top two, the last of which is the sign bit. *)
+let boundary_conds = [ 0; 1; 5; 30; Pred.word_bits - 2; Pred.word_bits - 1 ]
 
 let gen_boundary_pred =
   QCheck.Gen.(
@@ -1063,19 +1054,20 @@ let arb_boundary_pred =
   QCheck.make ~print:(Format.asprintf "%a" Pred.pp) gen_boundary_pred
 
 let gen_cond_states =
-  QCheck.Gen.(array_size (return 128) (oneofl [ Some true; Some false; None ]))
+  QCheck.Gen.(
+    array_size (return Pred.word_bits) (oneofl [ Some true; Some false; None ]))
 
 let prop_mask_eval_agrees =
-  QCheck.Test.make ~name:"compiled mask eval = map eval (incl. multi-word)"
+  QCheck.Test.make ~name:"mask eval = Pred.eval, whole word"
     ~count:2000
     (QCheck.pair arb_boundary_pred (QCheck.make gen_cond_states))
     (fun (p, states) ->
-      let ccr = Ccr.create ~width:128 in
+      let ccr = Ccr.create ~width:Pred.word_bits in
       Array.iteri
         (fun i s ->
           match s with Some v -> Ccr.set ccr (cond i) v | None -> ())
         states;
-      Ccr.evalc ccr (Pred.compile p) = Pred.eval p (Ccr.lookup ccr))
+      Ccr.evalc ccr p = Pred.eval p (Ccr.get ccr))
 
 let prop_mask_eval_tracks_resets =
   (* The packed mirror must stay coherent through set/reset/assign, not
@@ -1084,20 +1076,19 @@ let prop_mask_eval_tracks_resets =
     ~count:500
     (QCheck.pair arb_boundary_pred (QCheck.make gen_cond_states))
     (fun (p, states) ->
-      let ccr = Ccr.create ~width:128 in
+      let ccr = Ccr.create ~width:Pred.word_bits in
       Array.iteri
         (fun i s ->
           match s with Some v -> Ccr.set ccr (cond i) v | None -> ())
         states;
       let snapshot = Ccr.copy ccr in
       Ccr.reset ccr;
-      let cp = Pred.compile p in
       let after_reset =
-        Ccr.evalc ccr cp = Pred.eval p (Ccr.lookup ccr)
-        && (Pred.is_always p || Ccr.evalc ccr cp = Pred.Unspec)
+        Ccr.evalc ccr p = Pred.eval p (Ccr.get ccr)
+        && (Pred.is_always p || Ccr.evalc ccr p = Pred.Unspec)
       in
       Ccr.assign ccr ~from:snapshot;
-      after_reset && Ccr.evalc ccr cp = Pred.eval p (Ccr.lookup snapshot))
+      after_reset && Ccr.evalc ccr p = Pred.eval p (Ccr.get snapshot))
 
 (* Dirty-condition gating at the register-file level: a tick whose dirty
    mask misses the version's conditions must skip it (still buffered),
@@ -1105,7 +1096,7 @@ let prop_mask_eval_tracks_resets =
 let test_regfile_dirty_gating () =
   let rf = Regfile.create ~nregs:4 () in
   let p = p_true (cond 2) in
-  ignore (Regfile.write_spec rf (reg 0) 9 ~cpred:(Pred.compile p) ~fault:None);
+  ignore (Regfile.write_spec rf (reg 0) 9 ~pred:p ~fault:None);
   let ccr = ccr_with [ (2, true) ] in
   (* cond 2 is specified, but the tick is told only cond 0 changed: the
      mask kernel must not even look. *)
@@ -1125,7 +1116,7 @@ let test_sb_dirty_gating_fresh_entry () =
   let mem = Memory.create ~size:64 in
   let ccr = ccr_with [ (0, true) ] in
   Store_buffer.append sb ~addr:3 ~value:33
-    ~cpred:(Pred.compile (p_true (cond 0)))
+    ~pred:(p_true (cond 0))
     ~spec:true ~fault:None;
   Store_buffer.tick ~dirty:0 sb ccr;
   check_int "fresh entry examined despite empty dirty mask" 1
@@ -1134,7 +1125,7 @@ let test_sb_dirty_gating_fresh_entry () =
   check_int "value written" 33 (Memory.peek mem 3);
   (* once examined (and still unresolved), gating applies *)
   Store_buffer.append sb ~addr:4 ~value:44
-    ~cpred:(Pred.compile (p_true (cond 1)))
+    ~pred:(p_true (cond 1))
     ~spec:true ~fault:None;
   Store_buffer.tick ~dirty:0 sb ccr;
   Store_buffer.tick ~dirty:0 sb ccr;
@@ -1194,7 +1185,7 @@ let prop_dirty_gating_never_delays =
       let twin () =
         let ring = Psb_obs.Events.create () in
         ( ring,
-          ( Ccr.create ~width:128,
+          ( Ccr.create ~width:Pred.word_bits,
             Regfile.create ~mode ~events:ring ~nregs:4 (),
             Store_buffer.create ~events:ring () ) )
       in
@@ -1206,13 +1197,13 @@ let prop_dirty_gating_never_delays =
             match op with
             | G_set (c, v) -> Ccr.set ccr (cond c) v
             | G_reset -> Ccr.reset ccr
-            | G_assign lits -> Ccr.assign ccr ~from:(ccr_with ~width:128 lits)
+            | G_assign lits ->
+                Ccr.assign ccr ~from:(ccr_with ~width:Pred.word_bits lits)
             | G_write (r, p) ->
-                let cpred = Pred.compile p in
-                if Ccr.evalc ccr cpred = Pred.Unspec then
-                  ignore (Regfile.write_spec rf (reg r) i ~cpred ~fault:None)
+                if Ccr.evalc ccr p = Pred.Unspec then
+                  ignore (Regfile.write_spec rf (reg r) i ~pred:p ~fault:None)
             | G_append (a, p) ->
-                Store_buffer.append sb ~addr:a ~value:i ~cpred:(Pred.compile p)
+                Store_buffer.append sb ~addr:a ~value:i ~pred:p
                   ~spec:true ~fault:None)
           [ gated; full ];
         let dirty = Ccr.take_dirty ccr in
@@ -1223,7 +1214,7 @@ let prop_dirty_gating_never_delays =
         let shadow rf =
           List.map
             (fun r ->
-              Regfile.read rf (reg r) ~shadow:true ~cpred:Pred.compiled_always)
+              Regfile.read rf (reg r) ~shadow:true ~pred:Pred.always)
             [ 0; 1; 2; 3 ]
         in
         event_list ring = event_list ring'

@@ -601,9 +601,7 @@ let test_tick_no_alloc_with_events () =
     let rf = Regfile.create ~mode:Regfile.Single ?events ~nregs:entries () in
     for i = 0 to entries - 1 do
       match
-        Regfile.write_spec rf (Reg.make i) i
-          ~cpred:(Pred.compile (pred i))
-          ~fault:None
+        Regfile.write_spec rf (Reg.make i) i ~pred:(pred i) ~fault:None
       with
       | `Ok -> ()
       | `Conflict -> assert false
@@ -613,9 +611,8 @@ let test_tick_no_alloc_with_events () =
   let make_sb events =
     let sb = Store_buffer.create ?events () in
     for i = 0 to entries - 1 do
-      Store_buffer.append sb ~addr:i ~value:i
-        ~cpred:(Pred.compile (pred i))
-        ~spec:true ~fault:None
+      Store_buffer.append sb ~addr:i ~value:i ~pred:(pred i) ~spec:true
+        ~fault:None
     done;
     sb
   in
