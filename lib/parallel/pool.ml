@@ -1,10 +1,11 @@
 type error = { exn : exn; backtrace : Printexc.raw_backtrace }
 type domain_stat = { tasks : int; busy_seconds : float }
 
-(* A task is a closure that stores its own result slot; the scheduler
-   only ever sees [unit -> unit]. *)
+(* A task is a closure that stores its own result slot and counts itself
+   on the worker that runs it; the scheduler only ever sees
+   [worker -> unit]. *)
 type worker = {
-  deque : (unit -> unit) Deque.t;
+  deque : (worker -> unit) Deque.t;
   mutable w_tasks : int;
   mutable w_busy : float;
 }
@@ -34,10 +35,8 @@ let find_task t me =
   (match !taken with Some _ -> Atomic.decr t.queued | None -> ());
   !taken
 
-let run_task t me task =
-  let w = t.workers.(me) in
-  let t0 = Unix.gettimeofday () in
-  task ();
+(* Charge one task, started at [t0], to worker [w]. *)
+let account w t0 =
   w.w_busy <- w.w_busy +. (Unix.gettimeofday () -. t0);
   w.w_tasks <- w.w_tasks + 1
 
@@ -45,7 +44,7 @@ let worker_loop t me () =
   let rec loop () =
     match find_task t me with
     | Some task ->
-        run_task t me task;
+        task t.workers.(me);
         loop ()
     | None ->
         Mutex.lock t.lock;
@@ -100,8 +99,7 @@ let map_seq t f items =
     (fun x ->
       let t0 = Unix.gettimeofday () in
       let r = capture f x in
-      t.workers.(0).w_busy <- t.workers.(0).w_busy +. (Unix.gettimeofday () -. t0);
-      t.workers.(0).w_tasks <- t.workers.(0).w_tasks + 1;
+      account t.workers.(0) t0;
       r)
     items
 
@@ -116,9 +114,13 @@ let map t f items =
     let finished = Condition.create () in
     List.iteri
       (fun idx item ->
-        let task () =
+        let task w =
+          let t0 = Unix.gettimeofday () in
           let r = capture f item in
           results.(idx) <- Some r;
+          (* counted before the batch can complete, so the caller that
+             returns from [map] reads every task of it in [stats] *)
+          account w t0;
           if Atomic.fetch_and_add remaining (-1) = 1 then begin
             Mutex.lock fin_lock;
             Condition.broadcast finished;
@@ -136,7 +138,7 @@ let map t f items =
     let rec help () =
       if Atomic.get remaining > 0 then begin
         (match find_task t 0 with
-        | Some task -> run_task t 0 task
+        | Some task -> task t.workers.(0)
         | None ->
             Mutex.lock fin_lock;
             if Atomic.get remaining > 0 then Condition.wait finished fin_lock;
