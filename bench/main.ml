@@ -23,8 +23,7 @@
    section varies).
 
    Every compile is checked by the static speculation-safety verifier
-   (lib/verify) and aborts the run on a violation; --no-verify skips the
-   check to save compile time in exploratory sweeps.
+   (lib/verify) and aborts the run on a violation.
 
    Experiments: table2 table3 fig6 fig7 fig8 related shadow validation
    counter btb dup size unroll sweep limits hwcost rob limits-gen; an
@@ -34,11 +33,10 @@ open Psb_eval
 module Pool = Psb_parallel.Pool
 
 let jobs = ref (Pool.default_jobs ())
-let verify = ref true
 let baseline_file : string option ref = ref None
 let threshold = ref 50.
 let pool = lazy (if !jobs > 1 then Some (Pool.create ~jobs:!jobs ()) else None)
-let harness () = Harness.create ?pool:(Lazy.force pool) ~verify:!verify ()
+let harness () = Harness.create ?pool:(Lazy.force pool) ()
 let h = lazy (harness ())
 
 (* [limits-gen] needs the fuzzer's program generator, which sits above
@@ -457,8 +455,8 @@ module Compile_bench = struct
 
   let key () =
     let program, profile = List.hd (Lazy.force programs) in
-    Compile_cache.key ~model:Model.region_pred ~machine ~single_shadow:true
-      ~avoid_commit_deps:false ~verify:false ~profile program
+    Compile_cache.key ~model:Model.region_pred ~machine ~avoid_commit_deps:false
+      ~verify:false ~profile program
 
   let tests () =
     let open Bechamel in
@@ -636,9 +634,8 @@ let run_json names =
   let doc = Report.all ~names ~runtime:true (Lazy.force h) in
   print_endline (Psb_obs.Json.to_string doc)
 
-(* Strip -j N / --jobs N / -jN (setting [jobs]), --no-verify (clearing
-   [verify]), --baseline FILE and --threshold PCT from anywhere in
-   argv. *)
+(* Strip -j N / --jobs N / -jN (setting [jobs]), --baseline FILE and
+   --threshold PCT from anywhere in argv. *)
 let parse_jobs args =
   let set n =
     match int_of_string_opt n with
@@ -657,9 +654,6 @@ let parse_jobs args =
         go acc rest
     | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
         set (String.sub a 2 (String.length a - 2));
-        go acc rest
-    | "--no-verify" :: rest ->
-        verify := false;
         go acc rest
     | "--baseline" :: [] ->
         Format.eprintf "bench: --baseline expects a file@.";

@@ -881,7 +881,10 @@ let pexec_cmd =
         in
         let events = Psb_obs.Events.create ~capacity:ring_capacity () in
         let res =
-          match Vliw_sim.run ~events ~model ~regs ~mem code with
+          match
+            Vliw_sim.run ~events ~regs ~mem
+              (Psb_machine.Lowered.compile ~machine:model code)
+          with
           | res -> res
           | exception Vliw_sim.Machine_error m ->
               Format.printf "machine error: %s@." m;

@@ -44,17 +44,17 @@ let () =
     (Hwcost.analyze Hwcost.default);
 
   (* And what the single-shadow simplification costs in cycles (fn. 1). *)
-  let measure mode single =
+  let measure machine =
     let compiled =
-      Driver.compile ~single_shadow:single ~model:Model.region_pred
-        ~machine:Machine_model.base ~profile w.Dsl.program
+      Driver.compile ~model:Model.region_pred ~machine ~profile w.Dsl.program
     in
-    (Driver.run_vliw ~regfile_mode:mode compiled ~regs:w.Dsl.regs
-       ~mem:(w.Dsl.make_mem ()))
+    (Driver.run_vliw compiled ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ()))
       .Psb_machine.Vliw_sim.cycles
   in
-  let single = measure Psb_machine.Regfile.Single true in
-  let infinite = measure Psb_machine.Regfile.Infinite false in
+  let single = measure Machine_model.base in
+  let infinite =
+    measure { Machine_model.base with shadow = Psb_machine.Regfile.Infinite }
+  in
   Format.printf "@.single shadow: %d cycles, infinite shadows: %d (%.1f%% loss)@."
     single infinite
     (100. *. ((float_of_int single /. float_of_int infinite) -. 1.))

@@ -56,9 +56,7 @@ let () =
 
   (* The schedule: note both diamond arms issuing speculatively under c0 /
      !c0 before the condition is set, like i15/i10 in Table 1. *)
-  let sched =
-    Sched.schedule Model.region_pred Machine_model.base ~single_shadow:true u
-  in
+  let sched = Sched.schedule Model.region_pred Machine_model.base u in
   Format.printf "--- 4-issue schedule ---@.%a@." Sched.pp sched;
   Format.printf "--- predicated VLIW code ---@.%a@." Psb_machine.Pcode.pp_region
     (Sched.emit sched);

@@ -159,13 +159,18 @@ let add_machine b
       sb_capacity;
       dcache_ports;
       rob_size;
+      shadow;
     } =
   List.iter (add_int b)
     [
       issue_width; alu_units; branch_units; load_units; store_units; ccr_size;
       load_latency; int_latency; max_spec_conds; transition_penalty;
       sb_capacity; dcache_ports; rob_size;
-    ]
+    ];
+  Buffer.add_char b
+    (match shadow with
+    | Psb_machine.Regfile.Single -> 's'
+    | Psb_machine.Regfile.Infinite -> 'i')
 
 (* Bumped whenever the [Driver.compiled] representation changes shape
    (v2: pcode slots carry compiled predicate masks; v3: compiles carry
@@ -175,19 +180,18 @@ let add_machine b
    lost its per-slot source predicates; v7: and its per-slot source
    instructions and source exit targets; v8: a unit's steps are a flat
    int array; v9: a predicate is its ternary mask alone, and pcode slots
-   and the lowered form hold it in place of a compiled twin), so a
-   process mixing library versions through a shared cache can never
+   and the lowered form hold it in place of a compiled twin; v10: the
+   machine carries the shadow register file, which was a compile flag),
+   so a process mixing library versions through a shared cache can never
    alias keys. *)
-let format_version = 9
+let format_version = 10
 
-let key ~model ~machine ~single_shadow ~avoid_commit_deps ~verify ~profile
-    program =
+let key ~model ~machine ~avoid_commit_deps ~verify ~profile program =
   let b = Buffer.create 4096 in
   add_int b format_version;
   add_program b program;
   add_model b model;
   add_machine b machine;
-  add_bool b single_shadow;
   add_bool b avoid_commit_deps;
   add_bool b verify;
   Branch_predict.fingerprint b profile;

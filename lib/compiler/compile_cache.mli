@@ -17,9 +17,10 @@
       with its label, its operations and its terminator, every operand
       and label in full;
     - every field of the {!Model.t} (not just its name);
-    - every field of the {!Psb_machine.Machine_model.t};
-    - the [single_shadow], [avoid_commit_deps] and [verify] compile
-      options ([verify] does not change the emitted code, but a value
+    - every field of the {!Psb_machine.Machine_model.t}, its shadow
+      register file included;
+    - the [avoid_commit_deps] and [verify] compile options ([verify]
+      does not change the emitted code, but a value
       compiled with verification off has proved nothing — serving it to
       a verified caller would skip the check silently);
     - what the compiler observes of the profile, as
@@ -51,7 +52,6 @@ type key = string
 val key :
   model:Model.t ->
   machine:Psb_machine.Machine_model.t ->
-  single_shadow:bool ->
   avoid_commit_deps:bool ->
   verify:bool ->
   profile:Psb_cfg.Branch_predict.t ->

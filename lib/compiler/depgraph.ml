@@ -147,8 +147,7 @@ let by_register nregs r1 r2 r3 =
       fill.(r) <- fill.(r) + 1);
   (start, members)
 
-let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
-    (u : Runit.t) =
+let build (model : Model.t) (machine : Machine_model.t) (u : Runit.t) =
   let instrs = u.Runit.instrs and exits = u.Runit.exits in
   let ni = Array.length instrs and nx = Array.length exits in
   let n = ni + nx in
@@ -259,12 +258,15 @@ let build (model : Model.t) (machine : Machine_model.t) ~single_shadow
                    resolves (writebacks apply before the commit tick
                    within a cycle). *)
                 cond_edges_to j pi (2 - lat.(j))
-              else if single_shadow then
-                (* Mutually exclusive writes never both commit, but a
-                   single shadow entry cannot hold both pending versions
-                   (fn. 1): serialise to avoid the storage conflict
-                   stall. *)
-                cond_edges_to j pi (1 - lat.(j))
+              else (
+                match machine.Machine_model.shadow with
+                | Psb_machine.Regfile.Single ->
+                    (* Mutually exclusive writes never both commit, but a
+                       single shadow entry cannot hold both pending
+                       versions (fn. 1): serialise to avoid the storage
+                       conflict stall. *)
+                    cond_edges_to j pi (1 - lat.(j))
+                | Psb_machine.Regfile.Infinite -> ())
           end
         end
       done

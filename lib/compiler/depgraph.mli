@@ -44,8 +44,7 @@ val n_exits : t -> int
 val n_nodes : t -> int
 (** Node index space: instruction [uid]s, then [n_instrs + xid]. *)
 
-val build :
-  Model.t -> Machine_model.t -> single_shadow:bool -> Runit.t -> t
+val build : Model.t -> Machine_model.t -> Runit.t -> t
 (** The unit's predicates are ternary masks ({!Psb_isa.Pred.t}), so
     "on compatible paths", "implies" and "equal" are a few word
     operations on the predicates as the unit holds them; a condition's

@@ -97,8 +97,8 @@ let profile_of program ~regs ~mem =
   let trace = Trace.of_result program result in
   (result, Branch_predict.of_trace cfg trace)
 
-let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
-    ~model ~machine ~profile analysis =
+let compile_uncached ?metrics ~avoid_commit_deps ~verify ~model ~machine
+    ~profile analysis =
   let program = analysis.program in
   let timed pass f = timed metrics pass f in
   let params =
@@ -108,7 +108,7 @@ let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
   in
   let units = timed "unit_formation" (fun () -> units_of analysis params profile) in
   let schedules = timed "schedule" (fun () ->
-      Label.Map.map (fun u -> Sched.schedule model machine ~single_shadow u) units)
+      Label.Map.map (fun u -> Sched.schedule model machine u) units)
   in
   timed "check" (fun () ->
       Label.Map.iter
@@ -137,7 +137,7 @@ let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
   (match pcode with
   | Some code when verify ->
       timed "verify" (fun () ->
-          let report = Psb_verify.Verify.run ~single_shadow machine code in
+          let report = Psb_verify.Verify.run machine code in
           (match metrics with
           | Some m -> Psb_verify.Verify.observe_metrics report m
           | None -> ());
@@ -175,9 +175,8 @@ let compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify
         schedules);
   { model; machine; units; schedules; pcode; lowered }
 
-let compile ?metrics ?cache ?analysis ?(single_shadow = true)
-    ?(avoid_commit_deps = false) ?(verify = true) ~model ~machine ~profile
-    program =
+let compile ?metrics ?cache ?analysis ?(avoid_commit_deps = false)
+    ?(verify = true) ~model ~machine ~profile program =
   (match analysis with
   | Some a when a.program != program ->
       invalid_arg "Driver.compile: analysis built from a different program"
@@ -192,15 +191,15 @@ let compile ?metrics ?cache ?analysis ?(single_shadow = true)
     let analysis =
       match analysis with Some a -> a | None -> analyze ?metrics program
     in
-    compile_uncached ?metrics ~single_shadow ~avoid_commit_deps ~verify ~model
-      ~machine ~profile analysis
+    compile_uncached ?metrics ~avoid_commit_deps ~verify ~model ~machine
+      ~profile analysis
   in
   match cache with
   | None -> build ()
   | Some cache ->
       let key =
-        Compile_cache.key ~model ~machine ~single_shadow ~avoid_commit_deps
-          ~verify ~profile program
+        Compile_cache.key ~model ~machine ~avoid_commit_deps ~verify ~profile
+          program
       in
       Compile_cache.find_or_compile cache key build
 
@@ -208,12 +207,10 @@ let estimate_cycles c program ~block_trace =
   (Cycles.measure ~units:c.units ~schedules:c.schedules program ~block_trace)
     .Cycles.cycles
 
-let run_vliw ?fuel ?regfile_mode ?events ?metrics c ~regs ~mem =
-  match c.pcode with
+let run_vliw ?fuel ?events ?metrics c ~regs ~mem =
+  match c.lowered with
   | None ->
       invalid_arg
         (Format.asprintf "Driver.run_vliw: model %s is not executable"
            c.model.Model.name)
-  | Some code ->
-      Vliw_sim.run ?fuel ?regfile_mode ?lowered:c.lowered ?events ?metrics
-        ~model:c.machine ~regs ~mem code
+  | Some lowered -> Vliw_sim.run ?fuel ?events ?metrics ~regs ~mem lowered

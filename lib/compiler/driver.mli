@@ -15,10 +15,11 @@ type compiled = {
   schedules : Sched.t Label.Map.t;
   pcode : Pcode.t option;  (** for executable models *)
   lowered : Psb_machine.Lowered.t option;
-      (** [pcode] lowered to the flat threaded form ({!Psb_machine.Lowered}),
-          built once per compile (and so shared by every cache hit). Always
-          corresponds to [pcode] exactly — a caller substituting a different
-          pcode (e.g. injecting a miscompile) must drop this field. *)
+      (** [pcode] lowered for [machine] to the flat threaded form
+          ({!Psb_machine.Lowered}), built once per compile (and so shared
+          by every cache hit); {!run_vliw} runs it. Always corresponds to
+          [pcode] exactly — a caller substituting a different pcode (e.g.
+          injecting a miscompile) must lower that pcode again. *)
 }
 
 val compiled_equal : compiled -> compiled -> bool
@@ -68,7 +69,6 @@ val compile :
   ?metrics:Psb_obs.Metrics.t ->
   ?cache:compiled Compile_cache.t ->
   ?analysis:analysis ->
-  ?single_shadow:bool ->
   ?avoid_commit_deps:bool ->
   ?verify:bool ->
   model:Model.t ->
@@ -76,7 +76,13 @@ val compile :
   profile:Branch_predict.t ->
   Program.t ->
   compiled
-(** @raise Invalid_argument if [analysis] was built from another
+(** Schedule, emit, verify and lower [program] for [machine]: its
+    resources, latencies, capacities and shadow register file
+    ([machine.shadow]; the scheduler serialises exclusive writers of a
+    register only on a [Single] machine) are the ones the code is built
+    for, and {!run_vliw} runs it on that machine.
+
+    @raise Invalid_argument if [analysis] was built from another
     program value (physical equality, as {!Psb_isa.Decoded.check_source}),
     if [profile] was tabulated over another program value's CFG
     ({!Runit.build_all}), or if [machine]'s [ccr_size] is past
@@ -121,17 +127,17 @@ val estimate_cycles : compiled -> Program.t -> block_trace:int array -> int
 
 val run_vliw :
   ?fuel:int ->
-  ?regfile_mode:Psb_machine.Regfile.mode ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
   compiled ->
   regs:(Reg.t * int) list ->
   mem:Memory.t ->
   Vliw_sim.result
-(** Execute the compiled predicated code on the machine simulator;
-    [fuel] (the cycle bound), [regfile_mode], [events] and [metrics] are
-    passed through to {!Vliw_sim.run}, along with the cached [lowered]
-    form (so a run never re-lowers).
+(** Execute the compiled predicated code on the machine simulator: the
+    compile's [lowered] form goes to {!Vliw_sim.run}, which runs it on
+    the machine it was compiled for, shadow register file included, so
+    a run never re-lowers. [fuel] (the cycle bound), [events] and
+    [metrics] are passed through.
     @raise Invalid_argument if the model is not executable. *)
 
 val code_size : compiled -> int

@@ -40,8 +40,8 @@ let is_setc_node (u : Runit.t) node =
 
 let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 
-let schedule (model : Model.t) (machine : Machine_model.t) ~single_shadow u =
-  let g = Depgraph.build model machine ~single_shadow u in
+let schedule (model : Model.t) (machine : Machine_model.t) u =
+  let g = Depgraph.build model machine u in
   let ni = Depgraph.n_instrs g in
   let n = Depgraph.n_nodes g in
   let issue = Array.make n (-1) in

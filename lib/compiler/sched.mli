@@ -37,8 +37,7 @@ type t = {
   length : int;  (** schedule length: last exit bundle + 1 *)
 }
 
-val schedule :
-  Model.t -> Machine_model.t -> single_shadow:bool -> Runit.t -> t
+val schedule : Model.t -> Machine_model.t -> Runit.t -> t
 
 val exit_cycle : t -> int -> int
 (** Issue cycle of exit [xid]. *)

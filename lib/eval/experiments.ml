@@ -256,8 +256,10 @@ let shadow_ablation (h : Harness.t) =
     (fun (e : Harness.entry) ->
       let single = Harness.measured h Model.region_pred e in
       let infinite =
-        Harness.measured h ~single_shadow:false
-          ~regfile_mode:Psb_machine.Regfile.Infinite Model.region_pred e
+        Harness.measured h
+          ~machine:
+            { h.Harness.machine with shadow = Psb_machine.Regfile.Infinite }
+          Model.region_pred e
       in
       {
         sh_name = e.Harness.workload.Dsl.name;

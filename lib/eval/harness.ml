@@ -1,7 +1,6 @@
 open Psb_isa
 module Machine_model = Psb_machine.Machine_model
 module Vliw_sim = Psb_machine.Vliw_sim
-module Regfile = Psb_machine.Regfile
 module Pool = Psb_parallel.Pool
 open Psb_compiler
 open Psb_workloads
@@ -13,13 +12,12 @@ type entry = {
   memory : Memory.t;
 }
 
-(* One stored VLIW run per distinct (compiled code, entry, register-file
-   mode). Keys compare physically: a compile-cache hit returns the very
-   value the first compile stored. *)
+(* One stored VLIW run per distinct (compiled code, entry); the code's
+   machine fixes everything else about the run. Keys compare physically:
+   a compile-cache hit returns the very value the first compile stored. *)
 type stored = {
   code : Driver.compiled;
   of_entry : entry;
-  mode : Regfile.mode;
   result : Vliw_sim.result;
 }
 
@@ -35,7 +33,6 @@ type t = {
   entries : entry list;
   pool : Pool.t option;
   cache : Driver.compiled Compile_cache.t;
-  verify : bool;
   runs : runs;
 }
 
@@ -52,8 +49,7 @@ let profile_workload (w : Dsl.t) =
            Interp.pp_outcome o));
   { workload = w; scalar; profile; memory }
 
-let create ?(machine = Machine_model.base) ?(workloads = Suite.all) ?pool
-    ?(verify = true) () =
+let create ?(machine = Machine_model.base) ?(workloads = Suite.all) ?pool () =
   let entries =
     match pool with
     | Some p -> Pool.map_exn p profile_workload workloads
@@ -67,7 +63,7 @@ let create ?(machine = Machine_model.base) ?(workloads = Suite.all) ?pool
       executed = Atomic.make 0;
     }
   in
-  { machine; entries; pool; cache = Compile_cache.create (); verify; runs }
+  { machine; entries; pool; cache = Compile_cache.create (); runs }
 
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
 
@@ -84,12 +80,10 @@ let run_stats (t : t) =
 
 let scalar_cycles e = e.scalar.Interp.cycles
 
-let compile t ?machine ?(single_shadow = true) ?(avoid_commit_deps = false)
-    model e =
+let compile t ?machine ?(avoid_commit_deps = false) model e =
   let machine = Option.value machine ~default:t.machine in
-  Driver.compile ~cache:t.cache ~single_shadow ~avoid_commit_deps
-    ~verify:t.verify ~model ~machine ~profile:e.profile
-    e.workload.Dsl.program
+  Driver.compile ~cache:t.cache ~avoid_commit_deps ~model ~machine
+    ~profile:e.profile e.workload.Dsl.program
 
 let estimated_cycles t ?machine model e =
   let compiled = compile t ?machine model e in
@@ -103,16 +97,14 @@ let estimated_cycles t ?machine model e =
 let leash ~scalar_cycles = max 100_000 (8 * scalar_cycles)
 let vliw_fuel e = leash ~scalar_cycles:(scalar_cycles e)
 
-let measured t ?machine ?(single_shadow = true) ?regfile_mode ?events model e
-    =
-  let compiled = compile t ?machine ~single_shadow model e in
-  let mode = Option.value regfile_mode ~default:Regfile.Single in
+let measured t ?machine ?events model e =
+  let compiled = compile t ?machine model e in
   let r = t.runs in
   Atomic.incr r.requests;
   let run () =
     let mem = e.workload.Dsl.make_mem () in
     let res =
-      Driver.run_vliw ~fuel:(vliw_fuel e) ~regfile_mode:mode ?events compiled
+      Driver.run_vliw ~fuel:(vliw_fuel e) ?events compiled
         ~regs:e.workload.Dsl.regs ~mem
     in
     Atomic.incr r.executed;
@@ -131,9 +123,7 @@ let measured t ?machine ?(single_shadow = true) ?regfile_mode ?events model e
   let stored () =
     List.find_map
       (fun s ->
-        if s.code == compiled && s.of_entry == e && s.mode = mode then
-          Some s.result
-        else None)
+        if s.code == compiled && s.of_entry == e then Some s.result else None)
       r.stored
   in
   match events with
@@ -149,8 +139,7 @@ let measured t ?machine ?(single_shadow = true) ?regfile_mode ?events model e
               | Some incumbent -> incumbent
               | None ->
                   r.stored <-
-                    { code = compiled; of_entry = e; mode; result = res }
-                    :: r.stored;
+                    { code = compiled; of_entry = e; result = res } :: r.stored;
                   res))
 
 let speedup ~scalar ~cycles = float_of_int scalar /. float_of_int cycles

@@ -45,21 +45,14 @@ type t = {
   entries : entry list;
   pool : Pool.t option;
   cache : Driver.compiled Compile_cache.t;
-  verify : bool;  (** statically verify every compile (default) *)
   runs : runs;
 }
 
 val create :
   ?machine:Machine_model.t -> ?workloads:Dsl.t list -> ?pool:Pool.t ->
-  ?verify:bool -> unit -> t
+  unit -> t
 (** With [pool], the per-workload profiling runs (scalar reference +
-    profile construction) execute as parallel tasks.
-
-    [verify] (default [true]) is threaded into every {!compile}: each
-    schedule an experiment uses has passed the static speculation-safety
-    verifier ({!Psb_verify.Verify}), so a figure can never be computed
-    from unsafe code. Pass [verify:false] to trade the safety net for
-    compile time in large exploratory sweeps ([bench --no-verify]). *)
+    profile construction) execute as parallel tasks. *)
 
 val jobs : t -> int
 (** Pool width; [1] when the harness is sequential. *)
@@ -83,9 +76,13 @@ val run_stats : t -> run_stats
 val scalar_cycles : entry -> int
 
 val compile :
-  t -> ?machine:Machine_model.t -> ?single_shadow:bool ->
-  ?avoid_commit_deps:bool -> Model.t -> entry -> Driver.compiled
-(** All harness compiles go through the harness cache. *)
+  t -> ?machine:Machine_model.t -> ?avoid_commit_deps:bool -> Model.t ->
+  entry -> Driver.compiled
+(** All harness compiles go through the harness cache, and every one is
+    verified: each schedule an experiment uses has passed the static
+    speculation-safety verifier ({!Psb_verify.Verify}), so a figure can
+    never be computed from unsafe code. [machine] defaults to the
+    harness's. *)
 
 val estimated_cycles :
   t -> ?machine:Machine_model.t -> Model.t -> entry -> int
@@ -98,26 +95,25 @@ val leash : scalar_cycles:int -> int
     reaches the bound is looping. {!measured} and every [psb] command
     that makes a scalar run bound their VLIW runs by it. *)
 
-val measured : t -> ?machine:Machine_model.t -> ?single_shadow:bool ->
-  ?regfile_mode:Psb_machine.Regfile.mode ->
-  ?events:Psb_obs.Events.t -> Model.t -> entry ->
-  Vliw_sim.result
+val measured : t -> ?machine:Machine_model.t -> ?events:Psb_obs.Events.t ->
+  Model.t -> entry -> Vliw_sim.result
 (** Run the compiled code on the machine simulator (executable models)
     and fail unless it halts with the scalar reference's output and
-    final memory. [machine], [single_shadow] and [model] select the code
-    as {!compile} does. The run's cycle bound is eight times the entry's
-    scalar cycles (at least 100,000), so code that loops fails as out of
-    fuel instead of running to the simulator's default.
+    final memory. [machine] and [model] select the code as {!compile}
+    does, and the code runs on the machine it was compiled for (the
+    shadow ablation passes [{ machine with shadow = Infinite }]). The
+    run's cycle bound is eight times the entry's scalar cycles (at least
+    100,000), so code that loops fails as out of fuel instead of running
+    to the simulator's default.
 
-    The harness keeps one result per (compiled code, entry,
-    [regfile_mode]), an absent mode meaning [Single]: a later call for
-    the same run returns the stored result, physically, without running
-    or checking again (the first run was checked). Code compares
+    The harness keeps one result per (compiled code, entry): a later
+    call for the same run returns the stored result, physically, without
+    running or checking again (the first run was checked). Code compares
     physically, which is exact because a compile-cache hit returns the
-    stored compile. It always compiles first, so the compile-cache
-    counters do not depend on the stored runs. The store is domain-safe;
-    two tasks racing on one run both run it and the first stored result
-    wins.
+    stored compile, and the code's machine fixes the rest of the run. It
+    always compiles first, so the compile-cache counters do not depend on
+    the stored runs. The store is domain-safe; two tasks racing on one run
+    both run it and the first stored result wins.
 
     [events] records the speculation lifecycle (see {!Psb_obs.Events});
     a call with a ring always runs, and its result is not stored. *)

@@ -27,8 +27,8 @@
 
     The lowering is purely representational. {!check} is its inverse:
     it raises every row back to a slot and compares it with the source,
-    so what {!Vliw_sim} walks is exactly the {!Pcode.t} it was given
-    (the fuzzer checks every lowering it runs). *)
+    so what {!Vliw_sim} walks is exactly its [source] (the fuzzer
+    checks every lowering it runs). *)
 
 open Psb_isa
 
@@ -71,8 +71,8 @@ type region = {
 type t = {
   source : Pcode.t;
   machine : Machine_model.t;
-      (** the machine whose latencies are baked into [op_lat]; a lowered
-          form may only run on this model *)
+      (** the machine whose latencies are baked into [op_lat], and the
+          one {!Vliw_sim.run} runs the form on *)
   regions : region array;  (** in [source.regions] order *)
   entry : int;  (** index of the entry region *)
   nregs : int;
@@ -85,9 +85,8 @@ type t = {
 
 val compile : machine:Machine_model.t -> Pcode.t -> t
 (** Lower every region once. Pure; the result shares the [Pcode.t]'s
-    predicates. Latency
-    preresolution makes the result model-specific: running it on a
-    machine other than [machine] is rejected by {!Vliw_sim.run}.
+    predicates. Latency preresolution makes the result machine-specific,
+    so the form carries [machine] and runs only on it.
     @raise Invalid_argument if an exit names an undefined region (the
     same condition {!Pcode.make} validates). *)
 

@@ -14,6 +14,7 @@ type t = {
   sb_capacity : int;
   dcache_ports : int;
   rob_size : int;
+  shadow : Regfile.mode;
 }
 
 let base =
@@ -31,6 +32,7 @@ let base =
     sb_capacity = 16;
     dcache_ports = 1;
     rob_size = 32;
+    shadow = Regfile.Single;
   }
 
 let scalar =
@@ -48,6 +50,7 @@ let scalar =
     sb_capacity = 16;
     dcache_ports = 1;
     rob_size = 8;
+    shadow = Regfile.Single;
   }
 
 let full_issue ~width ~max_spec_conds =
@@ -65,14 +68,11 @@ let full_issue ~width ~max_spec_conds =
     sb_capacity = 16;
     dcache_ports = width;
     rob_size = 8 * width;
+    shadow = Regfile.Single;
   }
 
-let ccr_size t = t.ccr_size
-let rob_size t = t.rob_size
-let max_spec_conds t = t.max_spec_conds
-let sb_capacity t = t.sb_capacity
-let dcache_ports t = t.dcache_ports
-let shadow_capacity ~single_shadow _t = if single_shadow then 1 else max_int
+let shadow_capacity t =
+  match t.shadow with Regfile.Single -> 1 | Regfile.Infinite -> max_int
 
 let latency t = function
   | Instr.Load _ -> t.load_latency

@@ -32,7 +32,16 @@ type t = {
       (** D-cache write ports: store-buffer entries drained per cycle *)
   rob_size : int;
       (** reorder-buffer entries of the rival out-of-order backend
-          ({!Rob_sim}); bounds how far its fetch may run ahead of commit *)
+          ({!Rob_sim}); bounds how far its fetch may run ahead of commit:
+          32 on the base machine, 8 on the scalar reference, [8 * width]
+          on full-issue machines *)
+  shadow : Regfile.mode;
+      (** the shadow register file (§3.2, footnote 1): [Single], the
+          paper's one speculative version per register, on every machine
+          below; [Infinite], unbounded versions, for the shadow ablation.
+          The scheduler serialises exclusive writers of a register only
+          under [Single], the verifier checks shadow capacity against it,
+          and {!Vliw_sim} builds its register file with it. *)
 }
 
 val base : t
@@ -44,37 +53,9 @@ val scalar : t
 val full_issue : width:int -> max_spec_conds:int -> t
 (** Fully duplicated resources at the given issue width (Figure 8). *)
 
-(** {2 Capacity accessors}
-
-    Stable accessors for the buffering limits a compiled schedule must
-    respect, used by the static verifier ([Psb_verify.Verify]) so that
-    capacity checks name the limit they enforce rather than reaching into
-    record fields. *)
-
-val ccr_size : t -> int
-(** Number of physical CCR entries [K]; every condition a region names
-    must index below this. *)
-
-val max_spec_conds : t -> int
-(** Maximum number of unresolved branch conditions an instruction's
-    predicate may carry at issue. *)
-
-val sb_capacity : t -> int
-(** Predicated store-buffer entries available to buffer speculative and
-    retiring stores. *)
-
-val dcache_ports : t -> int
-(** Store-buffer entries drained to the D-cache per cycle. *)
-
-val rob_size : t -> int
-(** Reorder-buffer entries available to the out-of-order backend
-    ({!Rob_sim}): 32 on the base machine, 8 on the scalar reference,
-    [8 * width] on full-issue machines. *)
-
-val shadow_capacity : single_shadow:bool -> t -> int
+val shadow_capacity : t -> int
 (** Speculative (shadow) versions storable per architectural register:
-    1 under the paper's single-shadow register file, unbounded
-    ([max_int]) for the infinite ablation. *)
+    1 under [Single], unbounded ([max_int]) under [Infinite]. *)
 
 val latency : t -> Instr.op -> int
 (** Issue-to-writeback distance in cycles for one operation:

@@ -114,7 +114,7 @@ let run ?(fuel = default_fuel) ?events ?metrics ?decoded ~model ~regs ~mem
     List.fold_left (fun m (r, _) -> max m (Reg.index r + 1)) nregs regs
   in
   let nconds = max 1 (Program.max_cond program + 1) in
-  let size = Machine_model.rob_size model in
+  let size = model.Machine_model.rob_size in
   let issue_width = model.Machine_model.issue_width in
   let dcache_ports = model.Machine_model.dcache_ports in
   let int_latency = max 1 model.Machine_model.int_latency in

@@ -906,21 +906,9 @@ let step st ~fuel =
 
 let default_fuel = 60_000_000
 
-let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single) ?lowered
-    ?events ?metrics ~model ~regs ~mem (code : Pcode.t) =
-  let lcode =
-    match lowered with
-    | Some (l : Lowered.t) ->
-        if l.Lowered.source != code then
-          invalid_arg
-            "Vliw_sim.run: lowered form was compiled from a different pcode";
-        if l.Lowered.machine <> model then
-          invalid_arg
-            "Vliw_sim.run: lowered form was compiled for a different machine \
-             model";
-        l
-    | None -> Lowered.compile ~machine:model code
-  in
+let run ?(fuel = default_fuel) ?events ?metrics ~regs ~mem (lcode : Lowered.t)
+    =
+  let model = lcode.Lowered.machine in
   let nregs =
     List.fold_left
       (fun acc (r, _) -> max acc (Reg.index r + 1))
@@ -940,7 +928,7 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single) ?lowered
           ~buckets:[ 0.; 1.; 2.; 3.; 4.; 6.; 8.; 16. ])
       metrics
   in
-  let rf = Regfile.create ~mode:regfile_mode ?events ~nregs () in
+  let rf = Regfile.create ~mode:model.Machine_model.shadow ?events ~nregs () in
   let st =
     {
       model;

@@ -1,6 +1,6 @@
 (** Cycle-level simulator of the predicating VLIW machine (Figure 1).
 
-    Executes {!Pcode.t}. Each cycle: completed writebacks are applied;
+    Executes {!Pcode.t} in its lowered form ({!Lowered.t}). Each cycle: completed writebacks are applied;
     pending condition writes are checked against the buffered speculative
     exceptions ({e detection}, §3.5) before updating the CCR; the register
     file and store buffer evaluate their stored predicates and commit or
@@ -103,16 +103,17 @@ exception Machine_error of string
 
 val run :
   ?fuel:int ->
-  ?regfile_mode:Regfile.mode ->
-  ?lowered:Lowered.t ->
   ?events:Psb_obs.Events.t ->
   ?metrics:Psb_obs.Metrics.t ->
-  model:Machine_model.t ->
   regs:(Reg.t * int) list ->
   mem:Memory.t ->
-  Pcode.t ->
+  Lowered.t ->
   result
-(** [fuel] bounds the cycle count (default 60M). [mem] is mutated.
+(** Run lowered code on the machine it was lowered for: the cycle loop
+    walks the {!Lowered.t} and reads its resources, capacities and
+    shadow register file ([shadow]) from
+    [lowered.machine]; [lowered.source] is the pcode it says.
+    [fuel] bounds the cycle count (default 60M). [mem] is mutated.
 
     [events] records the machine's observable timeline (compare Table 1)
     into a structured ring buffer ([Psb_obs.Events]), each event stamped
@@ -134,15 +135,10 @@ val run :
     ({!Ccr.evalc}), with the commit/squash tick gated by the CCR's dirty
     mask ({!Ccr.take_dirty}).
 
-    The issue phase walks the code's {!Lowered} form. [lowered]
-    supplies it ready-made (e.g. from the compile cache via
-    [Psb_compiler.Driver]); when absent the code is lowered on entry.
-    The supplied form must have been built by {!Lowered.compile} from
-    this exact [Pcode.t] value and [model] (@raise Invalid_argument
-    otherwise) — callers that substitute a different pcode, like the
-    fuzzer's miscompile injection, must lower it again. Whether a form
-    says what its source says is {!Lowered.check}'s question; the run
-    trusts it.
+    Code is lowered once, before the run ({!Lowered.compile}; the
+    compile cache keeps the lowered form of every compile). Whether a
+    form says what its source says is {!Lowered.check}'s question; the
+    run trusts it.
 
     [metrics] collects, under the [vliw_] prefix: a store-buffer
     occupancy histogram sampled every cycle ([vliw_sb_occupancy]), an

@@ -125,12 +125,11 @@ let check_rob (g : Gen.t) ~decoded (reference : Interp.result) ref_mem =
         fail "rob-vs-interp" "breakdown sums to %d but cycles = %d" bd
           r.cycles)
 
-(* Runs the checked lowered form itself, on the code it was lowered
-   from. Not [Driver.run_vliw]: injected miscompiles can loop forever,
-   so the machine needs a much shorter leash than its 60M default. *)
+(* Runs the checked lowered form itself. Not [Driver.run_vliw]: injected
+   miscompiles can loop forever, so the machine needs a much shorter
+   leash than its 60M default. *)
 let run_vliw (lowered : Lowered.t) ~mem =
-  Vliw_sim.run ~fuel:vliw_fuel ~lowered ~model:lowered.Lowered.machine
-    ~regs:Gen.regs ~mem lowered.Lowered.source
+  Vliw_sim.run ~fuel:vliw_fuel ~regs:Gen.regs ~mem lowered
 
 (* compile, verify, lowering round trip and run, once per executable
    model; returns the compile, before any injection, and the run *)
@@ -157,13 +156,14 @@ let check_model ?inject ?cache ~analysis (g : Gen.t) (scalar : Interp.result)
     | _ -> built
   in
   (* verify-then-run: the static verifier must accept what we are about
-     to execute (on injected code, a rejection here is the bug being
-     caught at compile time — still a finding for the fuzzer) *)
+     to execute, on the machine it will run on (on injected code, a
+     rejection here is the bug being caught at compile time — still a
+     finding for the fuzzer) *)
   staged (stage "verify") (fun () ->
       match compiled.Driver.pcode with
       | None -> ()
       | Some pcode ->
-          let report = Verify.run Machine_model.base pcode in
+          let report = Verify.run compiled.Driver.machine pcode in
           if not (Verify.ok report) then
             fail (stage "verify") "%a" Verify.pp report);
   (* the lowering must say what the verified pcode says: raised back to

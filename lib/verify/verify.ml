@@ -75,11 +75,11 @@ type writer = {
   rez : int;  (** cycle the predicate's last condition becomes available *)
 }
 
-let verify_region ~single_shadow machine (r : Pcode.region) =
+let verify_region (machine : Machine_model.t) (r : Pcode.region) =
   let ctx =
     { name = r.Pcode.name; viols = []; conds = 0; pairs = 0; sb_demand = 0 }
   in
-  let ccr = Machine_model.ccr_size machine in
+  let ccr = machine.ccr_size in
   let slots =
     Array.to_list r.Pcode.code
     |> List.mapi (fun b bundle -> List.mapi (fun s slot -> (b, s, slot)) bundle)
@@ -154,7 +154,7 @@ let verify_region ~single_shadow machine (r : Pcode.region) =
   in
   List.iter (fun (b, s, slot) -> check_pred_conds b s slot) slots;
   (* ----- per-slot issue-time checks ----- *)
-  let max_spec = Machine_model.max_spec_conds machine in
+  let max_spec = machine.max_spec_conds in
   List.iter
     (fun (b, s, slot) ->
       let pred = Pcode.slot_pred slot in
@@ -227,7 +227,7 @@ let verify_region ~single_shadow machine (r : Pcode.region) =
             (Instr.defs op)
       | Pcode.Exit _ -> ())
     slots;
-  let shadow_cap = Machine_model.shadow_capacity ~single_shadow machine in
+  let shadow_cap = Machine_model.shadow_capacity machine in
   let rec pairwise reg = function
     | [] -> ()
     | i :: rest ->
@@ -350,7 +350,7 @@ let verify_region ~single_shadow machine (r : Pcode.region) =
     let rel =
       Array.of_list (List.map (fun w -> max w.wb (min w.rez never)) entries)
     in
-    let ports = max 1 (Machine_model.dcache_ports machine) in
+    let ports = max 1 machine.dcache_ports in
     let free = Array.make n 0 in
     for k = 0 to n - 1 do
       let f = rel.(k) in
@@ -358,7 +358,7 @@ let verify_region ~single_shadow machine (r : Pcode.region) =
       let f = if k >= ports then max f (free.(k - ports) + 1) else f in
       free.(k) <- f
     done;
-    let cap = Machine_model.sb_capacity machine in
+    let cap = machine.sb_capacity in
     let worst = ref 0 and worst_k = ref 0 in
     for k = 0 to n - 1 do
       let occ = ref 0 in
@@ -381,14 +381,12 @@ let verify_region ~single_shadow machine (r : Pcode.region) =
   end;
   ctx
 
-let run ?(single_shadow = true) machine (code : Pcode.t) =
+let run machine (code : Pcode.t) =
   let order = Hashtbl.create 8 in
   List.iteri
     (fun i (r : Pcode.region) -> Hashtbl.replace order r.Pcode.name i)
     code.Pcode.regions;
-  let ctxs =
-    List.map (verify_region ~single_shadow machine) code.Pcode.regions
-  in
+  let ctxs = List.map (verify_region machine) code.Pcode.regions in
   let violations =
     List.concat_map (fun c -> List.rev c.viols) ctxs
     |> List.stable_sort (fun a b ->

@@ -88,13 +88,13 @@ type report = {
   violations : violation list;  (** in region/bundle/slot order *)
 }
 
-val run : ?single_shadow:bool -> Machine_model.t -> Pcode.t -> report
+val run : Machine_model.t -> Pcode.t -> report
 (** Verify every region of a compiled program against [machine]'s
-    capacity limits. [single_shadow] (default [true], matching
-    [Psb_compiler.Driver.compile]) selects the shadow-register file the
-    code was compiled for; under the infinite ablation the per-register
-    shadow-capacity check is vacuous and skipped. Pure: never raises on
-    malformed input — malformedness {e is} the output. *)
+    capacity limits, its shadow register file included: on a [Single]
+    machine a register holds one speculative version, and on an
+    [Infinite] one the per-register shadow-capacity check is vacuous and
+    skipped. Pure: never raises on malformed input — malformedness {e is}
+    the output. *)
 
 val ok : report -> bool
 (** [ok r] iff [r.violations = []]. *)

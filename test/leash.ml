@@ -6,6 +6,5 @@
 
 let fuel = 2_000_000
 
-let run_vliw ?regfile_mode ?events ?metrics compiled ~regs ~mem =
-  Psb_compiler.Driver.run_vliw ~fuel ?regfile_mode ?events ?metrics compiled
-    ~regs ~mem
+let run_vliw ?events ?metrics compiled ~regs ~mem =
+  Psb_compiler.Driver.run_vliw ~fuel ?events ?metrics compiled ~regs ~mem

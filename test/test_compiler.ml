@@ -327,14 +327,12 @@ let test_infinite_shadow_equiv () =
     let _, profile =
       Driver.profile_of diamond_loop ~regs:[] ~mem:(Memory.create ~size:64)
     in
-    Driver.compile ~single_shadow:false ~model:Model.region_pred ~machine
+    Driver.compile ~model:Model.region_pred
+      ~machine:{ machine with shadow = Psb_machine.Regfile.Infinite }
       ~profile diamond_loop
   in
   let mem = Memory.create ~size:64 in
-  let vliw =
-    Leash.run_vliw ~regfile_mode:Psb_machine.Regfile.Infinite compiled
-      ~regs:[] ~mem
-  in
+  let vliw = Leash.run_vliw compiled ~regs:[] ~mem in
   Alcotest.(check (list int)) "output" [ 330 ] vliw.Vliw_sim.output
 
 (* ---------- cycle accounting ---------- *)
@@ -467,9 +465,11 @@ let prop_fatal_trace_fails =
    One MD5 over every unit's header, issue cycles and length, and (for
    executable models) the emitted region text, which prints each op's
    shadow reads. It covers the suite and 100 generated programs (half of
-   them with a nested loop), every model, four machines and both values
-   of each compile flag, so a rewrite of the dependence graph or the list
-   scheduler that moves a single op shows here. *)
+   them with a nested loop), every model, four machines, and on the base
+   machine both shadow register files and both values of the compile
+   flag, so a rewrite of the dependence graph or the list scheduler that
+   moves a single op shows here. A line prints the shadow register file
+   as [ss=] (single shadow) and the flag as [acd=]. *)
 
 let pin_programs =
   lazy
@@ -503,13 +503,16 @@ let pin_machines =
     ("base-k1", { Machine_model.base with Machine_model.max_spec_conds = 1 });
   ]
 
-(* every machine with the default flags, then the other three flag
-   pairs on the base machine *)
+(* every machine with the default flag, then the other three pairs of
+   shadow register file and flag on the base machine *)
 let pin_configs =
-  List.map (fun (name, machine) -> (name, machine, true, false)) pin_machines
+  let infinite =
+    { Machine_model.base with shadow = Psb_machine.Regfile.Infinite }
+  in
+  List.map (fun (name, machine) -> (name, machine, false)) pin_machines
   @ List.map
-      (fun (ss, acd) -> ("base", Machine_model.base, ss, acd))
-      [ (false, false); (true, true); (false, true) ]
+      (fun (machine, acd) -> ("base", machine, acd))
+      [ (infinite, false); (Machine_model.base, true); (infinite, true) ]
 
 let schedule_pin_lines () =
   List.concat_map
@@ -518,13 +521,15 @@ let schedule_pin_lines () =
       List.concat_map
         (fun (model : Model.t) ->
           List.map
-            (fun (mname, machine, single_shadow, avoid_commit_deps) ->
+            (fun (mname, (machine : Machine_model.t), avoid_commit_deps) ->
               let b = Buffer.create 1024 in
               Printf.bprintf b "%s %s %s ss=%b acd=%b" pname model.Model.name
-                mname single_shadow avoid_commit_deps;
+                mname
+                (machine.shadow = Psb_machine.Regfile.Single)
+                avoid_commit_deps;
               (match
-                 Driver.compile ~analysis ~verify:false ~single_shadow
-                   ~avoid_commit_deps ~model ~machine ~profile program
+                 Driver.compile ~analysis ~verify:false ~avoid_commit_deps
+                   ~model ~machine ~profile program
                with
               | c ->
                   Label.Map.iter
@@ -569,7 +574,7 @@ let unit_pin_params =
   List.concat_map
     (fun (model : Model.t) ->
       List.map
-        (fun (_, machine, _, avoid_commit_deps) ->
+        (fun (_, machine, avoid_commit_deps) ->
           Runit.default_params ~scope:model.Model.scope
             ~max_conds:machine.Machine_model.ccr_size
             ~fuse_compare:model.Model.branch_elim ~avoid_commit_deps ())

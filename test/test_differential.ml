@@ -94,14 +94,13 @@ let infinite_shadow_agrees =
       QCheck.assume (scalar.Interp.outcome <> Interp.Out_of_fuel);
       let _, profile = Driver.profile_of g.program ~regs ~mem:(make_mem g) in
       let compiled =
-        Driver.compile ~single_shadow:false ~model:Model.region_pred
-          ~machine:Machine_model.base ~profile g.program
+        Driver.compile ~model:Model.region_pred
+          ~machine:
+            { Machine_model.base with shadow = Psb_machine.Regfile.Infinite }
+          ~profile g.program
       in
       let vliw_mem = make_mem g in
-      let vliw =
-        Leash.run_vliw ~regfile_mode:Psb_machine.Regfile.Infinite compiled
-          ~regs ~mem:vliw_mem
-      in
+      let vliw = Leash.run_vliw compiled ~regs ~mem:vliw_mem in
       match scalar.Interp.outcome with
       | Interp.Fatal _ -> (
           match vliw.Vliw_sim.outcome with Interp.Fatal _ -> true | _ -> false)

@@ -261,8 +261,7 @@ let test_shared_runs () =
     (fun e ->
       let r = Harness.measured h Model.region_pred e in
       check_bool "the stored run is returned, physically" true
-        (Harness.measured h ~regfile_mode:Psb_machine.Regfile.Single
-           Model.region_pred e
+        (Harness.measured h ~machine:h.Harness.machine Model.region_pred e
         == r))
     h.Harness.entries;
   Alcotest.check pair "reading it back runs nothing" (72, 30) (stats ())

@@ -244,8 +244,7 @@ let run_pcode ?(machine = model) ?regs ?(mem_size = 256) ?mem pcode =
     "lowering round trip" (Ok ()) (Lowered.check lowered);
   let events = Psb_obs.Events.create () in
   let r =
-    Vliw_sim.run ~model:machine ~lowered ~events
-      ~regs:(Option.value regs ~default:[]) ~mem pcode
+    Vliw_sim.run ~events ~regs:(Option.value regs ~default:[]) ~mem lowered
   in
   check_int "event ring never wrapped" 0 (Psb_obs.Events.dropped events);
   (r, mem)
@@ -550,8 +549,10 @@ let test_vliw_out_of_fuel () =
           [ [ mov 1 (imm 1) ]; [ Pcode.exit_to Pred.always (lbl "spin") ] ];
       ]
   in
-  let res, _ = Vliw_sim.run ~fuel:1000 ~model ~regs:[] ~mem:(Memory.create ~size:16)
-      pcode |> fun r -> (r, ()) in
+  let res =
+    Vliw_sim.run ~fuel:1000 ~regs:[] ~mem:(Memory.create ~size:16)
+      (Lowered.compile ~machine:model pcode)
+  in
   check_bool "out of fuel" true (res.Vliw_sim.outcome = Interp.Out_of_fuel)
 
 let test_vliw_conflict_stall () =
@@ -580,10 +581,9 @@ let test_vliw_conflict_stall () =
   Alcotest.(check (list int)) "right value" [ 111 ] res.Vliw_sim.output;
   check_bool "conflict recorded" true
     (res.Vliw_sim.stats.Vliw_sim.shadow_conflicts >= 1);
-  (* The infinite-shadow model executes the same code without stalls. *)
-  let mem = Memory.create ~size:256 in
-  let res_inf =
-    Vliw_sim.run ~regfile_mode:Regfile.Infinite ~model ~regs:[] ~mem pcode
+  (* The infinite-shadow machine executes the same code without stalls. *)
+  let res_inf, _ =
+    run_pcode ~machine:{ model with shadow = Regfile.Infinite } pcode
   in
   Alcotest.(check (list int)) "same result" [ 111 ] res_inf.Vliw_sim.output;
   check_int "no conflicts" 0 res_inf.Vliw_sim.stats.Vliw_sim.shadow_conflicts
@@ -704,14 +704,14 @@ let test_vliw_sb_capacity_stall () =
     }
   in
   let mem = Memory.create ~size:256 in
-  let res = Vliw_sim.run ~model:tiny ~regs:[] ~mem burst in
+  let res, _ = run_pcode ~machine:tiny ~mem burst in
   check_bool "halted" true (res.Vliw_sim.outcome = Interp.Halted);
   check_bool "stalled on the full buffer" true
     (res.Vliw_sim.stats.Vliw_sim.sb_stall_cycles > 0);
   check_int "all stores landed" 7 (Memory.peek mem 24);
   (* ample capacity: no stalls *)
   let roomy = { tiny with Machine_model.sb_capacity = 16 } in
-  let res2 = Vliw_sim.run ~model:roomy ~regs:[] ~mem:(Memory.create ~size:256) burst in
+  let res2, _ = run_pcode ~machine:roomy burst in
   check_int "no stalls at capacity 16" 0 res2.Vliw_sim.stats.Vliw_sim.sb_stall_cycles;
   (* pathological: a speculative head blocks the FIFO and its resolving
      Setc sits behind a stalled store bundle *)
@@ -729,7 +729,10 @@ let test_vliw_sb_capacity_stall () =
       ]
   in
   let cap1 = { tiny with Machine_model.sb_capacity = 1 } in
-  match Vliw_sim.run ~model:cap1 ~regs:[] ~mem:(Memory.create ~size:256) bad with
+  match
+    Vliw_sim.run ~regs:[] ~mem:(Memory.create ~size:256)
+      (Lowered.compile ~machine:cap1 bad)
+  with
   | _ -> Alcotest.fail "expected a machine error"
   | exception Vliw_sim.Machine_error _ -> ()
 
@@ -798,7 +801,10 @@ let test_paper_figure4 () =
     { Machine_model.base with Machine_model.issue_width = 2 }
   in
   let ring = Psb_obs.Events.create () in
-  let res = Vliw_sim.run ~events:ring ~model:two_issue ~regs ~mem pcode in
+  let res =
+    Vliw_sim.run ~events:ring ~regs ~mem
+      (Lowered.compile ~machine:two_issue pcode)
+  in
   let events = timeline ~model:two_issue pcode ring in
   (* took the i17 exit to L8 *)
   Alcotest.(check (list int)) "exited to L8" [ 8 ] res.Vliw_sim.output;
@@ -887,7 +893,10 @@ let test_paper_figure5 () =
   in
   let single_issue = { Machine_model.base with Machine_model.issue_width = 1 } in
   let ring = Psb_obs.Events.create () in
-  let res = Vliw_sim.run ~events:ring ~model:single_issue ~regs ~mem pcode in
+  let res =
+    Vliw_sim.run ~events:ring ~regs ~mem
+      (Lowered.compile ~machine:single_issue pcode)
+  in
   let events = timeline ~model:single_issue pcode ring in
   check_bool "halted" true (res.Vliw_sim.outcome = Interp.Halted);
   check_int "one recovery episode" 1 res.Vliw_sim.stats.Vliw_sim.recoveries;
@@ -1016,8 +1025,8 @@ let test_pcode_text_roundtrip () =
   | Ok code' ->
       Alcotest.(check string) "print/parse fixpoint" text (Pcode_text.print code');
       let res =
-        Vliw_sim.run ~fuel:Leash.fuel ~model:Machine_model.base ~regs:w.Dsl.regs
-          ~mem:(w.Dsl.make_mem ()) code'
+        Vliw_sim.run ~fuel:Leash.fuel ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
+          (Lowered.compile ~machine:Machine_model.base code')
       in
       Alcotest.(check (list int)) "parsed code runs identically"
         scalar.Interp.output res.Vliw_sim.output
@@ -1257,7 +1266,7 @@ let test_vliw_dirty_gating_same_cycle_conds () =
           ];
       ]
   in
-  let res = Vliw_sim.run ~model ~regs:[] ~mem:(Memory.create ~size:64) pcode in
+  let res, _ = run_pcode ~mem_size:64 pcode in
   Alcotest.(check (list int)) "output" [ 111; 0 ] res.Vliw_sim.output;
   check_int "cycles" 5 res.Vliw_sim.cycles;
   check_int "commits" 1 res.Vliw_sim.stats.Vliw_sim.commits;
@@ -1431,32 +1440,6 @@ let test_lowered_check_rejects () =
       ("op_bounds", "region main bundle 1",
         fun lr -> lr.Lowered.op_bounds.(2) <- 3);
     ]
-
-let test_lowered_stale_form_rejected () =
-  (* the machine must reject a cached lowering that was not built from
-     the exact pcode value (the fuzzer's injection hazard) *)
-  let make () =
-    Pcode.make ~entry:(lbl "main")
-      [ region "main" [ [ out (imm 1) ]; [ Pcode.exit_stop Pred.always ] ] ]
-  in
-  let pcode = make () in
-  let other = make () in
-  let low = Lowered.compile ~machine:model other in
-  (match
-     Vliw_sim.run ~model ~lowered:low ~regs:[] ~mem:(Memory.create ~size:64)
-       pcode
-   with
-  | _ -> Alcotest.fail "stale lowered form accepted"
-  | exception Invalid_argument _ -> ());
-  (* and one built against a different machine model *)
-  let wide = { model with Machine_model.issue_width = model.Machine_model.issue_width + 1 } in
-  let low_wide = Lowered.compile ~machine:wide pcode in
-  match
-    Vliw_sim.run ~model ~lowered:low_wide ~regs:[]
-      ~mem:(Memory.create ~size:64) pcode
-  with
-  | _ -> Alcotest.fail "mismatched-machine lowered form accepted"
-  | exception Invalid_argument _ -> ()
 
 (* ---------- Hardware cost ---------- *)
 
@@ -1756,11 +1739,15 @@ let pin_rob_machines =
         } );
     ]
 
-let pin_shadow_modes =
+(* the machine each case compiles for, and the one its code is lowered
+   for and run on when that is another (the compile's own lowering
+   otherwise) *)
+let pin_shadow_cases =
+  let infinite = { Machine_model.base with shadow = Regfile.Infinite } in
   [
-    ("single", true, Regfile.Single);
-    ("infinite", false, Regfile.Infinite);
-    ("infinite-code-on-single", false, Regfile.Single);
+    ("single", Machine_model.base, None);
+    ("infinite", infinite, None);
+    ("infinite-code-on-single", infinite, Some Machine_model.base);
   ]
 
 (* the suite, then generated programs from a fixed seed, half of them
@@ -1794,24 +1781,28 @@ let pin_lines () =
         List.concat_map
           (fun (model : Model.t) ->
             List.map
-              (fun (sname, single_shadow, regfile_mode) ->
+              (fun (sname, machine, run_on) ->
                 let tag =
                   Printf.sprintf "%s %s/%s" w.Dsl.name model.Model.name sname
                 in
                 match
-                  Driver.compile ~verify:false ~single_shadow ~model
-                    ~machine:Machine_model.base ~profile program
+                  Driver.compile ~verify:false ~model ~machine ~profile program
                 with
                 | exception e -> tag ^ " compile " ^ Printexc.to_string e
                 | c ->
                     tag ^ " "
                     ^ pin_guard (fun () ->
+                          let lowered =
+                            match run_on with
+                            | None -> Option.get c.Driver.lowered
+                            | Some machine ->
+                                Lowered.compile ~machine
+                                  (Option.get c.Driver.pcode)
+                          in
                           pin_vliw
-                            (Vliw_sim.run ~fuel:Leash.fuel ~regfile_mode
-                               ?lowered:c.Driver.lowered ~model:c.Driver.machine
-                               ~regs ~mem:(w.Dsl.make_mem ())
-                               (Option.get c.Driver.pcode))))
-              pin_shadow_modes)
+                            (Vliw_sim.run ~fuel:Leash.fuel ~regs
+                               ~mem:(w.Dsl.make_mem ()) lowered)))
+              pin_shadow_cases)
           (List.filter (fun (m : Model.t) -> m.Model.executable) Model.all)
       in
       rob @ vliw)
@@ -2026,7 +2017,8 @@ let alu ?(pred = Pred.always) op d a b =
    loads the word [loaded_mem] writes, non-speculatively. *)
 let vliw_loop ~spec =
   let pred = if spec then p_true (cond 0) else Pred.always in
-  Pcode.make ~entry:(lbl "loop")
+  Lowered.compile ~machine:model
+  @@ Pcode.make ~entry:(lbl "loop")
     [
       region "loop"
         [
@@ -2043,8 +2035,8 @@ let vliw_loop ~spec =
         ];
     ]
 
-let vliw_loop_run pcode n =
-  Vliw_sim.run ~model ~regs:[ (reg 1, n) ] ~mem:(loaded_mem ()) pcode
+let vliw_loop_run code n =
+  Vliw_sim.run ~regs:[ (reg 1, n) ] ~mem:(loaded_mem ()) code
 
 let test_vliw_nonspec_no_alloc () =
   let pcode = vliw_loop ~spec:false in
@@ -2082,7 +2074,7 @@ let test_ring_attached_no_alloc () =
   let regs n = [ (reg 1, n) ] and mem = loaded_mem in
   let pcode = vliw_loop ~spec:false in
   flat "vliw with a ring" (fun n ->
-      Vliw_sim.run ~events:ring ~model ~regs:(regs n) ~mem:(mem ()) pcode);
+      Vliw_sim.run ~events:ring ~regs:(regs n) ~mem:(mem ()) pcode);
   let decoded = Decoded.of_program rob_loop in
   flat "rob with a ring" (fun n ->
       Rob_sim.run ~events:ring ~decoded ~model:Machine_model.base
@@ -2413,8 +2405,6 @@ let () =
             test_lowered_sb_capacity_identity;
           Alcotest.test_case "shadow-conflict identity" `Quick
             test_lowered_shadow_conflict_identity;
-          Alcotest.test_case "stale form rejected" `Quick
-            test_lowered_stale_form_rejected;
           Alcotest.test_case "round trip rejects corruption" `Quick
             test_lowered_check_rejects;
         ] );

@@ -37,7 +37,7 @@ let run_workload ?events ?metrics (w : Dsl.t) (model : Model.t) =
 (* A run recorded into a ring that holds all of it: the result, the ring
    and the run's pcode, which the ring's readers resolve events against.
    [ring], when given, is cleared and reused. *)
-let traced ?regfile_mode ?ring (compiled : Driver.compiled) ~regs ~mem =
+let traced ?ring (compiled : Driver.compiled) ~regs ~mem =
   let ring =
     match ring with
     | Some r ->
@@ -45,7 +45,7 @@ let traced ?regfile_mode ?ring (compiled : Driver.compiled) ~regs ~mem =
         r
     | None -> Events.create ~capacity:(1 lsl 20) ()
   in
-  let res = Leash.run_vliw ?regfile_mode ~events:ring compiled ~regs ~mem in
+  let res = Leash.run_vliw ~events:ring compiled ~regs ~mem in
   check_int "the ring held the whole run" 0 (Events.dropped ring);
   (res, ring, Option.get compiled.Driver.pcode)
 
@@ -453,20 +453,21 @@ let last_spec_commits doc =
 
 let check_commit_counter ?ring name ~profile program ~regs ~mem =
   List.iter
-    (fun (single_shadow, regfile_mode) ->
+    (fun (machine : Machine_model.t) ->
       let compiled =
-        Driver.compile ~single_shadow ~model:Model.region_pred
-          ~machine:Machine_model.base ~profile program
+        Driver.compile ~model:Model.region_pred ~machine ~profile program
       in
-      let res, ring, code =
-        traced ~regfile_mode ?ring compiled ~regs ~mem:(mem ())
-      in
-      let sink = Vliw_trace.of_events ~model:Machine_model.base code ring in
+      let res, ring, code = traced ?ring compiled ~regs ~mem:(mem ()) in
+      let sink = Vliw_trace.of_events ~model:machine code ring in
       check_int
-        (Printf.sprintf "%s (single shadow %b) spec-commits" name single_shadow)
+        (Printf.sprintf "%s (single shadow %b) spec-commits" name
+           (machine.shadow = Psb_machine.Regfile.Single))
         res.Vliw_sim.stats.Vliw_sim.commits
         (last_spec_commits (Vliw_trace.to_json sink)))
-    [ (true, Psb_machine.Regfile.Single); (false, Psb_machine.Regfile.Infinite) ]
+    [
+      Machine_model.base;
+      { Machine_model.base with shadow = Psb_machine.Regfile.Infinite };
+    ]
 
 let test_commit_counter () =
   List.iter

@@ -214,6 +214,7 @@ let prop_cache_keys_distinct =
       let machines =
         [
           Machine_model.base;
+          { Machine_model.base with shadow = Psb_machine.Regfile.Infinite };
           Machine_model.full_issue ~width:4 ~max_spec_conds:4;
           Machine_model.full_issue ~width:8 ~max_spec_conds:8;
         ]
@@ -224,14 +225,11 @@ let prop_cache_keys_distinct =
             List.concat_map
               (fun machine ->
                 List.concat_map
-                  (fun single_shadow ->
-                    List.concat_map
-                      (fun avoid_commit_deps ->
-                        List.map
-                          (fun verify ->
-                            Compile_cache.key ~model ~machine ~single_shadow
-                              ~avoid_commit_deps ~verify ~profile program)
-                          [ true; false ])
+                  (fun avoid_commit_deps ->
+                    List.map
+                      (fun verify ->
+                        Compile_cache.key ~model ~machine ~avoid_commit_deps
+                          ~verify ~profile program)
                       [ true; false ])
                   [ true; false ])
               machines)
@@ -254,8 +252,8 @@ let prop_cache_program_sensitivity =
         (Asm.print g1.Gen_programs.program <> Asm.print g2.Gen_programs.program);
       let k g =
         Compile_cache.key ~model:Model.region_pred ~machine
-          ~single_shadow:true ~avoid_commit_deps:false ~verify:true
-          ~profile:(profile_of g) g.Gen_programs.program
+          ~avoid_commit_deps:false ~verify:true ~profile:(profile_of g)
+          g.Gen_programs.program
       in
       k g1 <> k g2)
 
@@ -268,8 +266,7 @@ let prop_cache_verify_flag_regression =
       let profile = profile_of g in
       let k verify =
         Compile_cache.key ~model:Model.region_pred ~machine
-          ~single_shadow:true ~avoid_commit_deps:false ~verify ~profile
-          program
+          ~avoid_commit_deps:false ~verify ~profile program
       in
       k true <> k false)
 
@@ -282,7 +279,7 @@ let prop_cache_key_structural =
     Gen_programs.arb_program (fun g ->
       let program = g.Gen_programs.program in
       let k ?(profile = profile_of g) p =
-        Compile_cache.key ~model:Model.region_pred ~machine ~single_shadow:true
+        Compile_cache.key ~model:Model.region_pred ~machine
           ~avoid_commit_deps:false ~verify:true ~profile p
       in
       let profile = profile_of g in
@@ -319,7 +316,7 @@ let test_cache_key_every_machine_field () =
     Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs ~mem:(w.Dsl.make_mem ())
   in
   let key machine =
-    Compile_cache.key ~model:Model.region_pred ~machine ~single_shadow:true
+    Compile_cache.key ~model:Model.region_pred ~machine
       ~avoid_commit_deps:false ~verify:true ~profile w.Dsl.program
   in
   let m = Machine_model.base in
@@ -343,6 +340,7 @@ let test_cache_key_every_machine_field () =
         ("sb_capacity", { m with sb_capacity = m.sb_capacity + 1 });
         ("dcache_ports", { m with dcache_ports = m.dcache_ports + 1 });
         ("rob_size", { m with rob_size = m.rob_size + 1 });
+        ("shadow", { m with shadow = Psb_machine.Regfile.Infinite });
       ]
 
 let () =

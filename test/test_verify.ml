@@ -370,9 +370,9 @@ let prop_shadow_overflow =
           Events.clear ring;
           let flagged =
             match
-              Vliw_sim.run ~fuel:Leash.fuel ~events:ring ~model:machine
-                ~regs:Gen_programs.regs
-                ~mem:(Gen_programs.make_mem g) code'
+              Vliw_sim.run ~fuel:Leash.fuel ~events:ring ~regs:Gen_programs.regs
+                ~mem:(Gen_programs.make_mem g)
+                (Psb_machine.Lowered.compile ~machine code')
             with
             | res ->
                 Events.dropped ring = 0
