@@ -76,11 +76,9 @@ val compile :
   profile:Branch_predict.t ->
   Program.t ->
   compiled
-(** Schedule, emit, verify and lower [program] for [machine]: its
-    resources, latencies, capacities and shadow register file
-    ([machine.shadow]; the scheduler serialises exclusive writers of a
-    register only on a [Single] machine) are the ones the code is built
-    for, and {!run_vliw} runs it on that machine.
+(** Schedule, emit, verify and lower [program] for [machine], its
+    shadow register file ([machine.shadow]) included; {!run_vliw} runs
+    the code on that machine.
 
     @raise Invalid_argument if [analysis] was built from another
     program value (physical equality, as {!Psb_isa.Decoded.check_source}),
@@ -133,11 +131,9 @@ val run_vliw :
   regs:(Reg.t * int) list ->
   mem:Memory.t ->
   Vliw_sim.result
-(** Execute the compiled predicated code on the machine simulator: the
-    compile's [lowered] form goes to {!Vliw_sim.run}, which runs it on
-    the machine it was compiled for, shadow register file included, so
-    a run never re-lowers. [fuel] (the cycle bound), [events] and
-    [metrics] are passed through.
+(** Execute the compile's [lowered] form on the machine it was compiled
+    for ({!Vliw_sim.run}), so a run never re-lowers; [fuel] (the cycle
+    bound), [events] and [metrics] are passed through.
     @raise Invalid_argument if the model is not executable. *)
 
 val code_size : compiled -> int

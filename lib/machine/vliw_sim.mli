@@ -1,10 +1,11 @@
 (** Cycle-level simulator of the predicating VLIW machine (Figure 1).
 
-    Executes {!Pcode.t} in its lowered form ({!Lowered.t}). Each cycle: completed writebacks are applied;
-    pending condition writes are checked against the buffered speculative
-    exceptions ({e detection}, §3.5) before updating the CCR; the register
-    file and store buffer evaluate their stored predicates and commit or
-    squash; the store buffer drains to the D-cache; and one bundle issues.
+    Executes {!Pcode.t} in its lowered form ({!Lowered.t}). Each cycle:
+    completed writebacks are applied; pending condition writes are
+    checked against the buffered speculative exceptions ({e detection},
+    §3.5) before updating the CCR; the register file and store buffer
+    evaluate their stored predicates and commit or squash; the store
+    buffer drains to the D-cache; and one bundle issues.
     An instruction whose predicate evaluates true executes
     non-speculatively, false is squashed, unspecified executes
     speculatively into the shadow state.
@@ -111,9 +112,9 @@ val run :
   result
 (** Run lowered code on the machine it was lowered for: the cycle loop
     walks the {!Lowered.t} and reads its resources, capacities and
-    shadow register file ([shadow]) from
-    [lowered.machine]; [lowered.source] is the pcode it says.
-    [fuel] bounds the cycle count (default 60M). [mem] is mutated.
+    shadow register file ([shadow]) from [lowered.machine];
+    [lowered.source] is the pcode it says. [fuel] bounds the cycle count
+    (default 60M). [mem] is mutated.
 
     [events] records the machine's observable timeline (compare Table 1)
     into a structured ring buffer ([Psb_obs.Events]), each event stamped
